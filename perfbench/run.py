@@ -14,7 +14,8 @@ output is one JSON object with ``correct``, ``attempted``, ``failed`` and
 ``perfbench/out/``.
 
 Exit codes: 0 every check passed, 1 an output check failed, 2 pimin could not
-be imported from ``src/`` next to this directory.
+be imported from ``src/`` next to this directory, or the process pool's
+workers were not forked and so could not time their items.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ SRC = HERE.parent / "src"
 OUT = HERE / "out"
 sys.path.insert(0, str(SRC))
 
-PASSES = 12             # timed passes over the same inputs in an end-to-end run
 GAP_TOL_DB = 0.01       # constraint slack, as in the acceptance suite
 
 
@@ -92,10 +92,18 @@ def measure_setup(args) -> float:
 
 
 class ItemTimer:
-    """Times each ``bench.run_trial`` call that ``run_sweep`` makes in-process."""
+    """Times each ``bench.run_trial`` call that ``run_sweep`` makes.
 
-    def __init__(self, bench) -> None:
+    Calls in this process are kept in memory. The pool workers of a
+    parallelism-2 sweep are forked while the wrapper is installed, so they run
+    it too; each appends its times to a file of its own under ``spool``, which
+    ``collect`` reads back once the pool has shut down.
+    """
+
+    def __init__(self, bench, spool: Path | None = None) -> None:
         self.bench = bench
+        self.spool = spool
+        self.pid = os.getpid()
         self.items: dict[tuple[int, str], list[float]] = {}
 
     def __enter__(self) -> "ItemTimer":
@@ -106,14 +114,30 @@ class ItemTimer:
             try:
                 return inner(scen, method, cfg, seed, trial_id)
             finally:
-                self.items.setdefault((trial_id, method.value), []).append(
-                    time.perf_counter() - start)
+                self._record(trial_id, method.value, time.perf_counter() - start)
 
         self.bench.run_trial = timed
         return self
 
     def __exit__(self, *exc) -> None:
         self.bench.run_trial = self.inner
+
+    def _record(self, trial_id: int, method: str, elapsed: float) -> None:
+        if os.getpid() == self.pid:
+            self.items.setdefault((trial_id, method), []).append(elapsed)
+        else:
+            with open(self.spool / f"{os.getpid()}.txt", "a", encoding="utf-8") as fh:
+                fh.write(f"{trial_id} {method} {elapsed!r}\n")
+
+    def collect(self) -> None:
+        for path in sorted(self.spool.glob("*.txt")):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                trial_id, method, elapsed = line.split()
+                self.items.setdefault((int(trial_id), method), []).append(float(elapsed))
+            path.unlink()
+
+    def count(self) -> int:
+        return sum(len(times) for times in self.items.values())
 
     def busy(self) -> float:
         return sum(t for times in self.items.values() for t in times)
@@ -185,10 +209,15 @@ METHOD_KEYS = {"proposed": "proposed", "bench1_random_phase": "bench1",
 
 def end_to_end(pimin, np, workload, args, report) -> tuple[dict, list, list[str]]:
     spec = workload.spec(args.seed, args.seconds)
-    setup, walls1, walls2, outside, rows = [], [], [], [], []
+    setup, walls1, walls2, outside, outside2, rows = [], [], [], [], [], []
     problems = []
     timer = ItemTimer(pimin.bench)
-    for _ in range(PASSES):
+    spool = OUT / "par2-items"
+    spool.mkdir(exist_ok=True)
+    for stale in spool.glob("*.txt"):
+        stale.unlink()
+    timer2 = ItemTimer(pimin.bench, spool)
+    for i in range(workload.passes):
         setup.append(measure_setup(args))
         busy = timer.busy()
         with timer:
@@ -198,8 +227,18 @@ def end_to_end(pimin, np, workload, args, report) -> tuple[dict, list, list[str]
         if rows and not rows_match(rows[0], rows1):
             problems.append("a repeated pass gave different rows")
         rows.append(rows1)
-        rows2, wall2 = timed_sweep(pimin, spec, 2, OUT / "par2.csv")
+        if i % workload.par2_every:
+            continue
+        count, busy = timer2.count(), timer2.busy()
+        with timer2:
+            rows2, wall2 = timed_sweep(pimin, spec, 2, OUT / "par2.csv")
+        timer2.collect()
+        if timer2.count() - count != len(rows2):
+            print("perfbench: the pool workers did not report their item times; "
+                  "they must be forked", file=sys.stderr)
+            raise SystemExit(2)
         walls2.append(wall2)
+        outside2.append(wall2 - (timer2.busy() - busy) / 2)
         if not rows_match(rows1, rows2):
             problems.append("parallelism-2 rows differ from parallelism-1 rows")
         rows.append(rows2)
@@ -211,16 +250,19 @@ def end_to_end(pimin, np, workload, args, report) -> tuple[dict, list, list[str]
     # phases of one to tens of seconds, so a pass rarely runs wholly at the
     # fast one. Each item counts at its fastest pass, and the parallelism-1
     # sweep time is those plus the least time any pass spent outside the
-    # trials. The parallelism-2 sweep, whose items run in the workers, takes
-    # its fastest pass.
+    # trials. The parallelism-2 sweep is built the same way from the items'
+    # fastest times in the two workers, halved, plus the least time a sweep's
+    # wall exceeded half its workers' summed item times (dispatch, start-up,
+    # imbalance).
     best = {key: min(times) * 1e3 for key, times in timer.items.items()}
     ms = np.asarray(list(best.values()))
     sweep1_s = ms.sum() / 1e3 + min(outside)
+    sweep2_s = sum(min(times) for times in timer2.items.values()) / 2 + min(outside2)
     met, checks = constraint_checks(rows[0], spec.base)
     metrics = {
         "setup_s": (statistics.median(setup), "s"),
         "sweep_trials_per_s": (len(rows[0]) / sweep1_s, "1/s"),
-        "sweep_trials_per_s_par2": (len(rows[1]) / min(walls2), "1/s"),
+        "sweep_trials_per_s_par2": (len(rows[0]) / sweep2_s, "1/s"),
         "trial_ms_p50": (float(np.percentile(ms, 50)), "ms"),
         "trial_ms_p90": (float(np.percentile(ms, 90)), "ms"),
     }
@@ -231,14 +273,15 @@ def end_to_end(pimin, np, workload, args, report) -> tuple[dict, list, list[str]
     metrics["peak_rss_mb"] = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB")
 
     report["samples"] = {
-        "passes": PASSES,
+        "passes": workload.passes,
         "setup_probes_s": setup,
         "items": len(ms),
         "items_beyond_p90": int(np.count_nonzero(ms > np.percentile(ms, 90))),
         "items_per_method": {m: sum(1 for _, n in best if n == m) for m in METHOD_KEYS},
         "par1": {"trials": spec.trials_per_point, "rows": len(rows[0]), "wall_s": walls1,
                  "outside_trials_s": outside, "best_sweep_s": sweep1_s},
-        "par2": {"rows": len(rows[1]), "wall_s": walls2},
+        "par2": {"rows": len(rows[1]), "wall_s": walls2, "outside_trials_s": outside2,
+                 "best_sweep_s": sweep2_s},
         "constraint_checks": {"met": met, "made": checks},
         "item_ms": {f"{t}:{m}": [x * 1e3 for x in times]
                     for (t, m), times in timer.items.items()},
