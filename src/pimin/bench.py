@@ -155,7 +155,7 @@ class SweepSpec:
             "values": list(self.values),
             "trials_per_point": self.trials_per_point,
             "methods": [m.value for m in self.methods],
-            "solver": _bccd_to_dict(self.solver),
+            "solver": asdict(self.solver),
         }
 
     @classmethod
@@ -176,11 +176,6 @@ class SweepSpec:
         if "solver" in d:
             kwargs["solver"] = _bccd_from_dict(d["solver"])
         return cls(**kwargs)
-
-
-def _bccd_to_dict(cfg: BccdConfig) -> dict:
-    d = asdict(cfg)
-    return d
 
 
 def _bccd_from_dict(d: dict) -> BccdConfig:

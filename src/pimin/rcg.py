@@ -10,10 +10,19 @@ carried over by tangent-space projection at the new point.
 An optional boolean mask freezes coordinates (used by the benchmark designs
 that keep the RIS phases fixed); frozen entries get zero gradient and zero
 step, which keeps every formula below unchanged.
+
+The loop runs on raw arrays and validates its inputs once. Every objective
+evaluation also returns the terms ``t[i] = b_i + c_i phi`` and
+``e[i] = w^H t[i]``; the gradient at an accepted trial point reuses them
+instead of contracting ``c`` again. When the mask freezes every phase, ``t``
+is computed once per solve from the initial phases, so an evaluation is one
+``(terms, LM)`` matvec and the gradient has only its radar block. The public
+functions below are validating wrappers over the same private kernels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -126,28 +135,108 @@ def precompute_forms(evd: EvdResult, ch: ChannelSet, n_samples: int) -> Precompu
 
 
 # ---------------------------------------------------------------------------
-# Objective and gradients
+# Kernels on raw arrays
+#
+# ``x`` is the stacked vector and ``nb`` the length of its radar block. The
+# public functions further down validate their arguments and call these;
+# ``rcg_solve`` validates once at entry and then calls them directly.
 # ---------------------------------------------------------------------------
 
 def _check_state(x: BeamformerState, forms: PrecomputedForms) -> None:
+    if np.ndim(forms.c) != 3 or np.shape(forms.c)[:2] != np.shape(forms.b):
+        raise DimensionError(
+            f"forms b {np.shape(forms.b)} and c {np.shape(forms.c)} do not stack")
     if x.num_bf != forms.num_bf or x.dim - x.num_bf != forms.num_phases:
         raise DimensionError(
             f"state split ({x.num_bf}, {x.dim - x.num_bf}) does not match forms "
             f"({forms.num_bf}, {forms.num_phases})")
 
 
-def _terms(x: BeamformerState, forms: PrecomputedForms) -> tuple[np.ndarray, np.ndarray]:
-    """Return (t, e): t[i] = b_i + c_i phi, e[i] = w^H t[i]."""
-    t = forms.b + forms.c @ x.phi
-    e = t @ x.w.conj()
-    return t, e
+def _as_vector(v, x: BeamformerState, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=np.complex128)
+    if v.shape != x.x.shape:
+        raise DimensionError(f"{what} shape {v.shape} != state shape {x.x.shape}")
+    return v
 
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, computed as numpy computes it."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _re_inner(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.vdot(a, b).real)
+
+
+def _evaluate(b: np.ndarray, c: np.ndarray, x: np.ndarray, nb: int,
+              t: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+    """Objective at ``x`` and its terms ``t[i] = b_i + c_i phi``, ``e[i] = w^H t[i]``.
+
+    A given ``t`` is used as is: with every phase frozen it never changes.
+    """
+    if t is None:
+        t = b + c @ x[nb:]
+    e = t @ x[:nb].conj()
+    return float(np.add.reduce(e.real**2 + e.imag**2)), t, e
+
+
+def _egrad_w(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return 2.0 * (e.conj() @ t)
+
+
+def _egrad(t: np.ndarray, e: np.ndarray, c_conj: np.ndarray, w: np.ndarray) -> np.ndarray:
+    grad_phi = 2.0 * (e @ np.einsum("ikn,k->in", c_conj, w))
+    return np.concatenate([_egrad_w(t, e), grad_phi])
+
+
+def _tangent(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Project ``v`` onto the tangent space of the circles at ``x``."""
+    return v - (v * x.conj()).real * x
+
+
+def _retract(x: np.ndarray, step: np.ndarray) -> np.ndarray:
+    moved = x + step
+    mags = np.abs(moved)
+    if not mags.all():
+        raise DegenerateStepError("retraction hit a zero entry; shrink the step")
+    return moved / mags
+
+
+def _search(evaluate: Callable, x: np.ndarray, direction: np.ndarray, f_x: float,
+            slope: float, alpha: float, cfg: RcgConfig, free: np.ndarray | None):
+    """Backtracking Armijo search from ``alpha`` down; see ``line_search``.
+
+    Returns ``(alpha, x_new, f_new, t, e, rejected)``: the terms at ``x_new``
+    and the number of trial evaluations that failed the Armijo test. Trials
+    copy the coordinates that ``free`` marks False from ``x``, so those stay
+    bit-identical. ``alpha = 0`` means no admissible step (``x`` unchanged).
+    """
+    rejected = 0
+    for _ in range(cfg.max_backtracks + 1):
+        try:
+            trial = _retract(x, alpha * direction)
+        except DegenerateStepError:
+            alpha *= cfg.armijo_shrink
+            continue
+        if free is not None:
+            trial = np.where(free, trial, x)
+        f_trial, t, e = evaluate(trial)
+        if f_trial <= f_x + cfg.armijo_c1 * alpha * slope:
+            return alpha, trial, f_trial, t, e, rejected
+        rejected += 1
+        alpha *= cfg.armijo_shrink
+    return 0.0, x, f_x, None, None, rejected
+
+
+# ---------------------------------------------------------------------------
+# Objective, gradients and manifold operations
+# ---------------------------------------------------------------------------
 
 def objective(x: BeamformerState, forms: PrecomputedForms) -> float:
     """Path-interference power at ``x`` in reduced form."""
     _check_state(x, forms)
-    _, e = _terms(x, forms)
-    return float(np.sum(e.real**2 + e.imag**2))
+    return _evaluate(forms.b, forms.c, x.x, x.num_bf)[0]
 
 
 def euclid_grad(x: BeamformerState, forms: PrecomputedForms) -> np.ndarray:
@@ -158,43 +247,23 @@ def euclid_grad(x: BeamformerState, forms: PrecomputedForms) -> np.ndarray:
     equals ``Re(grad^H delta)``.
     """
     _check_state(x, forms)
-    t, e = _terms(x, forms)
-    grad_w = 2.0 * (e.conj() @ t)
-    r = np.einsum("ikn,k->in", forms.c.conj(), x.w)
-    grad_phi = 2.0 * (e @ r)
-    return np.concatenate([grad_w, grad_phi])
+    _, t, e = _evaluate(forms.b, forms.c, x.x, x.num_bf)
+    return _egrad(t, e, forms.c.conj(), x.w)
 
 
 def riem_grad(x: BeamformerState, egrad: np.ndarray) -> np.ndarray:
     """Project a Euclidean gradient onto the tangent space at ``x``."""
-    egrad = np.asarray(egrad, dtype=np.complex128)
-    if egrad.shape != x.x.shape:
-        raise DimensionError(f"gradient shape {egrad.shape} != state shape {x.x.shape}")
-    return egrad - np.real(egrad * x.x.conj()) * x.x
+    return _tangent(x.x, _as_vector(egrad, x, "gradient"))
 
 
 def transport(x_new: BeamformerState, vec: np.ndarray) -> np.ndarray:
     """Carry a tangent vector into the tangent space at ``x_new``."""
-    vec = np.asarray(vec, dtype=np.complex128)
-    if vec.shape != x_new.x.shape:
-        raise DimensionError(f"vector shape {vec.shape} != state shape {x_new.x.shape}")
-    return vec - np.real(vec * x_new.x.conj()) * x_new.x
+    return _tangent(x_new.x, _as_vector(vec, x_new, "vector"))
 
 
 def retract(x: BeamformerState, step: np.ndarray) -> BeamformerState:
     """Entrywise renormalization of ``x + step`` back onto the circles."""
-    step = np.asarray(step, dtype=np.complex128)
-    if step.shape != x.x.shape:
-        raise DimensionError(f"step shape {step.shape} != state shape {x.x.shape}")
-    moved = x.x + step
-    mags = np.abs(moved)
-    if np.any(mags == 0.0):
-        raise DegenerateStepError("retraction hit a zero entry; shrink the step")
-    return BeamformerState(x=moved / mags, num_bf=x.num_bf)
-
-
-def _re_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, b)))
+    return BeamformerState(x=_retract(x.x, _as_vector(step, x, "step")), num_bf=x.num_bf)
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +320,21 @@ def line_search(x: BeamformerState, direction: np.ndarray, forms: PrecomputedFor
     or no admissible step exists within the backtrack budget; the resulting
     objective never increases.
     """
-    direction = np.asarray(direction, dtype=np.complex128)
+    _check_state(x, forms)
+    direction = _as_vector(direction, x, "direction")
     if f_x is None:
         f_x = objective(x, forms)
-    if not np.any(direction):
+    if not direction.any():
         return LineSearchResult(alpha=0.0, x_new=x, f_new=f_x)
     if slope is None:
-        grad = riem_grad(x, euclid_grad(x, forms))
-        slope = _re_inner(grad, direction)
-    alpha = cfg.alpha_init if alpha_start is None else alpha_start
-    for _ in range(cfg.max_backtracks + 1):
-        try:
-            x_trial = retract(x, alpha * direction)
-        except DegenerateStepError:
-            alpha *= cfg.armijo_shrink
-            continue
-        f_trial = objective(x_trial, forms)
-        if f_trial <= f_x + cfg.armijo_c1 * alpha * slope:
-            return LineSearchResult(alpha=alpha, x_new=x_trial, f_new=f_trial)
-        alpha *= cfg.armijo_shrink
-    return LineSearchResult(alpha=0.0, x_new=x, f_new=f_x)
+        slope = _re_inner(riem_grad(x, euclid_grad(x, forms)), direction)
+    alpha, x_new, f_new, _, _, _ = _search(
+        lambda z: _evaluate(forms.b, forms.c, z, x.num_bf), x.x, direction, f_x, slope,
+        cfg.alpha_init if alpha_start is None else alpha_start, cfg, None)
+    if alpha == 0.0:
+        return LineSearchResult(alpha=0.0, x_new=x, f_new=f_x)
+    return LineSearchResult(alpha=alpha, x_new=BeamformerState(x=x_new, num_bf=x.num_bf),
+                            f_new=f_new)
 
 
 @dataclass(frozen=True)
@@ -279,6 +343,9 @@ class RcgResult:
     history: np.ndarray     # objective value at x0 and after each iteration
     grad_norm: float
     iterations: int
+    stop_reason: str        # "grad_tol", "max_iters" or "stalled" (no admissible step)
+    objective_evals: int    # the start point, every accepted step and every backtrack
+    backtracks: int         # trial points rejected by the Armijo test
 
 
 def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
@@ -294,16 +361,11 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
     accepted step.
     """
     _check_state(x0, forms)
+    nb = x0.num_bf
     if free is not None:
         free = np.asarray(free, dtype=bool)
         if free.shape != x0.x.shape:
             raise DimensionError(f"mask shape {free.shape} != state shape {x0.x.shape}")
-
-    def grad_at(state: BeamformerState) -> np.ndarray:
-        g = riem_grad(state, euclid_grad(state, forms))
-        if free is not None:
-            g = np.where(free, g, 0.0)
-        return g
 
     # Frozen coordinates are not part of the problem: scale-aware knobs see
     # only the free dimension (a no-RIS run must not depend on the RIS size).
@@ -314,55 +376,80 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
     # displacement in x-space; a half-turn per entry bounds any useful step.
     alpha_cap = float(np.pi * np.sqrt(dim))
 
-    x = x0
-    f_x = objective(x, forms)
-    g = grad_at(x)
+    b, c = forms.b, forms.c
+    if free is not None and not free[nb:].any():
+        # Every phase is frozen, so t = b + c phi0 is fixed: each evaluation
+        # is a matvec and the phase block of the gradient is zero.
+        t_fixed = b + c @ x0.phi
+        phase_zeros = np.zeros(x0.dim - nb, dtype=np.complex128)
+        all_w_free = bool(free[:nb].all())
+
+        def gradient(x, t, e):
+            g = np.concatenate([_tangent(x[:nb], _egrad_w(t, e)), phase_zeros])
+            return g if all_w_free else np.where(free, g, 0.0)
+    else:
+        t_fixed = None
+        c_conj = c.conj()
+
+        def gradient(x, t, e):
+            g = _tangent(x, _egrad(t, e, c_conj, x[:nb]))
+            return g if free is None else np.where(free, g, 0.0)
+
+    evaluations = 0
+
+    def evaluate(x):
+        nonlocal evaluations
+        evaluations += 1
+        return _evaluate(b, c, x, nb, t_fixed)
+
+    x = x0.x
+    f_x, t, e = evaluate(x)
+    g = gradient(x, t, e)
+    g_norm = _norm(g)
     direction = -g
     history = [f_x]
-    iterations = 0
+    iterations = backtracks = 0
     alpha_warm = cfg.alpha_init
 
     for it in range(cfg.max_iters):
-        g_norm = float(np.linalg.norm(g))
         if g_norm <= grad_tol:
             break
 
-        d_norm = float(np.linalg.norm(direction))
+        d_norm = _norm(direction)
         slope = _re_inner(g, direction) / d_norm if d_norm > 0.0 else 0.0
         if slope >= 0.0:
             direction = -g
             d_norm = g_norm
             slope = -g_norm
-        d_unit = direction / d_norm
-        ls = line_search(x, d_unit, forms, cfg, f_x=f_x, slope=slope,
-                         alpha_start=alpha_warm)
-        if ls.alpha == 0.0 and not np.array_equal(direction, -g):
+        alpha, x_new, f_new, t, e, rejected = _search(
+            evaluate, x, direction / d_norm, f_x, slope, alpha_warm, cfg, free)
+        backtracks += rejected
+        if alpha == 0.0 and not np.array_equal(direction, -g):
             direction = -g
-            d_unit = -g / g_norm
-            ls = line_search(x, d_unit, forms, cfg, f_x=f_x, slope=-g_norm,
-                             alpha_start=alpha_warm)
-        if ls.alpha == 0.0:
+            alpha, x_new, f_new, t, e, rejected = _search(
+                evaluate, x, -g / g_norm, f_x, -g_norm, alpha_warm, cfg, free)
+            backtracks += rejected
+        if alpha == 0.0:
             break   # stationary within line-search resolution
 
-        alpha_warm = min(2.0 * ls.alpha, alpha_cap)
-        x_new = ls.x_new
-        if free is not None:
-            # keep frozen coordinates bit-identical across renormalizations
-            x_new = BeamformerState(x=np.where(free, x_new.x, x.x), num_bf=x.num_bf)
-        g_new = grad_at(x_new)
-        c_plus = transport(x_new, direction)
-        g_plus = transport(x_new, g)
-        denom = float(np.linalg.norm(g_plus)) ** 2
-        beta = (float(np.linalg.norm(g_new)) ** 2) / denom if denom > 0.0 else 0.0
-        direction = -g_new + beta * c_plus
+        alpha_warm = min(2.0 * alpha, alpha_cap)
+        g_new = gradient(x_new, t, e)
+        g_new_norm = _norm(g_new)
         if (it + 1) % restart_every == 0:
             direction = -g_new
+        else:
+            denom = _norm(_tangent(x_new, g)) ** 2
+            beta = g_new_norm ** 2 / denom if denom > 0.0 else 0.0
+            direction = -g_new + beta * _tangent(x_new, direction)
 
-        x, g, f_x = x_new, g_new, ls.f_new
+        x, g, g_norm, f_x = x_new, g_new, g_new_norm, f_new
         history.append(f_x)
         iterations = it + 1
         if callback is not None:
-            callback(x, g, direction)
+            callback(BeamformerState(x=x, num_bf=nb), g, direction)
 
-    return RcgResult(x=x, history=np.asarray(history), grad_norm=float(np.linalg.norm(g)),
-                     iterations=iterations)
+    stop = ("grad_tol" if g_norm <= grad_tol
+            else "max_iters" if iterations == cfg.max_iters else "stalled")
+    return RcgResult(x=x0 if iterations == 0 else BeamformerState(x=x, num_bf=nb),
+                     history=np.asarray(history), grad_norm=g_norm, iterations=iterations,
+                     stop_reason=stop, objective_evals=evaluations, backtracks=backtracks)

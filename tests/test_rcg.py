@@ -252,3 +252,90 @@ class TestRcgSolve:
             x=np.concatenate([w, random_unit_modulus(rng, 2)]), num_bf=3), forms)
             for _ in range(5)}
         assert max(f_vals) - min(f_vals) == 0.0
+
+
+class TestRcgCounters:
+    def test_zero_forms_stop_at_grad_tol_without_iterating(self, rng):
+        out = rcg_solve(zero_forms(), random_state(3, 2, rng), RcgConfig())
+        assert out.stop_reason == "grad_tol"
+        assert out.iterations == 0
+        assert (out.objective_evals, out.backtracks) == (1, 0)
+
+    def test_single_iteration_budget(self, rng):
+        forms = random_forms(rng, 3, 4, 3)
+        out = rcg_solve(forms, random_state(4, 3, rng), RcgConfig(max_iters=1))
+        assert out.stop_reason == "max_iters"
+        assert out.iterations == 1
+
+    def test_stalled_when_no_step_is_admissible(self):
+        # with a zero tolerance the search runs out of resolution first
+        gen = np.random.default_rng(0)
+        forms = random_forms(gen, 3, 3, 2)
+        cfg = RcgConfig(max_iters=5000, grad_tol=0.0)
+        out = rcg_solve(forms, random_state(3, 2, gen), cfg)
+        assert out.stop_reason == "stalled"
+        assert out.iterations < cfg.max_iters and out.grad_norm > 0.0
+
+    def test_every_evaluation_is_the_start_a_step_or_a_backtrack(self, rng):
+        total_backtracks = 0
+        for max_iters in (0, 1, 7, 60):
+            for free in (None, np.array([True, True, False, True, False])):
+                forms = random_forms(rng, 3, 3, 2)
+                out = rcg_solve(forms, random_state(3, 2, rng),
+                                RcgConfig(max_iters=max_iters), free=free)
+                assert out.objective_evals == out.iterations + out.backtracks + 1
+                assert len(out.history) == out.iterations + 1
+                total_backtracks += out.backtracks
+        assert total_backtracks > 0
+
+
+class TestFrozenPhasePath:
+    @staticmethod
+    def phases_frozen(lm, n):
+        return np.concatenate([np.ones(lm, dtype=bool), np.zeros(n, dtype=bool)])
+
+    def test_matches_problem_with_phases_folded_into_b(self):
+        # with every phase frozen only b + c phi0 matters, so moving it into b
+        # and dropping c must leave the run unchanged
+        for seed in range(6):
+            gen = np.random.default_rng(seed)
+            lm, n = int(gen.integers(1, 6)), int(gen.integers(1, 6))
+            forms = random_forms(gen, int(gen.integers(1, 5)), lm, n)
+            x0 = random_state(lm, n, gen)
+            mask = self.phases_frozen(lm, n)
+            folded = PrecomputedForms(b=forms.b + forms.c @ x0.phi,
+                                      c=np.zeros_like(forms.c))
+            cfg = RcgConfig(max_iters=80)
+            out = rcg_solve(forms, x0, cfg, free=mask)
+            ref = rcg_solve(folded, x0, cfg, free=mask)
+            assert np.array_equal(out.history, ref.history)
+            assert np.array_equal(out.x.x, ref.x.x)
+            assert out.iterations == ref.iterations
+
+    def test_history_is_the_objective_at_the_iterates(self, rng):
+        forms = random_forms(rng, 4, 4, 3)
+        x0 = random_state(4, 3, rng)
+        values = []
+        out = rcg_solve(forms, x0, RcgConfig(max_iters=30), free=self.phases_frozen(4, 3),
+                        callback=lambda x, g, d: values.append(objective(x, forms)))
+        assert len(values) == out.iterations > 0
+        assert np.allclose(out.history[1:], values, rtol=1e-12, atol=0.0)
+
+    def test_iterate_invariants_via_callback(self, rng):
+        forms = random_forms(rng, 4, 4, 3)
+        x0 = random_state(4, 3, rng)
+        seen = []
+
+        def watch(x, g, d):
+            seen.append((x.max_modulus_error(),
+                         float(np.max(np.abs(np.real(g * x.x.conj())))),
+                         float(np.max(np.abs(np.real(d * x.x.conj())))),
+                         bool(np.array_equal(x.phi, x0.phi))))
+
+        rcg_solve(forms, x0, RcgConfig(max_iters=80), free=self.phases_frozen(4, 3),
+                  callback=watch)
+        assert seen
+        assert max(s[0] for s in seen) <= 1e-12
+        assert max(s[1] for s in seen) <= 1e-10
+        assert max(s[2] for s in seen) <= 1e-10
+        assert all(s[3] for s in seen)
