@@ -36,8 +36,8 @@ class BccdConfig:
 
     n_iter: int = 20
     rcg: RcgConfig = field(default_factory=RcgConfig)
-    sdp_tol: float = 1e-7
-    sdp_max_iters: int = 50_000
+    sdp_tol: float = 1e-7       # SDP relative duality gap and constraint shortfall
+    sdp_max_iters: int = 50_000  # SDP dual evaluations before it gives up
     stall_tol: float = 1e-5
     stall_window: int = 3
     seed: int = 0

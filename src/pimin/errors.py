@@ -19,7 +19,3 @@ class DegenerateInputError(ValueError):
 
 class DegenerateStepError(RuntimeError):
     """A retraction step landed on a zero entry; the caller should shrink the step."""
-
-
-class SolverError(RuntimeError):
-    """An optimization routine failed in a way the caller cannot recover from."""

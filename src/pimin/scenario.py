@@ -67,9 +67,7 @@ class RisSpec:
     a_ris: float = 1.0          # reflection coefficient, 1 for a passive RIS
     d_x: float = 0.004283       # element size along x (m)
     d_y: float = 0.004283       # element size along y (m)
-    azimuth_r: float = 0.0      # incidence azimuth (rad)
     elevation_r: float = 0.0    # incidence elevation (rad)
-    azimuth_t: float = 0.0      # reflection azimuth (rad)
     elevation_t: float = 0.0    # reflection elevation (rad)
     pattern_r: float = 1.0
     pattern_t: float = 1.0

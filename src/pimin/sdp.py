@@ -1,21 +1,31 @@
 """Transmit-covariance subproblem: a small semidefinite program.
 
 Given the radar weights and RIS phases, the covariance step minimizes the
-path-interference trace form over Hermitian PSD matrices with a fixed trace,
-one communication-SNR trace inequality and one sensing-ratio trace
-inequality.
+path-interference trace form ``<C, R>`` over Hermitian PSD matrices with a
+fixed trace ``P``, one communication-SNR trace inequality ``<A_1, R> >= b_1``
+and one sensing-ratio trace inequality ``<A_2, R> >= b_2``.
 
-The solver is a first-order consensus splitting (ADMM) between the PSD cone
-(eigenvalue clipping) and the affine set (closed-form projection onto the
-trace equality plus the two half-spaces, by active-set enumeration). Two
-shortcuts keep the common cases fast and sharp:
+The solver works on the exact Lagrange dual, a concave maximization over the
+two inequality multipliers (Vandenberghe & Boyd, SIAM Review 1996)::
 
-* a spectral certificate declares infeasibility immediately when even the
-  best rank-one covariance cannot satisfy an inequality, and
-* when the objective matrix is PSD with a nontrivial null space, a pure
-  feasibility solve restricted to that null space is attempted first; any
-  feasible point there is exactly optimal (objective zero), which is the
-  typical interference-nulling outcome.
+    max_{mu >= 0}  g(mu) = P * lambda_min(C - mu_1 A_1 - mu_2 A_2) + mu . b
+
+Three trace constraints admit a rank-one optimum (Huang & Palomar, IEEE TSP
+2010), so a minimum eigenvector ``v`` of the dual matrix gives the primal
+answer ``P v v^H``. Every answer carries its evidence:
+
+* a spectral certificate declares infeasibility at once when even the best
+  rank-one covariance cannot reach a right-hand side;
+* the dual is first read at ``mu = 0``: any feasible point in the minimum
+  eigenspace of ``C`` is optimal. The objective that ``assemble_p2`` builds is
+  rank one, so this eigenspace is its null space and the answer is the
+  interference-nulling one. The uniform covariance on the eigenspace is kept
+  when it is feasible, and otherwise mixed with the fewest weight toward the
+  max-margin point of the eigenspace;
+* otherwise a projected Newton ascent climbs ``g``. Its gradient is
+  ``b_i - v^H A_i v`` and its Hessian follows from eigenvalue perturbation.
+  The duality gap ``<C, P v v^H> - g(mu)`` certifies optimality, and by weak
+  duality any ``g(mu)`` above ``P * lambda_max(C)`` certifies infeasibility.
 
 The public contract stays complex Hermitian; problems are scaled internally
 to unit trace and unit-norm coefficient matrices for conditioning.
@@ -28,11 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import check_hermitian, hermitian_evd
+from .linalg import check_hermitian, kron_identity_apply
 from .scenario import ChannelSet, ScenarioConfig
 from .sysmodel import EffectiveChannels
 
 FEASIBILITY_SLACK = 1e-9
+
+# Eigenvalues of the unit-norm objective within this distance of the smallest
+# span the minimum eigenspace searched at zero multipliers.
+EIG_CLUSTER = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -90,25 +104,15 @@ class TransmitCovariance:
 class SdpSolution:
     R_ss: TransmitCovariance
     objective_value: float
-    kkt_residual: float
-    status: str                 # "optimal", "infeasible" or "max_iters"
-    constraint_violation: float  # best max relative violation achieved
-    iterations: int
+    kkt_residual: float         # duality gap over ||obj||_F * trace budget
+    status: str                 # "optimal", "infeasible" (certified) or "max_iters"
+    constraint_violation: float  # worst shortfall, relative to each rhs > 0
+    iterations: int             # dual evaluations; 0 when a certificate answered
 
 
 # ---------------------------------------------------------------------------
 # Problem assembly from the system model
 # ---------------------------------------------------------------------------
-
-def _stacked_adjoint(block: np.ndarray, w: np.ndarray, n_samples: int) -> np.ndarray:
-    """``(I_L kron block)^H w`` computed per sample block."""
-    m, m_t = block.shape
-    out = np.empty(n_samples * m_t, dtype=np.complex128)
-    bh = block.conj().T
-    for ell in range(n_samples):
-        out[ell * m_t: (ell + 1) * m_t] = bh @ w[ell * m: (ell + 1) * m]
-    return out
-
 
 def assemble_p2(w: np.ndarray, phi: np.ndarray, ch: ChannelSet,
                 effective: EffectiveChannels, cfg: ScenarioConfig) -> SdpProblem:
@@ -124,9 +128,9 @@ def assemble_p2(w: np.ndarray, phi: np.ndarray, ch: ChannelSet,
     n_samples = len(w) // m
     dim = n_samples * m_t
 
-    u = _stacked_adjoint(effective.Ac_block, w, n_samples)
-    a = _stacked_adjoint(effective.Ar_block, w, n_samples)
-    o = _stacked_adjoint(effective.Ao_block, w, n_samples)
+    u, a, o = (kron_identity_apply(block.conj().T, w, n_samples)
+               for block in (effective.Ac_block, effective.Ar_block,
+                             effective.Ao_block))
 
     obj = np.outer(u, u.conj())
     gram = effective.Hc_block.conj().T @ effective.Hc_block
@@ -146,219 +150,80 @@ def assemble_p2(w: np.ndarray, phi: np.ndarray, ch: ChannelSet,
 
 
 # ---------------------------------------------------------------------------
-# Projections
+# Solver (scaled units: trace 1, unit-norm coefficient matrices)
 # ---------------------------------------------------------------------------
 
-def _psd_clip(a: np.ndarray) -> np.ndarray:
-    lam, v = np.linalg.eigh(a)
-    np.maximum(lam, 0.0, out=lam)
-    out = (v * lam) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+def _shortfall(vals: np.ndarray, b: np.ndarray) -> float:
+    """Worst violation of ``vals >= b``: relative where ``b_i > 0``, else absolute."""
+    short = np.maximum(b - vals, 0.0) / np.where(b > 0.0, b, 1.0)
+    return float(short.max(initial=0.0))
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> float:
-    # Real for Hermitian arguments.
-    return float(np.tensordot(a.conj(), b, axes=2).real)
+def _max_margin(mats: np.ndarray, b: np.ndarray):
+    """Trace-one PSD ``Y`` maximizing ``min_i <A_i, Y> - b_i``.
 
-
-class _AffineSet:
-    """Projection onto {trace = 1} intersected with two trace half-spaces.
-
-    The projection has the form ``Y + mu0 I + mu1 A1 + mu2 A2``; the correct
-    active set among the four candidates is found by checking multiplier
-    signs and residual feasibility.
+    The maximum equals the minimum over ``d = (theta, 1 - theta)`` of the
+    convex ``h(d) = lambda_max(d . A) - d . b``, searched by safeguarded
+    Newton steps on ``h'``; the top eigenvectors at the bracket's ends are
+    then mixed so that both margins agree. Returns ``Y``, the weights ``d``
+    of the least ``h`` met, and that ``h``: ``h < 0`` proves that no point of
+    the space meets both constraints.
     """
-
-    def __init__(self, dim: int, mats: list[np.ndarray], rhs: list[float]):
-        self.dim = dim
-        self.eye = np.eye(dim, dtype=np.complex128)
-        self.mats = [self.eye] + mats          # index 0 is the trace equality
-        self.rhs = [1.0] + rhs
-        k = len(self.mats)
-        self.gram = np.empty((k, k))
-        for i in range(k):
-            for j in range(k):
-                self.gram[i, j] = _inner(self.mats[i], self.mats[j])
-        self.farkas_gap = self._farkas_gap()
-
-    def _farkas_gap(self) -> float:
-        """Positive when the affine set itself is empty.
-
-        Emptiness needs linearly dependent functionals with incompatible
-        right-hand sides: a combination ``mu0 I + mu1 A1 + mu2 A2 = 0`` with
-        ``mu1, mu2 >= 0`` and ``mu . rhs > 0``. Null directions of the Gram
-        matrix are enumerated (single directions and pairwise sums cover the
-        low-dimensional null spaces that occur here).
-        """
-        eigval, eigvec = np.linalg.eigh(self.gram)
-        scale = max(float(eigval[-1]), 1e-300)
-        null_dirs = [eigvec[:, i] for i in range(len(eigval))
-                     if eigval[i] <= 1e-12 * scale]
-        if not null_dirs:
-            return 0.0
-        candidates = []
-        for v in null_dirs:
-            candidates += [v, -v]
-        for i in range(len(null_dirs)):
-            for j in range(i + 1, len(null_dirs)):
-                for si in (1.0, -1.0):
-                    for sj in (1.0, -1.0):
-                        candidates.append(si * null_dirs[i] + sj * null_dirs[j])
-        rhs = np.asarray(self.rhs)
-        worst = 0.0
-        for mu in candidates:
-            norm = np.linalg.norm(mu)
-            if norm == 0.0:
-                continue
-            mu = mu / norm
-            if np.all(mu[1:] >= -1e-12):
-                worst = max(worst, float(mu @ rhs))
-        return worst if worst > 1e-12 * max(1.0, float(np.abs(rhs).max())) else 0.0
-
-    def project(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (projection, multipliers[len mats])."""
-        vals = np.array([_inner(m, y) for m in self.mats])
-        resid = np.array(self.rhs) - vals
-        n_ineq = len(self.mats) - 1
-        best = None
-        for active_mask in range(2**n_ineq):
-            idx = [0] + [i + 1 for i in range(n_ineq) if active_mask >> i & 1]
-            g = self.gram[np.ix_(idx, idx)]
-            try:
-                mu_act = np.linalg.solve(g, resid[idx])
-            except np.linalg.LinAlgError:
-                mu_act, *_ = np.linalg.lstsq(g, resid[idx], rcond=None)
-            mu = np.zeros(len(self.mats))
-            mu[idx] = mu_act
-            if np.any(mu[1:] < -FEASIBILITY_SLACK):
-                continue
-            # inactive inequalities must end up satisfied
-            new_vals = vals + self.gram @ mu
-            slack = new_vals[1:] - np.array(self.rhs[1:])
-            if np.all(slack >= -FEASIBILITY_SLACK * np.maximum(1.0, np.abs(self.rhs[1:]))):
-                best = mu
-                break
-        if best is None:
-            # numerically marginal case: fall back to the fully active system
-            idx = list(range(len(self.mats)))
-            mu_act, *_ = np.linalg.lstsq(self.gram, resid, rcond=None)
-            best = np.maximum(mu_act, [-np.inf] + [0.0] * n_ineq)
-        z = y.copy()
-        for coef, mat in zip(best, self.mats):
-            if coef != 0.0:
-                z = z + coef * mat
-        return 0.5 * (z + z.conj().T), best
-
-    def violation(self, y: np.ndarray) -> float:
-        """Max relative constraint violation at ``y`` (trace and inequalities)."""
-        worst = abs(_inner(self.eye, y) - 1.0)
-        for mat, b in zip(self.mats[1:], self.rhs[1:]):
-            worst = max(worst, max(0.0, b - _inner(mat, y)) / max(1.0, abs(b)))
-        return worst
-
-
-# ---------------------------------------------------------------------------
-# Core ADMM loop (scaled units: trace 1, unit-norm coefficient matrices)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _AdmmOutcome:
-    x: np.ndarray
-    status: str
-    primal: float
-    dual: float
-    violation: float
-    iterations: int
-
-
-def _admm(c: np.ndarray, aff: _AffineSet, tol: float, max_iters: int,
-          over_relax: float = 1.6) -> _AdmmOutcome:
-    n = aff.dim
-    z = aff.eye / n
-    u = np.zeros_like(z)
-    rho = 1.0
-    primal = dual = np.inf
-    best_violation = np.inf
-    stall_window = 500
-    primal_log: list[float] = []
-    x = z
-
-    for it in range(1, max_iters + 1):
-        x = _psd_clip(z - u - c / rho)
-        z_old = z
-        x_relaxed = over_relax * x + (1.0 - over_relax) * z_old
-        z, _ = aff.project(x_relaxed + u)
-        u = u + x_relaxed - z
-
-        primal = float(np.linalg.norm(x - z))
-        dual = float(rho * np.linalg.norm(z - z_old))
-        primal_log.append(primal)
-        scale = max(float(np.linalg.norm(x)), float(np.linalg.norm(z)), 1.0)
-        if primal <= tol * scale and dual <= tol * scale:
-            return _AdmmOutcome(x=x, status="optimal", primal=primal / scale,
-                                dual=dual / scale, violation=aff.violation(x),
-                                iterations=it)
-
-        best_violation = min(best_violation, aff.violation(x))
-        if it % 100 == 0:
-            if primal > 10.0 * dual:
-                rho *= 2.0
-                u *= 0.5
-            elif dual > 10.0 * primal:
-                rho *= 0.5
-                u *= 2.0
-        if it % (2 * stall_window) == 0 and it >= 2 * stall_window:
-            recent = min(primal_log[-stall_window:])
-            earlier = min(primal_log[-2 * stall_window: -stall_window])
-            if recent > 0.995 * earlier and recent > 50.0 * tol:
-                return _AdmmOutcome(x=x, status="infeasible", primal=primal,
-                                    dual=dual, violation=best_violation,
-                                    iterations=it)
-
-    return _AdmmOutcome(x=x, status="max_iters", primal=primal, dual=dual,
-                        violation=best_violation, iterations=max_iters)
-
-
-# ---------------------------------------------------------------------------
-# Public solver
-# ---------------------------------------------------------------------------
-
-def _polish(x: np.ndarray, aff: _AffineSet) -> np.ndarray:
-    """Snap an approximate iterate onto the cone with an exact unit trace."""
-    y, _ = aff.project(x)
-    r = _psd_clip(y)
-    tr = float(np.trace(r).real)
-    if tr > 0.0:
-        r = r / tr
-    else:
-        r = aff.eye / aff.dim
-    return r
+    theta, lo, hi, best = 1.0, None, None, (np.inf, b)
+    for _ in range(64):
+        d = np.array([theta, 1.0 - theta])[:len(b)]
+        lam, v = np.linalg.eigh(np.tensordot(d, mats, axes=1))
+        y = v[:, -1]
+        ay = mats @ y
+        margins = (ay @ y.conj()).real - b
+        h, slope = float(lam[-1] - d @ b), float(margins[0] - margins[-1])
+        best = min(best, (h, d), key=lambda t: t[0])
+        if h < 0.0 or (theta == 1.0 and slope <= 0.0) or (theta == 0.0 and slope >= 0.0):
+            return np.outer(y, y.conj()), d, h
+        if slope < 0.0:
+            lo = (theta, slope, y)
+        else:
+            hi = (theta, slope, y)
+        if lo is None:
+            theta = 0.0
+            continue
+        if hi[0] - lo[0] <= 1e-15 or abs(slope) <= 1e-15:
+            break
+        dy = v[:, :-1].conj().T @ (ay[0] - ay[1])
+        curv = 2.0 * np.sum(np.abs(dy) ** 2 / np.maximum(lam[-1] - lam[:-1], 1e-300))
+        theta = theta - slope / curv if curv > 0.0 else -1.0
+        if not lo[0] < theta < hi[0]:
+            theta = 0.5 * (lo[0] + hi[0])
+    mix = hi[1] / (hi[1] - lo[1])
+    y_mat = mix * np.outer(lo[2], lo[2].conj()) + (1.0 - mix) * np.outer(hi[2], hi[2].conj())
+    return y_mat, best[1], best[0]
 
 
 def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
               max_iters: int = 50_000) -> SdpSolution:
-    """Solve the covariance subproblem.
+    """Solve the covariance subproblem through its two-multiplier dual.
 
-    Returns a solution whose status is ``optimal`` when both ADMM residuals
-    fall below ``tol`` (relative), ``infeasible`` with a violation diagnostic
-    when the constraint set is certified or detected empty, and ``max_iters``
-    with the best iterate otherwise.
+    ``optimal``: each inequality holds within ``tol`` (relative to a positive
+    right-hand side) and the duality gap is at most ``tol`` relative to the
+    objective. ``infeasible``: certified, spectrally or by a dual value above
+    ``lambda_max``. ``max_iters``: the last primal point, after ``max_iters``
+    dual evaluations or an ascent stalled at round-off.
     """
-    n = problem.dim
-    s = problem.trace_budget
+    n, s = problem.dim, problem.trace_budget
 
     def finish(r_scaled: np.ndarray, status: str, kkt: float, violation: float,
                iterations: int) -> SdpSolution:
         r = s * r_scaled
         return SdpSolution(
             R_ss=TransmitCovariance(matrix=r, budget=s),
-            objective_value=_inner(problem.obj, r),
+            objective_value=float(np.vdot(problem.obj, r).real),
             kkt_residual=kkt,
             status=status,
             constraint_violation=violation,
             iterations=iterations,
         )
 
+    uniform = np.eye(n, dtype=np.complex128) / n
     # Scale: R = s * R_tilde with trace(R_tilde) = 1; unit-norm coefficients.
     mats: list[np.ndarray] = []
     rhs: list[float] = []
@@ -367,66 +232,88 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         f = float(np.linalg.norm(mat))
         if f == 0.0:
             if b / s > FEASIBILITY_SLACK:
-                return finish(np.eye(n, dtype=np.complex128) / n, "infeasible",
-                              np.inf, b / s, 0)
+                return finish(uniform, "infeasible", np.inf, b / s, 0)
             continue    # vacuous constraint
         mats.append(np.asarray(mat, dtype=np.complex128) / f)
         rhs.append(b / (s * f))
+    a = np.array(mats).reshape(len(mats), n, n)
+    b = np.array(rhs)
     f_obj = float(np.linalg.norm(problem.obj))
     c = np.asarray(problem.obj, dtype=np.complex128) / f_obj if f_obj > 0.0 \
         else np.zeros((n, n), dtype=np.complex128)
 
     # Spectral infeasibility certificate: even the best rank-one covariance
     # cannot reach the right-hand side.
-    worst_gap = 0.0
-    for mat, b in zip(mats, rhs):
-        top = float(np.linalg.eigvalsh(mat)[-1])
-        gap = b - top
-        if gap > FEASIBILITY_SLACK * max(1.0, abs(b)):
-            worst_gap = max(worst_gap, gap / max(1.0, abs(b)))
-    if worst_gap > 0.0:
-        return finish(np.eye(n, dtype=np.complex128) / n, "infeasible",
-                      np.inf, worst_gap, 0)
-
-    aff = _AffineSet(n, mats, rhs)
-    if aff.farkas_gap > 0.0:
-        return finish(np.eye(n, dtype=np.complex128) / n, "infeasible",
-                      np.inf, aff.farkas_gap, 0)
+    worst_gap = max((float(rhs_i - np.linalg.eigvalsh(mat)[-1]) / max(1.0, abs(rhs_i))
+                     for mat, rhs_i in zip(a, b)), default=0.0)
+    if worst_gap > FEASIBILITY_SLACK:
+        return finish(uniform, "infeasible", np.inf, worst_gap, 0)
 
     if n == 1:
         # trace equality pins the scalar; feasibility was certified above
-        r = np.ones((1, 1), dtype=np.complex128)
-        return finish(r, "optimal", 0.0, aff.violation(r), 0)
+        return finish(np.ones((1, 1), dtype=np.complex128), "optimal", 0.0, 0.0, 0)
 
-    # Null-space shortcut: with a PSD objective, any feasible point supported
-    # on its null space attains the global minimum of zero.
-    evd = hermitian_evd(c)
-    lam_max = max(float(evd.eigenvalues[0]), 0.0)
-    if float(evd.eigenvalues[-1]) >= -1e-8 * max(lam_max, 1.0):
-        null_cols = evd.eigenvalues <= 1e-10 * max(lam_max, 1e-300)
-        k = int(np.count_nonzero(null_cols))
-        if k >= 1:
-            w_null = evd.eigenvectors[:, null_cols]
-            red_mats = [w_null.conj().T @ m @ w_null for m in mats]
-            red_aff = _AffineSet(k, [0.5 * (m + m.conj().T) for m in red_mats], rhs)
-            feas_tol = min(tol, 1e-9)
-            out = None
-            if red_aff.farkas_gap == 0.0:
-                out = _admm(np.zeros((k, k), dtype=np.complex128), red_aff,
-                            feas_tol, max_iters)
-            if out is not None and out.status == "optimal":
-                s_red = _polish(out.x, red_aff)
-                r = w_null @ s_red @ w_null.conj().T
-                r = 0.5 * (r + r.conj().T)
-                return finish(r, "optimal", max(out.primal, out.dual),
-                              aff.violation(r), out.iterations)
-            # fall through: the null space may be infeasible while the full
-            # problem is not
+    # Iteration 1, mu = 0: any feasible point of the minimum eigenspace E of C
+    # attains the lower bound g(0) = lambda_min(C).
+    lam_c, vec_c = np.linalg.eigh(c)
+    e = vec_c[:, lam_c <= lam_c[0] + EIG_CLUSTER]
+    red = e.conj().T @ a @ e
+    x = np.eye(e.shape[1]) / e.shape[1]
+    margin = np.einsum("mii->m", red).real / e.shape[1] - b
+    step = np.zeros(len(b))
+    if np.any(margin < 0.0):
+        y_mat, step, _ = _max_margin(red, b)
+        y_margin = np.einsum("mij,ji->m", red, y_mat).real - b
+        beta = np.max(margin / np.minimum(margin - y_margin, -1e-300),
+                      where=margin < 0.0, initial=0.0)
+        x = (1.0 - min(beta, 1.0)) * x + min(beta, 1.0) * y_mat
+    r = e @ x @ e.conj().T
+    violation = _shortfall(np.einsum("mij,ji->m", a, r).real, b)
+    if violation <= tol:
+        return finish(r, "optimal", max(float(np.vdot(c, r).real) - lam_c[0], 0.0),
+                      violation, 1)
 
-    out = _admm(c, aff, tol, max_iters)
-    if out.status == "infeasible":
-        return finish(_polish(out.x, aff), "infeasible", np.inf, out.violation,
-                      out.iterations)
-    r = _polish(out.x, aff)
-    return finish(r, out.status, max(out.primal, out.dual), aff.violation(r),
-                  out.iterations)
+    # A negative margin over the whole space gives a dual ray: along its
+    # weights d, g(t d) >= lambda_min(C) - t h passes lambda_max(C) at this t.
+    _, d, h = _max_margin(a, b)
+    if h < 0.0:
+        step = d * (lam_c[-1] - lam_c[0] + 1.0) / -h
+
+    # Projected Newton ascent on g from mu = 0 (each evaluation counts once).
+    mu, g, gap = np.zeros(len(b)), float(lam_c[0]), np.inf
+    for it in range(2, max_iters + 1):
+        t = 1.0
+        for _ in range(60):
+            trial = np.maximum(mu + t * step, 0.0)
+            lam, v = np.linalg.eigh(c - np.tensordot(trial, a, axes=1))
+            g_trial = float(lam[0] + trial @ b)
+            if g_trial >= g - 1e-14 * (1.0 + trial.sum()):    # g's round-off
+                break
+            t *= 0.5
+        else:
+            trial = mu
+        if np.array_equal(trial, mu):
+            return finish(r, "max_iters", gap, violation, it - 1)
+        mu, g = trial, g_trial
+        y = v[:, 0]
+        ay = a @ y
+        vals = (ay @ y.conj()).real
+        violation = _shortfall(vals, b)
+        if g > lam_c[-1] + FEASIBILITY_SLACK * (1.0 + mu.sum()):
+            return finish(uniform, "infeasible", np.inf, violation, it)
+        r = np.outer(y, y.conj())
+        primal = float(lam[0] + mu @ vals)
+        gap = primal - g
+        if violation <= tol and gap <= tol * abs(primal):
+            return finish(r, "optimal", gap, violation, it)
+
+        # Hessian by eigenvalue perturbation: negative semidefinite.
+        grad = b - vals
+        w = v[:, 1:].conj().T @ ay.T
+        hess = 2.0 * (w.conj().T @ (w / np.minimum(lam[0] - lam[1:], -1e-300)[:, None])).real
+        free = (mu > 0.0) | (grad > 0.0)
+        neg = -hess[np.ix_(free, free)]
+        step = np.zeros(len(b))
+        reg = 1e-12 * np.trace(neg) + 1e-15
+        step[free] = np.linalg.solve(neg + reg * np.eye(len(neg)), grad[free])
+    return finish(r, "max_iters", gap, violation, max(max_iters, 1))

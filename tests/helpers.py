@@ -9,6 +9,7 @@ import numpy as np
 
 from pimin import ScenarioConfig
 from pimin.rcg import PrecomputedForms
+from pimin.sdp import SdpProblem
 
 
 def cplx(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -123,6 +124,31 @@ def pauli_coords(r: np.ndarray, budget: float) -> np.ndarray:
     """Ball coordinates of a 2x2 trace-``budget`` Hermitian matrix."""
     half = budget / 2.0
     return np.array([np.trace(r @ s).real for s in _PAULI]) / (2.0 * half)
+
+
+def criterion6_problem(gen: np.random.Generator, n: int = 2) -> SdpProblem:
+    """Acceptance criterion 6's random covariance subproblem, at dimension ``n``.
+
+    A full-rank objective, a positive definite communication form and an
+    indefinite sensing form, with right-hand sides set below the values at a
+    random trace-budget witness so that the witness is strictly feasible. At
+    ``n = 2`` the draws match the acceptance test's own.
+    """
+    h = cplx(gen, n, n)
+    obj = h.conj().T @ h
+    c1 = cplx(gen, n, n)
+    c1 = c1.conj().T @ c1 + 0.5 * np.eye(n)
+    c2 = cplx(gen, n, n)
+    c2 = 0.5 * (c2 + c2.conj().T)
+    budget = float(gen.uniform(0.5, 3.0))
+    witness = random_psd(gen, n, trace=budget)
+    sense_at_witness = float(np.trace(c2 @ witness).real)
+    return SdpProblem(
+        dim=n, obj=obj, comm_mat=c1,
+        comm_rhs=0.7 * float(np.trace(c1 @ witness).real),
+        sense_mat=c2,
+        sense_rhs=sense_at_witness - 0.3 * abs(sense_at_witness) - 0.1,
+        trace_budget=budget)
 
 
 def sample_feasible_points(prob, rng: np.random.Generator, count: int,

@@ -11,6 +11,7 @@ from pimin.bench import (BELOW_NOISE_SENTINEL, TRIAL_FIELDS, Method,
                          SweepSpec, TrialRecord, run_sweep, run_trial,
                          trial_seed, write_records_csv)
 from pimin.errors import DomainError
+from pimin.rcg import RcgConfig
 from pimin.scenario import desk_bench_scenario, desk_scenario, generate_channels
 from pimin.selfcheck import self_check
 
@@ -38,6 +39,16 @@ class TestRunTrial:
         assert rec.seed == 101
         assert rec.method == "proposed"
         assert rec.outer_iterations >= 1
+
+    def test_optimal_status_means_sensing_target_met(self):
+        # a covariance whose SDP says "optimal" must meet the 10 dB SNDR
+        # target; this trial's null-space covariance reaches only about 2 dB
+        scen = desk_bench_scenario(seed=1)
+        cfg = BccdConfig(n_iter=2, rcg=RcgConfig(max_iters=200, grad_tol=1e-10))
+        rec = run_trial(scen, Method.BENCH1_RANDOM_PHASE, cfg,
+                        trial_seed(1, 8, 17), 17)
+        if rec.sdp_status_final == "optimal":
+            assert rec.sndr_dB >= scen.gamma_sense_dB - 0.01
 
     def test_no_ris_record_independent_of_ris_size(self):
         rec_small = run_trial(desk_scenario(N_x=2, N_y=2, seed=2),

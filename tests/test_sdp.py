@@ -7,8 +7,8 @@ from pimin.scenario import generate_channels
 from pimin.sdp import (SdpProblem, TransmitCovariance, assemble_p2, solve_sdp)
 from pimin.sysmodel import build_effective_channels
 
-from helpers import (cplx, pauli_coords, random_hermitian, random_psd,
-                     random_unit_modulus, sample_feasible_points,
+from helpers import (cplx, criterion6_problem, pauli_coords, random_hermitian,
+                     random_psd, random_unit_modulus, sample_feasible_points,
                      sdp2_grid_oracle, tiny_scenario)
 
 
@@ -229,6 +229,65 @@ class TestSolveSdp:
         assert sol.status == "optimal"
         assert sol.objective_value <= 1e-15 * np.linalg.norm(u) ** 2
         sol.R_ss.validate()
+
+
+class TestDualCertificates:
+    def test_strictly_feasible_recipe_is_optimal(self):
+        # criterion 6's recipe always has a strictly feasible witness
+        prob = criterion6_problem(np.random.default_rng(9), 8)
+        sol = solve_sdp(prob)
+        assert sol.status == "optimal" and sol.iterations >= 1
+        r = sol.R_ss.matrix
+        assert prob.comm_rhs > 0.0
+        assert np.vdot(prob.comm_mat, r).real >= prob.comm_rhs * (1.0 - 1e-6)
+        assert np.vdot(prob.sense_mat, r).real \
+            >= prob.sense_rhs - 1e-6 * abs(prob.sense_rhs)
+        assert 0.0 <= sol.kkt_residual <= 1e-7
+        sol.R_ss.validate()
+
+    def test_feasible_min_eigenvector_attains_lower_bound(self):
+        # <obj, R> >= trace_budget * lambda_min(obj) for every feasible R, with
+        # equality here because the minimum eigenvector meets both constraints
+        prob = criterion6_problem(np.random.default_rng(39), 7)
+        sol = solve_sdp(prob)
+        bound = prob.trace_budget * float(np.linalg.eigvalsh(prob.obj)[0])
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value - bound) <= 1e-9 * bound
+
+    def test_tiny_rhs_met_relative_to_itself(self):
+        # the null space of obj holds feasible points, but its uniform
+        # covariance misses a right-hand side far below the matrix scale
+        p = SdpProblem(dim=3, obj=np.diag([1.0, 0.0, 0.0]).astype(complex),
+                       comm_mat=np.eye(3, dtype=complex), comm_rhs=0.1,
+                       sense_mat=np.diag([0.0, 1.0, -1.0]).astype(complex),
+                       sense_rhs=1e-9, trace_budget=1.0)
+        sol = solve_sdp(p)
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value) <= 1e-15
+        lhs = np.vdot(p.sense_mat, sol.R_ss.matrix).real
+        assert lhs >= p.sense_rhs * (1.0 - 1e-6)
+        assert sol.constraint_violation <= 1e-6
+
+    def test_iterations_zero_only_for_certificates(self, rng):
+        spectral = SdpProblem(dim=2, obj=np.eye(2, dtype=complex),
+                              comm_mat=np.eye(2, dtype=complex), comm_rhs=2.0,
+                              sense_mat=np.zeros((2, 2), dtype=complex),
+                              sense_rhs=0.0, trace_budget=1.0)
+        sol = solve_sdp(spectral)
+        assert sol.status == "infeasible" and sol.iterations == 0
+        assert solve_sdp(feasible_2x2_problem(rng)).iterations >= 1
+
+    def test_dual_value_certifies_infeasibility(self):
+        # each constraint alone is reachable, both together are not: only the
+        # dual ray along mu_1 = mu_2 proves it
+        e1 = np.diag([1.0, 0.0]).astype(complex)
+        e2 = np.diag([0.0, 1.0]).astype(complex)
+        u = np.array([1.0, 1j]) / np.sqrt(2.0)
+        p = SdpProblem(dim=2, obj=np.outer(u, u.conj()), comm_mat=e1,
+                       comm_rhs=0.6, sense_mat=e2, sense_rhs=0.6, trace_budget=1.0)
+        sol = solve_sdp(p)
+        assert sol.status == "infeasible" and sol.iterations >= 1
+        assert np.isinf(sol.kkt_residual) and sol.constraint_violation > 0.0
 
 
 class TestTransmitCovariance:
