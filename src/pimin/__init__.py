@@ -9,7 +9,7 @@ seeded Monte Carlo benchmark harness.
 from .bccd import BccdConfig, BccdIteration, BccdResult, bccd_solve, init_rss
 from .bench import (Method, SweepSpec, TrialRecord, run_sweep, run_trial,
                     trial_seed, write_records_csv)
-from .linalg import EvdResult, hermitian_evd, kron_identity_apply, psd_project
+from .linalg import EvdResult, hermitian_evd, kron_identity_apply
 from .metrics import (PowerBreakdown, adc_power, adc_snr, comm_snr,
                       dynamic_range, power_breakdown, power_noise,
                       power_quadratic, sndr)

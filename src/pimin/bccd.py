@@ -28,6 +28,10 @@ from .sysmodel import build_effective_channels
 # suppressed when measuring relative change; it keeps the stall rule
 # meaningful once the solver reaches its numerical floor.
 STALL_FLOOR_REL_NOISE = 1e-3
+# The loop has converged once each of the last STALL_WINDOW steps changed the
+# interference power by less than STALL_TOL relative.
+STALL_TOL = 1e-5
+STALL_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -36,10 +40,7 @@ class BccdConfig:
 
     n_iter: int = 20
     rcg: RcgConfig = field(default_factory=RcgConfig)
-    sdp_tol: float = 1e-7       # SDP relative duality gap and constraint shortfall
     sdp_max_iters: int = 50_000  # SDP dual evaluations before it gives up
-    stall_tol: float = 1e-5
-    stall_window: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -128,7 +129,7 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
 
         eff = build_effective_channels(ch, x.phi)
         sol = solve_sdp(assemble_p2(x.w, x.phi, ch, eff, scen),
-                        tol=cfg.sdp_tol, max_iters=cfg.sdp_max_iters)
+                        max_iters=cfg.sdp_max_iters)
         if sol.status == "optimal":
             r_cov = sol.R_ss
 
@@ -144,12 +145,12 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
         ))
         pi_trace.append(powers.p_pi)
 
-        if len(pi_trace) > cfg.stall_window:
+        if len(pi_trace) > STALL_WINDOW:
             recent = [
                 relative_change(pi_trace[-k], pi_trace[-k - 1], stall_floor)
-                for k in range(1, cfg.stall_window + 1)
+                for k in range(1, STALL_WINDOW + 1)
             ]
-            if max(recent) < cfg.stall_tol:
+            if max(recent) < STALL_TOL:
                 converged = True
                 break
 

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernels.
 
-Everything downstream funnels its matrix work through the three operations
-here: Hermitian eigendecomposition, projection onto the PSD cone, and
-block-structured products with identity-Kronecker matrices. All functions are
+Everything downstream funnels its matrix work through the two operations
+here: Hermitian eigendecomposition and block-structured products with
+identity-Kronecker matrices. All functions are
 pure and operate on immutable inputs, so they are safe to call concurrently.
 """
 
@@ -91,18 +91,6 @@ def hermitian_evd(a: np.ndarray) -> EvdResult:
     lam, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     order = np.argsort(lam, kind="stable")[::-1]
     return EvdResult(eigenvalues=lam[order].copy(), eigenvectors=v[:, order].copy())
-
-
-def psd_project(a: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix to Hermitian ``a``.
-
-    Computed as ``V max(diag(lam), 0) V^H`` from the eigendecomposition.
-    """
-    evd = hermitian_evd(a)
-    lam = np.maximum(evd.eigenvalues, 0.0)
-    v = evd.eigenvectors
-    out = (v * lam) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
 
 
 def kron_identity_apply(h: np.ndarray, v: np.ndarray, blocks: int) -> np.ndarray:

@@ -1,27 +1,27 @@
 """Figures of merit: received powers, SNDR, communication SNR, dynamic range.
 
-All quadratic power forms are evaluated through the eigendecomposition of the
-transmit covariance and blockwise identity-Kronecker products; dense Kronecker
-matrices are never formed here (the test suite keeps a dense oracle instead).
+Every quadratic power form ``w^H (I_L kron A) R_ss (I_L kron A)^H w`` is read
+through one eigendecomposition of the covariance ``R_ss``: with
+``u = (I_L kron A)^H w`` it is ``sum_i lam_i |v_i^H u|^2`` over the clipped
+eigenpairs, a sum of non-negative terms, so a nulled design reports a tiny
+positive power rather than round-off of either sign. The direct form
+``u^H R_ss u`` is not used for that reason: on nulled designs it rounds to
+values of either sign near 1e-32, and a negative power has no dB value.
+``power_breakdown`` decomposes ``R_ss`` once for all three paths. Dense
+Kronecker matrices are never formed here (the test suite keeps a dense oracle
+instead).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-from .linalg import hermitian_evd, kron_identity_apply
+from .linalg import EvdResult, hermitian_evd, kron_identity_apply
 from .scenario import linear_to_db
 from .sysmodel import EffectiveChannels
-
-logger = logging.getLogger(__name__)
-
-# Warn when round-off drives a power this far below zero (relative to the
-# largest eigen-term) before clamping.
-NEGATIVE_POWER_WARN_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,18 @@ class PowerBreakdown:
     dr_db: float
 
 
+def _power(block: np.ndarray, w: np.ndarray, evd: EvdResult, blocks: int) -> float:
+    """``sum_i lam_i |v_i^H u|^2`` with ``u = (I_blocks kron block)^H w``."""
+    u = kron_identity_apply(block.conj().T, w, blocks)
+    proj = evd.eigenvectors.conj().T @ u
+    return float(evd.clipped_eigenvalues() @ (proj.real**2 + proj.imag**2))
+
+
 def power_quadratic(block: np.ndarray, w: np.ndarray, r_ss: np.ndarray) -> float:
     """``w^H (I_L kron block) R_ss (I_L kron block)^H w`` evaluated blockwise.
 
-    ``L`` is inferred from the covariance dimension; the result is real and
-    clamped to zero if round-off drives it slightly negative.
+    ``L`` is inferred from the covariance dimension; the result is a sum of
+    non-negative eigen-terms, so it is never below zero.
     """
     block = np.asarray(block, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
@@ -53,23 +60,7 @@ def power_quadratic(block: np.ndarray, w: np.ndarray, r_ss: np.ndarray) -> float
     blocks = dim // cols
     if w.shape != (blocks * rows,):
         raise DimensionError(f"w has shape {w.shape}, expected ({blocks * rows},)")
-
-    evd = hermitian_evd(r_ss)
-    lam = evd.clipped_eigenvalues()
-    total = 0.0
-    largest = 0.0
-    for i in range(dim):
-        if lam[i] == 0.0:
-            continue
-        proj = np.vdot(w, kron_identity_apply(block, evd.eigenvectors[:, i], blocks))
-        term = lam[i] * (proj.real**2 + proj.imag**2)
-        total += term
-        largest = max(largest, abs(term))
-    if total < 0.0:
-        if total < -NEGATIVE_POWER_WARN_REL * largest:
-            logger.warning("clamping negative power %e (largest term %e)", total, largest)
-        total = 0.0
-    return float(total)
+    return _power(block, w, hermitian_evd(r_ss), blocks)
 
 
 def power_noise(w: np.ndarray, sigma_r2: float) -> float:
@@ -98,9 +89,7 @@ def comm_snr(hc_block: np.ndarray, r_ss: np.ndarray, m_r: int, n_samples: int,
         raise DegenerateInputError("sigma_c2 must be positive")
     gram = hc_block.conj().T @ hc_block
     blocks = r_ss.reshape(n_samples, m_t, n_samples, m_t)
-    num = 0.0
-    for ell in range(n_samples):
-        num += np.trace(blocks[ell, :, ell, :] @ gram).real
+    num = np.einsum("lilj,ji->", blocks, gram).real
     return float(num) / (m_r * n_samples * sigma_c2)
 
 
@@ -132,11 +121,12 @@ def power_breakdown(eff: EffectiveChannels, w: np.ndarray, r_ss: np.ndarray,
     if len(w) % m != 0:
         raise DimensionError(f"w length {len(w)} not a multiple of radar antennas {m}")
     n_samples = len(w) // m
-    p_pi = power_quadratic(eff.Ac_block, w, r_ss)
-    p_sense = power_quadratic(eff.Ar_block, w, r_ss)
-    p_obs = power_quadratic(eff.Ao_block, w, r_ss)
+    snr = comm_snr(eff.Hc_block, r_ss, m_r, n_samples, sigma_c2)   # checks r_ss
+    evd = hermitian_evd(r_ss)
+    p_pi = _power(eff.Ac_block, w, evd, n_samples)
+    p_sense = _power(eff.Ar_block, w, evd, n_samples)
+    p_obs = _power(eff.Ao_block, w, evd, n_samples)
     p_noise = power_noise(w, sigma_r2)
-    snr = comm_snr(eff.Hc_block, r_ss, m_r, n_samples, sigma_c2)
     return PowerBreakdown(
         p_pi=p_pi,
         p_sense=p_sense,

@@ -29,9 +29,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateStepError, DimensionError, DomainError
-from .linalg import EvdResult, kron_identity_apply
+from .linalg import EvdResult
 from .scenario import ChannelSet
 
+# Line-search constants: the Armijo sufficient-decrease factor, the step
+# shrink per backtrack, the first trial step and the backtrack budget.
+ARMIJO_C1 = 1e-4
+ARMIJO_SHRINK = 0.5
+ALPHA_INIT = 1.0
+MAX_BACKTRACKS = 50
+# The CG direction restarts at steepest descent every max(dim, this) steps.
+MIN_RESTART_PERIOD = 10
 
 # ---------------------------------------------------------------------------
 # State and precomputed forms
@@ -117,21 +125,16 @@ def precompute_forms(evd: EvdResult, ch: ChannelSet, n_samples: int) -> Precompu
     if dim != n_samples * m_t:
         raise DimensionError(
             f"covariance dim {dim} does not match n_samples*M_t = {n_samples * m_t}")
-    g_rr_h = ch.G_rR.conj().T    # (M, N)
-    lam = evd.clipped_eigenvalues()
-    b = np.zeros((dim, n_samples * m), dtype=np.complex128)
-    c = np.zeros((dim, n_samples * m, n), dtype=np.complex128)
-    for i in range(dim):
-        if lam[i] == 0.0:
-            continue
-        root = np.sqrt(lam[i])
-        v_i = evd.eigenvectors[:, i]
-        b[i] = root * ch.gamma_DPI * kron_identity_apply(ch.H_DPI, v_i, n_samples)
-        scale = root * ch.gamma_RPI
-        for ell in range(n_samples):
-            d_ell = ch.H_cR @ v_i[ell * m_t: (ell + 1) * m_t]
-            c[i, ell * m: (ell + 1) * m, :] = scale * (g_rr_h * d_ell[None, :])
-    return PrecomputedForms(b=b, c=c)
+    # Row i of V is eigenvector i split into its L per-sample blocks.
+    v = evd.eigenvectors.T.reshape(dim, n_samples, m_t)
+    root = np.sqrt(evd.clipped_eigenvalues())
+    b = (root * ch.gamma_DPI)[:, None] * (v @ ch.H_DPI.T).reshape(dim, n_samples * m)
+    # A stacked matvec per block keeps the sums of H_cR @ v_block in order; a
+    # gemm over all blocks reorders them, and the CG amplifies that drift.
+    d = (ch.H_cR @ v[..., None])[..., 0]                     # (dim, L, N)
+    g_rr_h = ch.G_rR.conj().T                                 # (M, N)
+    c = (root * ch.gamma_RPI)[:, None, None, None] * (g_rr_h * d[:, :, None, :])
+    return PrecomputedForms(b=b, c=c.reshape(dim, n_samples * m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def _retract(x: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 
 def _search(evaluate: Callable, x: np.ndarray, direction: np.ndarray, f_x: float,
-            slope: float, alpha: float, cfg: RcgConfig, free: np.ndarray | None):
+            slope: float, alpha: float, free: np.ndarray | None):
     """Backtracking Armijo search from ``alpha`` down; see ``line_search``.
 
     Returns ``(alpha, x_new, f_new, t, e, rejected)``: the terms at ``x_new``
@@ -213,19 +216,19 @@ def _search(evaluate: Callable, x: np.ndarray, direction: np.ndarray, f_x: float
     bit-identical. ``alpha = 0`` means no admissible step (``x`` unchanged).
     """
     rejected = 0
-    for _ in range(cfg.max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         try:
             trial = _retract(x, alpha * direction)
         except DegenerateStepError:
-            alpha *= cfg.armijo_shrink
+            alpha *= ARMIJO_SHRINK
             continue
         if free is not None:
             trial = np.where(free, trial, x)
         f_trial, t, e = evaluate(trial)
-        if f_trial <= f_x + cfg.armijo_c1 * alpha * slope:
+        if f_trial <= f_x + ARMIJO_C1 * alpha * slope:
             return alpha, trial, f_trial, t, e, rejected
         rejected += 1
-        alpha *= cfg.armijo_shrink
+        alpha *= ARMIJO_SHRINK
     return 0.0, x, f_x, None, None, rejected
 
 
@@ -275,30 +278,16 @@ class RcgConfig:
     """Loop controls for the manifold conjugate-gradient solver."""
 
     max_iters: int = 300
-    armijo_c1: float = 1e-4
-    armijo_shrink: float = 0.5
-    alpha_init: float = 1.0
     grad_tol: float | None = None   # default 1e-8 * (problem dimension)
-    restart_period: int | None = None  # default: problem dimension
-    max_backtracks: int = 50
 
     def __post_init__(self) -> None:
         if self.max_iters < 0:
             raise DomainError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not (0.0 < self.armijo_c1 < 1.0):
-            raise DomainError(f"armijo_c1 must lie in (0, 1), got {self.armijo_c1}")
-        if not (0.0 < self.armijo_shrink < 1.0):
-            raise DomainError(f"armijo_shrink must lie in (0, 1), got {self.armijo_shrink}")
-        if self.alpha_init <= 0.0:
-            raise DomainError(f"alpha_init must be > 0, got {self.alpha_init}")
         if self.grad_tol is not None and self.grad_tol < 0.0:
             raise DomainError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
     def resolved_grad_tol(self, dim: int) -> float:
         return self.grad_tol if self.grad_tol is not None else 1e-8 * dim
-
-    def resolved_restart(self, dim: int) -> int:
-        return self.restart_period if self.restart_period is not None else max(dim, 10)
 
 
 @dataclass(frozen=True)
@@ -308,29 +297,24 @@ class LineSearchResult:
     f_new: float
 
 
-def line_search(x: BeamformerState, direction: np.ndarray, forms: PrecomputedForms,
-                cfg: RcgConfig, f_x: float | None = None,
-                slope: float | None = None,
-                alpha_start: float | None = None) -> LineSearchResult:
+def line_search(x: BeamformerState, direction: np.ndarray,
+                forms: PrecomputedForms) -> LineSearchResult:
     """Backtracking Armijo search along a tangent direction.
 
-    Returns the largest ``alpha_start * shrink^k`` satisfying the sufficient
-    decrease condition (``alpha_start`` defaults to the configured initial
-    step), or ``alpha = 0`` (with ``x`` unchanged) when the direction is zero
-    or no admissible step exists within the backtrack budget; the resulting
-    objective never increases.
+    Returns the largest ``ALPHA_INIT * ARMIJO_SHRINK^k`` satisfying the
+    sufficient decrease condition, or ``alpha = 0`` (with ``x`` unchanged)
+    when the direction is zero or no admissible step exists within
+    ``MAX_BACKTRACKS``; the resulting objective never increases.
     """
     _check_state(x, forms)
     direction = _as_vector(direction, x, "direction")
-    if f_x is None:
-        f_x = objective(x, forms)
+    f_x = objective(x, forms)
     if not direction.any():
         return LineSearchResult(alpha=0.0, x_new=x, f_new=f_x)
-    if slope is None:
-        slope = _re_inner(riem_grad(x, euclid_grad(x, forms)), direction)
+    slope = _re_inner(riem_grad(x, euclid_grad(x, forms)), direction)
     alpha, x_new, f_new, _, _, _ = _search(
         lambda z: _evaluate(forms.b, forms.c, z, x.num_bf), x.x, direction, f_x, slope,
-        cfg.alpha_init if alpha_start is None else alpha_start, cfg, None)
+        ALPHA_INIT, None)
     if alpha == 0.0:
         return LineSearchResult(alpha=0.0, x_new=x, f_new=f_x)
     return LineSearchResult(alpha=alpha, x_new=BeamformerState(x=x_new, num_bf=x.num_bf),
@@ -371,7 +355,7 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
     # only the free dimension (a no-RIS run must not depend on the RIS size).
     dim = int(free.sum()) if free is not None else x0.dim
     grad_tol = cfg.resolved_grad_tol(dim)
-    restart_every = cfg.resolved_restart(dim)
+    restart_every = max(dim, MIN_RESTART_PERIOD)
     # Steps are searched along the normalized direction so alpha measures
     # displacement in x-space; a half-turn per entry bounds any useful step.
     alpha_cap = float(np.pi * np.sqrt(dim))
@@ -409,7 +393,7 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
     direction = -g
     history = [f_x]
     iterations = backtracks = 0
-    alpha_warm = cfg.alpha_init
+    alpha_warm = ALPHA_INIT
 
     for it in range(cfg.max_iters):
         if g_norm <= grad_tol:
@@ -422,12 +406,12 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
             d_norm = g_norm
             slope = -g_norm
         alpha, x_new, f_new, t, e, rejected = _search(
-            evaluate, x, direction / d_norm, f_x, slope, alpha_warm, cfg, free)
+            evaluate, x, direction / d_norm, f_x, slope, alpha_warm, free)
         backtracks += rejected
         if alpha == 0.0 and not np.array_equal(direction, -g):
             direction = -g
             alpha, x_new, f_new, t, e, rejected = _search(
-                evaluate, x, -g / g_norm, f_x, -g_norm, alpha_warm, cfg, free)
+                evaluate, x, -g / g_norm, f_x, -g_norm, alpha_warm, free)
             backtracks += rejected
         if alpha == 0.0:
             break   # stationary within line-search resolution

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rcg
-from .linalg import hermitian_evd, kron_identity_apply, psd_project
+from .linalg import hermitian_evd, kron_identity_apply
 from .metrics import power_quadratic
 from .rcg import BeamformerState, PrecomputedForms, RcgConfig, random_state
 from .scenario import ScenarioConfig, desk_scenario, generate_channels
@@ -76,19 +76,6 @@ def _check_evd(rng: np.random.Generator) -> CheckResult:
         worst = max(worst, float(rel), float(ortho))
     return CheckResult("hermitian_evd_reconstruction", worst <= 1e-10,
                        f"max residual {worst:.2e}")
-
-
-def _check_psd_project(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = 0.5 * (h + h.conj().T)
-        p = psd_project(a)
-        worst = max(worst, float(-min(np.linalg.eigvalsh(p).min(), 0.0)))
-        worst = max(worst, float(np.max(np.abs(psd_project(p) - p))))
-    return CheckResult("psd_project_idempotent_and_psd", worst <= 1e-10,
-                       f"max deviation {worst:.2e}")
 
 
 def _check_gradient(rng: np.random.Generator,
@@ -197,7 +184,6 @@ def self_check(scenarios: Sequence[ScenarioConfig] | None = None,
     results = [
         _check_kron(rng),
         _check_evd(rng),
-        _check_psd_project(rng),
         _check_gradient(rng, euclid_grad_fn),
         _check_manifold(rng),
         _check_sdp(rng),

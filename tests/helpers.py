@@ -43,6 +43,25 @@ def dense_power_quadratic(block: np.ndarray, w: np.ndarray, r_ss: np.ndarray) ->
     return float(np.real(w.conj() @ a @ r_ss @ a.conj().T @ w))
 
 
+def dense_forms(evd, ch, n_samples: int) -> PrecomputedForms:
+    """Reduced-objective forms from dense Kronecker products, one eigenpair at a time.
+
+    ``b_i = sqrt(lam_i) gamma_DPI (I_L kron H_DPI) v_i`` and
+    ``c_i = sqrt(lam_i) gamma_RPI (I_L kron G_rR^H) diag((I_L kron H_cR) v_i)
+    (1_L kron I_N)``, which sums the per-sample blocks over the shared phases.
+    """
+    n = ch.H_cR.shape[0]
+    h_dpi = dense_kron_block(ch.H_DPI, n_samples)
+    g_rr_h = dense_kron_block(ch.G_rR.conj().T, n_samples)
+    h_cr = dense_kron_block(ch.H_cR, n_samples)
+    fold = np.kron(np.ones((n_samples, 1)), np.eye(n))
+    b, c = [], []
+    for lam, v in zip(evd.clipped_eigenvalues(), evd.eigenvectors.T):
+        b.append(np.sqrt(lam) * ch.gamma_DPI * (h_dpi @ v))
+        c.append(np.sqrt(lam) * ch.gamma_RPI * (g_rr_h @ np.diag(h_cr @ v) @ fold))
+    return PrecomputedForms(b=np.array(b), c=np.array(c))
+
+
 def random_forms(rng: np.random.Generator, terms: int, lm: int, n: int,
                  scale: float = 1.0) -> PrecomputedForms:
     return PrecomputedForms(

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pimin.bccd import BccdConfig, bccd_solve, init_rss, relative_change
+from pimin.bccd import (STALL_TOL, STALL_WINDOW, BccdConfig, bccd_solve, init_rss,
+                        relative_change)
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_quadratic
 from pimin.rcg import RcgConfig, random_state
@@ -53,7 +54,7 @@ class TestBccdSolve:
         out = bccd_solve(cfg, scen, ch)
         assert all(h.p_pi == 0.0 for h in out.history)
         assert out.converged
-        assert out.outer_iterations == cfg.stall_window + 1
+        assert out.outer_iterations == STALL_WINDOW + 1
 
     def test_single_outer_iteration(self):
         scen = desk_scenario(seed=5)
@@ -82,7 +83,7 @@ class TestBccdSolve:
         floor = 1e-3 * scen.sigma_r2_W * scen.L * scen.M
         pis = [h.p_pi for h in out.history]
         tail = [relative_change(pis[-k], pis[-k - 1], floor) for k in (1, 2, 3)]
-        assert max(tail) < cfg.stall_tol
+        assert max(tail) < STALL_TOL
 
     def test_constraints_met_when_optimal(self):
         scen = desk_scenario(seed=8)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimin.errors import DimensionError, HermitianError
-from pimin.linalg import hermitian_evd, kron_identity_apply, psd_project
+from pimin.linalg import hermitian_evd, kron_identity_apply
 
 from helpers import cplx, random_hermitian
 
@@ -54,50 +54,6 @@ class TestHermitianEvd:
         a = cplx(rng, 4, 4)
         with pytest.raises(HermitianError):
             hermitian_evd(a)
-
-
-class TestPsdProject:
-    def test_psd_fixed_point(self, rng):
-        b = cplx(rng, 4, 4)
-        a = b.conj().T @ b
-        assert np.max(np.abs(psd_project(a) - a)) <= 1e-10 * np.linalg.norm(a)
-
-    def test_clamps_negative_eigenvalue(self):
-        out = psd_project(np.diag([1.0, -1.0]).astype(complex))
-        assert np.allclose(out, np.diag([1.0, 0.0]))
-
-    def test_idempotent(self, rng):
-        a = random_hermitian(rng, 5)
-        p = psd_project(a)
-        assert np.max(np.abs(psd_project(p) - p)) <= 1e-10
-
-    def test_frobenius_nearest_on_grid(self, rng):
-        # exhaustive eigen-parametrized grid over 2x2 PSD candidates: no grid
-        # point may sit closer to A than the projection does
-        a = random_hermitian(rng, 2)
-        p = psd_project(a)
-        d_proj = np.linalg.norm(a - p)
-        lam_bound = float(np.abs(np.linalg.eigvalsh(a)).max()) * 2.0 + 1.0
-        thetas = np.linspace(0.0, np.pi / 2, 40)
-        psis = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
-        lams = np.linspace(0.0, lam_bound, 40)
-        best = np.inf
-        for th in thetas:
-            for ps in psis:
-                v = np.array([[np.cos(th)], [np.sin(th) * np.exp(1j * ps)]])
-                v2 = np.array([[-np.sin(th) * np.exp(-1j * ps)], [np.cos(th)]])
-                basis = np.hstack([v, v2])
-                for l1 in lams:
-                    for l2 in lams[::8]:
-                        cand = (basis * [l1, l2]) @ basis.conj().T
-                        d = np.linalg.norm(a - cand)
-                        if d < best:
-                            best = d
-        assert d_proj <= best + 1e-9
-
-    def test_non_hermitian_rejected(self, rng):
-        with pytest.raises(HermitianError):
-            psd_project(cplx(rng, 3, 3))
 
 
 class TestKronIdentityApply:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import pimin.metrics
 from pimin.errors import DegenerateInputError
+from pimin.linalg import hermitian_evd, kron_identity_apply
 from pimin.metrics import (adc_power, adc_snr, comm_snr, dynamic_range,
                            power_breakdown, power_noise, power_quadratic,
                            sndr)
@@ -146,3 +148,37 @@ class TestPowerBreakdown:
         assert abs(p.dr_db - 10 * np.log10(p.p_pi / p.p_noise)) <= 1e-9
         scale_free = sndr(p.p_sense * 3.0, p.p_pi * 3.0, p.p_obs * 3.0, p.p_noise * 3.0)
         assert abs(scale_free - lin_sndr) <= 1e-12 * lin_sndr
+
+    def test_one_eigendecomposition_per_call(self, rng, monkeypatch):
+        scen = tiny_scenario(obstacles=((40.0, 60.0, 1.0),))
+        ch = generate_channels(scen, np.random.default_rng(5))
+        eff = build_effective_channels(ch, random_unit_modulus(rng, scen.N))
+        w = random_unit_modulus(rng, scen.L * scen.M)
+        r = random_psd(rng, scen.L * scen.M_t, trace=scen.P_B)
+        calls = []
+
+        def counting_evd(a):
+            calls.append(a)
+            return hermitian_evd(a)
+
+        monkeypatch.setattr(pimin.metrics, "hermitian_evd", counting_evd)
+        power_breakdown(eff, w, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
+        assert len(calls) == 1
+
+    def test_nulled_design_keeps_a_finite_dynamic_range(self, rng):
+        # R spans only the null space of u u^H, so the interference is zero up
+        # to round-off; the power must stay >= 0 and its dB value finite
+        scen = tiny_scenario(L=3)
+        ch = generate_channels(scen, np.random.default_rng(6))
+        eff = build_effective_channels(ch, random_unit_modulus(rng, scen.N))
+        w = random_unit_modulus(rng, scen.L * scen.M)
+        u = kron_identity_apply(eff.Ac_block.conj().T, w, scen.L)
+        dim = u.shape[0]
+        q, _ = np.linalg.qr(np.column_stack([u, cplx(rng, dim, dim - 1)]))
+        null = q[:, 1:]
+        r = scen.P_B * (null @ null.conj().T) / (dim - 1)
+        r = 0.5 * (r + r.conj().T)
+        assert power_quadratic(eff.Ac_block, w, r) >= 0.0
+        p = power_breakdown(eff, w, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
+        assert np.isfinite(p.dr_db)
+        assert p.p_pi <= 1e-20 * scen.P_B * float(np.vdot(u, u).real)

@@ -4,13 +4,14 @@ import pytest
 from pimin.errors import DegenerateStepError, DimensionError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_quadratic
-from pimin.rcg import (BeamformerState, PrecomputedForms, RcgConfig,
+from pimin.rcg import (ARMIJO_C1, BeamformerState, PrecomputedForms, RcgConfig,
                        euclid_grad, line_search, objective, precompute_forms,
                        random_state, rcg_solve, retract, riem_grad, transport)
 from pimin.scenario import generate_channels
 from pimin.sysmodel import build_pi_channel
 
-from helpers import cplx, random_forms, random_psd, random_unit_modulus, tiny_scenario
+from helpers import (cplx, dense_forms, random_forms, random_psd, random_unit_modulus,
+                     tiny_scenario)
 
 
 def zero_forms(terms=2, lm=3, n=2):
@@ -38,6 +39,22 @@ class TestPrecomputeForms:
         assert np.allclose(forms.b[0], ch.gamma_DPI * ch.H_DPI[:, 0])
         expect_c = ch.gamma_RPI * (ch.G_rR.conj().T * (ch.H_cR[:, 0])[None, :])
         assert np.max(np.abs(forms.c[0] - expect_c)) <= 1e-12
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 3])
+    def test_dense_kron_oracle_rank_deficient(self, rng, n_samples):
+        scen = tiny_scenario(L=n_samples, M_t=3)
+        ch = generate_channels(scen, np.random.default_rng(10 + n_samples))
+        dim = n_samples * scen.M_t
+        basis = cplx(rng, dim, 2)
+        evd = hermitian_evd(basis @ basis.conj().T)     # rank 2 of dim >= 3
+        forms = precompute_forms(evd, ch, n_samples)
+        expect = dense_forms(evd, ch, n_samples)
+        clipped = evd.clipped_eigenvalues() == 0.0
+        assert clipped.sum() == dim - 2
+        assert not np.any(forms.b[clipped]) and not np.any(forms.c[clipped])
+        for got, ref in ((forms.b, expect.b), (forms.c, expect.c)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_term_count_matches_covariance_dim(self, rng):
         scen = tiny_scenario(L=3)
@@ -165,27 +182,26 @@ class TestLineSearch:
             g = riem_grad(x, euclid_grad(x, forms))
             if np.linalg.norm(g) < 1e-12:
                 continue
-            res = line_search(x, -g, forms, RcgConfig())
+            res = line_search(x, -g, forms)
             assert res.alpha > 0
             assert res.f_new < objective(x, forms)
 
     def test_zero_direction(self, rng):
         forms = random_forms(rng, 2, 2, 2)
         x = random_state(2, 2, rng)
-        res = line_search(x, np.zeros(4, dtype=complex), forms, RcgConfig())
+        res = line_search(x, np.zeros(4, dtype=complex), forms)
         assert res.alpha == 0.0
         assert res.x_new is x
 
     def test_accepted_step_satisfies_sufficient_decrease(self, rng):
-        cfg = RcgConfig()
         forms = random_forms(rng, 2, 2, 2)
         x = random_state(2, 2, rng)
         g = riem_grad(x, euclid_grad(x, forms))
         d = -g
         slope = float(np.real(np.vdot(g, d)))
-        res = line_search(x, d, forms, cfg)
+        res = line_search(x, d, forms)
         f0 = objective(x, forms)
-        assert res.f_new <= f0 + cfg.armijo_c1 * res.alpha * slope + 1e-18
+        assert res.f_new <= f0 + ARMIJO_C1 * res.alpha * slope + 1e-18
 
 
 class TestRcgSolve:
