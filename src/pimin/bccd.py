@@ -1,12 +1,13 @@
 """Block-cyclic coordinate descent over the beamformer/phase and covariance blocks.
 
-Each outer iteration eigendecomposes the current transmit covariance, reduces
-the interference objective to per-eigenpair forms, runs the manifold CG
-solver for the stacked unit-modulus variable, then re-optimizes the
-covariance by the SDP at the new operating point. A stall rule on the
-relative interference-power change declares convergence; when the covariance
-subproblem is infeasible the previous covariance is kept and the iteration is
-flagged.
+Each outer iteration reduces the interference objective to per-eigenpair forms
+of the current transmit covariance, runs the manifold CG solver for the
+stacked unit-modulus variable, then re-optimizes the covariance by the SDP at
+the new operating point. The covariance is eigendecomposed once each time it
+changes, and that decomposition also serves the figures of merit. A stall
+rule on the relative interference-power change declares convergence; when the
+covariance subproblem is infeasible the previous covariance is kept and the
+iteration is flagged.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 from .linalg import hermitian_evd
 from .metrics import PowerBreakdown, power_breakdown
 from .rcg import (BeamformerState, RcgConfig, precompute_forms, random_state,
@@ -45,7 +46,7 @@ class BccdConfig:
 
     def __post_init__(self) -> None:
         if self.n_iter < 1:
-            raise DimensionError(f"n_iter must be >= 1, got {self.n_iter}")
+            raise DomainError(f"n_iter must be >= 1, got {self.n_iter}")
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,13 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
     pi_trace: list[float] = []
     converged = False
 
+    # The covariance changes only when the SDP is solved, so its
+    # eigendecomposition and forms carry over an infeasible or stalled call.
+    evd = hermitian_evd(r_cov.matrix)
+    forms = None
     for _ in range(cfg.n_iter):
-        evd = hermitian_evd(r_cov.matrix)
-        forms = precompute_forms(evd, ch, scen.L)
+        if forms is None:
+            forms = precompute_forms(evd, ch, scen.L)
         rcg_out = rcg_solve(forms, x, cfg.rcg, free=free)
         x = rcg_out.x
 
@@ -132,9 +137,11 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
                         max_iters=cfg.sdp_max_iters)
         if sol.status == "optimal":
             r_cov = sol.R_ss
+            evd = hermitian_evd(r_cov.matrix)
+            forms = None
 
         powers = power_breakdown(eff, x.w, r_cov.matrix, scen.sigma_r2_W,
-                                 scen.sigma_c2_W, scen.M_r)
+                                 scen.sigma_c2_W, scen.M_r, evd=evd)
         history.append(BccdIteration(
             p_pi=powers.p_pi,
             p_sense=powers.p_sense,

@@ -7,9 +7,9 @@ eigenpairs, a sum of non-negative terms, so a nulled design reports a tiny
 positive power rather than round-off of either sign. The direct form
 ``u^H R_ss u`` is not used for that reason: on nulled designs it rounds to
 values of either sign near 1e-32, and a negative power has no dB value.
-``power_breakdown`` decomposes ``R_ss`` once for all three paths. Dense
-Kronecker matrices are never formed here (the test suite keeps a dense oracle
-instead).
+``power_breakdown`` decomposes ``R_ss`` once for all three paths, or takes
+the caller's decomposition. Dense Kronecker matrices are never formed here
+(the test suite keeps a dense oracle instead).
 """
 
 from __future__ import annotations
@@ -115,14 +115,20 @@ def adc_power(bits: float, f_samp: float, f_om: float) -> float:
 
 
 def power_breakdown(eff: EffectiveChannels, w: np.ndarray, r_ss: np.ndarray,
-                    sigma_r2: float, sigma_c2: float, m_r: int) -> PowerBreakdown:
-    """Evaluate every figure of merit at one (w, phi, R_ss) operating point."""
+                    sigma_r2: float, sigma_c2: float, m_r: int,
+                    evd: EvdResult | None = None) -> PowerBreakdown:
+    """Evaluate every figure of merit at one (w, phi, R_ss) operating point.
+
+    ``evd`` is the eigendecomposition of ``r_ss`` when the caller has it;
+    otherwise it is computed here.
+    """
     m = eff.Ac_block.shape[0]
     if len(w) % m != 0:
         raise DimensionError(f"w length {len(w)} not a multiple of radar antennas {m}")
     n_samples = len(w) // m
     snr = comm_snr(eff.Hc_block, r_ss, m_r, n_samples, sigma_c2)   # checks r_ss
-    evd = hermitian_evd(r_ss)
+    if evd is None:
+        evd = hermitian_evd(r_ss)
     p_pi = _power(eff.Ac_block, w, evd, n_samples)
     p_sense = _power(eff.Ar_block, w, evd, n_samples)
     p_obs = _power(eff.Ao_block, w, evd, n_samples)

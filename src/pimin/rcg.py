@@ -13,11 +13,16 @@ step, which keeps every formula below unchanged.
 
 The loop runs on raw arrays and validates its inputs once. Every objective
 evaluation also returns the terms ``t[i] = b_i + c_i phi`` and
-``e[i] = w^H t[i]``; the gradient at an accepted trial point reuses them
-instead of contracting ``c`` again. When the mask freezes every phase, ``t``
-is computed once per solve from the initial phases, so an evaluation is one
-``(terms, LM)`` matvec and the gradient has only its radar block. The public
-functions below are validating wrappers over the same private kernels.
+``e[i] = w^H t[i]``, and the gradient at an accepted trial point reuses them.
+The terms are one gemv of the flattened ``c`` with ``phi``; the phase block
+of the gradient is one gemv of a precomputed ``2 conj(c)`` with ``w``,
+contracted with ``e``. The new gradient, the old gradient and the old
+direction are projected onto the tangent space in one stacked operation. When
+the mask freezes every phase, ``t = b + c phi0`` is folded once per solve and
+the loop runs on the radar block alone, in the conjugate form
+``conj(e) = conj(t) w``; its results are stacked back with the frozen phases.
+The public functions below are validating wrappers over the same private
+kernels.
 """
 
 from __future__ import annotations
@@ -142,7 +147,10 @@ def precompute_forms(evd: EvdResult, ch: ChannelSet, n_samples: int) -> Precompu
 #
 # ``x`` is the stacked vector and ``nb`` the length of its radar block. The
 # public functions further down validate their arguments and call these;
-# ``rcg_solve`` validates once at entry and then calls them directly.
+# ``rcg_solve`` validates once at entry and then calls them directly. At these
+# sizes a numpy call costs more than its arithmetic, so products use
+# ``ndarray.dot``, which dispatches faster than ``@``, and gemvs write into
+# fixed scratch arrays so that no result needs a reshape.
 # ---------------------------------------------------------------------------
 
 def _check_state(x: BeamformerState, forms: PrecomputedForms) -> None:
@@ -172,36 +180,64 @@ def _re_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def _evaluate(b: np.ndarray, c: np.ndarray, x: np.ndarray, nb: int,
-              t: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
-    """Objective at ``x`` and its terms ``t[i] = b_i + c_i phi``, ``e[i] = w^H t[i]``.
+def _sumsq(e: np.ndarray) -> float:
+    """``sum_i |e_i|^2`` as one real dot of ``e`` viewed as float64."""
+    v = e.view(np.float64)
+    return float(v.dot(v))
 
-    A given ``t`` is used as is: with every phase frozen it never changes.
+
+def _egrad_w(t: np.ndarray, e_conj: np.ndarray) -> np.ndarray:
+    """Radar block of the Euclidean gradient, ``2 sum_i conj(e_i) t_i``."""
+    return 2.0 * e_conj.dot(t)
+
+
+def _kernels(forms: PrecomputedForms):
+    """The objective and Euclidean-gradient kernels of one problem, as closures.
+
+    ``evaluate(x)`` returns the objective and the terms ``(t, e, conj(x))``
+    with ``t[i] = b_i + c_i phi`` and ``e[i] = w^H t[i]``: the terms are one
+    ``(terms*LM, N)`` gemv. ``egrad(x, terms)`` returns the gradient's radar
+    and phase blocks from the terms of the same point; the phase block
+    ``2 sum_i e_i conj(c_i)^T w`` contracts the radar index first, as one
+    ``(terms*N, LM)`` gemv with ``w``, then the terms with ``e``.
     """
-    if t is None:
-        t = b + c @ x[nb:]
-    e = t @ x[:nb].conj()
-    return float(np.add.reduce(e.real**2 + e.imag**2)), t, e
+    b = np.asarray(forms.b, dtype=np.complex128)
+    c = np.asarray(forms.c, dtype=np.complex128)
+    n_terms, nb, n = c.shape
+    c_flat = c.reshape(n_terms * nb, n)
+    c_phase = (2.0 * c.conj()).transpose(0, 2, 1).reshape(n_terms * n, nb)
+    c_phi = np.empty((n_terms, nb), dtype=np.complex128)
+    c_phi_flat = c_phi.reshape(-1)
+    c_w = np.empty((n_terms, n), dtype=np.complex128)
+    c_w_flat = c_w.reshape(-1)
+
+    def evaluate(x):
+        xc = x.conj()
+        c_flat.dot(x[nb:], out=c_phi_flat)
+        t = b + c_phi
+        e = t.dot(xc[:nb])
+        return _sumsq(e), (t, e, xc)
+
+    def egrad(x, terms):
+        t, e, _ = terms
+        c_phase.dot(x[:nb], out=c_w_flat)
+        return _egrad_w(t, e.conj()), e.dot(c_w)
+
+    return evaluate, egrad
 
 
-def _egrad_w(t: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return 2.0 * (e.conj() @ t)
+def _project(x: np.ndarray, xc: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Project ``v``, one vector or a stack of rows, onto the tangent space at ``x``.
 
-
-def _egrad(t: np.ndarray, e: np.ndarray, c_conj: np.ndarray, w: np.ndarray) -> np.ndarray:
-    grad_phi = 2.0 * (e @ np.einsum("ikn,k->in", c_conj, w))
-    return np.concatenate([_egrad_w(t, e), grad_phi])
-
-
-def _tangent(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project ``v`` onto the tangent space of the circles at ``x``."""
-    return v - (v * x.conj()).real * x
+    ``xc`` is ``conj(x)``, computed once by the caller.
+    """
+    return v - (v * xc).real * x
 
 
 def _retract(x: np.ndarray, step: np.ndarray) -> np.ndarray:
     moved = x + step
     mags = np.abs(moved)
-    if not mags.all():
+    if np.count_nonzero(mags) < mags.shape[0]:
         raise DegenerateStepError("retraction hit a zero entry; shrink the step")
     return moved / mags
 
@@ -210,7 +246,8 @@ def _search(evaluate: Callable, x: np.ndarray, direction: np.ndarray, f_x: float
             slope: float, alpha: float, free: np.ndarray | None):
     """Backtracking Armijo search from ``alpha`` down; see ``line_search``.
 
-    Returns ``(alpha, x_new, f_new, t, e, rejected)``: the terms at ``x_new``
+    ``evaluate(z)`` returns the objective and the terms the gradient needs.
+    Returns ``(alpha, x_new, f_new, terms, rejected)``: the terms at ``x_new``
     and the number of trial evaluations that failed the Armijo test. Trials
     copy the coordinates that ``free`` marks False from ``x``, so those stay
     bit-identical. ``alpha = 0`` means no admissible step (``x`` unchanged).
@@ -224,12 +261,12 @@ def _search(evaluate: Callable, x: np.ndarray, direction: np.ndarray, f_x: float
             continue
         if free is not None:
             trial = np.where(free, trial, x)
-        f_trial, t, e = evaluate(trial)
+        f_trial, terms = evaluate(trial)
         if f_trial <= f_x + ARMIJO_C1 * alpha * slope:
-            return alpha, trial, f_trial, t, e, rejected
+            return alpha, trial, f_trial, terms, rejected
         rejected += 1
         alpha *= ARMIJO_SHRINK
-    return 0.0, x, f_x, None, None, rejected
+    return 0.0, x, f_x, None, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +276,7 @@ def _search(evaluate: Callable, x: np.ndarray, direction: np.ndarray, f_x: float
 def objective(x: BeamformerState, forms: PrecomputedForms) -> float:
     """Path-interference power at ``x`` in reduced form."""
     _check_state(x, forms)
-    return _evaluate(forms.b, forms.c, x.x, x.num_bf)[0]
+    return _kernels(forms)[0](x.x)[0]
 
 
 def euclid_grad(x: BeamformerState, forms: PrecomputedForms) -> np.ndarray:
@@ -250,18 +287,18 @@ def euclid_grad(x: BeamformerState, forms: PrecomputedForms) -> np.ndarray:
     equals ``Re(grad^H delta)``.
     """
     _check_state(x, forms)
-    _, t, e = _evaluate(forms.b, forms.c, x.x, x.num_bf)
-    return _egrad(t, e, forms.c.conj(), x.w)
+    evaluate, egrad = _kernels(forms)
+    return np.concatenate(egrad(x.x, evaluate(x.x)[1]))
 
 
 def riem_grad(x: BeamformerState, egrad: np.ndarray) -> np.ndarray:
     """Project a Euclidean gradient onto the tangent space at ``x``."""
-    return _tangent(x.x, _as_vector(egrad, x, "gradient"))
+    return _project(x.x, x.x.conj(), _as_vector(egrad, x, "gradient"))
 
 
 def transport(x_new: BeamformerState, vec: np.ndarray) -> np.ndarray:
     """Carry a tangent vector into the tangent space at ``x_new``."""
-    return _tangent(x_new.x, _as_vector(vec, x_new, "vector"))
+    return _project(x_new.x, x_new.x.conj(), _as_vector(vec, x_new, "vector"))
 
 
 def retract(x: BeamformerState, step: np.ndarray) -> BeamformerState:
@@ -312,9 +349,8 @@ def line_search(x: BeamformerState, direction: np.ndarray,
     if not direction.any():
         return LineSearchResult(alpha=0.0, x_new=x, f_new=f_x)
     slope = _re_inner(riem_grad(x, euclid_grad(x, forms)), direction)
-    alpha, x_new, f_new, _, _, _ = _search(
-        lambda z: _evaluate(forms.b, forms.c, z, x.num_bf), x.x, direction, f_x, slope,
-        ALPHA_INIT, None)
+    alpha, x_new, f_new, _, _ = _search(
+        _kernels(forms)[0], x.x, direction, f_x, slope, ALPHA_INIT, None)
     if alpha == 0.0:
         return LineSearchResult(alpha=0.0, x_new=x, f_new=f_x)
     return LineSearchResult(alpha=alpha, x_new=BeamformerState(x=x_new, num_bf=x.num_bf),
@@ -330,6 +366,11 @@ class RcgResult:
     stop_reason: str        # "grad_tol", "max_iters" or "stalled" (no admissible step)
     objective_evals: int    # the start point, every accepted step and every backtrack
     backtracks: int         # trial points rejected by the Armijo test
+
+
+def _radar_block_only(free: np.ndarray | None, nb: int) -> bool:
+    """Whether ``free`` freezes every phase, so the loop runs on the radar block alone."""
+    return free is not None and not free[nb:].any()
 
 
 def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
@@ -360,35 +401,58 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
     # displacement in x-space; a half-turn per entry bounds any useful step.
     alpha_cap = float(np.pi * np.sqrt(dim))
 
-    b, c = forms.b, forms.c
-    if free is not None and not free[nb:].any():
-        # Every phase is frozen, so t = b + c phi0 is fixed: each evaluation
-        # is a matvec and the phase block of the gradient is zero.
-        t_fixed = b + c @ x0.phi
-        phase_zeros = np.zeros(x0.dim - nb, dtype=np.complex128)
-        all_w_free = bool(free[:nb].all())
-
-        def gradient(x, t, e):
-            g = np.concatenate([_tangent(x[:nb], _egrad_w(t, e)), phase_zeros])
-            return g if all_w_free else np.where(free, g, 0.0)
-    else:
-        t_fixed = None
-        c_conj = c.conj()
-
-        def gradient(x, t, e):
-            g = _tangent(x, _egrad(t, e, c_conj, x[:nb]))
-            return g if free is None else np.where(free, g, 0.0)
-
     evaluations = 0
+    if _radar_block_only(free, nb):
+        # Every phase is frozen, so t = b + c phi0 is fixed and the loop runs
+        # on the radar block alone. In conjugate form conj(e) = conj(t) w, so
+        # an evaluation is one matvec with no conjugation.
+        phi0 = x0.phi
+        t = forms.b + forms.c @ phi0
+        t_conj = t.conj()
+        mask = None if free[:nb].all() else free[:nb]
+        x = x0.w
 
-    def evaluate(x):
-        nonlocal evaluations
-        evaluations += 1
-        return _evaluate(b, c, x, nb, t_fixed)
+        def evaluate(w):
+            nonlocal evaluations
+            evaluations += 1
+            e_conj = t_conj.dot(w)
+            return _sumsq(e_conj), e_conj
 
-    x = x0.x
-    f_x, t, e = evaluate(x)
-    g = gradient(x, t, e)
+        def project(w, e_conj, g, direction):
+            np.concatenate([_egrad_w(t, e_conj), g, direction], out=s_flat)
+            return _project(w, w.conj(), s)
+
+        phase_zeros = np.zeros_like(phi0)
+
+        def stacked(v, phases=phase_zeros):
+            return np.concatenate([v, phases])
+    else:
+        kernel, egrad = _kernels(forms)
+        mask = free
+        x = x0.x
+
+        def evaluate(z):
+            nonlocal evaluations
+            evaluations += 1
+            return kernel(z)
+
+        def project(z, terms, g, direction):
+            np.concatenate([*egrad(z, terms), g, direction], out=s_flat)
+            return _project(z, terms[2], s)
+
+        def stacked(v, phases=None):
+            return v
+
+    # ``project`` stacks the Euclidean gradient at its point, the old gradient
+    # and the old direction in ``s`` and projects all three onto the tangent
+    # space there with one conj of the point.
+    s = np.empty((3, x.shape[0]), dtype=np.complex128)
+    s_flat = s.reshape(-1)
+    f_x, terms = evaluate(x)
+    zero = np.zeros_like(x)
+    g = project(x, terms, zero, zero)[0]
+    if mask is not None:
+        g = np.where(mask, g, 0.0)
     g_norm = _norm(g)
     direction = -g
     history = [f_x]
@@ -405,35 +469,38 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
             direction = -g
             d_norm = g_norm
             slope = -g_norm
-        alpha, x_new, f_new, t, e, rejected = _search(
-            evaluate, x, direction / d_norm, f_x, slope, alpha_warm, free)
+        alpha, x_new, f_new, terms, rejected = _search(
+            evaluate, x, direction / d_norm, f_x, slope, alpha_warm, mask)
         backtracks += rejected
         if alpha == 0.0 and not np.array_equal(direction, -g):
             direction = -g
-            alpha, x_new, f_new, t, e, rejected = _search(
-                evaluate, x, -g / g_norm, f_x, -g_norm, alpha_warm, free)
+            alpha, x_new, f_new, terms, rejected = _search(
+                evaluate, x, -g / g_norm, f_x, -g_norm, alpha_warm, mask)
             backtracks += rejected
         if alpha == 0.0:
             break   # stationary within line-search resolution
 
         alpha_warm = min(2.0 * alpha, alpha_cap)
-        g_new = gradient(x_new, t, e)
+        p = project(x_new, terms, g, direction)
+        g_new = p[0] if mask is None else np.where(mask, p[0], 0.0)
         g_new_norm = _norm(g_new)
         if (it + 1) % restart_every == 0:
             direction = -g_new
         else:
-            denom = _norm(_tangent(x_new, g)) ** 2
+            denom = _norm(p[1]) ** 2
             beta = g_new_norm ** 2 / denom if denom > 0.0 else 0.0
-            direction = -g_new + beta * _tangent(x_new, direction)
+            direction = beta * p[2] - g_new
 
         x, g, g_norm, f_x = x_new, g_new, g_new_norm, f_new
         history.append(f_x)
         iterations = it + 1
         if callback is not None:
-            callback(BeamformerState(x=x, num_bf=nb), g, direction)
+            callback(BeamformerState(x=stacked(x, x0.phi), num_bf=nb), stacked(g),
+                     stacked(direction))
 
     stop = ("grad_tol" if g_norm <= grad_tol
             else "max_iters" if iterations == cfg.max_iters else "stalled")
-    return RcgResult(x=x0 if iterations == 0 else BeamformerState(x=x, num_bf=nb),
-                     history=np.asarray(history), grad_norm=g_norm, iterations=iterations,
-                     stop_reason=stop, objective_evals=evaluations, backtracks=backtracks)
+    x_out = x0 if iterations == 0 else BeamformerState(x=stacked(x, x0.phi), num_bf=nb)
+    return RcgResult(x=x_out, history=np.asarray(history), grad_norm=g_norm,
+                     iterations=iterations, stop_reason=stop,
+                     objective_evals=evaluations, backtracks=backtracks)

@@ -8,7 +8,7 @@ from pimin.bccd import (STALL_TOL, STALL_WINDOW, BccdConfig, bccd_solve, init_rs
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_quadratic
 from pimin.rcg import RcgConfig, random_state
-from pimin.scenario import desk_scenario, generate_channels
+from pimin.scenario import desk_bench_scenario, desk_scenario, generate_channels
 from pimin.sysmodel import build_pi_channel
 
 from helpers import tiny_scenario
@@ -130,6 +130,45 @@ class TestBccdSolve:
         gen = np.random.default_rng(cfg.seed)
         r0 = init_rss(scen.L * scen.M_t, scen.P_B, gen)
         assert np.max(np.abs(out.R_ss.matrix - r0.matrix)) <= 1e-15
+
+    @staticmethod
+    def count_evd_and_forms(monkeypatch):
+        import pimin.bccd
+        import pimin.metrics
+        calls = {"evd": 0, "forms": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pimin.bccd, "hermitian_evd",
+                            counted(pimin.bccd.hermitian_evd, "evd"))
+        monkeypatch.setattr(pimin.metrics, "hermitian_evd",
+                            counted(pimin.metrics.hermitian_evd, "evd"))
+        monkeypatch.setattr(pimin.bccd, "precompute_forms",
+                            counted(pimin.bccd.precompute_forms, "forms"))
+        return calls
+
+    def test_kept_covariance_is_decomposed_once(self, monkeypatch):
+        # both SDP calls are certified infeasible, so the covariance, its
+        # eigendecomposition and its forms serve both outer iterations
+        scen = desk_bench_scenario(seed=1)
+        ch = generate_channels(scen, np.random.default_rng(1))
+        calls = self.count_evd_and_forms(monkeypatch)
+        out = bccd_solve(BccdConfig(n_iter=2, seed=1), scen, ch)
+        assert [h.sdp_status for h in out.history] == ["infeasible", "infeasible"]
+        assert calls == {"evd": 1, "forms": 1}
+
+    def test_one_eigendecomposition_per_covariance(self, monkeypatch):
+        # every optimal SDP answer is a new covariance: one decomposition each,
+        # forms only for the iterations that follow one
+        scen = desk_scenario(seed=2)
+        calls = self.count_evd_and_forms(monkeypatch)
+        out = bccd_solve(BccdConfig(n_iter=3, seed=2), scen, desk_channels(scen))
+        assert [h.sdp_status for h in out.history] == ["optimal"] * 3
+        assert calls == {"evd": 4, "forms": 3}
 
     def test_frozen_phases(self):
         scen = desk_scenario(seed=13)

@@ -50,6 +50,15 @@ class TestRun:
         assert main(["run", "--method", "proposed"]) == 1
         assert main([]) == 1
 
+    @pytest.mark.parametrize("n_iter", ["0", "-2", "two"])
+    def test_n_iter_below_one_is_usage_error(self, config_path, tmp_path, capsys, n_iter):
+        out = tmp_path / "o.csv"
+        code = main(["run", "--config", config_path, "--method", "proposed",
+                     "--seed", "1", "--out", str(out), "--n-iter", n_iter])
+        assert code == 1
+        assert "--n-iter" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_small_sweep(self, tmp_path, capsys):
@@ -72,6 +81,31 @@ class TestSweep:
         assert len(rows) == 1 + 2 * 1 * 2
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
         assert len(meta["aggregates"]) == 4
+
+    @pytest.mark.parametrize("parallelism", ["0", "-3"])
+    def test_parallelism_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                  parallelism):
+        import pimin.cli as cli_mod
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a rejected parallelism must not start a sweep")
+
+        monkeypatch.setattr(cli_mod, "run_sweep", must_not_run)
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text("{}")
+        code = main(["sweep", "--spec", str(spec_path), "--parallelism", parallelism,
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "--parallelism" in capsys.readouterr().err
+
+    def test_spec_with_zero_outer_iterations_is_usage_error(self, tmp_path, capsys):
+        spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M", "values": [2],
+                "trials_per_point": 1, "methods": ["proposed"],
+                "solver": {"n_iter": 0, "seed": 0}}
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "n_iter" in capsys.readouterr().err
 
     def test_bad_spec_usage_error(self, tmp_path):
         spec_path = tmp_path / "bad.json"

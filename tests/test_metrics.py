@@ -165,6 +165,18 @@ class TestPowerBreakdown:
         power_breakdown(eff, w, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
         assert len(calls) == 1
 
+    def test_given_eigendecomposition_gives_equal_results(self, rng, monkeypatch):
+        scen = tiny_scenario(L=2, obstacles=((40.0, 60.0, 1.0),))
+        ch = generate_channels(scen, np.random.default_rng(7))
+        eff = build_effective_channels(ch, random_unit_modulus(rng, scen.N))
+        w = random_unit_modulus(rng, scen.L * scen.M)
+        r = random_psd(rng, scen.L * scen.M_t, trace=scen.P_B)
+        args = (eff, w, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
+        own = power_breakdown(*args)
+        evd = hermitian_evd(r)
+        monkeypatch.setattr(pimin.metrics, "hermitian_evd", None)   # must not be called
+        assert power_breakdown(*args, evd=evd) == own
+
     def test_nulled_design_keeps_a_finite_dynamic_range(self, rng):
         # R spans only the null space of u u^H, so the interference is zero up
         # to round-off; the power must stay >= 0 and its dB value finite

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pimin import rcg
 from pimin.errors import DegenerateStepError, DimensionError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_quadratic
@@ -355,3 +356,79 @@ class TestFrozenPhasePath:
         assert max(s[1] for s in seen) <= 1e-10
         assert max(s[2] for s in seen) <= 1e-10
         assert all(s[3] for s in seen)
+
+
+def loop_mask(kind, lm, n):
+    """No mask, every phase frozen, or a partial mask that freezes radar weight 0
+    and, when there are several, the last phase (so the phase block still moves)."""
+    if kind == "none":
+        return None
+    free = np.ones(lm + n, dtype=bool)
+    if kind == "phases_frozen":
+        free[lm:] = False
+    else:
+        free[0] = False
+        if n > 1:
+            free[-1] = False
+    return free
+
+
+def loop_problem(terms, lm, n, kind):
+    gen = np.random.default_rng(100 * terms + 10 * lm + n)
+    return random_forms(gen, terms, lm, n), random_state(lm, n, gen), loop_mask(kind, lm, n)
+
+
+# Stops well above the objective's round-off, where a reassociated sum can flip
+# an Armijo test and two exact-arithmetic-equal runs part ways.
+LOOP_CFG = RcgConfig(max_iters=60, grad_tol=1e-4)
+LOOP_SHAPES = [(1, 1, 1), (3, 4, 3), (2, 5, 2), (4, 3, 6)]
+
+
+def moves(out, lm, kind):
+    # with one radar weight and frozen phases the objective is |t|^2, a constant
+    return out.iterations > 0 or (lm == 1 and kind == "phases_frozen")
+
+
+@pytest.mark.parametrize("kind", ["none", "phases_frozen", "partial"])
+@pytest.mark.parametrize("terms,lm,n", LOOP_SHAPES)
+class TestLoopAgainstWrappers:
+    """The loop's private kernels against the validating public functions."""
+
+    def test_callback_gradient_is_the_masked_riemannian_gradient(self, terms, lm, n, kind):
+        forms, x0, free = loop_problem(terms, lm, n, kind)
+        errors = []
+
+        def watch(x, g, d):
+            ref = riem_grad(x, euclid_grad(x, forms))
+            if free is not None:
+                ref = np.where(free, ref, 0.0)
+            errors.append(np.max(np.abs(g - ref)) / np.max(np.abs(ref)))
+
+        out = rcg_solve(forms, x0, LOOP_CFG, free=free, callback=watch)
+        assert len(errors) == out.iterations and moves(out, lm, kind)
+        assert max(errors, default=0.0) <= 1e-12
+
+    def test_history_is_the_objective_at_the_iterates(self, terms, lm, n, kind):
+        forms, x0, free = loop_problem(terms, lm, n, kind)
+        values = []
+        out = rcg_solve(forms, x0, LOOP_CFG, free=free,
+                        callback=lambda x, g, d: values.append(objective(x, forms)))
+        assert len(values) == out.iterations and moves(out, lm, kind)
+        assert out.history[0] == objective(x0, forms)
+        assert np.allclose(out.history[1:], values, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("terms,lm,n", LOOP_SHAPES)
+def test_radar_block_path_matches_the_masked_stacked_loop(terms, lm, n, monkeypatch):
+    # a phases-frozen mask runs on the radar block alone; with that shortcut
+    # turned off the same mask runs the stacked loop with masked gradients
+    forms, x0, free = loop_problem(terms, lm, n, "phases_frozen")
+    fast = rcg_solve(forms, x0, LOOP_CFG, free=free)
+    monkeypatch.setattr(rcg, "_radar_block_only", lambda free, nb: False)
+    slow = rcg_solve(forms, x0, LOOP_CFG, free=free)
+    assert fast.iterations == slow.iterations and moves(fast, lm, "phases_frozen")
+    assert (fast.objective_evals, fast.backtracks) == (slow.objective_evals, slow.backtracks)
+    assert fast.x.dim == slow.x.dim == lm + n
+    assert np.array_equal(fast.x.phi, x0.phi) and np.array_equal(slow.x.phi, x0.phi)
+    assert np.max(np.abs(fast.x.x - slow.x.x)) <= 1e-12
+    assert np.allclose(fast.history, slow.history, rtol=1e-12, atol=0.0)
