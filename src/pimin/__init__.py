@@ -1,9 +1,9 @@
 """Path-interference minimization for RIS-aided bistatic sensing systems.
 
-Joint optimization of a unit-modulus space-time analog beamformer, RIS phase
-shifts (manifold conjugate gradient) and the transmit statistical covariance
-(small SDP) under communication-SNR and sensing-SNDR constraints, plus a
-seeded Monte Carlo benchmark harness.
+Joint optimization of a unit-modulus space-time analog beamformer and RIS
+phase shifts (Riemannian Levenberg–Marquardt on the product of circles) and
+of the transmit statistical covariance (small SDP) under communication-SNR and
+sensing-SNDR constraints, plus a seeded Monte Carlo benchmark harness.
 """
 
 from .bccd import BccdConfig, BccdIteration, BccdResult, bccd_solve, init_rss
@@ -14,8 +14,8 @@ from .metrics import (PowerBreakdown, adc_power, adc_snr, comm_snr,
                       dynamic_range, power_breakdown, power_noise,
                       power_quadratic, sndr)
 from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, RcgResult,
-                  euclid_grad, line_search, objective, precompute_forms,
-                  random_state, rcg_solve, retract, riem_grad, transport)
+                  euclid_grad, objective, precompute_forms, random_state,
+                  rcg_solve, riem_grad)
 from .scenario import (ChannelSet, RisSpec, ScenarioConfig, db_to_linear,
                        dbm_to_watt, desk_bench_scenario, desk_scenario,
                        generate_channels, higher_order_gain, linear_to_db,

@@ -1,13 +1,13 @@
 """Block-cyclic coordinate descent over the beamformer/phase and covariance blocks.
 
 Each outer iteration reduces the interference objective to per-eigenpair forms
-of the current transmit covariance, runs the manifold CG solver for the
-stacked unit-modulus variable, then re-optimizes the covariance by the SDP at
-the new operating point. The covariance is eigendecomposed once each time it
-changes, and that decomposition also serves the figures of merit. A stall
-rule on the relative interference-power change declares convergence; when the
-covariance subproblem is infeasible the previous covariance is kept and the
-iteration is flagged.
+of the current transmit covariance, runs the manifold Levenberg–Marquardt
+solver for the stacked unit-modulus variable, then re-optimizes the covariance
+by the SDP at the new operating point. The covariance is eigendecomposed once
+each time it changes, and that decomposition also serves the figures of merit.
+A stall rule on the relative interference-power change declares convergence;
+when the covariance subproblem is infeasible the previous covariance is kept
+and the iteration is flagged.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def relative_change(new: float, old: float, floor: float) -> float:
 def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
                phi_init: np.ndarray | None = None,
                optimize_phi: bool = True) -> BccdResult:
-    """Alternate the manifold CG block and the covariance SDP block.
+    """Alternate the manifold block and the covariance SDP block.
 
     ``phi_init`` overrides the random initial RIS phases; with
     ``optimize_phi=False`` the phases stay frozen for the whole run (the

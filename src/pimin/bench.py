@@ -256,8 +256,10 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1,
     Rows are ordered by (axis point, trial, method) regardless of completion
     order. When ``out_path`` is given the records go to that CSV and a JSON
     sidecar ``<out_path>.meta.json`` carries the spec and per-point aggregate
-    statistics.
+    statistics. ``parallelism`` is the number of worker processes, at least 1.
     """
+    if parallelism < 1:
+        raise DomainError(f"parallelism must be >= 1, got {parallelism}")
     tasks = []
     keys = []
     for p_idx, value in enumerate(spec.values):

@@ -15,7 +15,3 @@ class DomainError(ValueError):
 
 class DegenerateInputError(ValueError):
     """An input makes the requested quantity undefined (e.g. zero denominator)."""
-
-
-class DegenerateStepError(RuntimeError):
-    """A retraction step landed on a zero entry; the caller should shrink the step."""

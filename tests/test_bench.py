@@ -158,6 +158,20 @@ class TestSweep:
         for ra, rb in zip(serial, parallel):
             assert ra.P_PI_dB == rb.P_PI_dB and ra.seed == rb.seed
 
+    @pytest.mark.parametrize("parallelism", [0, -2])
+    def test_parallelism_below_one_rejected_before_any_trial(self, parallelism, monkeypatch):
+        import pimin.bench as bench_mod
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench_mod, "_sweep_task", no_trial)
+        spec = SweepSpec(base=desk_scenario(seed=3), axis="M", values=(2,),
+                         trials_per_point=1, methods=(Method.PROPOSED,),
+                         solver=FAST)
+        with pytest.raises(DomainError):
+            run_sweep(spec, parallelism=parallelism)
+
     def test_methods_share_seed_per_trial(self):
         spec = SweepSpec(base=desk_scenario(seed=4), axis="M", values=(2,),
                          trials_per_point=1,
