@@ -8,6 +8,12 @@ each time it changes, and that decomposition also serves the figures of merit.
 A stall rule on the relative interference-power change declares convergence;
 when the covariance subproblem is infeasible the previous covariance is kept
 and the iteration is flagged.
+
+Once a later outer iteration's manifold solve takes no step, the loop has
+reached an exact fixed point: the SDP would be solved again at the point it
+was last solved at, and every later iteration would repeat the last one. From
+there the loop repeats the last record, without calling any block, until the
+stall rule or ``n_iter`` ends it.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ class BccdConfig:
     def __post_init__(self) -> None:
         if self.n_iter < 1:
             raise DomainError(f"n_iter must be >= 1, got {self.n_iter}")
+        if self.sdp_max_iters < 1:
+            raise DomainError(f"sdp_max_iters must be >= 1, got {self.sdp_max_iters}")
 
 
 @dataclass(frozen=True)
@@ -119,42 +127,52 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
     stall_floor = STALL_FLOOR_REL_NOISE * scen.sigma_r2_W * lm
     history: list[BccdIteration] = []
     powers: PowerBreakdown | None = None
-    pi_trace: list[float] = []
     converged = False
 
     # The covariance changes only when the SDP is solved, so its
     # eigendecomposition and forms carry over an infeasible or stalled call.
     evd = hermitian_evd(r_cov.matrix)
     forms = None
+    fixed = False
     for _ in range(cfg.n_iter):
-        if forms is None:
-            forms = precompute_forms(evd, ch, scen.L)
-        rcg_out = rcg_solve(forms, x, cfg.rcg, free=free)
-        x = rcg_out.x
+        if not fixed:
+            if forms is None:
+                forms = precompute_forms(evd, ch, scen.L)
+            rcg_out = rcg_solve(forms, x, cfg.rcg, free=free)
+            # A 0-step solve returns x itself, the point at which the last
+            # iteration solved the SDP. The SDP reads only (w, phi), so it
+            # would give the same answer, hence the same covariance, its
+            # eigendecomposition, the same forms and the same record. The
+            # next solve would then start from the same x on the same forms
+            # and take 0 steps again; by induction every later iteration
+            # repeats the last record, so no block needs to run again.
+            fixed = bool(history) and rcg_out.iterations == 0
+        if fixed:
+            history.append(history[-1])
+        else:
+            x = rcg_out.x
+            eff = build_effective_channels(ch, x.phi)
+            sol = solve_sdp(assemble_p2(x.w, x.phi, ch, eff, scen),
+                            max_iters=cfg.sdp_max_iters)
+            if sol.status == "optimal":
+                r_cov = sol.R_ss
+                evd = hermitian_evd(r_cov.matrix)
+                forms = None
 
-        eff = build_effective_channels(ch, x.phi)
-        sol = solve_sdp(assemble_p2(x.w, x.phi, ch, eff, scen),
-                        max_iters=cfg.sdp_max_iters)
-        if sol.status == "optimal":
-            r_cov = sol.R_ss
-            evd = hermitian_evd(r_cov.matrix)
-            forms = None
+            powers = power_breakdown(eff, x.w, r_cov.matrix, scen.sigma_r2_W,
+                                     scen.sigma_c2_W, scen.M_r, evd=evd)
+            history.append(BccdIteration(
+                p_pi=powers.p_pi,
+                p_sense=powers.p_sense,
+                sndr_db=powers.sndr_db,
+                comm_snr_db=powers.comm_snr_db,
+                dr_db=powers.dr_db,
+                sdp_status=sol.status,
+            ))
 
-        powers = power_breakdown(eff, x.w, r_cov.matrix, scen.sigma_r2_W,
-                                 scen.sigma_c2_W, scen.M_r, evd=evd)
-        history.append(BccdIteration(
-            p_pi=powers.p_pi,
-            p_sense=powers.p_sense,
-            sndr_db=powers.sndr_db,
-            comm_snr_db=powers.comm_snr_db,
-            dr_db=powers.dr_db,
-            sdp_status=sol.status,
-        ))
-        pi_trace.append(powers.p_pi)
-
-        if len(pi_trace) > STALL_WINDOW:
+        if len(history) > STALL_WINDOW:
             recent = [
-                relative_change(pi_trace[-k], pi_trace[-k - 1], stall_floor)
+                relative_change(history[-k].p_pi, history[-k - 1].p_pi, stall_floor)
                 for k in range(1, STALL_WINDOW + 1)
             ]
             if max(recent) < STALL_TOL:

@@ -209,6 +209,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     ``lambda_max``. ``max_iters``: the last primal point, after ``max_iters``
     dual evaluations or an ascent stalled at round-off.
     """
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
     n, s = problem.dim, problem.trace_budget
 
     def finish(r_scaled: np.ndarray, status: str, kkt: float, violation: float,
@@ -316,4 +318,4 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         step = np.zeros(len(b))
         reg = 1e-12 * np.trace(neg) + 1e-15
         step[free] = np.linalg.solve(neg + reg * np.eye(len(neg)), grad[free])
-    return finish(r, "max_iters", gap, violation, max(max_iters, 1))
+    return finish(r, "max_iters", gap, violation, max_iters)

@@ -8,8 +8,15 @@ compare.
 import numpy as np
 
 from pimin import ScenarioConfig
-from pimin.rcg import PrecomputedForms
-from pimin.sdp import SdpProblem
+from pimin.bccd import (STALL_FLOOR_REL_NOISE, STALL_TOL, STALL_WINDOW, BccdIteration,
+                        BccdResult, init_rss, relative_change)
+from pimin.errors import DimensionError
+from pimin.linalg import hermitian_evd
+from pimin.metrics import power_breakdown
+from pimin.rcg import (BeamformerState, PrecomputedForms, precompute_forms,
+                       random_state, rcg_solve)
+from pimin.sdp import SdpProblem, assemble_p2, solve_sdp
+from pimin.sysmodel import build_effective_channels
 
 
 def cplx(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -187,3 +194,87 @@ def sample_feasible_points(prob, rng: np.random.Generator, count: int,
             continue
         out.append(r)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Outer loop that runs every block in every iteration
+# ---------------------------------------------------------------------------
+
+def reference_bccd_solve(cfg, scen, ch, *, phi_init=None, optimize_phi=True):
+    """``bccd_solve`` without its fixed-point short-circuit (test-only oracle).
+
+    Every outer iteration runs the manifold block, the SDP and the figures of
+    merit, even when the manifold solve takes no step, so the production loop
+    must return a bit-identical result.
+    """
+    m_r, m_t, m, n = ch.dims
+    if (m_t, m_r, m, n) != (scen.M_t, scen.M_r, scen.M, scen.N):
+        raise DimensionError(
+            f"channel dims (M_r={m_r}, M_t={m_t}, M={m}, N={n}) do not match scenario")
+    lm = scen.L * m
+    dim = scen.L * m_t
+
+    rng = np.random.default_rng(cfg.seed)
+    r_cov = init_rss(dim, scen.P_B, rng)
+    x = random_state(lm, n, rng)
+    if phi_init is not None:
+        phi_init = np.asarray(phi_init, dtype=np.complex128)
+        if phi_init.shape != (n,):
+            raise DimensionError(f"phi_init has shape {phi_init.shape}, expected ({n},)")
+        x = BeamformerState(x=np.concatenate([x.w, phi_init]), num_bf=lm)
+    free = None
+    if not optimize_phi:
+        free = np.concatenate([np.ones(lm, dtype=bool), np.zeros(n, dtype=bool)])
+
+    stall_floor = STALL_FLOOR_REL_NOISE * scen.sigma_r2_W * lm
+    history = []
+    powers = None
+    pi_trace = []
+    converged = False
+
+    evd = hermitian_evd(r_cov.matrix)
+    forms = None
+    for _ in range(cfg.n_iter):
+        if forms is None:
+            forms = precompute_forms(evd, ch, scen.L)
+        rcg_out = rcg_solve(forms, x, cfg.rcg, free=free)
+        x = rcg_out.x
+
+        eff = build_effective_channels(ch, x.phi)
+        sol = solve_sdp(assemble_p2(x.w, x.phi, ch, eff, scen),
+                        max_iters=cfg.sdp_max_iters)
+        if sol.status == "optimal":
+            r_cov = sol.R_ss
+            evd = hermitian_evd(r_cov.matrix)
+            forms = None
+
+        powers = power_breakdown(eff, x.w, r_cov.matrix, scen.sigma_r2_W,
+                                 scen.sigma_c2_W, scen.M_r, evd=evd)
+        history.append(BccdIteration(
+            p_pi=powers.p_pi,
+            p_sense=powers.p_sense,
+            sndr_db=powers.sndr_db,
+            comm_snr_db=powers.comm_snr_db,
+            dr_db=powers.dr_db,
+            sdp_status=sol.status,
+        ))
+        pi_trace.append(powers.p_pi)
+
+        if len(pi_trace) > STALL_WINDOW:
+            recent = [
+                relative_change(pi_trace[-k], pi_trace[-k - 1], stall_floor)
+                for k in range(1, STALL_WINDOW + 1)
+            ]
+            if max(recent) < STALL_TOL:
+                converged = True
+                break
+
+    assert powers is not None
+    return BccdResult(
+        w=x.w.copy(),
+        phi=x.phi.copy(),
+        R_ss=r_cov,
+        history=tuple(history),
+        converged=converged,
+        final_powers=powers,
+    )

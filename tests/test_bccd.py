@@ -5,13 +5,14 @@ import pytest
 
 from pimin.bccd import (STALL_TOL, STALL_WINDOW, BccdConfig, bccd_solve, init_rss,
                         relative_change)
+from pimin.errors import DomainError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_quadratic
 from pimin.rcg import RcgConfig, random_state
 from pimin.scenario import desk_bench_scenario, desk_scenario, generate_channels
 from pimin.sysmodel import build_pi_channel
 
-from helpers import tiny_scenario
+from helpers import reference_bccd_solve, tiny_scenario
 
 
 def desk_channels(scen, seed=3):
@@ -164,11 +165,16 @@ class TestBccdSolve:
     def test_one_eigendecomposition_per_covariance(self, monkeypatch):
         # every optimal SDP answer is a new covariance: one decomposition each,
         # forms only for the iterations that follow one
+        # (iteration 2's manifold solve takes no step, so iteration 3 repeats
+        # iteration 2 and neither decomposes nor solves anything)
+        import pimin.bccd
         scen = desk_scenario(seed=2)
         calls = self.count_evd_and_forms(monkeypatch)
+        sdp_calls = count_calls(monkeypatch, pimin.bccd, "solve_sdp")
         out = bccd_solve(BccdConfig(n_iter=3, seed=2), scen, desk_channels(scen))
         assert [h.sdp_status for h in out.history] == ["optimal"] * 3
-        assert calls == {"evd": 4, "forms": 3}
+        assert calls == {"evd": 2, "forms": 2}
+        assert len(sdp_calls) == 1
 
     def test_frozen_phases(self):
         scen = desk_scenario(seed=13)
@@ -196,10 +202,101 @@ class TestBccdSolve:
             rcg.rcg_solve = spy
             import pimin.bccd
             pimin.bccd.rcg_solve = spy
-            bccd_solve(cfg, scen, ch)
+            out = bccd_solve(cfg, scen, ch)
         finally:
             rcg.rcg_solve = orig
             pimin.bccd.rcg_solve = orig
-        assert len(seen) == 3
+        # the second solve takes no step, so the third iteration repeats the
+        # second without solving again
+        assert len(seen) == 2
+        assert out.history[2] == out.history[1]
         for hist in seen:
             assert np.all(np.diff(hist) <= 1e-12)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call appends its result to the returned list."""
+    results = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
+def method_setup(name, scen, ch):
+    """The channel and ``bccd_solve`` keywords of one of the four method set-ups."""
+    ones = np.ones(scen.N, dtype=np.complex128)
+    return {
+        "joint": (ch, {}),
+        "frozen_random": (ch, {"optimize_phi": False}),
+        "frozen_ones": (ch, {"phi_init": ones, "optimize_phi": False}),
+        "no_ris": (ch.without_ris(), {"phi_init": ones, "optimize_phi": False}),
+    }[name]
+
+
+SETUPS = ["joint", "frozen_random", "frozen_ones", "no_ris"]
+
+
+def assert_same_result(out, ref):
+    """Bit-identical outputs, records, convergence flag and final powers."""
+    assert np.array_equal(out.w, ref.w)
+    assert np.array_equal(out.phi, ref.phi)
+    assert np.array_equal(out.R_ss.matrix, ref.R_ss.matrix)
+    assert out.history == ref.history
+    assert out.converged == ref.converged
+    assert out.final_powers == ref.final_powers
+
+
+class TestFixedPointShortCircuit:
+    """``bccd_solve`` returns what the loop that runs every block returns."""
+
+    @pytest.mark.parametrize("make_scen", [desk_scenario, desk_bench_scenario])
+    @pytest.mark.parametrize("setup", SETUPS)
+    # with a cap of 5 steps, desk_bench_scenario runs move for one to four
+    # outer iterations before a solve takes no step
+    @pytest.mark.parametrize("cfg", [BccdConfig(n_iter=1), BccdConfig(n_iter=2),
+                                     BccdConfig(n_iter=20),
+                                     BccdConfig(rcg=RcgConfig(max_iters=0)),
+                                     BccdConfig(rcg=RcgConfig(max_iters=5))],
+                             ids=["n_iter1", "n_iter2", "n_iter20", "rcg_max_iters0",
+                                  "rcg_max_iters5"])
+    def test_bit_identical_to_reference(self, make_scen, setup, cfg):
+        for seed in range(10):
+            scen = make_scen(seed=seed)
+            ch, kwargs = method_setup(setup, scen, desk_channels(scen, seed))
+            run_cfg = dataclasses.replace(cfg, seed=seed)
+            assert_same_result(bccd_solve(run_cfg, scen, ch, **kwargs),
+                               reference_bccd_solve(run_cfg, scen, ch, **kwargs))
+
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_moving_iterate_solves_every_iteration(self, monkeypatch, setup):
+        # three capped steps with no gradient tolerance: every solve moves
+        # the iterate, so the short-circuit never fires and every outer
+        # iteration solves the SDP
+        import pimin.bccd
+        for seed in range(10):
+            scen = desk_bench_scenario(seed=seed)
+            ch, kwargs = method_setup(setup, scen, desk_channels(scen, seed))
+            cfg = BccdConfig(n_iter=6, rcg=RcgConfig(max_iters=3, grad_tol=0.0), seed=seed)
+            solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
+            sdps = count_calls(monkeypatch, pimin.bccd, "solve_sdp")
+            out = bccd_solve(cfg, scen, ch, **kwargs)
+            monkeypatch.undo()
+            assert [r.iterations for r in solves] == [3] * cfg.n_iter
+            assert len(sdps) == cfg.n_iter
+            assert_same_result(out, reference_bccd_solve(cfg, scen, ch, **kwargs))
+
+
+class TestBccdConfig:
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_sdp_cap_below_one_rejected(self, cap):
+        with pytest.raises(DomainError, match="sdp_max_iters"):
+            BccdConfig(sdp_max_iters=cap)
+
+    def test_sdp_cap_of_one_accepted(self):
+        assert BccdConfig(sdp_max_iters=1).sdp_max_iters == 1

@@ -107,6 +107,15 @@ class TestSweep:
         assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o.csv")]) == 1
         assert "n_iter" in capsys.readouterr().err
 
+    def test_spec_with_zero_sdp_cap_is_usage_error(self, tmp_path, capsys):
+        spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M", "values": [2],
+                "trials_per_point": 1, "methods": ["proposed"],
+                "solver": {"sdp_max_iters": 0, "seed": 0}}
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "sdp_max_iters" in capsys.readouterr().err
+
     def test_bad_spec_usage_error(self, tmp_path):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text("{\"axis\": \"M\"}")

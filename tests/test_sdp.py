@@ -203,20 +203,33 @@ class TestSolveSdp:
                        comm_rhs=0.8, sense_mat=e1, sense_rhs=0.9, trace_budget=1.0)
         assert solve_sdp(p).status == "infeasible"
 
-    def test_exhausted_budget_returns_best_iterate(self, rng):
+    @staticmethod
+    def capped_problem(rng):
+        """A feasible 3x3 instance that a tolerance of 1e-12 keeps iterating."""
         h = cplx(rng, 3, 3)
-        obj = h.conj().T @ h
         c1 = cplx(rng, 3, 3)
         c1 = c1.conj().T @ c1 + 0.5 * np.eye(3)
         witness = random_psd(rng, 3, trace=1.0)
-        p = SdpProblem(dim=3, obj=obj, comm_mat=c1,
-                       comm_rhs=0.7 * float(np.trace(c1 @ witness).real),
-                       sense_mat=np.zeros((3, 3), dtype=complex), sense_rhs=0.0,
-                       trace_budget=1.0)
-        sol = solve_sdp(p, tol=1e-12, max_iters=5)
+        return SdpProblem(dim=3, obj=h.conj().T @ h, comm_mat=c1,
+                          comm_rhs=0.7 * float(np.trace(c1 @ witness).real),
+                          sense_mat=np.zeros((3, 3), dtype=complex), sense_rhs=0.0,
+                          trace_budget=1.0)
+
+    def test_exhausted_budget_returns_best_iterate(self, rng):
+        sol = solve_sdp(self.capped_problem(rng), tol=1e-12, max_iters=5)
         assert sol.status == "max_iters"
         assert sol.iterations == 5
         sol.R_ss.validate()     # the best iterate still honors trace and cone
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, rng, cap):
+        with pytest.raises(DomainError, match="max_iters"):
+            solve_sdp(self.capped_problem(rng), max_iters=cap)
+
+    def test_cap_of_one_reports_the_first_evaluation(self, rng):
+        sol = solve_sdp(self.capped_problem(rng), tol=1e-12, max_iters=1)
+        assert sol.status == "max_iters"
+        assert sol.iterations == 1
 
     def test_null_space_shortcut_nulls_objective(self, rng):
         # rank-one objective with a roomy feasible set: optimum is exactly zero
