@@ -5,11 +5,18 @@ with the same machinery as the proposed design; only the RIS phase treatment
 differs (optimized, frozen random, frozen equal, or absent), so sweep results
 isolate the phase design. All methods spend the same transmit power: the
 covariance trace always equals the budget.
+
+A sweep's unit of work is one trial: every method runs on the trial's one
+channel draw, which ``run_trial`` takes from a one-entry memo. The first
+method's call pays for the draw; later calls at the same (scenario, seed)
+reuse it. ``generate_channels`` returns read-only arrays, so no method can
+change the channels another method sees.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
@@ -23,7 +30,7 @@ import numpy as np
 from .bccd import BccdConfig, bccd_solve
 from .errors import DomainError
 from .rcg import RcgConfig
-from .scenario import ScenarioConfig, generate_channels, linear_to_db
+from .scenario import ChannelSet, ScenarioConfig, generate_channels, linear_to_db
 
 BELOW_NOISE_SENTINEL = "below_noise"
 
@@ -73,16 +80,24 @@ _DB_FIELDS = {"P_PI_dB", "P_sense_dB", "P_obs_dB", "P_noise_dB",
               "sndr_dB", "comm_snr_dB", "dr_dB"}
 
 
+@functools.lru_cache(maxsize=1)
+def _trial_channels(scen: ScenarioConfig, seed: int) -> ChannelSet:
+    """The channel draw of the last (scenario, seed) asked for."""
+    return generate_channels(scen, np.random.default_rng(seed))
+
+
 def run_trial(scen: ScenarioConfig, method: Method, cfg: BccdConfig,
               seed: int, trial_id: int = 0) -> TrialRecord:
-    """Generate one channel realization, solve it with one method.
+    """Solve one seeded channel realization with one method.
 
     The seed drives both the channel draw and the solver streams, so a record
-    is reproducible from its own row. Absolute received powers are reported
-    after the radar's LNA gain; the ratio metrics are gain-invariant.
+    is reproducible from its own row. Consecutive calls at the same scenario
+    and seed share one draw, made by the first of them and counted in its
+    ``runtime_ms``. Absolute received powers are reported after the radar's
+    LNA gain; the ratio metrics are gain-invariant.
     """
     start = time.perf_counter()
-    ch = generate_channels(scen, np.random.default_rng(seed))
+    ch = _trial_channels(scen, seed)
     solver_cfg = replace(cfg, seed=seed)
 
     if method is Method.PROPOSED:
@@ -215,6 +230,12 @@ def _sweep_task(args: tuple) -> TrialRecord:
         )
 
 
+def _trial_task(args: tuple) -> list[TrialRecord]:
+    """Every method of one trial, in order, one row each."""
+    scen, methods, cfg, seed, trial_id = args
+    return [_sweep_task((scen, method, cfg, seed, trial_id)) for method in methods]
+
+
 def _format_db(value: float) -> str:
     if isinstance(value, float) and not math.isfinite(value):
         return BELOW_NOISE_SENTINEL
@@ -251,40 +272,38 @@ def _aggregate(values: list[float]) -> dict:
 
 def run_sweep(spec: SweepSpec, parallelism: int = 1,
               out_path: str | None = None) -> tuple[list[TrialRecord], list[dict]]:
-    """Run every (value, trial, method) work item and aggregate per point.
+    """Run every (value, trial, method) item and aggregate per point.
 
-    Rows are ordered by (axis point, trial, method) regardless of completion
-    order. When ``out_path`` is given the records go to that CSV and a JSON
-    sidecar ``<out_path>.meta.json`` carries the spec and per-point aggregate
-    statistics. ``parallelism`` is the number of worker processes, at least 1.
+    One task is one trial: it runs every method on the trial's one channel
+    draw, and each method gives its own row, an error row if it raised. Rows
+    are ordered by (axis point, trial, method). ``parallelism`` is the number
+    of worker processes, at least 1; the pool never has more workers than
+    there are trials. When ``out_path`` is given the records go to that CSV
+    and a JSON sidecar ``<out_path>.meta.json`` carries the spec and per-point
+    aggregate statistics.
     """
     if parallelism < 1:
         raise DomainError(f"parallelism must be >= 1, got {parallelism}")
     tasks = []
-    keys = []
-    for p_idx, value in enumerate(spec.values):
+    for value in spec.values:
         scen = replace(spec.base, **{spec.axis: value})
         for trial_id in range(spec.trials_per_point):
             seed = trial_seed(spec.base.seed, value, trial_id)
-            for m_idx, method in enumerate(spec.methods):
-                tasks.append((scen, method, spec.solver, seed, trial_id))
-                keys.append((p_idx, trial_id, m_idx))
+            tasks.append((scen, spec.methods, spec.solver, seed, trial_id))
 
     if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_sweep_task, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(tasks))) as pool:
+            trials = list(pool.map(_trial_task, tasks, chunksize=1))
     else:
-        results = [_sweep_task(t) for t in tasks]
-
-    order = sorted(range(len(results)), key=lambda i: keys[i])
-    records = [results[i] for i in order]
-    sorted_keys = [keys[i] for i in order]
+        trials = [_trial_task(t) for t in tasks]
+    records = [rec for trial in trials for rec in trial]
 
     aggregates = []
+    per_point = spec.trials_per_point * len(spec.methods)
     for p_idx, value in enumerate(spec.values):
+        point = records[p_idx * per_point:(p_idx + 1) * per_point]
         for method in spec.methods:
-            subset = [r for k, r in zip(sorted_keys, records)
-                      if k[0] == p_idx and r.method == method.value]
+            subset = [r for r in point if r.method == method.value]
             entry = {"axis": spec.axis, "value": value, "method": method.value}
             for name in sorted(_DB_FIELDS):
                 entry[name] = _aggregate([getattr(r, name) for r in subset])

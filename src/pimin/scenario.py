@@ -379,9 +379,11 @@ class ChannelSet:
 
 
 def _cn_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """i.i.d. CN(0, 1) entries."""
-    return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) \
+    """i.i.d. CN(0, 1) entries, read-only."""
+    out = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) \
         / math.sqrt(2.0)
+    out.flags.writeable = False
+    return out
 
 
 def _cn_vector(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -393,6 +395,8 @@ def generate_channels(config: ScenarioConfig, rng: np.random.Generator) -> Chann
 
     Each matrix is drawn from its own child stream of ``rng``, so a given seed
     reproduces a given matrix regardless of the sizes of the other arrays.
+    Every returned array is read-only, so one realization can be shared by
+    several solves.
     """
     lam = config.wavelength
     p_t = config.P_T_W

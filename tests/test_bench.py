@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,16 @@ from pimin.selfcheck import self_check
 from helpers import tiny_scenario
 
 FAST = BccdConfig(n_iter=4)
+
+
+def without_runtime(records):
+    return [replace(r, runtime_ms=0.0) for r in records]
+
+
+def four_method_spec(seed: int) -> SweepSpec:
+    """Two axis points, three trials, every method."""
+    return SweepSpec(base=desk_scenario(seed=seed), axis="M", values=(2, 4),
+                     trials_per_point=3, methods=tuple(Method), solver=FAST)
 
 
 class TestMethod:
@@ -150,13 +162,56 @@ class TestSweep:
                     assert getattr(ra, name) == getattr(rb, name)
 
     def test_parallel_matches_serial(self):
-        spec = SweepSpec(base=desk_scenario(seed=3), axis="M", values=(2,),
-                         trials_per_point=3, methods=(Method.PROPOSED,),
-                         solver=FAST)
+        spec = four_method_spec(seed=3)
         serial, _ = run_sweep(spec, parallelism=1)
         parallel, _ = run_sweep(spec, parallelism=2)
-        for ra, rb in zip(serial, parallel):
-            assert ra.P_PI_dB == rb.P_PI_dB and ra.seed == rb.seed
+        assert len(serial) == 2 * 3 * 4
+        assert without_runtime(parallel) == without_runtime(serial)
+
+    @pytest.mark.parametrize("trials, parallelism, workers",
+                             [(1, 4, 1), (3, 2, 2)])
+    def test_pool_capped_at_task_count(self, trials, parallelism, workers, monkeypatch):
+        import pimin.bench as bench_mod
+
+        seen = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", Recording)
+        spec = SweepSpec(base=desk_scenario(seed=3), axis="M", values=(2,),
+                         trials_per_point=trials, methods=(Method.PROPOSED,),
+                         solver=FAST)
+        records, _ = run_sweep(spec, parallelism=parallelism)
+        assert seen == [workers]
+        assert len(records) == trials
+
+    def test_one_channel_draw_per_trial(self, monkeypatch):
+        import pimin.bench as bench_mod
+
+        real = bench_mod.generate_channels
+        calls = []
+
+        def counting(scen, rng):
+            calls.append(scen.M)
+            return real(scen, rng)
+
+        monkeypatch.setattr(bench_mod, "generate_channels", counting)
+        bench_mod._trial_channels.cache_clear()
+        spec = four_method_spec(seed=6)
+        records, _ = run_sweep(spec, parallelism=1)
+        assert len(records) == 24
+        assert calls == [2, 2, 2, 4, 4, 4]
+
+        fresh = []
+        for r in records:
+            bench_mod._trial_channels.cache_clear()
+            fresh.append(run_trial(replace(spec.base, M=r.M), Method.parse(r.method),
+                                   FAST, r.seed, r.trial_id))
+        assert len(calls) == 6 + 24
+        assert without_runtime(records) == without_runtime(fresh)
 
     @pytest.mark.parametrize("parallelism", [0, -2])
     def test_parallelism_below_one_rejected_before_any_trial(self, parallelism, monkeypatch):
@@ -221,6 +276,32 @@ class TestPartialFailure:
         assert statuses.count("error:RuntimeError") == 1
         bad = next(r for r in records if r.sdp_status_final.startswith("error"))
         assert math.isnan(bad.P_PI_dB)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_one_failing_method_leaves_its_trial_rows(self, parallelism, monkeypatch):
+        import pimin.bench as bench_mod
+
+        real = bench_mod.run_trial
+
+        def flaky(scen, method, cfg, seed, trial_id=0):
+            if method is Method.BENCH2_EQUAL_PHASE and trial_id == 1:
+                raise RuntimeError("injected")
+            return real(scen, method, cfg, seed, trial_id)
+
+        spec = SweepSpec(base=desk_scenario(seed=8), axis="M", values=(2,),
+                         trials_per_point=3, methods=tuple(Method), solver=FAST)
+        clean, _ = run_sweep(spec, parallelism=1)
+        monkeypatch.setattr(bench_mod, "run_trial", flaky)
+        records, _ = run_sweep(spec, parallelism=parallelism)
+        bad = [i for i, r in enumerate(records)
+               if r.sdp_status_final == "error:RuntimeError"]
+        assert len(bad) == 1
+        failed = records[bad[0]]
+        assert (failed.M, failed.trial_id, failed.method) == \
+            (2, 1, Method.BENCH2_EQUAL_PHASE.value)
+        keep = [i for i in range(len(records)) if i != bad[0]]
+        assert without_runtime([records[i] for i in keep]) == \
+            without_runtime([clean[i] for i in keep])
 
 
 class TestCsv:

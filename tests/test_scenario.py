@@ -153,6 +153,19 @@ class TestGenerateChannels:
         assert g_ob.shape == (scen.M,) and h_ob.shape == (scen.M_t,)
         assert abs(gamma_ob) > 0
 
+    def test_every_array_read_only(self):
+        ch = generate_channels(desk_scenario(obstacles=((50.0, 30.0, 1.0),)),
+                               np.random.default_rng(0))
+        arrays = [getattr(ch, name) for name in ("H_k", "H_Rk", "H_cR", "H_DPI",
+                                                 "G_rR", "g_t", "h_t", "g_Rt")]
+        arrays += [a for g_ob, h_ob, _ in ch.obstacles for a in (g_ob, h_ob)]
+        assert len(arrays) == 10
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[...] = 0
+            with pytest.raises(ValueError):
+                arr *= 2
+
     @settings(max_examples=25, deadline=None)
     @given(m_t=st.integers(1, 5), m_r=st.integers(1, 5), m=st.integers(1, 5),
            n_x=st.integers(1, 4), n_y=st.integers(1, 4), samples=st.integers(1, 4),
