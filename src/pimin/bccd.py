@@ -9,24 +9,38 @@ A stall rule on the relative interference-power change declares convergence;
 when the covariance subproblem is infeasible the previous covariance is kept
 and the iteration is flagged.
 
+Every run at one seed starts from the same point: the ``init_rss``
+covariance, its eigendecomposition and the random state come from a one-entry
+memo keyed by (seed, sizes, budget), and the forms of that start from a
+one-entry memo keyed by the decomposition and the channel set, which applies
+only to channel arrays that are read-only. So of the methods of one trial,
+the first builds the start and the forms, and the others reuse them (the
+no-RIS method builds its own forms). Every shared array is read-only.
+
 Once a later outer iteration's manifold solve takes no step, the loop has
 reached an exact fixed point: the SDP would be solved again at the point it
 was last solved at, and every later iteration would repeat the last one. From
 there the loop repeats the last record, without calling any block, until the
-stall rule or ``n_iter`` ends it.
+stall rule or ``n_iter`` ends it. It gets there without the restart solve
+when that solve provably takes no step: when the covariance is kept after a
+solve that stopped at ``grad_tol``, and when, after an optimal SDP, a bound
+on the restart's first gradient is below the tolerance.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import hermitian_evd
+from .linalg import EvdResult, hermitian_evd
 from .metrics import PowerBreakdown, power_breakdown
-from .rcg import (BeamformerState, RcgConfig, precompute_forms, random_state,
-                  rcg_solve)
+from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, precompute_forms,
+                  random_state, rcg_solve)
 from .scenario import ChannelSet, ScenarioConfig
 from .sdp import TransmitCovariance, assemble_p2, solve_sdp
 from .sysmodel import build_effective_channels
@@ -39,6 +53,9 @@ STALL_FLOOR_REL_NOISE = 1e-3
 # interference power by less than STALL_TOL relative.
 STALL_TOL = 1e-5
 STALL_WINDOW = 3
+# Round-off allowance of the idle-restart bound, in units of eps per entry of
+# the inner-product lengths summed along the way (see _restart_is_idle).
+IDLE_ROUNDOFF = 8.0
 
 
 @dataclass(frozen=True)
@@ -96,6 +113,92 @@ def relative_change(new: float, old: float, floor: float) -> float:
     return abs(new - old) / max(old, floor)
 
 
+@functools.lru_cache(maxsize=1)
+def _seeded_start(seed: int, dim: int, lm: int, n: int, budget: float):
+    """``(covariance, its decomposition, state)`` drawn from ``default_rng(seed)``.
+
+    The draws are those every run made for itself: ``init_rss``, then
+    ``random_state``. Every array is read-only, so the runs can share them.
+    """
+    rng = np.random.default_rng(seed)
+    r_cov = init_rss(dim, budget, rng)
+    x = random_state(lm, n, rng)
+    r_cov.matrix.flags.writeable = False
+    x.x.flags.writeable = False
+    return r_cov, hermitian_evd(r_cov.matrix), x
+
+
+# The start forms last kept, as one (evd, ch, n_samples, forms) entry: holding
+# the decomposition and channel set means an identity match cannot be a
+# recycled id, and one tuple is read and replaced whole, even across threads.
+_start_forms_memo: dict = {}
+
+
+def _start_forms(evd: EvdResult, ch: ChannelSet, n_samples: int) -> PrecomputedForms:
+    """``precompute_forms`` of a start, kept for the next run on the same channels.
+
+    Kept only when the channel arrays that the forms read are read-only, so
+    the entry cannot go stale; the kept forms are read-only too.
+    """
+    entry = _start_forms_memo.get("last")
+    if entry is not None and entry[0] is evd and entry[1] is ch and entry[2] == n_samples:
+        return entry[3]
+    forms = precompute_forms(evd, ch, n_samples)
+    if not any(a.flags.writeable for a in (ch.H_DPI, ch.H_cR, ch.G_rR)):
+        forms.b.flags.writeable = False
+        forms.c.flags.writeable = False
+        _start_forms_memo["last"] = (evd, ch, n_samples, forms)
+    return forms
+
+
+def _restart_is_idle(p_pi: float, ac_block: np.ndarray, ch: ChannelSet, scen: ScenarioConfig,
+                     optimize_phi: bool, grad_tol: float) -> bool:
+    """Whether the manifold solve after an optimal SDP provably takes no step.
+
+    The restart would run from the current ``x`` on the forms of the new
+    covariance, whose clipped eigenpairs ``(lam_i, v_i)`` have
+    ``sum lam_i <= P_B``. Those forms give ``t_i = b_i + c_i phi =
+    sqrt(lam_i) (I kron Ac) v_i`` and ``e_i = w^H t_i = sqrt(lam_i) u^H v_i``
+    with ``u = (I kron Ac)^H w``, so ``sum |e_i|^2 = p_pi``, the power just
+    reported. The solver stops before its first step when the gradient in
+    theta, ``Im(conj(x) * egrad)`` over the free coordinates, has norm at most
+    ``grad_tol``; that norm is at most ``||egrad||``. By Cauchy-Schwarz:
+
+    * the radar part ``2 sum conj(e_i) t_i`` has norm at most
+      ``2 sqrt(p_pi) sqrt(sum ||t_i||^2) <= 2 sqrt(p_pi P_B) ||Ac||_F``;
+    * the phase part ``sum e_i 2 conj(c_i)^T w`` has norm at most
+      ``2 sqrt(p_pi) sqrt(sum ||c_i||_F^2 ||w||^2)``, where ``||w||^2 = L M``
+      and ``||c_i||_F <= sqrt(lam_i) |gamma_RPI| ||G_rR||_F ||H_cR||_F``; it
+      counts only when the phases are free.
+
+    So ``||g|| <= K sqrt(p_pi)`` with ``K = 2 sqrt(P_B) (||Ac||_F +
+    |gamma_RPI| ||H_cR||_F ||G_rR||_F sqrt(L M))``. In floating point the
+    solver's ``e_i`` and the reported ``p_pi`` each carry an error of at most
+    about ``eps`` times the inner-product lengths summed along the way
+    (``L M_t + L M + N``, with ``IDLE_ROUNDOFF`` to spare) times the size of
+    the summands, which is at most ``sqrt(lam_i) sqrt(L M) A`` with ``A =
+    |gamma_DPI| ||H_DPI||_F + |gamma_RPI| ||G_rR||_F ||H_cR||_F``, a bound on
+    ``||Ac||_F`` for every phase vector. That adds ``c eps sqrt(P_B L M) A``
+    to ``sqrt(p_pi)``; the halved tolerance covers the relative round-off of
+    the gradient's own sums and of ``sum lam_i``. With ``grad_tol = 0`` the
+    restart is never skipped.
+    """
+    if grad_tol <= 0.0:
+        return False
+
+    def norm(a: np.ndarray) -> float:      # Frobenius, as one BLAS dot
+        return math.sqrt(np.vdot(a, a).real)
+
+    lm = scen.L * scen.M
+    ris = abs(ch.gamma_RPI) * norm(ch.H_cR) * norm(ch.G_rR)
+    k = 2.0 * math.sqrt(scen.P_B) * (norm(ac_block)
+                                     + (ris * math.sqrt(lm) if optimize_phi else 0.0))
+    a = abs(ch.gamma_DPI) * norm(ch.H_DPI) + ris
+    c = IDLE_ROUNDOFF * (scen.L * scen.M_t + lm + scen.N)
+    roundoff = c * sys.float_info.epsilon * math.sqrt(scen.P_B * lm) * a
+    return k * (math.sqrt(p_pi) + roundoff) <= 0.5 * grad_tol
+
+
 def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
                phi_init: np.ndarray | None = None,
                optimize_phi: bool = True) -> BccdResult:
@@ -112,9 +215,7 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
     lm = scen.L * m
     dim = scen.L * m_t
 
-    rng = np.random.default_rng(cfg.seed)
-    r_cov = init_rss(dim, scen.P_B, rng)
-    x = random_state(lm, n, rng)
+    r_cov, evd, x = _seeded_start(cfg.seed, dim, lm, n, scen.P_B)
     if phi_init is not None:
         phi_init = np.asarray(phi_init, dtype=np.complex128)
         if phi_init.shape != (n,):
@@ -125,14 +226,14 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
         free = np.concatenate([np.ones(lm, dtype=bool), np.zeros(n, dtype=bool)])
 
     stall_floor = STALL_FLOOR_REL_NOISE * scen.sigma_r2_W * lm
+    grad_tol = cfg.rcg.resolved_grad_tol(lm + n if optimize_phi else lm)
     history: list[BccdIteration] = []
     powers: PowerBreakdown | None = None
     converged = False
 
     # The covariance changes only when the SDP is solved, so its
     # eigendecomposition and forms carry over an infeasible or stalled call.
-    evd = hermitian_evd(r_cov.matrix)
-    forms = None
+    forms = _start_forms(evd, ch, scen.L)
     fixed = False
     for _ in range(cfg.n_iter):
         if not fixed:
@@ -169,6 +270,18 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
                 dr_db=powers.dr_db,
                 sdp_status=sol.status,
             ))
+            # The next solve would take no step, so it would return x itself
+            # and the loop would be at the fixed point above, in two cases.
+            # The covariance, hence the forms, are kept and this solve stopped
+            # at grad_tol: the next would run the same kernels on the same
+            # forms from the same x and stop at once. Or the SDP gave a new
+            # covariance and _restart_is_idle proves that the first gradient
+            # on its forms is below grad_tol; its docstring holds the proof.
+            if sol.status == "optimal":
+                fixed = _restart_is_idle(powers.p_pi, eff.Ac_block, ch, scen,
+                                         optimize_phi, grad_tol)
+            else:
+                fixed = rcg_out.stop_reason == "grad_tol"
 
         if len(history) > STALL_WINDOW:
             recent = [

@@ -8,9 +8,12 @@ covariance trace always equals the budget.
 
 A sweep's unit of work is one trial: every method runs on the trial's one
 channel draw, which ``run_trial`` takes from a one-entry memo. The first
-method's call pays for the draw; later calls at the same (scenario, seed)
-reuse it. ``generate_channels`` returns read-only arrays, so no method can
-change the channels another method sees.
+method's call pays for the draw, and inside ``bccd_solve`` also for the
+seeded start (covariance, its eigendecomposition, random state) and its
+forms; later calls at the same (scenario, seed) reuse all of them, except
+that the no-RIS method builds its own forms. ``generate_channels`` returns
+read-only arrays, and so is every shared start array, so no method can change
+what another method sees.
 """
 
 from __future__ import annotations
@@ -92,9 +95,9 @@ def run_trial(scen: ScenarioConfig, method: Method, cfg: BccdConfig,
 
     The seed drives both the channel draw and the solver streams, so a record
     is reproducible from its own row. Consecutive calls at the same scenario
-    and seed share one draw, made by the first of them and counted in its
-    ``runtime_ms``. Absolute received powers are reported after the radar's
-    LNA gain; the ratio metrics are gain-invariant.
+    and seed share one draw and one seeded solver start, made by the first of
+    them and counted in its ``runtime_ms``. Absolute received powers are
+    reported after the radar's LNA gain; the ratio metrics are gain-invariant.
     """
     start = time.perf_counter()
     ch = _trial_channels(scen, seed)
@@ -150,6 +153,8 @@ class SweepSpec:
     trials_per_point: int = 50
     methods: tuple[Method, ...] = (Method.PROPOSED,)
     solver: BccdConfig = field(default_factory=BccdConfig)
+    # the scenario of each axis value, built and validated with the spec
+    points: tuple[ScenarioConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.axis not in ScenarioConfig.__dataclass_fields__:
@@ -159,6 +164,13 @@ class SweepSpec:
         if self.trials_per_point < 1:
             raise DomainError("trials_per_point must be >= 1")
         object.__setattr__(self, "values", tuple(self.values))
+        points = []
+        for value in self.values:
+            try:
+                points.append(replace(self.base, **{self.axis: value}))
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"axis value {self.axis}={value!r} is invalid: {exc}") from exc
+        object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "methods",
                            tuple(Method.parse(m) if isinstance(m, str) else m
                                  for m in self.methods))
@@ -237,7 +249,8 @@ def _trial_task(args: tuple) -> list[TrialRecord]:
 
 
 def _format_db(value: float) -> str:
-    if isinstance(value, float) and not math.isfinite(value):
+    """A dB cell: the sentinel for minus infinity, else ``repr`` (``nan`` included)."""
+    if value == -math.inf:
         return BELOW_NOISE_SENTINEL
     return repr(value)
 
@@ -285,8 +298,7 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1,
     if parallelism < 1:
         raise DomainError(f"parallelism must be >= 1, got {parallelism}")
     tasks = []
-    for value in spec.values:
-        scen = replace(spec.base, **{spec.axis: value})
+    for value, scen in zip(spec.values, spec.points):
         for trial_id in range(spec.trials_per_point):
             seed = trial_seed(spec.base.seed, value, trial_id)
             tasks.append((scen, spec.methods, spec.solver, seed, trial_id))
@@ -317,12 +329,6 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1,
             "aggregates": aggregates,
         }
         with open(out_path + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, default=_json_fallback)
+            json.dump(sidecar, fh, indent=2)
             fh.write("\n")
     return records, aggregates
-
-
-def _json_fallback(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return BELOW_NOISE_SENTINEL
-    raise TypeError(f"not JSON serializable: {value!r}")

@@ -9,6 +9,7 @@ pure and operate on immutable inputs, so they are safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,20 +64,28 @@ class EvdResult:
         return (v * self.eigenvalues) @ v.conj().T
 
     def clipped_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues with near-zero entries snapped to exactly zero.
+        """Eigenvalues with near-zero entries snapped to exactly zero, read-only.
 
         Guards the square roots taken downstream against tiny negative
-        round-off from the factorization.
+        round-off from the factorization. Computed once per decomposition:
+        the forms and every power form of one covariance read the same array.
         """
+        return self._clipped
+
+    @cached_property
+    def _clipped(self) -> np.ndarray:
         lam = self.eigenvalues.copy()
         cutoff = EIG_ZERO_REL * max(float(np.max(np.abs(lam))), 0.0) if lam.size else 0.0
         lam[np.abs(lam) < cutoff] = 0.0
         lam[lam < 0.0] = 0.0
+        lam.flags.writeable = False
         return lam
 
 
 def hermitian_evd(a: np.ndarray) -> EvdResult:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
+
+    Both arrays are read-only, so one decomposition can be shared.
 
     Raises
     ------
@@ -90,7 +99,10 @@ def hermitian_evd(a: np.ndarray) -> EvdResult:
     # complex eigenvalues.
     lam, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     order = np.argsort(lam, kind="stable")[::-1]
-    return EvdResult(eigenvalues=lam[order].copy(), eigenvectors=v[:, order].copy())
+    lam, v = lam[order].copy(), v[:, order].copy()
+    lam.flags.writeable = False
+    v.flags.writeable = False
+    return EvdResult(eigenvalues=lam, eigenvectors=v)
 
 
 def kron_identity_apply(h: np.ndarray, v: np.ndarray, blocks: int) -> np.ndarray:

@@ -8,7 +8,8 @@ positive power rather than round-off of either sign. The direct form
 ``u^H R_ss u`` is not used for that reason: on nulled designs it rounds to
 values of either sign near 1e-32, and a negative power has no dB value.
 ``power_breakdown`` decomposes ``R_ss`` once for all three paths, or takes
-the caller's decomposition. Dense Kronecker matrices are never formed here
+the caller's decomposition, and reads ``u`` for each path from the same beam
+products as ``sdp.assemble_p2``. Dense Kronecker matrices are never formed here
 (the test suite keeps a dense oracle instead).
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import DegenerateInputError, DimensionError
 from .linalg import EvdResult, hermitian_evd, kron_identity_apply
 from .scenario import linear_to_db
-from .sysmodel import EffectiveChannels
+from .sysmodel import EffectiveChannels, _beam_products
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,8 @@ class PowerBreakdown:
     dr_db: float
 
 
-def _power(block: np.ndarray, w: np.ndarray, evd: EvdResult, blocks: int) -> float:
-    """``sum_i lam_i |v_i^H u|^2`` with ``u = (I_blocks kron block)^H w``."""
-    u = kron_identity_apply(block.conj().T, w, blocks)
+def _power(u: np.ndarray, evd: EvdResult) -> float:
+    """``sum_i lam_i |v_i^H u|^2`` for ``u = (I_L kron block)^H w``."""
     proj = evd.eigenvectors.conj().T @ u
     return float(evd.clipped_eigenvalues() @ (proj.real**2 + proj.imag**2))
 
@@ -60,7 +60,7 @@ def power_quadratic(block: np.ndarray, w: np.ndarray, r_ss: np.ndarray) -> float
     blocks = dim // cols
     if w.shape != (blocks * rows,):
         raise DimensionError(f"w has shape {w.shape}, expected ({blocks * rows},)")
-    return _power(block, w, hermitian_evd(r_ss), blocks)
+    return _power(kron_identity_apply(block.conj().T, w, blocks), hermitian_evd(r_ss))
 
 
 def power_noise(w: np.ndarray, sigma_r2: float) -> float:
@@ -80,14 +80,19 @@ def comm_snr(hc_block: np.ndarray, r_ss: np.ndarray, m_r: int, n_samples: int,
              sigma_c2: float) -> float:
     """Communication SNR: trace form over the block-diagonal composite channel."""
     hc_block = np.asarray(hc_block, dtype=np.complex128)
+    return _comm_snr(hc_block.conj().T @ hc_block, r_ss, m_r, n_samples, sigma_c2)
+
+
+def _comm_snr(gram: np.ndarray, r_ss: np.ndarray, m_r: int, n_samples: int,
+              sigma_c2: float) -> float:
+    """``comm_snr`` from the channel Gram ``Hc^H Hc``."""
     r_ss = np.asarray(r_ss, dtype=np.complex128)
-    m_t = hc_block.shape[1]
+    m_t = gram.shape[0]
     if r_ss.shape != (n_samples * m_t, n_samples * m_t):
         raise DimensionError(
             f"covariance has shape {r_ss.shape}, expected ({n_samples * m_t},)^2")
     if sigma_c2 <= 0.0:
         raise DegenerateInputError("sigma_c2 must be positive")
-    gram = hc_block.conj().T @ hc_block
     blocks = r_ss.reshape(n_samples, m_t, n_samples, m_t)
     num = np.einsum("lilj,ji->", blocks, gram).real
     return float(num) / (m_r * n_samples * sigma_c2)
@@ -122,16 +127,16 @@ def power_breakdown(eff: EffectiveChannels, w: np.ndarray, r_ss: np.ndarray,
     ``evd`` is the eigendecomposition of ``r_ss`` when the caller has it;
     otherwise it is computed here.
     """
+    w = np.asarray(w, dtype=np.complex128)
     m = eff.Ac_block.shape[0]
     if len(w) % m != 0:
         raise DimensionError(f"w length {len(w)} not a multiple of radar antennas {m}")
     n_samples = len(w) // m
-    snr = comm_snr(eff.Hc_block, r_ss, m_r, n_samples, sigma_c2)   # checks r_ss
+    u, a, o, gram = _beam_products(eff, w, n_samples)
+    snr = _comm_snr(gram, r_ss, m_r, n_samples, sigma_c2)   # checks r_ss
     if evd is None:
         evd = hermitian_evd(r_ss)
-    p_pi = _power(eff.Ac_block, w, evd, n_samples)
-    p_sense = _power(eff.Ar_block, w, evd, n_samples)
-    p_obs = _power(eff.Ao_block, w, evd, n_samples)
+    p_pi, p_sense, p_obs = (_power(v, evd) for v in (u, a, o))
     p_noise = power_noise(w, sigma_r2)
     return PowerBreakdown(
         p_pi=p_pi,

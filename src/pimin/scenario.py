@@ -154,8 +154,11 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("M_t", "M_r", "M", "N_x", "N_y", "L"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise DomainError(f"{name} must be >= 1, got {value}")
         for name in ("d_k", "d_Rk", "d_cR", "d_DPI", "d_rR", "d_Bt", "d_tPR", "d_tR",
                      "f_c_Hz", "d_x_m", "d_y_m"):
             if getattr(self, name) <= 0.0:

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import check_hermitian, kron_identity_apply
+from .linalg import check_hermitian
 from .scenario import ChannelSet, ScenarioConfig
-from .sysmodel import EffectiveChannels
+from .sysmodel import EffectiveChannels, _beam_products
 
 FEASIBILITY_SLACK = 1e-9
 
@@ -122,18 +122,16 @@ def assemble_p2(w: np.ndarray, phi: np.ndarray, ch: ChannelSet,
     the stacked adjoint channel-beamformer products; the communication
     coefficient is block diagonal in the per-sample channel Gram.
     """
+    w = np.asarray(w, dtype=np.complex128)
     m, m_t = effective.Ac_block.shape
     if len(w) % m != 0:
         raise DimensionError(f"w length {len(w)} not a multiple of M = {m}")
     n_samples = len(w) // m
     dim = n_samples * m_t
 
-    u, a, o = (kron_identity_apply(block.conj().T, w, n_samples)
-               for block in (effective.Ac_block, effective.Ar_block,
-                             effective.Ao_block))
+    u, a, o, gram = _beam_products(effective, w, n_samples)
 
     obj = np.outer(u, u.conj())
-    gram = effective.Hc_block.conj().T @ effective.Hc_block
     comm_mat = np.kron(np.eye(n_samples), gram)
     gamma_s = cfg.gamma_sense
     sense_mat = np.outer(a, a.conj()) - gamma_s * (obj + np.outer(o, o.conj()))

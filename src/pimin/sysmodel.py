@@ -3,16 +3,20 @@
 Every receive-side channel in the model is block-diagonal over the time
 samples (an identity-Kronecker structure), so only the repeated diagonal
 block is ever materialized here. Phase-shift products ``diag(phi) @ v`` are
-Hadamard products throughout.
+Hadamard products throughout. The blocks that ``build_effective_channels``
+returns are read-only, and such an instance keeps the beam products of the
+last radar weights asked for, so the covariance step and the figures of merit
+of one outer iteration form them once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .linalg import kron_identity_apply
 from .scenario import ChannelSet
 
 UNIT_MODULUS_TOL = 1e-9
@@ -35,6 +39,28 @@ class EffectiveChannels:
     Ac_block: np.ndarray    # (M, M_t) path interference (direct + reflected)
     Ar_block: np.ndarray    # (M, M_t) four-path target echo
     Ao_block: np.ndarray    # (M, M_t) obstacle returns, zero when no obstacles
+    # the last _beam_products key and result, kept only for read-only blocks
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _beam_products(eff: EffectiveChannels, w: np.ndarray, n_samples: int) -> tuple:
+    """``(u, a, o, gram)``: ``(I_L kron A)^H w`` for A = Ac, Ar, Ao, and ``Hc^H Hc``.
+
+    When every block of ``eff`` is read-only, the products of the last ``w``
+    (matched bit for bit) are kept on ``eff``, read-only, and returned again.
+    """
+    key = (n_samples, w.tobytes())
+    last = eff._memo.get("last")      # one (key, products) entry, replaced whole
+    if last is not None and last[0] == key:
+        return last[1]
+    blocks = (eff.Ac_block, eff.Ar_block, eff.Ao_block)
+    products = tuple(kron_identity_apply(b.conj().T, w, n_samples) for b in blocks) \
+        + (eff.Hc_block.conj().T @ eff.Hc_block,)
+    if not any(b.flags.writeable for b in blocks + (eff.Hc_block,)):
+        for product in products:
+            product.flags.writeable = False
+        eff._memo["last"] = (key, products)
+    return products
 
 
 def build_comm_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
@@ -78,9 +104,9 @@ def build_obstacle_channel(ch: ChannelSet) -> np.ndarray:
 
 def build_effective_channels(ch: ChannelSet, phi: np.ndarray,
                              validate: bool = True) -> EffectiveChannels:
-    return EffectiveChannels(
-        Hc_block=build_comm_channel(ch, phi, validate),
-        Ac_block=build_pi_channel(ch, phi, validate),
-        Ar_block=build_sensing_channel(ch, phi, validate),
-        Ao_block=build_obstacle_channel(ch),
-    )
+    """The four blocks at ``phi``, each read-only."""
+    blocks = (build_comm_channel(ch, phi, validate), build_pi_channel(ch, phi, validate),
+              build_sensing_channel(ch, phi, validate), build_obstacle_channel(ch))
+    for block in blocks:
+        block.flags.writeable = False
+    return EffectiveChannels(*blocks)

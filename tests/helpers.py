@@ -201,11 +201,12 @@ def sample_feasible_points(prob, rng: np.random.Generator, count: int,
 # ---------------------------------------------------------------------------
 
 def reference_bccd_solve(cfg, scen, ch, *, phi_init=None, optimize_phi=True):
-    """``bccd_solve`` without its fixed-point short-circuit (test-only oracle).
+    """``bccd_solve`` without its shortcuts (test-only oracle).
 
-    Every outer iteration runs the manifold block, the SDP and the figures of
-    merit, even when the manifold solve takes no step, so the production loop
-    must return a bit-identical result.
+    It draws its own seeded start instead of the shared one, and every outer
+    iteration runs the manifold block, the SDP and the figures of merit, even
+    when the manifold solve takes no step or provably would take none, so
+    the production loop must return a bit-identical result.
     """
     m_r, m_t, m, n = ch.dims
     if (m_t, m_r, m, n) != (scen.M_t, scen.M_r, scen.M, scen.N):

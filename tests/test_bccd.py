@@ -1,14 +1,17 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from pimin.bccd import (STALL_TOL, STALL_WINDOW, BccdConfig, bccd_solve, init_rss,
+from pimin.bccd import (STALL_TOL, STALL_WINDOW, BccdConfig, _restart_is_idle,
+                        _seeded_start, _start_forms, bccd_solve, init_rss,
                         relative_change)
 from pimin.errors import DomainError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_quadratic
-from pimin.rcg import RcgConfig, random_state
+from pimin.rcg import (BeamformerState, RcgConfig, precompute_forms, random_state,
+                       rcg_solve)
 from pimin.scenario import desk_bench_scenario, desk_scenario, generate_channels
 from pimin.sysmodel import build_pi_channel
 
@@ -164,17 +167,20 @@ class TestBccdSolve:
 
     def test_one_eigendecomposition_per_covariance(self, monkeypatch):
         # every optimal SDP answer is a new covariance: one decomposition each,
-        # forms only for the iterations that follow one
-        # (iteration 2's manifold solve takes no step, so iteration 3 repeats
-        # iteration 2 and neither decomposes nor solves anything)
+        # forms only for the solves that run on one
+        # (the SDP nulls the interference, so the restart on the new forms is
+        # certified idle: iterations 2 and 3 repeat iteration 1, and neither
+        # builds forms nor solves anything)
         import pimin.bccd
         scen = desk_scenario(seed=2)
         calls = self.count_evd_and_forms(monkeypatch)
         sdp_calls = count_calls(monkeypatch, pimin.bccd, "solve_sdp")
+        solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
         out = bccd_solve(BccdConfig(n_iter=3, seed=2), scen, desk_channels(scen))
         assert [h.sdp_status for h in out.history] == ["optimal"] * 3
-        assert calls == {"evd": 2, "forms": 2}
+        assert calls == {"evd": 2, "forms": 1}
         assert len(sdp_calls) == 1
+        assert len(solves) == 1
 
     def test_frozen_phases(self):
         scen = desk_scenario(seed=13)
@@ -206,10 +212,10 @@ class TestBccdSolve:
         finally:
             rcg.rcg_solve = orig
             pimin.bccd.rcg_solve = orig
-        # the second solve takes no step, so the third iteration repeats the
-        # second without solving again
-        assert len(seen) == 2
-        assert out.history[2] == out.history[1]
+        # the restart after the first SDP is certified idle, so the second
+        # and third iterations repeat the first without solving again
+        assert len(seen) == 1
+        assert out.history[2] == out.history[1] == out.history[0]
         for hist in seen:
             assert np.all(np.diff(hist) <= 1e-12)
 
@@ -290,6 +296,131 @@ class TestFixedPointShortCircuit:
             assert [r.iterations for r in solves] == [3] * cfg.n_iter
             assert len(sdps) == cfg.n_iter
             assert_same_result(out, reference_bccd_solve(cfg, scen, ch, **kwargs))
+
+
+class TestIdleRestartSkips:
+    """The restart solves that ``bccd_solve`` leaves out could not have moved."""
+
+    def test_kept_covariance_after_grad_tol_stop(self, monkeypatch):
+        # every SDP is certified infeasible and the first solve stops at
+        # grad_tol, so the second solve would run the same kernels on the same
+        # forms from the same x: it is not run, and the rows do not change
+        import pimin.bccd
+        for seed in range(4):
+            scen = desk_bench_scenario(seed=seed)
+            ch = desk_channels(scen, seed)
+            cfg = BccdConfig(n_iter=3, seed=seed)
+            solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
+            out = bccd_solve(cfg, scen, ch)
+            monkeypatch.undo()
+            assert [h.sdp_status for h in out.history] == ["infeasible"] * 3
+            assert [r.stop_reason for r in solves] == ["grad_tol"]
+            assert_same_result(out, reference_bccd_solve(cfg, scen, ch))
+
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_nulled_sdp_certifies_idle_restart(self, monkeypatch, setup):
+        # the SDP nulls the interference, so the bound puts the restart's
+        # first gradient below the tolerance: no forms, no second solve
+        import pimin.bccd
+        for seed in range(4):
+            scen = desk_scenario(seed=seed)
+            ch, kwargs = method_setup(setup, scen, desk_channels(scen, seed))
+            cfg = BccdConfig(n_iter=4, seed=seed)
+            forms = count_calls(monkeypatch, pimin.bccd, "precompute_forms")
+            solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
+            out = bccd_solve(cfg, scen, ch, **kwargs)
+            monkeypatch.undo()
+            assert out.history[0].sdp_status == "optimal"
+            assert (len(forms), len(solves)) == (1, 1)
+            assert_same_result(out, reference_bccd_solve(cfg, scen, ch, **kwargs))
+
+    @pytest.mark.parametrize("no_interference", [False, True])
+    @pytest.mark.parametrize("setup", ["joint", "frozen_random"])
+    def test_zero_grad_tol_never_skips_after_optimal_sdp(self, monkeypatch, setup,
+                                                         no_interference):
+        # without interference the bound is 0, but even a 0 bound does not
+        # skip a restart whose tolerance is 0
+        import pimin.bccd
+        for seed in range(4):
+            scen = desk_scenario(seed=seed)
+            ch = desk_channels(scen, seed)
+            if no_interference:
+                ch = dataclasses.replace(ch, gamma_DPI=0j, gamma_RPI=0j)
+            ch, kwargs = method_setup(setup, scen, ch)
+            cfg = BccdConfig(n_iter=3, rcg=RcgConfig(max_iters=15, grad_tol=0.0), seed=seed)
+            solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
+            out = bccd_solve(cfg, scen, ch, **kwargs)
+            monkeypatch.undo()
+            assert out.history[0].sdp_status == "optimal"
+            assert len(solves) >= 2
+            assert_same_result(out, reference_bccd_solve(cfg, scen, ch, **kwargs))
+
+    @staticmethod
+    def least_skipping_tol(p_pi, ac, ch, scen, optimize_phi):
+        """The least ``grad_tol`` at which the rule skips, by bisection."""
+        lo, hi = 0.0, 1.0
+        while not _restart_is_idle(p_pi, ac, ch, scen, optimize_phi, hi):
+            lo, hi = hi, 2.0 * hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if _restart_is_idle(p_pi, ac, ch, scen, optimize_phi,
+                                                   mid) else (mid, hi)
+        return hi
+
+    @pytest.mark.parametrize("make_scen", [desk_scenario, desk_bench_scenario])
+    @pytest.mark.parametrize("optimize_phi", [True, False])
+    def test_bound_holds_away_from_nulling(self, rng, make_scen, optimize_phi):
+        # at random points and covariances the first gradient is far from 0;
+        # wherever the rule skips, the gradient the restart would see is at
+        # most half the tolerance
+        for seed in range(6):
+            scen = make_scen(seed=seed)
+            ch = desk_channels(scen, seed)
+            x = random_state(scen.L * scen.M, scen.N, rng)
+            r = init_rss(scen.L * scen.M_t, scen.P_B, rng)
+            ac = build_pi_channel(ch, x.phi)
+            p_pi = power_quadratic(ac, x.w, r.matrix)
+            free = None if optimize_phi else np.arange(x.dim) < scen.L * scen.M
+            g = rcg_solve(precompute_forms(hermitian_evd(r.matrix), ch, scen.L), x,
+                          RcgConfig(max_iters=0), free=free).grad_norm
+            assert 0.0 < g <= 0.5 * self.least_skipping_tol(p_pi, ac, ch, scen, optimize_phi)
+
+    def test_phase_term_covers_a_reflection_nulled_point(self):
+        # no direct path, and two equal reflected paths that cancel but for a
+        # 1e-3 rad offset: ||Ac|| is of order 1e-3 and e of order 1e-3, so the
+        # radar gradient is of order 1e-6 while the phase gradient is of order
+        # 1e-3; only the phase term of the bound covers it
+        scen = tiny_scenario(M_t=1, M=1, N_x=2, N_y=1, L=1)
+        ones = np.ones((2, 1), dtype=np.complex128)
+        ch = dataclasses.replace(desk_channels(scen), gamma_DPI=0j, G_rR=ones, H_cR=ones)
+        x = BeamformerState(x=np.array([1.0, np.exp(1e-3j), -1.0]), num_bf=1)
+        r = np.full((1, 1), scen.P_B, dtype=np.complex128)
+        ac = build_pi_channel(ch, x.phi)
+        p_pi = power_quadratic(ac, x.w, r)
+        g = rcg_solve(precompute_forms(hermitian_evd(r), ch, 1), x,
+                      RcgConfig(max_iters=0)).grad_norm
+        assert g > 1e2 * 2.0 * math.sqrt(scen.P_B * p_pi) * np.linalg.norm(ac)
+        assert g <= 0.5 * self.least_skipping_tol(p_pi, ac, ch, scen, True)
+
+    def test_shared_start_is_read_only(self):
+        scen = desk_scenario(seed=1)
+        ch = desk_channels(scen, 1)
+        bccd_solve(BccdConfig(n_iter=2, seed=1), scen, ch)
+        r_cov, evd, x = _seeded_start(1, scen.L * scen.M_t, scen.L * scen.M, scen.N,
+                                      scen.P_B)
+        forms = _start_forms(evd, ch, scen.L)
+        assert forms is _start_forms(evd, ch, scen.L)
+        for arr in (r_cov.matrix, evd.eigenvalues, evd.eigenvectors,
+                    evd.clipped_eigenvalues(), x.x, forms.b, forms.c):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_writable_channels_are_not_memoized(self):
+        scen = desk_scenario(seed=1)
+        ch = desk_channels(scen, 1)
+        ch = dataclasses.replace(ch, H_DPI=ch.H_DPI.copy())
+        evd = _seeded_start(1, scen.L * scen.M_t, scen.L * scen.M, scen.N, scen.P_B)[1]
+        assert _start_forms(evd, ch, scen.L) is not _start_forms(evd, ch, scen.L)
 
 
 class TestBccdConfig:

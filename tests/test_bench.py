@@ -246,6 +246,15 @@ class TestSweep:
         with pytest.raises(DomainError):
             SweepSpec(base=desk_scenario(), axis="M", values=())
 
+    @pytest.mark.parametrize("value", [0, "x", 2.5])
+    def test_invalid_axis_value_rejected_with_the_spec(self, value):
+        with pytest.raises(DomainError, match="M="):
+            SweepSpec(base=desk_scenario(), axis="M", values=(2, value))
+
+    def test_points_are_the_axis_scenarios(self):
+        spec = SweepSpec(base=desk_scenario(seed=3), axis="N_x", values=(1, 3))
+        assert spec.points == (desk_scenario(seed=3, N_x=1), desk_scenario(seed=3, N_x=3))
+
     def test_spec_json_roundtrip(self):
         spec = SweepSpec(base=desk_scenario(seed=5), axis="N_x", values=(1, 2),
                          trials_per_point=3,
@@ -319,6 +328,27 @@ class TestCsv:
         assert rows[0]["P_PI_dB"] == BELOW_NOISE_SENTINEL
         assert rows[0]["dr_dB"] == BELOW_NOISE_SENTINEL
         assert float(rows[0]["P_sense_dB"]) == -50.0
+
+    def test_error_row_reads_nan(self, tmp_path, monkeypatch):
+        # a failed row is not fully suppressed interference: its dB cells are
+        # nan, and only minus infinity is written as the sentinel
+        import pimin.bench as bench_mod
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(bench_mod, "run_trial", broken)
+        spec = SweepSpec(base=desk_scenario(seed=9), axis="M", values=(2,),
+                         trials_per_point=1, solver=FAST)
+        path = tmp_path / "err.csv"
+        run_sweep(spec, out_path=str(path))
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["sdp_status_final"] == "error:RuntimeError"
+        db_cells = [rows[0][name] for name in TRIAL_FIELDS if name.endswith("_dB")]
+        assert db_cells == ["nan"] * 7
+        meta = json.loads((tmp_path / "err.csv.meta.json").read_text())
+        assert meta["aggregates"][0]["P_PI_dB"]["suppressed"] == 1
 
 
 class TestSelfCheck:

@@ -116,6 +116,18 @@ class TestSweep:
         assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o.csv")]) == 1
         assert "sdp_max_iters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [0, "x", 2.5])
+    def test_invalid_axis_value_is_spec_error(self, tmp_path, capsys, value):
+        spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M",
+                "values": [2, value], "trials_per_point": 1, "methods": ["proposed"],
+                "solver": {"n_iter": 2, "seed": 0}}
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert "spec error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_spec_usage_error(self, tmp_path):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text("{\"axis\": \"M\"}")

@@ -46,6 +46,16 @@ class TestHermitianEvd:
             evd = hermitian_evd(b.conj().T @ b)
             assert evd.eigenvalues.min() >= -1e-10 * max(evd.eigenvalues.max(), 1.0)
 
+    def test_shared_arrays_read_only_and_clipped_once(self, rng):
+        b = cplx(rng, 4, 2)
+        evd = hermitian_evd(b @ b.conj().T)     # rank 2: two eigenvalues clip to 0
+        clipped = evd.clipped_eigenvalues()
+        assert clipped is evd.clipped_eigenvalues()
+        assert np.count_nonzero(clipped) == 2
+        for arr in (evd.eigenvalues, evd.eigenvectors, clipped):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             hermitian_evd(np.ones((2, 3), dtype=complex))

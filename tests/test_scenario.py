@@ -225,3 +225,11 @@ class TestConfigSerialization:
             ScenarioConfig(d_k=-1.0)
         with pytest.raises(DomainError):
             ScenarioConfig(A_ris=1.5)
+
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
+    def test_non_integer_size_rejected(self, value):
+        with pytest.raises(DomainError, match="M must be an integer"):
+            ScenarioConfig(M=value)
+
+    def test_numpy_integer_size_accepted(self):
+        assert ScenarioConfig(M=np.int64(3)).M == 3

@@ -5,11 +5,11 @@ import pytest
 
 from pimin.errors import DomainError
 from pimin.scenario import generate_channels
-from pimin.sysmodel import (build_comm_channel, build_effective_channels,
-                            build_obstacle_channel, build_pi_channel,
-                            build_sensing_channel)
+from pimin.sysmodel import (EffectiveChannels, _beam_products, build_comm_channel,
+                            build_effective_channels, build_obstacle_channel,
+                            build_pi_channel, build_sensing_channel)
 
-from helpers import dense_kron_block, random_unit_modulus, tiny_scenario
+from helpers import cplx, dense_kron_block, random_unit_modulus, tiny_scenario
 
 
 @pytest.fixture
@@ -152,3 +152,36 @@ class TestBlockStructure:
                 for t in (0.0, 1.0, 2.0)]
         d2 = vals[2] - 2.0 * vals[1] + vals[0]
         assert np.max(np.abs(d2)) > 1e-6 * np.max(np.abs(vals[0]))
+
+
+class TestBeamProducts:
+    def test_products_match_dense_and_are_kept_for_the_same_w(self, channels, rng):
+        scen = tiny_scenario()
+        eff = build_effective_channels(channels, random_unit_modulus(rng, scen.N))
+        w = random_unit_modulus(rng, scen.L * scen.M)
+        products = _beam_products(eff, w, scen.L)
+        for block, got in zip((eff.Ac_block, eff.Ar_block, eff.Ao_block), products):
+            dense = dense_kron_block(block, scen.L)
+            assert np.max(np.abs(got - dense.conj().T @ w)) <= 1e-12 * np.max(np.abs(got))
+        assert np.allclose(products[3], eff.Hc_block.conj().T @ eff.Hc_block)
+        assert _beam_products(eff, w.copy(), scen.L) is products
+        for product in products:
+            with pytest.raises(ValueError):
+                product[0] = 0
+        other = _beam_products(eff, -w, scen.L)
+        assert other is not products and np.array_equal(other[0], -products[0])
+
+    def test_writable_blocks_are_not_kept(self, rng):
+        blocks = [cplx(rng, 2, 2) for _ in range(4)]
+        eff = EffectiveChannels(*blocks)
+        w = random_unit_modulus(rng, 4)
+        first = _beam_products(eff, w, 2)
+        blocks[1][...] = 0      # Ac changes in place
+        second = _beam_products(eff, w, 2)
+        assert second is not first and not np.any(second[0])
+
+    def test_effective_blocks_read_only(self, channels, rng):
+        eff = build_effective_channels(channels, random_unit_modulus(rng, 2))
+        for block in (eff.Hc_block, eff.Ac_block, eff.Ar_block, eff.Ao_block):
+            with pytest.raises(ValueError):
+                block[0, 0] = 0
