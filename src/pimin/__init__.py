@@ -6,7 +6,8 @@ of the transmit statistical covariance (small SDP) under communication-SNR and
 sensing-SNDR constraints, plus a seeded Monte Carlo benchmark harness.
 """
 
-from .bccd import BccdConfig, BccdIteration, BccdResult, bccd_solve, init_rss
+from .bccd import (BccdConfig, BccdIteration, BccdResult, BccdStart, bccd_solve, init_rss,
+                   seeded_start)
 from .bench import (Method, SweepSpec, TrialRecord, run_sweep, run_trial,
                     trial_seed, write_records_csv)
 from .linalg import EvdResult, hermitian_evd, kron_identity_apply

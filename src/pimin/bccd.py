@@ -9,13 +9,11 @@ A stall rule on the relative interference-power change declares convergence;
 when the covariance subproblem is infeasible the previous covariance is kept
 and the iteration is flagged.
 
-Every run at one seed starts from the same point: the ``init_rss``
-covariance, its eigendecomposition and the random state come from a one-entry
-memo keyed by (seed, sizes, budget), and the forms of that start from a
-one-entry memo keyed by the decomposition and the channel set, which applies
-only to channel arrays that are read-only. So of the methods of one trial,
-the first builds the start and the forms, and the others reuse them (the
-no-RIS method builds its own forms). Every shared array is read-only.
+A run starts from a ``BccdStart`` that the caller passes in: the channel set,
+the ``init_rss`` covariance, its eigendecomposition, the random state and the
+forms of that start, all read-only, so the runs of one trial can share one
+start. ``seeded_start`` builds it from a seed; ``BccdStart.without_ris`` gives
+the same start on the no-RIS channels, with forms of its own.
 
 Once a later outer iteration's manifold solve takes no step, the loop has
 reached an exact fixed point: the SDP would be solved again at the point it
@@ -29,7 +27,6 @@ on the restart's first gradient is below the tolerance.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -65,7 +62,6 @@ class BccdConfig:
     n_iter: int = 20
     rcg: RcgConfig = field(default_factory=RcgConfig)
     sdp_max_iters: int = 50_000  # SDP dual evaluations before it gives up
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_iter < 1:
@@ -113,42 +109,38 @@ def relative_change(new: float, old: float, floor: float) -> float:
     return abs(new - old) / max(old, floor)
 
 
-@functools.lru_cache(maxsize=1)
-def _seeded_start(seed: int, dim: int, lm: int, n: int, budget: float):
-    """``(covariance, its decomposition, state)`` drawn from ``default_rng(seed)``.
+@dataclass(frozen=True)
+class BccdStart:
+    """The point a run starts from, on its channel set; every array is read-only."""
 
-    The draws are those every run made for itself: ``init_rss``, then
-    ``random_state``. Every array is read-only, so the runs can share them.
-    """
+    ch: ChannelSet
+    R_ss: TransmitCovariance
+    evd: EvdResult              # eigendecomposition of R_ss
+    x: BeamformerState
+    forms: PrecomputedForms     # forms of evd on ch
+
+    def without_ris(self) -> "BccdStart":
+        """The same covariance, decomposition and state on ``ch.without_ris()``."""
+        return _start_on(self.ch.without_ris(), self.R_ss, self.evd, self.x)
+
+
+def seeded_start(seed: int, scen: ScenarioConfig, ch: ChannelSet) -> BccdStart:
+    """The start drawn from ``default_rng(seed)``: ``init_rss``, then ``random_state``."""
     rng = np.random.default_rng(seed)
-    r_cov = init_rss(dim, budget, rng)
-    x = random_state(lm, n, rng)
+    r_cov = init_rss(scen.L * scen.M_t, scen.P_B, rng)
+    x = random_state(scen.L * scen.M, scen.N, rng)
     r_cov.matrix.flags.writeable = False
     x.x.flags.writeable = False
-    return r_cov, hermitian_evd(r_cov.matrix), x
+    return _start_on(ch, r_cov, hermitian_evd(r_cov.matrix), x)
 
 
-# The start forms last kept, as one (evd, ch, n_samples, forms) entry: holding
-# the decomposition and channel set means an identity match cannot be a
-# recycled id, and one tuple is read and replaced whole, even across threads.
-_start_forms_memo: dict = {}
-
-
-def _start_forms(evd: EvdResult, ch: ChannelSet, n_samples: int) -> PrecomputedForms:
-    """``precompute_forms`` of a start, kept for the next run on the same channels.
-
-    Kept only when the channel arrays that the forms read are read-only, so
-    the entry cannot go stale; the kept forms are read-only too.
-    """
-    entry = _start_forms_memo.get("last")
-    if entry is not None and entry[0] is evd and entry[1] is ch and entry[2] == n_samples:
-        return entry[3]
-    forms = precompute_forms(evd, ch, n_samples)
-    if not any(a.flags.writeable for a in (ch.H_DPI, ch.H_cR, ch.G_rR)):
-        forms.b.flags.writeable = False
-        forms.c.flags.writeable = False
-        _start_forms_memo["last"] = (evd, ch, n_samples, forms)
-    return forms
+def _start_on(ch: ChannelSet, r_cov: TransmitCovariance, evd: EvdResult,
+              x: BeamformerState) -> BccdStart:
+    """The start on ``ch`` from a covariance, its decomposition and a state."""
+    forms = precompute_forms(evd, ch, evd.dim // ch.H_DPI.shape[1])
+    forms.b.flags.writeable = False
+    forms.c.flags.writeable = False
+    return BccdStart(ch=ch, R_ss=r_cov, evd=evd, x=x, forms=forms)
 
 
 def _restart_is_idle(p_pi: float, ac_block: np.ndarray, ch: ChannelSet, scen: ScenarioConfig,
@@ -199,23 +191,23 @@ def _restart_is_idle(p_pi: float, ac_block: np.ndarray, ch: ChannelSet, scen: Sc
     return k * (math.sqrt(p_pi) + roundoff) <= 0.5 * grad_tol
 
 
-def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
+def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
                phi_init: np.ndarray | None = None,
                optimize_phi: bool = True) -> BccdResult:
-    """Alternate the manifold block and the covariance SDP block.
+    """Alternate the manifold block and the covariance SDP block from ``start``.
 
-    ``phi_init`` overrides the random initial RIS phases; with
+    ``phi_init`` overrides the start's random RIS phases; with
     ``optimize_phi=False`` the phases stay frozen for the whole run (the
     benchmark designs), leaving only the radar weights on the manifold.
     """
+    ch, r_cov, evd, x, forms = start.ch, start.R_ss, start.evd, start.x, start.forms
     m_r, m_t, m, n = ch.dims
-    if (m_t, m_r, m, n) != (scen.M_t, scen.M_r, scen.M, scen.N):
-        raise DimensionError(
-            f"channel dims (M_r={m_r}, M_t={m_t}, M={m}, N={n}) do not match scenario")
     lm = scen.L * m
-    dim = scen.L * m_t
-
-    r_cov, evd, x = _seeded_start(cfg.seed, dim, lm, n, scen.P_B)
+    if ((m_r, m_t, m, n, evd.dim, x.num_bf, x.dim)
+            != (scen.M_r, scen.M_t, scen.M, scen.N, scen.L * m_t, lm, lm + n)):
+        raise DimensionError(
+            f"start (M_r={m_r}, M_t={m_t}, M={m}, N={n}, covariance dim {evd.dim}, "
+            f"state {x.num_bf} + {x.dim - x.num_bf}) does not match scenario")
     if phi_init is not None:
         phi_init = np.asarray(phi_init, dtype=np.complex128)
         if phi_init.shape != (n,):
@@ -233,7 +225,6 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
 
     # The covariance changes only when the SDP is solved, so its
     # eigendecomposition and forms carry over an infeasible or stalled call.
-    forms = _start_forms(evd, ch, scen.L)
     fixed = False
     for _ in range(cfg.n_iter):
         if not fixed:
@@ -253,8 +244,7 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, ch: ChannelSet, *,
         else:
             x = rcg_out.x
             eff = build_effective_channels(ch, x.phi)
-            sol = solve_sdp(assemble_p2(x.w, x.phi, ch, eff, scen),
-                            max_iters=cfg.sdp_max_iters)
+            sol = solve_sdp(assemble_p2(x.w, eff, scen), max_iters=cfg.sdp_max_iters)
             if sol.status == "optimal":
                 r_cov = sol.R_ss
                 evd = hermitian_evd(r_cov.matrix)

@@ -6,14 +6,13 @@ differs (optimized, frozen random, frozen equal, or absent), so sweep results
 isolate the phase design. All methods spend the same transmit power: the
 covariance trace always equals the budget.
 
-A sweep's unit of work is one trial: every method runs on the trial's one
-channel draw, which ``run_trial`` takes from a one-entry memo. The first
-method's call pays for the draw, and inside ``bccd_solve`` also for the
-seeded start (covariance, its eigendecomposition, random state) and its
-forms; later calls at the same (scenario, seed) reuse all of them, except
-that the no-RIS method builds its own forms. ``generate_channels`` returns
-read-only arrays, and so is every shared start array, so no method can change
-what another method sees.
+A sweep's unit of work is one trial: every method runs from the trial's one
+``BccdStart`` (channel draw, seeded covariance, its eigendecomposition, random
+state and their forms), which ``run_trial`` takes from a one-entry memo keyed
+by (scenario, seed). The first method's call pays for it; later calls at the
+same (scenario, seed) reuse it, and the no-RIS method passes
+``start.without_ris()``, which builds its own forms. Every array of a start
+is read-only, so no method can change what another method sees.
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ from enum import Enum
 
 import numpy as np
 
-from .bccd import BccdConfig, bccd_solve
+from .bccd import BccdConfig, BccdStart, bccd_solve, seeded_start
 from .errors import DomainError
 from .rcg import RcgConfig
-from .scenario import ChannelSet, ScenarioConfig, generate_channels, linear_to_db
+from .scenario import ScenarioConfig, generate_channels, linear_to_db
 
 BELOW_NOISE_SENTINEL = "below_noise"
 
@@ -84,41 +83,41 @@ _DB_FIELDS = {"P_PI_dB", "P_sense_dB", "P_obs_dB", "P_noise_dB",
 
 
 @functools.lru_cache(maxsize=1)
-def _trial_channels(scen: ScenarioConfig, seed: int) -> ChannelSet:
-    """The channel draw of the last (scenario, seed) asked for."""
-    return generate_channels(scen, np.random.default_rng(seed))
+def _trial_start(scen: ScenarioConfig, seed: int) -> BccdStart:
+    """The channel draw and seeded solver start of the last (scenario, seed) asked for."""
+    return seeded_start(seed, scen, generate_channels(scen, np.random.default_rng(seed)))
 
 
 def run_trial(scen: ScenarioConfig, method: Method, cfg: BccdConfig,
               seed: int, trial_id: int = 0) -> TrialRecord:
     """Solve one seeded channel realization with one method.
 
-    The seed drives both the channel draw and the solver streams, so a record
-    is reproducible from its own row. Consecutive calls at the same scenario
-    and seed share one draw and one seeded solver start, made by the first of
-    them and counted in its ``runtime_ms``. Absolute received powers are
-    reported after the radar's LNA gain; the ratio metrics are gain-invariant.
+    The seed drives both the channel draw and the seeded solver start
+    (``seeded_start``), so a record is reproducible from its own row.
+    Consecutive calls at the same scenario and seed share one draw and one
+    start, made by the first of them and counted in its ``runtime_ms``.
+    Absolute received powers are reported after the radar's LNA gain; the
+    ratio metrics are gain-invariant.
     """
-    start = time.perf_counter()
-    ch = _trial_channels(scen, seed)
-    solver_cfg = replace(cfg, seed=seed)
+    t0 = time.perf_counter()
+    start = _trial_start(scen, seed)
 
     if method is Method.PROPOSED:
-        result = bccd_solve(solver_cfg, scen, ch)
+        result = bccd_solve(cfg, scen, start)
     elif method is Method.BENCH1_RANDOM_PHASE:
         # phases stay at their seeded random draw
-        result = bccd_solve(solver_cfg, scen, ch, optimize_phi=False)
+        result = bccd_solve(cfg, scen, start, optimize_phi=False)
     elif method is Method.BENCH2_EQUAL_PHASE:
         ones = np.ones(scen.N, dtype=np.complex128)
-        result = bccd_solve(solver_cfg, scen, ch, phi_init=ones, optimize_phi=False)
+        result = bccd_solve(cfg, scen, start, phi_init=ones, optimize_phi=False)
     elif method is Method.BENCH3_NO_RIS:
         ones = np.ones(scen.N, dtype=np.complex128)
-        result = bccd_solve(solver_cfg, scen, ch.without_ris(), phi_init=ones,
+        result = bccd_solve(cfg, scen, start.without_ris(), phi_init=ones,
                             optimize_phi=False)
     else:   # pragma: no cover
         raise DomainError(f"unhandled method {method}")
 
-    runtime_ms = (time.perf_counter() - start) * 1e3
+    runtime_ms = (time.perf_counter() - t0) * 1e3
     p = result.final_powers
     lna = scen.g_lna_lin
     return TrialRecord(
@@ -205,11 +204,21 @@ class SweepSpec:
         return cls(**kwargs)
 
 
+def _known_fields(cls, d: dict, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise DomainError(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise DomainError(f"unknown {what} fields: {sorted(unknown)}")
+    return dict(d)
+
+
 def _bccd_from_dict(d: dict) -> BccdConfig:
-    d = dict(d)
+    d = _known_fields(BccdConfig, d, "solver")
     rcg = d.pop("rcg", None)
-    cfg = BccdConfig(**d) if rcg is None else BccdConfig(rcg=RcgConfig(**rcg), **d)
-    return cfg
+    if rcg is not None:
+        d["rcg"] = RcgConfig(**_known_fields(RcgConfig, rcg, "rcg"))
+    return BccdConfig(**d)
 
 
 def load_sweep_spec(path: str) -> SweepSpec:

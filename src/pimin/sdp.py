@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .linalg import check_hermitian
-from .scenario import ChannelSet, ScenarioConfig
+from .scenario import ScenarioConfig
 from .sysmodel import EffectiveChannels, _beam_products
 
 FEASIBILITY_SLACK = 1e-9
@@ -114,9 +114,8 @@ class SdpSolution:
 # Problem assembly from the system model
 # ---------------------------------------------------------------------------
 
-def assemble_p2(w: np.ndarray, phi: np.ndarray, ch: ChannelSet,
-                effective: EffectiveChannels, cfg: ScenarioConfig) -> SdpProblem:
-    """Build the covariance subproblem at the current beamformer and phases.
+def assemble_p2(w: np.ndarray, effective: EffectiveChannels, cfg: ScenarioConfig) -> SdpProblem:
+    """Build the covariance subproblem at ``w`` and the phases' effective channels.
 
     The interference and echo trace coefficients are rank-one Gram matrices of
     the stacked adjoint channel-beamformer products; the communication

@@ -8,16 +8,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture(autouse=True)
-def clear_memos():
-    """Start every test with empty one-entry memos.
+def clear_trial_start():
+    """Start every test with an empty ``bench._trial_start`` memo.
 
     A test that counts block calls must not depend on which test ran before
-    it and left a channel draw, a seeded start or start forms behind.
+    it and left a trial's channel draw and seeded start behind.
     """
-    from pimin import bccd, bench
-    bench._trial_channels.cache_clear()
-    bccd._seeded_start.cache_clear()
-    bccd._start_forms_memo.clear()
+    from pimin import bench
+    bench._trial_start.cache_clear()
 
 
 @pytest.fixture

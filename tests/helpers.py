@@ -200,13 +200,14 @@ def sample_feasible_points(prob, rng: np.random.Generator, count: int,
 # Outer loop that runs every block in every iteration
 # ---------------------------------------------------------------------------
 
-def reference_bccd_solve(cfg, scen, ch, *, phi_init=None, optimize_phi=True):
-    """``bccd_solve`` without its shortcuts (test-only oracle).
+def reference_bccd_solve(cfg, scen, ch, seed, *, phi_init=None, optimize_phi=True):
+    """``bccd_solve`` from ``seeded_start(seed, scen, ch)``, without its shortcuts.
 
-    It draws its own seeded start instead of the shared one, and every outer
-    iteration runs the manifold block, the SDP and the figures of merit, even
-    when the manifold solve takes no step or provably would take none, so
-    the production loop must return a bit-identical result.
+    A test-only oracle: it draws its own start from ``default_rng(seed)``
+    instead of taking a ``BccdStart``, and every outer iteration runs the
+    manifold block, the SDP and the figures of merit, even when the manifold
+    solve takes no step or provably would take none, so the production loop
+    must return a bit-identical result.
     """
     m_r, m_t, m, n = ch.dims
     if (m_t, m_r, m, n) != (scen.M_t, scen.M_r, scen.M, scen.N):
@@ -215,7 +216,7 @@ def reference_bccd_solve(cfg, scen, ch, *, phi_init=None, optimize_phi=True):
     lm = scen.L * m
     dim = scen.L * m_t
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     r_cov = init_rss(dim, scen.P_B, rng)
     x = random_state(lm, n, rng)
     if phi_init is not None:
@@ -242,8 +243,7 @@ def reference_bccd_solve(cfg, scen, ch, *, phi_init=None, optimize_phi=True):
         x = rcg_out.x
 
         eff = build_effective_channels(ch, x.phi)
-        sol = solve_sdp(assemble_p2(x.w, x.phi, ch, eff, scen),
-                        max_iters=cfg.sdp_max_iters)
+        sol = solve_sdp(assemble_p2(x.w, eff, scen), max_iters=cfg.sdp_max_iters)
         if sol.status == "optimal":
             r_cov = sol.R_ss
             evd = hermitian_evd(r_cov.matrix)

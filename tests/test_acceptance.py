@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from pimin.bccd import BccdConfig, bccd_solve, relative_change
+from pimin.bccd import BccdConfig, bccd_solve, relative_change, seeded_start
 from pimin.bench import Method, SweepSpec, run_sweep, run_trial
 from pimin.linalg import hermitian_evd, kron_identity_apply
 from pimin.metrics import adc_snr, power_noise, power_quadratic
@@ -234,9 +234,9 @@ def test_criterion_7_bccd_end_to_end():
                          gamma_comm_dB=0.0, gamma_sense_dB=0.0, P_B_dB=0.0)
     floor = 1e-3 * scen.sigma_r2_W * scen.L * scen.M
     for seed in (1, 2, 3):
-        cfg = BccdConfig(n_iter=20, seed=seed)
+        cfg = BccdConfig(n_iter=20)
         ch = generate_channels(scen, np.random.default_rng(seed))
-        out = bccd_solve(cfg, scen, ch)
+        out = bccd_solve(cfg, scen, seeded_start(seed, scen, ch))
         pis = [h.p_pi for h in out.history]
         assert len(pis) >= 4
         tail = [relative_change(pis[-k], pis[-k - 1], floor) for k in (1, 2, 3)]
@@ -323,7 +323,7 @@ def test_criterion_10_closed_form_spot_checks():
     w = random_unit_modulus(np.random.default_rng(0), 20)
     assert power_noise(w, dbm_to_watt(-80.0)) == dbm_to_watt(-80.0) * 20
     assert abs(adc_snr(11) - 67.98) <= 1e-12
-    cfg = BccdConfig(n_iter=2, seed=0)
+    cfg = BccdConfig(n_iter=2)
     rec_a = run_trial(desk_scenario(N_x=2, N_y=2, seed=5),
                       Method.BENCH3_NO_RIS, cfg, seed=99)
     rec_b = run_trial(desk_scenario(N_x=4, N_y=4, seed=5),

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from pimin.bccd import (STALL_TOL, STALL_WINDOW, BccdConfig, _restart_is_idle,
-                        _seeded_start, _start_forms, bccd_solve, init_rss,
-                        relative_change)
-from pimin.errors import DomainError
+                        bccd_solve, init_rss, relative_change, seeded_start)
+from pimin.errors import DimensionError, DomainError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_quadratic
 from pimin.rcg import (BeamformerState, RcgConfig, precompute_forms, random_state,
@@ -54,26 +53,26 @@ class TestBccdSolve:
         scen = desk_scenario(seed=4)
         ch = desk_channels(scen)
         ch = dataclasses.replace(ch, gamma_DPI=0j, gamma_RPI=0j)
-        cfg = BccdConfig(n_iter=20, seed=4)
-        out = bccd_solve(cfg, scen, ch)
+        cfg = BccdConfig(n_iter=20)
+        out = bccd_solve(cfg, scen, seeded_start(4, scen, ch))
         assert all(h.p_pi == 0.0 for h in out.history)
         assert out.converged
         assert out.outer_iterations == STALL_WINDOW + 1
 
     def test_single_outer_iteration(self):
         scen = desk_scenario(seed=5)
-        cfg = BccdConfig(n_iter=1, seed=5)
-        out = bccd_solve(cfg, scen, desk_channels(scen))
+        cfg = BccdConfig(n_iter=1)
+        out = bccd_solve(cfg, scen, seeded_start(5, scen, desk_channels(scen)))
         assert out.outer_iterations == 1
         assert not out.converged
 
     def test_descends_from_initial_point(self):
         scen = desk_scenario(seed=6)
         ch = desk_channels(scen)
-        cfg = BccdConfig(n_iter=20, seed=6)
-        out = bccd_solve(cfg, scen, ch)
+        cfg = BccdConfig(n_iter=20)
+        out = bccd_solve(cfg, scen, seeded_start(6, scen, ch))
         # rebuild the seeded starting point the solver used
-        gen = np.random.default_rng(cfg.seed)
+        gen = np.random.default_rng(6)
         r0 = init_rss(scen.L * scen.M_t, scen.P_B, gen)
         x0 = random_state(scen.L * scen.M, scen.N, gen)
         p_start = power_quadratic(build_pi_channel(ch, x0.phi), x0.w, r0.matrix)
@@ -81,8 +80,8 @@ class TestBccdSolve:
 
     def test_stall_criterion_on_history(self):
         scen = desk_scenario(seed=7)
-        cfg = BccdConfig(n_iter=20, seed=7)
-        out = bccd_solve(cfg, scen, desk_channels(scen))
+        cfg = BccdConfig(n_iter=20)
+        out = bccd_solve(cfg, scen, seeded_start(7, scen, desk_channels(scen)))
         assert out.converged
         floor = 1e-3 * scen.sigma_r2_W * scen.L * scen.M
         pis = [h.p_pi for h in out.history]
@@ -91,8 +90,8 @@ class TestBccdSolve:
 
     def test_constraints_met_when_optimal(self):
         scen = desk_scenario(seed=8)
-        cfg = BccdConfig(n_iter=10, seed=8)
-        out = bccd_solve(cfg, scen, desk_channels(scen))
+        cfg = BccdConfig(n_iter=10)
+        out = bccd_solve(cfg, scen, seeded_start(8, scen, desk_channels(scen)))
         final = out.history[-1]
         if final.sdp_status == "optimal":
             assert final.comm_snr_db >= scen.gamma_comm_dB - 0.01
@@ -101,9 +100,9 @@ class TestBccdSolve:
     def test_reproducible(self):
         scen = desk_scenario(seed=9)
         ch = desk_channels(scen)
-        cfg = BccdConfig(n_iter=6, seed=9)
-        a = bccd_solve(cfg, scen, ch)
-        b = bccd_solve(cfg, scen, ch)
+        cfg = BccdConfig(n_iter=6)
+        a = bccd_solve(cfg, scen, seeded_start(9, scen, ch))
+        b = bccd_solve(cfg, scen, seeded_start(9, scen, ch))
         assert np.max(np.abs(a.w - b.w)) <= 1e-12
         assert np.max(np.abs(a.phi - b.phi)) <= 1e-12
         assert np.max(np.abs(a.R_ss.matrix - b.R_ss.matrix)) <= 1e-12
@@ -111,15 +110,15 @@ class TestBccdSolve:
 
     def test_final_covariance_invariants(self):
         scen = desk_scenario(seed=10)
-        cfg = BccdConfig(n_iter=8, seed=10)
-        out = bccd_solve(cfg, scen, desk_channels(scen))
+        cfg = BccdConfig(n_iter=8)
+        out = bccd_solve(cfg, scen, seeded_start(10, scen, desk_channels(scen)))
         out.R_ss.validate()
         assert abs(out.R_ss.trace - scen.P_B) <= 1e-6 * scen.P_B
 
     def test_unit_modulus_outputs(self):
         scen = desk_scenario(seed=11)
-        cfg = BccdConfig(n_iter=5, seed=11)
-        out = bccd_solve(cfg, scen, desk_channels(scen))
+        cfg = BccdConfig(n_iter=5)
+        out = bccd_solve(cfg, scen, seeded_start(11, scen, desk_channels(scen)))
         assert np.max(np.abs(np.abs(out.w) - 1.0)) <= 1e-12
         assert np.max(np.abs(np.abs(out.phi) - 1.0)) <= 1e-12
 
@@ -128,10 +127,10 @@ class TestBccdSolve:
         # so the covariance never moves off its seeded start
         scen = desk_scenario(seed=12, gamma_sense_dB=60.0)
         ch = desk_channels(scen)
-        cfg = BccdConfig(n_iter=4, seed=12)
-        out = bccd_solve(cfg, scen, ch)
+        cfg = BccdConfig(n_iter=4)
+        out = bccd_solve(cfg, scen, seeded_start(12, scen, ch))
         assert all(h.sdp_status == "infeasible" for h in out.history)
-        gen = np.random.default_rng(cfg.seed)
+        gen = np.random.default_rng(12)
         r0 = init_rss(scen.L * scen.M_t, scen.P_B, gen)
         assert np.max(np.abs(out.R_ss.matrix - r0.matrix)) <= 1e-15
 
@@ -161,7 +160,7 @@ class TestBccdSolve:
         scen = desk_bench_scenario(seed=1)
         ch = generate_channels(scen, np.random.default_rng(1))
         calls = self.count_evd_and_forms(monkeypatch)
-        out = bccd_solve(BccdConfig(n_iter=2, seed=1), scen, ch)
+        out = bccd_solve(BccdConfig(n_iter=2), scen, seeded_start(1, scen, ch))
         assert [h.sdp_status for h in out.history] == ["infeasible", "infeasible"]
         assert calls == {"evd": 1, "forms": 1}
 
@@ -176,7 +175,7 @@ class TestBccdSolve:
         calls = self.count_evd_and_forms(monkeypatch)
         sdp_calls = count_calls(monkeypatch, pimin.bccd, "solve_sdp")
         solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
-        out = bccd_solve(BccdConfig(n_iter=3, seed=2), scen, desk_channels(scen))
+        out = bccd_solve(BccdConfig(n_iter=3), scen, seeded_start(2, scen, desk_channels(scen)))
         assert [h.sdp_status for h in out.history] == ["optimal"] * 3
         assert calls == {"evd": 2, "forms": 1}
         assert len(sdp_calls) == 1
@@ -186,8 +185,8 @@ class TestBccdSolve:
         scen = desk_scenario(seed=13)
         ch = desk_channels(scen)
         phi = np.ones(scen.N, dtype=complex)
-        cfg = BccdConfig(n_iter=4, seed=13)
-        out = bccd_solve(cfg, scen, ch, phi_init=phi, optimize_phi=False)
+        cfg = BccdConfig(n_iter=4)
+        out = bccd_solve(cfg, scen, seeded_start(13, scen, ch), phi_init=phi, optimize_phi=False)
         assert np.array_equal(out.phi, phi)
 
     def test_inner_histories_monotone(self):
@@ -203,12 +202,12 @@ class TestBccdSolve:
             seen.append(out.history)
             return out
 
-        cfg = BccdConfig(n_iter=3, seed=20)
+        cfg = BccdConfig(n_iter=3)
         try:
             rcg.rcg_solve = spy
             import pimin.bccd
             pimin.bccd.rcg_solve = spy
-            out = bccd_solve(cfg, scen, ch)
+            out = bccd_solve(cfg, scen, seeded_start(20, scen, ch))
         finally:
             rcg.rcg_solve = orig
             pimin.bccd.rcg_solve = orig
@@ -234,15 +233,16 @@ def count_calls(monkeypatch, module, name):
     return results
 
 
-def method_setup(name, scen, ch):
-    """The channel and ``bccd_solve`` keywords of one of the four method set-ups."""
+def method_setup(name, scen, ch, seed):
+    """The seeded start and ``bccd_solve`` keywords of one of the four method set-ups."""
     ones = np.ones(scen.N, dtype=np.complex128)
-    return {
+    ch, kwargs = {
         "joint": (ch, {}),
         "frozen_random": (ch, {"optimize_phi": False}),
         "frozen_ones": (ch, {"phi_init": ones, "optimize_phi": False}),
         "no_ris": (ch.without_ris(), {"phi_init": ones, "optimize_phi": False}),
     }[name]
+    return seeded_start(seed, scen, ch), kwargs
 
 
 SETUPS = ["joint", "frozen_random", "frozen_ones", "no_ris"]
@@ -274,10 +274,9 @@ class TestFixedPointShortCircuit:
     def test_bit_identical_to_reference(self, make_scen, setup, cfg):
         for seed in range(10):
             scen = make_scen(seed=seed)
-            ch, kwargs = method_setup(setup, scen, desk_channels(scen, seed))
-            run_cfg = dataclasses.replace(cfg, seed=seed)
-            assert_same_result(bccd_solve(run_cfg, scen, ch, **kwargs),
-                               reference_bccd_solve(run_cfg, scen, ch, **kwargs))
+            start, kwargs = method_setup(setup, scen, desk_channels(scen, seed), seed)
+            assert_same_result(bccd_solve(cfg, scen, start, **kwargs),
+                               reference_bccd_solve(cfg, scen, start.ch, seed, **kwargs))
 
     @pytest.mark.parametrize("setup", SETUPS)
     def test_moving_iterate_solves_every_iteration(self, monkeypatch, setup):
@@ -287,15 +286,15 @@ class TestFixedPointShortCircuit:
         import pimin.bccd
         for seed in range(10):
             scen = desk_bench_scenario(seed=seed)
-            ch, kwargs = method_setup(setup, scen, desk_channels(scen, seed))
-            cfg = BccdConfig(n_iter=6, rcg=RcgConfig(max_iters=3, grad_tol=0.0), seed=seed)
+            start, kwargs = method_setup(setup, scen, desk_channels(scen, seed), seed)
+            cfg = BccdConfig(n_iter=6, rcg=RcgConfig(max_iters=3, grad_tol=0.0))
             solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
             sdps = count_calls(monkeypatch, pimin.bccd, "solve_sdp")
-            out = bccd_solve(cfg, scen, ch, **kwargs)
+            out = bccd_solve(cfg, scen, start, **kwargs)
             monkeypatch.undo()
             assert [r.iterations for r in solves] == [3] * cfg.n_iter
             assert len(sdps) == cfg.n_iter
-            assert_same_result(out, reference_bccd_solve(cfg, scen, ch, **kwargs))
+            assert_same_result(out, reference_bccd_solve(cfg, scen, start.ch, seed, **kwargs))
 
 
 class TestIdleRestartSkips:
@@ -309,13 +308,13 @@ class TestIdleRestartSkips:
         for seed in range(4):
             scen = desk_bench_scenario(seed=seed)
             ch = desk_channels(scen, seed)
-            cfg = BccdConfig(n_iter=3, seed=seed)
+            cfg = BccdConfig(n_iter=3)
             solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
-            out = bccd_solve(cfg, scen, ch)
+            out = bccd_solve(cfg, scen, seeded_start(seed, scen, ch))
             monkeypatch.undo()
             assert [h.sdp_status for h in out.history] == ["infeasible"] * 3
             assert [r.stop_reason for r in solves] == ["grad_tol"]
-            assert_same_result(out, reference_bccd_solve(cfg, scen, ch))
+            assert_same_result(out, reference_bccd_solve(cfg, scen, ch, seed))
 
     @pytest.mark.parametrize("setup", SETUPS)
     def test_nulled_sdp_certifies_idle_restart(self, monkeypatch, setup):
@@ -324,15 +323,15 @@ class TestIdleRestartSkips:
         import pimin.bccd
         for seed in range(4):
             scen = desk_scenario(seed=seed)
-            ch, kwargs = method_setup(setup, scen, desk_channels(scen, seed))
-            cfg = BccdConfig(n_iter=4, seed=seed)
+            cfg = BccdConfig(n_iter=4)
             forms = count_calls(monkeypatch, pimin.bccd, "precompute_forms")
             solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
-            out = bccd_solve(cfg, scen, ch, **kwargs)
+            start, kwargs = method_setup(setup, scen, desk_channels(scen, seed), seed)
+            out = bccd_solve(cfg, scen, start, **kwargs)
             monkeypatch.undo()
             assert out.history[0].sdp_status == "optimal"
             assert (len(forms), len(solves)) == (1, 1)
-            assert_same_result(out, reference_bccd_solve(cfg, scen, ch, **kwargs))
+            assert_same_result(out, reference_bccd_solve(cfg, scen, start.ch, seed, **kwargs))
 
     @pytest.mark.parametrize("no_interference", [False, True])
     @pytest.mark.parametrize("setup", ["joint", "frozen_random"])
@@ -346,14 +345,14 @@ class TestIdleRestartSkips:
             ch = desk_channels(scen, seed)
             if no_interference:
                 ch = dataclasses.replace(ch, gamma_DPI=0j, gamma_RPI=0j)
-            ch, kwargs = method_setup(setup, scen, ch)
-            cfg = BccdConfig(n_iter=3, rcg=RcgConfig(max_iters=15, grad_tol=0.0), seed=seed)
+            start, kwargs = method_setup(setup, scen, ch, seed)
+            cfg = BccdConfig(n_iter=3, rcg=RcgConfig(max_iters=15, grad_tol=0.0))
             solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
-            out = bccd_solve(cfg, scen, ch, **kwargs)
+            out = bccd_solve(cfg, scen, start, **kwargs)
             monkeypatch.undo()
             assert out.history[0].sdp_status == "optimal"
             assert len(solves) >= 2
-            assert_same_result(out, reference_bccd_solve(cfg, scen, ch, **kwargs))
+            assert_same_result(out, reference_bccd_solve(cfg, scen, start.ch, seed, **kwargs))
 
     @staticmethod
     def least_skipping_tol(p_pi, ac, ch, scen, optimize_phi):
@@ -404,23 +403,28 @@ class TestIdleRestartSkips:
 
     def test_shared_start_is_read_only(self):
         scen = desk_scenario(seed=1)
-        ch = desk_channels(scen, 1)
-        bccd_solve(BccdConfig(n_iter=2, seed=1), scen, ch)
-        r_cov, evd, x = _seeded_start(1, scen.L * scen.M_t, scen.L * scen.M, scen.N,
-                                      scen.P_B)
-        forms = _start_forms(evd, ch, scen.L)
-        assert forms is _start_forms(evd, ch, scen.L)
-        for arr in (r_cov.matrix, evd.eigenvalues, evd.eigenvectors,
-                    evd.clipped_eigenvalues(), x.x, forms.b, forms.c):
-            with pytest.raises(ValueError):
-                arr[...] = 0
+        start = seeded_start(1, scen, desk_channels(scen, 1))
+        bccd_solve(BccdConfig(n_iter=2), scen, start)
+        for s in (start, start.without_ris()):
+            for arr in (s.R_ss.matrix, s.evd.eigenvalues, s.evd.eigenvectors,
+                        s.evd.clipped_eigenvalues(), s.x.x, s.forms.b, s.forms.c):
+                with pytest.raises(ValueError):
+                    arr[...] = 0
 
-    def test_writable_channels_are_not_memoized(self):
+    def test_without_ris_shares_the_start_and_builds_its_own_forms(self):
         scen = desk_scenario(seed=1)
-        ch = desk_channels(scen, 1)
-        ch = dataclasses.replace(ch, H_DPI=ch.H_DPI.copy())
-        evd = _seeded_start(1, scen.L * scen.M_t, scen.L * scen.M, scen.N, scen.P_B)[1]
-        assert _start_forms(evd, ch, scen.L) is not _start_forms(evd, ch, scen.L)
+        start = seeded_start(1, scen, desk_channels(scen, 1))
+        bare = start.without_ris()
+        assert bare.R_ss is start.R_ss and bare.evd is start.evd and bare.x is start.x
+        ref = precompute_forms(start.evd, start.ch.without_ris(), scen.L)
+        assert np.array_equal(bare.forms.b, ref.b) and np.array_equal(bare.forms.c, ref.c)
+        assert bare.ch.gamma_RPI == 0j
+
+    def test_start_of_another_scenario_rejected(self):
+        scen = desk_scenario(seed=1)
+        start = seeded_start(1, scen, desk_channels(scen, 1))
+        with pytest.raises(DimensionError, match="start"):
+            bccd_solve(BccdConfig(n_iter=1), desk_scenario(seed=1, L=scen.L + 1), start)
 
 
 class TestBccdConfig:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pimin import rcg
-from pimin.bccd import BccdConfig, bccd_solve
+from pimin.bccd import BccdConfig, bccd_solve, seeded_start
 from pimin.bench import (BELOW_NOISE_SENTINEL, TRIAL_FIELDS, Method,
                          SweepSpec, TrialRecord, run_sweep, run_trial,
                          trial_seed, write_records_csv)
@@ -74,8 +74,7 @@ class TestRunTrial:
         scen = desk_scenario(seed=3)
         rec = run_trial(scen, Method.BENCH2_EQUAL_PHASE, FAST, seed=77)
         ch = generate_channels(scen, np.random.default_rng(77))
-        import dataclasses
-        out = bccd_solve(dataclasses.replace(FAST, seed=77), scen, ch,
+        out = bccd_solve(FAST, scen, seeded_start(77, scen, ch),
                          phi_init=np.ones(scen.N, dtype=complex),
                          optimize_phi=False)
         assert np.array_equal(out.phi, np.ones(scen.N, dtype=complex))
@@ -85,9 +84,7 @@ class TestRunTrial:
     def test_random_phase_benchmark_freezes_seeded_draw(self):
         scen = desk_scenario(seed=4)
         ch = generate_channels(scen, np.random.default_rng(88))
-        import dataclasses
-        out = bccd_solve(dataclasses.replace(FAST, seed=88), scen, ch,
-                         optimize_phi=False)
+        out = bccd_solve(FAST, scen, seeded_start(88, scen, ch), optimize_phi=False)
         # phases stayed on their random initialization: unit modulus, not ones
         assert np.max(np.abs(np.abs(out.phi) - 1.0)) <= 1e-12
         assert np.max(np.abs(out.phi - 1.0)) > 1e-3
@@ -101,12 +98,11 @@ class TestRunTrial:
 
     def test_consumed_power_equals_budget_for_all_methods(self):
         scen = desk_scenario(seed=6)
-        import dataclasses
         for method in Method:
-            ch = generate_channels(scen, np.random.default_rng(42))
+            start = seeded_start(42, scen, generate_channels(scen, np.random.default_rng(42)))
             if method is Method.BENCH3_NO_RIS:
-                ch = ch.without_ris()
-            out = bccd_solve(dataclasses.replace(FAST, seed=42), scen, ch,
+                start = start.without_ris()
+            out = bccd_solve(FAST, scen, start,
                              phi_init=None if method is Method.PROPOSED else
                              np.ones(scen.N, dtype=complex),
                              optimize_phi=method is Method.PROPOSED)
@@ -199,7 +195,7 @@ class TestSweep:
             return real(scen, rng)
 
         monkeypatch.setattr(bench_mod, "generate_channels", counting)
-        bench_mod._trial_channels.cache_clear()
+        bench_mod._trial_start.cache_clear()
         spec = four_method_spec(seed=6)
         records, _ = run_sweep(spec, parallelism=1)
         assert len(records) == 24
@@ -207,7 +203,7 @@ class TestSweep:
 
         fresh = []
         for r in records:
-            bench_mod._trial_channels.cache_clear()
+            bench_mod._trial_start.cache_clear()
             fresh.append(run_trial(replace(spec.base, M=r.M), Method.parse(r.method),
                                    FAST, r.seed, r.trial_id))
         assert len(calls) == 6 + 24
@@ -254,6 +250,19 @@ class TestSweep:
     def test_points_are_the_axis_scenarios(self):
         spec = SweepSpec(base=desk_scenario(seed=3), axis="N_x", values=(1, 3))
         assert spec.points == (desk_scenario(seed=3, N_x=1), desk_scenario(seed=3, N_x=3))
+
+    @pytest.mark.parametrize("solver, message", [
+        ({"n_iter": 2, "seed": 0}, r"unknown solver fields: \['seed'\]"),
+        ({"bogus": 1, "n_itr": 2}, r"unknown solver fields: \['bogus', 'n_itr'\]"),
+        ({"rcg": {"max_iters": 5, "tol": 1.0}}, r"unknown rcg fields: \['tol'\]"),
+        (["n_iter"], "solver must be a JSON object, got list"),
+        ({"rcg": [1]}, "rcg must be a JSON object, got list"),
+    ])
+    def test_unknown_or_malformed_solver_fields_rejected(self, solver, message):
+        d = {"base": desk_scenario().to_json_dict(), "axis": "M", "values": [2],
+             "solver": solver}
+        with pytest.raises(DomainError, match=message):
+            SweepSpec.from_json_dict(d)
 
     def test_spec_json_roundtrip(self):
         spec = SweepSpec(base=desk_scenario(seed=5), axis="N_x", values=(1, 2),

@@ -68,7 +68,7 @@ class TestSweep:
             "values": [2, 4],
             "trials_per_point": 1,
             "methods": ["proposed", "bench2_equal_phase"],
-            "solver": {"n_iter": 3, "seed": 0},
+            "solver": {"n_iter": 3},
         }
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(spec))
@@ -101,7 +101,7 @@ class TestSweep:
     def test_spec_with_zero_outer_iterations_is_usage_error(self, tmp_path, capsys):
         spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M", "values": [2],
                 "trials_per_point": 1, "methods": ["proposed"],
-                "solver": {"n_iter": 0, "seed": 0}}
+                "solver": {"n_iter": 0}}
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(spec))
         assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o.csv")]) == 1
@@ -110,17 +110,28 @@ class TestSweep:
     def test_spec_with_zero_sdp_cap_is_usage_error(self, tmp_path, capsys):
         spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M", "values": [2],
                 "trials_per_point": 1, "methods": ["proposed"],
-                "solver": {"sdp_max_iters": 0, "seed": 0}}
+                "solver": {"sdp_max_iters": 0}}
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(spec))
         assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o.csv")]) == 1
         assert "sdp_max_iters" in capsys.readouterr().err
 
+    def test_unknown_solver_field_is_spec_error(self, tmp_path, capsys):
+        spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M", "values": [2],
+                "trials_per_point": 1, "methods": ["proposed"],
+                "solver": {"n_iter": 2, "seed": 0}}
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert "unknown solver fields: ['seed']" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [0, "x", 2.5])
     def test_invalid_axis_value_is_spec_error(self, tmp_path, capsys, value):
         spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M",
                 "values": [2, value], "trials_per_point": 1, "methods": ["proposed"],
-                "solver": {"n_iter": 2, "seed": 0}}
+                "solver": {"n_iter": 2}}
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "o.csv"

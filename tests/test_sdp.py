@@ -38,12 +38,11 @@ class TestAssembleP2:
         ch = generate_channels(scen, np.random.default_rng(7))
         phi = random_unit_modulus(rng, scen.N)
         w = random_unit_modulus(rng, scen.L * scen.M)
-        eff = build_effective_channels(ch, phi)
-        return scen, ch, phi, w, eff
+        return scen, w, build_effective_channels(ch, phi)
 
     def test_trace_forms_match_metric_powers(self, setup, rng):
-        scen, ch, phi, w, eff = setup
-        prob = assemble_p2(w, phi, ch, eff, scen)
+        scen, w, eff = setup
+        prob = assemble_p2(w, eff, scen)
         for _ in range(20):
             r = random_psd(rng, prob.dim, trace=scen.P_B)
             p_pi = power_quadratic(eff.Ac_block, w, r)
@@ -59,8 +58,8 @@ class TestAssembleP2:
             assert abs(sense_lhs - expect) <= 1e-10 * max(abs(expect), 1e-300)
 
     def test_sense_rhs_is_noise_term(self, setup):
-        scen, ch, phi, w, eff = setup
-        prob = assemble_p2(w, phi, ch, eff, scen)
+        scen, w, eff = setup
+        prob = assemble_p2(w, eff, scen)
         assert abs(prob.sense_rhs
                    - scen.gamma_sense * scen.sigma_r2_W * len(w)) <= 1e-18
         assert abs(prob.comm_rhs
@@ -72,7 +71,7 @@ class TestAssembleP2:
         phi = random_unit_modulus(rng, scen.N)
         w = random_unit_modulus(rng, scen.L * scen.M)
         eff = build_effective_channels(ch, phi)
-        prob = assemble_p2(w, phi, ch, eff, scen)
+        prob = assemble_p2(w, eff, scen)
         expect = -scen.gamma_sense * prob.obj
         a_gram = prob.sense_mat - expect
         # sense matrix minus the interference penalty is exactly the echo Gram
@@ -86,7 +85,7 @@ class TestAssembleP2:
         phi = random_unit_modulus(rng, scen.N)
         w = random_unit_modulus(rng, scen.L * scen.M)
         eff = build_effective_channels(ch, phi)
-        prob = assemble_p2(w, phi, ch, eff, scen)
+        prob = assemble_p2(w, eff, scen)
         assert prob.sense_rhs <= 1e-40
         evals = np.linalg.eigvalsh(prob.sense_mat)
         assert evals.min() >= -1e-12 * max(evals.max(), 1e-300)  # pure echo Gram
