@@ -11,9 +11,8 @@ from .bccd import (BccdConfig, BccdIteration, BccdResult, BccdStart, bccd_solve,
 from .bench import (Method, SweepSpec, TrialRecord, run_sweep, run_trial,
                     trial_seed, write_records_csv)
 from .linalg import EvdResult, hermitian_evd, kron_identity_apply
-from .metrics import (PowerBreakdown, adc_power, adc_snr, comm_snr,
-                      dynamic_range, power_breakdown, power_noise,
-                      power_quadratic, sndr)
+from .metrics import (PowerBreakdown, adc_snr, comm_snr, dynamic_range,
+                      power_breakdown, power_noise, power_quadratic, sndr)
 from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, RcgResult,
                   euclid_grad, objective, precompute_forms, random_state,
                   rcg_solve, riem_grad)
@@ -21,13 +20,13 @@ from .scenario import (ChannelSet, RisSpec, ScenarioConfig, db_to_linear,
                        dbm_to_watt, desk_bench_scenario, desk_scenario,
                        generate_channels, higher_order_gain, linear_to_db,
                        load_config, pathloss_direct, pathloss_reflected,
-                       ris_rcs, save_config, watt_to_dbm)
+                       ris_rcs, save_config)
 from .sdp import (SdpProblem, SdpSolution, TransmitCovariance, assemble_p2,
                   solve_sdp)
 from .selfcheck import CheckReport, self_check
-from .sysmodel import (EffectiveChannels, build_comm_channel,
-                       build_effective_channels, build_obstacle_channel,
-                       build_pi_channel, build_sensing_channel)
+from .sysmodel import (BeamProducts, EffectiveChannels, beam_products,
+                       build_comm_channel, build_effective_channels,
+                       build_obstacle_channel, build_pi_channel, build_sensing_channel)
 
 __version__ = "0.1.0"
 

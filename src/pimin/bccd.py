@@ -33,14 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 from .linalg import EvdResult, hermitian_evd
 from .metrics import PowerBreakdown, power_breakdown
 from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, precompute_forms,
                   random_state, rcg_solve)
-from .scenario import ChannelSet, ScenarioConfig
+from .scenario import ChannelSet, ScenarioConfig, check_count
 from .sdp import TransmitCovariance, assemble_p2, solve_sdp
-from .sysmodel import build_effective_channels
+from .sysmodel import beam_products, build_effective_channels
 
 # Interference below this fraction of the noise power counts as fully
 # suppressed when measuring relative change; it keeps the stall rule
@@ -64,10 +64,8 @@ class BccdConfig:
     sdp_max_iters: int = 50_000  # SDP dual evaluations before it gives up
 
     def __post_init__(self) -> None:
-        if self.n_iter < 1:
-            raise DomainError(f"n_iter must be >= 1, got {self.n_iter}")
-        if self.sdp_max_iters < 1:
-            raise DomainError(f"sdp_max_iters must be >= 1, got {self.sdp_max_iters}")
+        check_count("n_iter", self.n_iter, 1)
+        check_count("sdp_max_iters", self.sdp_max_iters, 1)
 
 
 @dataclass(frozen=True)
@@ -244,13 +242,14 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
         else:
             x = rcg_out.x
             eff = build_effective_channels(ch, x.phi)
-            sol = solve_sdp(assemble_p2(x.w, eff, scen), max_iters=cfg.sdp_max_iters)
+            beams = beam_products(eff, x.w)
+            sol = solve_sdp(assemble_p2(beams, scen), max_iters=cfg.sdp_max_iters)
             if sol.status == "optimal":
                 r_cov = sol.R_ss
                 evd = hermitian_evd(r_cov.matrix)
                 forms = None
 
-            powers = power_breakdown(eff, x.w, r_cov.matrix, scen.sigma_r2_W,
+            powers = power_breakdown(beams, r_cov.matrix, scen.sigma_r2_W,
                                      scen.sigma_c2_W, scen.M_r, evd=evd)
             history.append(BccdIteration(
                 p_pi=powers.p_pi,

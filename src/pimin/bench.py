@@ -32,7 +32,8 @@ import numpy as np
 from .bccd import BccdConfig, BccdStart, bccd_solve, seeded_start
 from .errors import DomainError
 from .rcg import RcgConfig
-from .scenario import ScenarioConfig, generate_channels, linear_to_db
+from .scenario import (ScenarioConfig, check_count, generate_channels, known_fields,
+                       linear_to_db)
 
 BELOW_NOISE_SENTINEL = "below_noise"
 
@@ -160,8 +161,7 @@ class SweepSpec:
             raise DomainError(f"axis {self.axis!r} is not a scenario field")
         if not self.values:
             raise DomainError("sweep needs at least one axis value")
-        if self.trials_per_point < 1:
-            raise DomainError("trials_per_point must be >= 1")
+        check_count("trials_per_point", self.trials_per_point, 1)
         object.__setattr__(self, "values", tuple(self.values))
         points = []
         for value in self.values:
@@ -186,10 +186,7 @@ class SweepSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepSpec":
-        known = {"base", "axis", "values", "trials_per_point", "methods", "solver"}
-        unknown = set(d) - known
-        if unknown:
-            raise DomainError(f"unknown sweep fields: {sorted(unknown)}")
+        d = known_fields(cls, d, "sweep")
         kwargs = dict(
             base=ScenarioConfig.from_json_dict(d["base"]),
             axis=d["axis"],
@@ -204,20 +201,11 @@ class SweepSpec:
         return cls(**kwargs)
 
 
-def _known_fields(cls, d: dict, what: str) -> dict:
-    if not isinstance(d, dict):
-        raise DomainError(f"{what} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - {f.name for f in fields(cls)}
-    if unknown:
-        raise DomainError(f"unknown {what} fields: {sorted(unknown)}")
-    return dict(d)
-
-
 def _bccd_from_dict(d: dict) -> BccdConfig:
-    d = _known_fields(BccdConfig, d, "solver")
+    d = known_fields(BccdConfig, d, "solver")
     rcg = d.pop("rcg", None)
     if rcg is not None:
-        d["rcg"] = RcgConfig(**_known_fields(RcgConfig, rcg, "rcg"))
+        d["rcg"] = RcgConfig(**known_fields(RcgConfig, rcg, "rcg"))
     return BccdConfig(**d)
 
 

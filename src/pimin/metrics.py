@@ -8,9 +8,9 @@ positive power rather than round-off of either sign. The direct form
 ``u^H R_ss u`` is not used for that reason: on nulled designs it rounds to
 values of either sign near 1e-32, and a negative power has no dB value.
 ``power_breakdown`` decomposes ``R_ss`` once for all three paths, or takes
-the caller's decomposition, and reads ``u`` for each path from the same beam
-products as ``sdp.assemble_p2``. Dense Kronecker matrices are never formed here
-(the test suite keeps a dense oracle instead).
+the caller's decomposition, and reads ``u`` for each path from the
+``BeamProducts`` record that ``sdp.assemble_p2`` also reads. Dense Kronecker
+matrices are never formed here (the test suite keeps a dense oracle instead).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateInputError, DimensionError
 from .linalg import EvdResult, hermitian_evd, kron_identity_apply
 from .scenario import linear_to_db
-from .sysmodel import EffectiveChannels, _beam_products
+from .sysmodel import BeamProducts
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,10 @@ def sndr(p_sense: float, p_pi: float, p_obs: float, p_noise: float) -> float:
     return p_sense / denom
 
 
-def comm_snr(hc_block: np.ndarray, r_ss: np.ndarray, m_r: int, n_samples: int,
+def comm_snr(gram: np.ndarray, r_ss: np.ndarray, m_r: int, n_samples: int,
              sigma_c2: float) -> float:
-    """Communication SNR: trace form over the block-diagonal composite channel."""
-    hc_block = np.asarray(hc_block, dtype=np.complex128)
-    return _comm_snr(hc_block.conj().T @ hc_block, r_ss, m_r, n_samples, sigma_c2)
-
-
-def _comm_snr(gram: np.ndarray, r_ss: np.ndarray, m_r: int, n_samples: int,
-              sigma_c2: float) -> float:
-    """``comm_snr`` from the channel Gram ``Hc^H Hc``."""
+    """Communication SNR: trace form of ``R_ss`` with ``I_L kron gram``, ``gram = Hc^H Hc``."""
+    gram = np.asarray(gram, dtype=np.complex128)
     r_ss = np.asarray(r_ss, dtype=np.complex128)
     m_t = gram.shape[0]
     if r_ss.shape != (n_samples * m_t, n_samples * m_t):
@@ -112,32 +106,18 @@ def adc_snr(n_enob: float) -> float:
     return 6.02 * n_enob + 1.76
 
 
-def adc_power(bits: float, f_samp: float, f_om: float) -> float:
-    """Dissipated ADC power: ``2^bits * f_samp / f_om`` (W)."""
-    if f_om <= 0.0:
-        raise DegenerateInputError("figure of merit must be positive")
-    return 2.0**bits * f_samp / f_om
-
-
-def power_breakdown(eff: EffectiveChannels, w: np.ndarray, r_ss: np.ndarray,
-                    sigma_r2: float, sigma_c2: float, m_r: int,
-                    evd: EvdResult | None = None) -> PowerBreakdown:
+def power_breakdown(beams: BeamProducts, r_ss: np.ndarray, sigma_r2: float,
+                    sigma_c2: float, m_r: int, evd: EvdResult | None = None) -> PowerBreakdown:
     """Evaluate every figure of merit at one (w, phi, R_ss) operating point.
 
     ``evd`` is the eigendecomposition of ``r_ss`` when the caller has it;
     otherwise it is computed here.
     """
-    w = np.asarray(w, dtype=np.complex128)
-    m = eff.Ac_block.shape[0]
-    if len(w) % m != 0:
-        raise DimensionError(f"w length {len(w)} not a multiple of radar antennas {m}")
-    n_samples = len(w) // m
-    u, a, o, gram = _beam_products(eff, w, n_samples)
-    snr = _comm_snr(gram, r_ss, m_r, n_samples, sigma_c2)   # checks r_ss
+    snr = comm_snr(beams.gram, r_ss, m_r, beams.n_samples, sigma_c2)   # checks r_ss
     if evd is None:
         evd = hermitian_evd(r_ss)
-    p_pi, p_sense, p_obs = (_power(v, evd) for v in (u, a, o))
-    p_noise = power_noise(w, sigma_r2)
+    p_pi, p_sense, p_obs = (_power(v, evd) for v in (beams.u, beams.a, beams.o))
+    p_noise = power_noise(beams.w, sigma_r2)
     return PowerBreakdown(
         p_pi=p_pi,
         p_sense=p_sense,

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .linalg import EvdResult
-from .scenario import ChannelSet
+from .scenario import ChannelSet, check_count
 
 # The first damping is this fraction of the largest diagonal entry of
 # Re(J^H J) at the start point.
@@ -265,8 +265,7 @@ class RcgConfig:
     grad_tol: float | None = None   # default 1e-8 * (problem dimension)
 
     def __post_init__(self) -> None:
-        if self.max_iters < 0:
-            raise DomainError(f"max_iters must be >= 0, got {self.max_iters}")
+        check_count("max_iters", self.max_iters, 0)
         if self.grad_tol is not None and self.grad_tol < 0.0:
             raise DomainError(f"grad_tol must be >= 0, got {self.grad_tol}")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,8 +48,26 @@ def dbm_to_watt(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
 
-def watt_to_dbm(x_w: float) -> float:
-    return linear_to_db(x_w) + 30.0
+# ---------------------------------------------------------------------------
+# Input checks shared by the configs and their JSON loaders
+# ---------------------------------------------------------------------------
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ``DomainError`` unless ``value`` is an integer, not a bool, ``>= minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
+def known_fields(cls, d, what: str) -> dict:
+    """A copy of the JSON object ``d`` whose keys are all ``init`` fields of ``cls``."""
+    if not isinstance(d, dict):
+        raise DomainError(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = set(d) - {f.name for f in fields(cls) if f.init}
+    if unknown:
+        raise DomainError(f"unknown {what} fields: {sorted(unknown)}")
+    return dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +172,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name in ("M_t", "M_r", "M", "N_x", "N_y", "L"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise DomainError(f"{name} must be >= 1, got {value}")
+            check_count(name, getattr(self, name), 1)
         for name in ("d_k", "d_Rk", "d_cR", "d_DPI", "d_rR", "d_Bt", "d_tPR", "d_tR",
                      "f_c_Hz", "d_x_m", "d_y_m"):
             if getattr(self, name) <= 0.0:
@@ -249,10 +263,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise DomainError(f"unknown scenario fields: {sorted(unknown)}")
+        d = known_fields(cls, d, "scenario")
         if "obstacles" in d:
             d = dict(d, obstacles=tuple(tuple(ob) for ob in d["obstacles"]))
         return cls(**d)

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .linalg import check_hermitian
 from .scenario import ScenarioConfig
-from .sysmodel import EffectiveChannels, _beam_products
+from .sysmodel import BeamProducts
 
 FEASIBILITY_SLACK = 1e-9
 
@@ -114,34 +114,26 @@ class SdpSolution:
 # Problem assembly from the system model
 # ---------------------------------------------------------------------------
 
-def assemble_p2(w: np.ndarray, effective: EffectiveChannels, cfg: ScenarioConfig) -> SdpProblem:
-    """Build the covariance subproblem at ``w`` and the phases' effective channels.
+def assemble_p2(beams: BeamProducts, cfg: ScenarioConfig) -> SdpProblem:
+    """Build the covariance subproblem from the beam products of ``w`` at the phases.
 
     The interference and echo trace coefficients are rank-one Gram matrices of
     the stacked adjoint channel-beamformer products; the communication
     coefficient is block diagonal in the per-sample channel Gram.
     """
-    w = np.asarray(w, dtype=np.complex128)
-    m, m_t = effective.Ac_block.shape
-    if len(w) % m != 0:
-        raise DimensionError(f"w length {len(w)} not a multiple of M = {m}")
-    n_samples = len(w) // m
-    dim = n_samples * m_t
-
-    u, a, o, gram = _beam_products(effective, w, n_samples)
-
+    u, a, o, n_samples = beams.u, beams.a, beams.o, beams.n_samples
     obj = np.outer(u, u.conj())
-    comm_mat = np.kron(np.eye(n_samples), gram)
+    comm_mat = np.kron(np.eye(n_samples), beams.gram)
     gamma_s = cfg.gamma_sense
     sense_mat = np.outer(a, a.conj()) - gamma_s * (obj + np.outer(o, o.conj()))
 
     return SdpProblem(
-        dim=dim,
+        dim=len(u),
         obj=obj,
         comm_mat=comm_mat,
         comm_rhs=cfg.gamma_comm * cfg.M_r * n_samples * cfg.sigma_c2_W,
         sense_mat=sense_mat,
-        sense_rhs=gamma_s * cfg.sigma_r2_W * len(w),
+        sense_rhs=gamma_s * cfg.sigma_r2_W * len(beams.w),
         trace_budget=cfg.P_B,
     )
 

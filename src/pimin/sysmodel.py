@@ -4,14 +4,14 @@ Every receive-side channel in the model is block-diagonal over the time
 samples (an identity-Kronecker structure), so only the repeated diagonal
 block is ever materialized here. Phase-shift products ``diag(phi) @ v`` are
 Hadamard products throughout. The blocks that ``build_effective_channels``
-returns are read-only, and such an instance keeps the beam products of the
-last radar weights asked for, so the covariance step and the figures of merit
-of one outer iteration form them once.
+returns are read-only. ``beam_products`` forms the products of radar weights
+with these blocks that both the covariance step and the figures of merit read,
+so one outer iteration forms them once and hands the same record to both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,28 +39,32 @@ class EffectiveChannels:
     Ac_block: np.ndarray    # (M, M_t) path interference (direct + reflected)
     Ar_block: np.ndarray    # (M, M_t) four-path target echo
     Ao_block: np.ndarray    # (M, M_t) obstacle returns, zero when no obstacles
-    # the last _beam_products key and result, kept only for read-only blocks
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _beam_products(eff: EffectiveChannels, w: np.ndarray, n_samples: int) -> tuple:
-    """``(u, a, o, gram)``: ``(I_L kron A)^H w`` for A = Ac, Ar, Ao, and ``Hc^H Hc``.
+@dataclass(frozen=True)
+class BeamProducts:
+    """Products of one radar weight vector ``w`` with one set of effective channels."""
 
-    When every block of ``eff`` is read-only, the products of the last ``w``
-    (matched bit for bit) are kept on ``eff``, read-only, and returned again.
-    """
-    key = (n_samples, w.tobytes())
-    last = eff._memo.get("last")      # one (key, products) entry, replaced whole
-    if last is not None and last[0] == key:
-        return last[1]
-    blocks = (eff.Ac_block, eff.Ar_block, eff.Ao_block)
-    products = tuple(kron_identity_apply(b.conj().T, w, n_samples) for b in blocks) \
-        + (eff.Hc_block.conj().T @ eff.Hc_block,)
-    if not any(b.flags.writeable for b in blocks + (eff.Hc_block,)):
-        for product in products:
-            product.flags.writeable = False
-        eff._memo["last"] = (key, products)
-    return products
+    w: np.ndarray       # (L M,) radar weights
+    u: np.ndarray       # (L M_t,) (I_L kron Ac)^H w
+    a: np.ndarray       # (L M_t,) (I_L kron Ar)^H w
+    o: np.ndarray       # (L M_t,) (I_L kron Ao)^H w
+    gram: np.ndarray    # (M_t, M_t) Hc^H Hc
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.u) // self.gram.shape[0]
+
+
+def beam_products(eff: EffectiveChannels, w: np.ndarray) -> BeamProducts:
+    """The beam products of ``w``, a stack of ``L`` per-sample weight vectors."""
+    w = np.asarray(w, dtype=np.complex128)
+    m = eff.Ac_block.shape[0]
+    if w.ndim != 1 or len(w) % m != 0:
+        raise DimensionError(f"w has shape {w.shape}, expected (L * {m},)")
+    u, a, o = (kron_identity_apply(b.conj().T, w, len(w) // m)
+               for b in (eff.Ac_block, eff.Ar_block, eff.Ao_block))
+    return BeamProducts(w=w, u=u, a=a, o=o, gram=eff.Hc_block.conj().T @ eff.Hc_block)
 
 
 def build_comm_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:

@@ -16,7 +16,7 @@ from pimin.metrics import power_breakdown
 from pimin.rcg import (BeamformerState, PrecomputedForms, precompute_forms,
                        random_state, rcg_solve)
 from pimin.sdp import SdpProblem, assemble_p2, solve_sdp
-from pimin.sysmodel import build_effective_channels
+from pimin.sysmodel import beam_products, build_effective_channels
 
 
 def cplx(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -242,14 +242,14 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, phi_init=None, optimize_phi=Tru
         rcg_out = rcg_solve(forms, x, cfg.rcg, free=free)
         x = rcg_out.x
 
-        eff = build_effective_channels(ch, x.phi)
-        sol = solve_sdp(assemble_p2(x.w, eff, scen), max_iters=cfg.sdp_max_iters)
+        beams = beam_products(build_effective_channels(ch, x.phi), x.w)
+        sol = solve_sdp(assemble_p2(beams, scen), max_iters=cfg.sdp_max_iters)
         if sol.status == "optimal":
             r_cov = sol.R_ss
             evd = hermitian_evd(r_cov.matrix)
             forms = None
 
-        powers = power_breakdown(eff, x.w, r_cov.matrix, scen.sigma_r2_W,
+        powers = power_breakdown(beams, r_cov.matrix, scen.sigma_r2_W,
                                  scen.sigma_c2_W, scen.M_r, evd=evd)
         history.append(BccdIteration(
             p_pi=powers.p_pi,

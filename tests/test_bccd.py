@@ -181,6 +181,25 @@ class TestBccdSolve:
         assert len(sdp_calls) == 1
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("make_scen, cfg, solved", [
+        (desk_bench_scenario, BccdConfig(n_iter=4, rcg=RcgConfig(max_iters=3, grad_tol=0.0)),
+         4),
+        (desk_scenario, BccdConfig(n_iter=3), 1),
+    ], ids=["moving", "fixed_point"])
+    def test_one_beam_product_record_per_solved_iteration(self, monkeypatch, make_scen, cfg,
+                                                          solved):
+        # both consumers of a solved iteration read the one record formed for it
+        import pimin.bccd
+        scen = make_scen(seed=2)
+        start = seeded_start(2, scen, desk_channels(scen))
+        beams = count_calls(monkeypatch, pimin.bccd, "beam_products")
+        assembled = first_args(monkeypatch, pimin.bccd, "assemble_p2")
+        evaluated = first_args(monkeypatch, pimin.bccd, "power_breakdown")
+        out = bccd_solve(cfg, scen, start)
+        assert out.outer_iterations == cfg.n_iter and len(beams) == solved
+        for seen in (assembled, evaluated):
+            assert len(seen) == solved and all(a is b for a, b in zip(seen, beams))
+
     def test_frozen_phases(self):
         scen = desk_scenario(seed=13)
         ch = desk_channels(scen)
@@ -231,6 +250,19 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return results
+
+
+def first_args(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call appends its first argument to the returned list."""
+    seen = []
+    fn = getattr(module, name)
+
+    def wrapper(first, *args, **kwargs):
+        seen.append(first)
+        return fn(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return seen
 
 
 def method_setup(name, scen, ch, seed):

@@ -257,6 +257,11 @@ class TestSweep:
         ({"rcg": {"max_iters": 5, "tol": 1.0}}, r"unknown rcg fields: \['tol'\]"),
         (["n_iter"], "solver must be a JSON object, got list"),
         ({"rcg": [1]}, "rcg must be a JSON object, got list"),
+        ({"n_iter": 2.5}, "n_iter must be an integer, got 2.5"),
+        ({"n_iter": True}, "n_iter must be an integer, got True"),
+        ({"sdp_max_iters": 7.5}, "sdp_max_iters must be an integer, got 7.5"),
+        ({"rcg": {"max_iters": True}}, "max_iters must be an integer, got True"),
+        ({"rcg": {"max_iters": 1.5}}, "max_iters must be an integer, got 1.5"),
     ])
     def test_unknown_or_malformed_solver_fields_rejected(self, solver, message):
         d = {"base": desk_scenario().to_json_dict(), "axis": "M", "values": [2],

@@ -98,14 +98,23 @@ class TestSweep:
         assert code == 1
         assert "--parallelism" in capsys.readouterr().err
 
-    def test_spec_with_zero_outer_iterations_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fields, name", [
+        ({"solver": {"n_iter": 0}}, "n_iter must be >= 1"),
+        ({"solver": {"n_iter": 2.5}}, "n_iter must be an integer"),
+        ({"solver": {"sdp_max_iters": 7.5}}, "sdp_max_iters must be an integer"),
+        ({"solver": {"rcg": {"max_iters": True}}}, "max_iters must be an integer"),
+        ({"trials_per_point": 1.5}, "trials_per_point must be an integer"),
+    ], ids=["n_iter_zero", "n_iter_fraction", "sdp_cap_fraction", "rcg_cap_bool",
+            "trials_fraction"])
+    def test_spec_with_invalid_count_is_usage_error(self, tmp_path, capsys, fields, name):
         spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M", "values": [2],
-                "trials_per_point": 1, "methods": ["proposed"],
-                "solver": {"n_iter": 0}}
+                "trials_per_point": 1, "methods": ["proposed"], **fields}
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(spec))
-        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o.csv")]) == 1
-        assert "n_iter" in capsys.readouterr().err
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spec_with_zero_sdp_cap_is_usage_error(self, tmp_path, capsys):
         spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M", "values": [2],
@@ -139,11 +148,15 @@ class TestSweep:
         assert "spec error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_spec_usage_error(self, tmp_path):
+    def test_bad_spec_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text("{\"axis\": \"M\"}")
         assert main(["sweep", "--spec", str(spec_path),
                      "--out", str(tmp_path / "o.csv")]) == 1
+        spec_path.write_text("[\"axis\"]")
+        assert main(["sweep", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert "sweep must be a JSON object, got list" in capsys.readouterr().err
 
 
 class TestCheck:

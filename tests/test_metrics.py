@@ -4,11 +4,10 @@ import pytest
 import pimin.metrics
 from pimin.errors import DegenerateInputError
 from pimin.linalg import hermitian_evd, kron_identity_apply
-from pimin.metrics import (adc_power, adc_snr, comm_snr, dynamic_range,
-                           power_breakdown, power_noise, power_quadratic,
-                           sndr)
+from pimin.metrics import (adc_snr, comm_snr, dynamic_range, power_breakdown,
+                           power_noise, power_quadratic, sndr)
 from pimin.scenario import dbm_to_watt, generate_channels
-from pimin.sysmodel import build_effective_channels
+from pimin.sysmodel import beam_products, build_effective_channels
 
 from helpers import (cplx, dense_kron_block, dense_power_quadratic,
                      random_psd, random_unit_modulus, tiny_scenario)
@@ -77,32 +76,36 @@ class TestSndr:
             sndr(1.0, 0.0, 0.0, 0.0)
 
 
+def gram(h):
+    return h.conj().T @ h
+
+
 class TestCommSnr:
     def test_zero_covariance(self, rng):
         hc = cplx(rng, 2, 3)
-        assert comm_snr(hc, np.zeros((6, 6), dtype=complex), 2, 2, 1.0) == 0.0
+        assert comm_snr(gram(hc), np.zeros((6, 6), dtype=complex), 2, 2, 1.0) == 0.0
 
     def test_quadratic_homogeneity(self, rng):
         hc = cplx(rng, 2, 3)
         r = random_psd(rng, 6)
         c = 2.7 - 1.1j
-        base = comm_snr(hc, r, 2, 2, 1e-3)
-        assert abs(comm_snr(c * hc, r, 2, 2, 1e-3) - abs(c) ** 2 * base) <= 1e-9 * base
+        base = comm_snr(gram(hc), r, 2, 2, 1e-3)
+        assert abs(comm_snr(gram(c * hc), r, 2, 2, 1e-3) - abs(c) ** 2 * base) <= 1e-9 * base
 
     def test_dense_trace_oracle(self, rng):
         hc = cplx(rng, 3, 2)
         r = random_psd(rng, 6)
-        got = comm_snr(hc, r, m_r=3, n_samples=3, sigma_c2=2e-4)
+        got = comm_snr(gram(hc), r, m_r=3, n_samples=3, sigma_c2=2e-4)
         dense_h = dense_kron_block(hc, 3)
         expect = np.trace(r @ dense_h.conj().T @ dense_h).real / (3 * 3 * 2e-4)
         assert abs(got - expect) <= 1e-10 * abs(expect)
 
     def test_linearity_in_covariance(self, rng):
-        hc = cplx(rng, 2, 2)
+        g = gram(cplx(rng, 2, 2))
         r1, r2 = random_psd(rng, 4), random_psd(rng, 4)
         a, b = 0.3, 1.9
-        lhs = comm_snr(hc, a * r1 + b * r2, 2, 2, 1.0)
-        rhs = a * comm_snr(hc, r1, 2, 2, 1.0) + b * comm_snr(hc, r2, 2, 2, 1.0)
+        lhs = comm_snr(g, a * r1 + b * r2, 2, 2, 1.0)
+        rhs = a * comm_snr(g, r1, 2, 2, 1.0) + b * comm_snr(g, r2, 2, 2, 1.0)
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 
@@ -123,15 +126,6 @@ class TestAdcFormulas:
     def test_adc_snr(self, bits, expect):
         assert abs(adc_snr(bits) - expect) <= 1e-12
 
-    def test_adc_power_base(self):
-        assert adc_power(0, 1.0, 1.0) == 1.0
-
-    def test_adc_power_doubles_per_bit(self):
-        assert abs(adc_power(7, 2.0, 3.0) - 2 * adc_power(6, 2.0, 3.0)) <= 1e-15
-
-    def test_adc_power_example(self):
-        assert abs(adc_power(10, 1e6, 1e12) - 1.024e-3) <= 1e-18
-
 
 class TestPowerBreakdown:
     def test_consistent_ratios(self, rng):
@@ -140,8 +134,8 @@ class TestPowerBreakdown:
         phi = random_unit_modulus(rng, scen.N)
         w = random_unit_modulus(rng, scen.L * scen.M)
         r = random_psd(rng, scen.L * scen.M_t, trace=scen.P_B)
-        eff = build_effective_channels(ch, phi)
-        p = power_breakdown(eff, w, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
+        beams = beam_products(build_effective_channels(ch, phi), w)
+        p = power_breakdown(beams, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
         assert p.p_pi >= 0 and p.p_sense >= 0 and p.p_obs >= 0 and p.p_noise > 0
         lin_sndr = p.p_sense / (p.p_pi + p.p_obs + p.p_noise)
         assert abs(p.sndr_db - 10 * np.log10(lin_sndr)) <= 1e-9
@@ -152,8 +146,8 @@ class TestPowerBreakdown:
     def test_one_eigendecomposition_per_call(self, rng, monkeypatch):
         scen = tiny_scenario(obstacles=((40.0, 60.0, 1.0),))
         ch = generate_channels(scen, np.random.default_rng(5))
-        eff = build_effective_channels(ch, random_unit_modulus(rng, scen.N))
-        w = random_unit_modulus(rng, scen.L * scen.M)
+        beams = beam_products(build_effective_channels(ch, random_unit_modulus(rng, scen.N)),
+                              random_unit_modulus(rng, scen.L * scen.M))
         r = random_psd(rng, scen.L * scen.M_t, trace=scen.P_B)
         calls = []
 
@@ -162,16 +156,16 @@ class TestPowerBreakdown:
             return hermitian_evd(a)
 
         monkeypatch.setattr(pimin.metrics, "hermitian_evd", counting_evd)
-        power_breakdown(eff, w, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
+        power_breakdown(beams, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
         assert len(calls) == 1
 
     def test_given_eigendecomposition_gives_equal_results(self, rng, monkeypatch):
         scen = tiny_scenario(L=2, obstacles=((40.0, 60.0, 1.0),))
         ch = generate_channels(scen, np.random.default_rng(7))
-        eff = build_effective_channels(ch, random_unit_modulus(rng, scen.N))
-        w = random_unit_modulus(rng, scen.L * scen.M)
+        beams = beam_products(build_effective_channels(ch, random_unit_modulus(rng, scen.N)),
+                              random_unit_modulus(rng, scen.L * scen.M))
         r = random_psd(rng, scen.L * scen.M_t, trace=scen.P_B)
-        args = (eff, w, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
+        args = (beams, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
         own = power_breakdown(*args)
         evd = hermitian_evd(r)
         monkeypatch.setattr(pimin.metrics, "hermitian_evd", None)   # must not be called
@@ -191,6 +185,7 @@ class TestPowerBreakdown:
         r = scen.P_B * (null @ null.conj().T) / (dim - 1)
         r = 0.5 * (r + r.conj().T)
         assert power_quadratic(eff.Ac_block, w, r) >= 0.0
-        p = power_breakdown(eff, w, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
+        p = power_breakdown(beam_products(eff, w), r, scen.sigma_r2_W, scen.sigma_c2_W,
+                            scen.M_r)
         assert np.isfinite(p.dr_db)
         assert p.p_pi <= 1e-20 * scen.P_B * float(np.vdot(u, u).real)

@@ -10,7 +10,7 @@ from pimin.errors import DimensionError, DomainError
 from pimin.scenario import (RisSpec, ScenarioConfig, db_to_linear,
                             dbm_to_watt, desk_scenario, generate_channels,
                             higher_order_gain, linear_to_db, pathloss_direct,
-                            pathloss_reflected, ris_rcs, watt_to_dbm)
+                            pathloss_reflected, ris_rcs)
 
 from helpers import tiny_scenario
 
@@ -25,7 +25,6 @@ class TestConversions:
 
     def test_dbm(self):
         assert abs(dbm_to_watt(-80.0) - 1e-11) <= 1e-26
-        assert abs(watt_to_dbm(10.0) - 40.0) <= 1e-12
 
     def test_zero_power(self):
         assert linear_to_db(0.0) == float("-inf")
@@ -217,6 +216,8 @@ class TestConfigSerialization:
     def test_unknown_field_rejected(self):
         with pytest.raises(DomainError):
             ScenarioConfig.from_json_dict({"M_t": 2, "bogus": 1})
+        with pytest.raises(DomainError, match="scenario must be a JSON object, got list"):
+            ScenarioConfig.from_json_dict([["M_t", 2]])
 
     def test_invalid_values_rejected(self):
         with pytest.raises(DomainError):

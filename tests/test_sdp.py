@@ -5,7 +5,7 @@ from pimin.errors import DomainError
 from pimin.metrics import comm_snr, power_quadratic
 from pimin.scenario import generate_channels
 from pimin.sdp import (SdpProblem, TransmitCovariance, assemble_p2, solve_sdp)
-from pimin.sysmodel import build_effective_channels
+from pimin.sysmodel import beam_products, build_effective_channels
 
 from helpers import (cplx, criterion6_problem, pauli_coords, random_hermitian,
                      random_psd, random_unit_modulus, sample_feasible_points,
@@ -42,14 +42,15 @@ class TestAssembleP2:
 
     def test_trace_forms_match_metric_powers(self, setup, rng):
         scen, w, eff = setup
-        prob = assemble_p2(w, eff, scen)
+        prob = assemble_p2(beam_products(eff, w), scen)
         for _ in range(20):
             r = random_psd(rng, prob.dim, trace=scen.P_B)
             p_pi = power_quadratic(eff.Ac_block, w, r)
             p_sense = power_quadratic(eff.Ar_block, w, r)
             p_obs = power_quadratic(eff.Ao_block, w, r)
             assert abs(np.trace(prob.obj @ r).real - p_pi) <= 1e-10 * max(p_pi, 1e-300)
-            snr = comm_snr(eff.Hc_block, r, scen.M_r, scen.L, scen.sigma_c2_W)
+            snr = comm_snr(eff.Hc_block.conj().T @ eff.Hc_block, r, scen.M_r, scen.L,
+                           scen.sigma_c2_W)
             comm_lhs = np.trace(prob.comm_mat @ r).real
             assert abs(comm_lhs - snr * scen.M_r * scen.L * scen.sigma_c2_W) \
                 <= 1e-10 * max(comm_lhs, 1e-300)
@@ -59,7 +60,7 @@ class TestAssembleP2:
 
     def test_sense_rhs_is_noise_term(self, setup):
         scen, w, eff = setup
-        prob = assemble_p2(w, eff, scen)
+        prob = assemble_p2(beam_products(eff, w), scen)
         assert abs(prob.sense_rhs
                    - scen.gamma_sense * scen.sigma_r2_W * len(w)) <= 1e-18
         assert abs(prob.comm_rhs
@@ -71,7 +72,7 @@ class TestAssembleP2:
         phi = random_unit_modulus(rng, scen.N)
         w = random_unit_modulus(rng, scen.L * scen.M)
         eff = build_effective_channels(ch, phi)
-        prob = assemble_p2(w, eff, scen)
+        prob = assemble_p2(beam_products(eff, w), scen)
         expect = -scen.gamma_sense * prob.obj
         a_gram = prob.sense_mat - expect
         # sense matrix minus the interference penalty is exactly the echo Gram
@@ -85,7 +86,7 @@ class TestAssembleP2:
         phi = random_unit_modulus(rng, scen.N)
         w = random_unit_modulus(rng, scen.L * scen.M)
         eff = build_effective_channels(ch, phi)
-        prob = assemble_p2(w, eff, scen)
+        prob = assemble_p2(beam_products(eff, w), scen)
         assert prob.sense_rhs <= 1e-40
         evals = np.linalg.eigvalsh(prob.sense_mat)
         assert evals.min() >= -1e-12 * max(evals.max(), 1e-300)  # pure echo Gram

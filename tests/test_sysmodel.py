@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pimin.errors import DomainError
+from pimin.errors import DimensionError, DomainError
 from pimin.scenario import generate_channels
-from pimin.sysmodel import (EffectiveChannels, _beam_products, build_comm_channel,
+from pimin.sysmodel import (beam_products, build_comm_channel,
                             build_effective_channels, build_obstacle_channel,
                             build_pi_channel, build_sensing_channel)
 
-from helpers import cplx, dense_kron_block, random_unit_modulus, tiny_scenario
+from helpers import dense_kron_block, random_unit_modulus, tiny_scenario
 
 
 @pytest.fixture
@@ -155,30 +155,25 @@ class TestBlockStructure:
 
 
 class TestBeamProducts:
-    def test_products_match_dense_and_are_kept_for_the_same_w(self, channels, rng):
+    def test_products_match_dense(self, channels, rng):
         scen = tiny_scenario()
         eff = build_effective_channels(channels, random_unit_modulus(rng, scen.N))
         w = random_unit_modulus(rng, scen.L * scen.M)
-        products = _beam_products(eff, w, scen.L)
-        for block, got in zip((eff.Ac_block, eff.Ar_block, eff.Ao_block), products):
+        beams = beam_products(eff, w)
+        for block, got in zip((eff.Ac_block, eff.Ar_block, eff.Ao_block),
+                              (beams.u, beams.a, beams.o)):
             dense = dense_kron_block(block, scen.L)
             assert np.max(np.abs(got - dense.conj().T @ w)) <= 1e-12 * np.max(np.abs(got))
-        assert np.allclose(products[3], eff.Hc_block.conj().T @ eff.Hc_block)
-        assert _beam_products(eff, w.copy(), scen.L) is products
-        for product in products:
-            with pytest.raises(ValueError):
-                product[0] = 0
-        other = _beam_products(eff, -w, scen.L)
-        assert other is not products and np.array_equal(other[0], -products[0])
+        assert np.allclose(beams.gram, eff.Hc_block.conj().T @ eff.Hc_block)
+        assert beams.w is w and beams.n_samples == scen.L
 
-    def test_writable_blocks_are_not_kept(self, rng):
-        blocks = [cplx(rng, 2, 2) for _ in range(4)]
-        eff = EffectiveChannels(*blocks)
-        w = random_unit_modulus(rng, 4)
-        first = _beam_products(eff, w, 2)
-        blocks[1][...] = 0      # Ac changes in place
-        second = _beam_products(eff, w, 2)
-        assert second is not first and not np.any(second[0])
+    def test_w_of_wrong_shape_rejected(self, channels, rng):
+        scen = tiny_scenario()
+        eff = build_effective_channels(channels, random_unit_modulus(rng, scen.N))
+        for w in (random_unit_modulus(rng, scen.L * scen.M + 1),
+                  random_unit_modulus(rng, scen.L * scen.M).reshape(scen.L, scen.M)):
+            with pytest.raises(DimensionError, match="w has shape"):
+                beam_products(eff, w)
 
     def test_effective_blocks_read_only(self, channels, rng):
         eff = build_effective_channels(channels, random_unit_modulus(rng, 2))
