@@ -8,9 +8,15 @@ phase coordinates ``x = exp(j theta)`` (Absil, Mahony & Sepulchre,
 *Optimization Algorithms on Matrix Manifolds*, 2008, §8.4):
 
 * the Jacobian of ``e`` in ``theta`` is closed-form from the terms the
-  objective already computes;
-* a step solves ``(Re(J^H J) + mu I) delta = -grad_theta(f) / 2``, with
-  ``grad_theta(f) = Im(conj(x) * egrad)`` from the Euclidean gradient;
+  objective already computes. It is kept as a real matrix ``A``, one row of
+  ``2 * terms`` per coordinate, with the residual ``r = -j e`` as one more
+  row, so one gemm of that stack gives both ``Re(J^H J) = A A^T`` and
+  ``A r = -grad_theta(f) / 2``;
+* a step solves ``(A A^T + mu I) delta = A r``. ``A A^T`` has rank at most
+  ``2 * terms``, so when the free dimension exceeds that, the step solves the
+  smaller ``(A^T A + mu I) y = r`` instead and takes ``delta = A y`` (the
+  push-through identity). The side depends only on the free dimension and
+  the number of terms;
 * the trial point ``x * exp(j delta)`` is unit-modulus by construction;
 * a trial is accepted only when it lowers ``f``, and the damping ``mu`` then
   shrinks by Nielsen's gain-ratio rule; otherwise it grows by a factor that
@@ -18,16 +24,18 @@ phase coordinates ``x = exp(j theta)`` (Absil, Mahony & Sepulchre,
   for non-linear least squares problems", 2004, §3.2).
 
 An optional boolean mask freezes coordinates (used by the benchmark designs
-that keep the RIS phases fixed); the step uses only the free columns of the
-Jacobian, so frozen entries never move. When the mask freezes every phase,
+that keep the RIS phases fixed); the step uses only the free rows of ``A``,
+so frozen entries never move. When the mask freezes every phase,
 ``b + c phi0`` is folded into ``b`` once per solve and the same loop runs on
 the radar block alone; its results are stacked back with the frozen phases.
 
 The loop runs on raw arrays and validates its inputs once. Every objective
 evaluation also returns the terms ``t[i] = b_i + c_i phi`` and
-``e[i] = w^H t[i]``, and the gradient and Jacobian at an accepted trial point
-reuse them. The public functions below are validating wrappers over the same
-private kernels.
+``e[i] = w^H t[i]``, and the Jacobian at an accepted trial point reuses them.
+The Jacobian, the Gauss–Newton matrix and its right-hand side live in
+buffers allocated once per solve; each trial adds ``mu`` to the saved
+diagonal in place. The public functions below are validating wrappers over
+the same private kernels.
 """
 
 from __future__ import annotations
@@ -170,55 +178,65 @@ def _as_vector(v, x: BeamformerState, what: str) -> np.ndarray:
     return v
 
 
-def _sumsq(e: np.ndarray) -> float:
-    """``sum_i |e_i|^2`` as one real dot of ``e`` viewed as float64."""
-    v = e.view(np.float64)
-    return float(v.dot(v))
-
-
 def _kernels(forms: PrecomputedForms):
-    """The objective and derivative kernels of one problem, as closures.
+    """The objective, gradient and Jacobian kernels of one problem, as closures.
 
-    ``evaluate(x)`` returns the objective and the terms ``(t, e, conj(x))``
+    ``evaluate(x)`` returns the objective and the terms ``(t, e, conj(w))``
     with ``t[i] = b_i + c_i phi`` and ``e[i] = w^H t[i]``: the terms are one
-    ``(terms*LM, N)`` gemv. ``derivatives(x, terms)`` returns, from the terms
-    of the same point, the Euclidean gradient and ``j`` times the Jacobian of
-    ``e`` in phase coordinates. Both use ``u_i = 2 conj(c_i)^T w``, one
-    ``(terms*N, LM)`` gemv with ``w``: the gradient is
-    ``[2 sum_i conj(e_i) t_i; sum_i e_i u_i]``, and row ``i`` of the Jacobian
-    is ``[-j conj(w) * t_i, j phi * (w^H c_i)]`` with ``w^H c_i = conj(u_i)/2``.
-    With no phase block (the phases folded into ``b``) the terms are ``b``
-    itself and both kernels skip the empty phase products.
+    ``(terms*LM, N)`` gemv, and the objective is one real dot of ``e`` viewed
+    as float64. The other two kernels read the terms of the same point and
+    ``v[k, i] = -(w^H c_i)_k``, one ``(N*terms, LM)`` gemv with ``conj(w)``.
+    ``egrad(x, terms)`` returns the Euclidean gradient
+    ``[2 sum_i conj(e_i) t_i; -2 sum_i e_i conj(v[:, i])]``.
+    ``linearize(x, terms)`` writes ``j`` times the Jacobian of ``e`` in phase
+    coordinates, transposed, into the first ``LM + N`` rows of the complex
+    buffer ``jac`` (row ``k`` of the radar block is ``conj(w_k) t[:, k]``,
+    row ``k`` of the phase block ``phi_k v[k]``) and the scaled residual
+    ``-j e`` into its last row. Viewed as float64, ``jac`` is the real
+    Jacobian ``A`` of ``[Re e; Im e]``, one row of ``2*terms`` per
+    coordinate, over the residual ``r``: ``A A^T = Re(J^H J)``, and
+    ``A r = -grad_theta(f) / 2`` is the right-hand side of the step. With no
+    phase block (the phases folded into ``b``) the terms are ``b`` itself and
+    the kernels skip the empty phase products.
     """
     b = np.asarray(forms.b, dtype=np.complex128)
     c = np.asarray(forms.c, dtype=np.complex128)
     n_terms, nb, n = c.shape
     c_flat = c.reshape(n_terms * nb, n)
-    c_phase = (2.0 * c.conj()).transpose(0, 2, 1).reshape(n_terms * n, nb)
+    c_phase = -c.transpose(2, 0, 1).reshape(n * n_terms, nb)
     c_phi = np.empty((n_terms, nb), dtype=np.complex128)
     c_phi_flat = c_phi.reshape(-1)
-    u = np.empty((n_terms, n), dtype=np.complex128)
-    u_flat = u.reshape(-1)
+    jac = np.empty((nb + n + 1, n_terms), dtype=np.complex128)
+    jac_w, jac_p, res = jac[:nb].T, jac[nb:-1], jac[-1]
+    jac_p_flat, jac_p_cols = jac_p.reshape(-1), jac_p.T
 
     def evaluate(x):
-        xc = x.conj()
+        xw = x[:nb].conj()
         t = b
         if n:
             c_flat.dot(x[nb:], out=c_phi_flat)
             t = b + c_phi
-        e = t.dot(xc[:nb])
-        return _sumsq(e), (t, e, xc)
+        e = t.dot(xw)
+        v = e.view(np.float64)
+        return float(v.dot(v)), (t, e, xw)
 
-    def derivatives(x, terms):
-        t, e, xc = terms
-        grad, jac = 2.0 * e.conj().dot(t), t * xc[:nb]
+    def egrad(x, terms):
+        t, e, xw = terms
+        grad = 2.0 * e.conj().dot(t)
         if n:
-            c_phase.dot(x[:nb], out=u_flat)
-            grad = np.concatenate([grad, e.dot(u)])
-            jac = np.concatenate([jac, (-0.5 * x[nb:]) * u.conj()], axis=1)
-        return grad, jac
+            v = c_phase.dot(xw).reshape(n, n_terms)
+            grad = np.concatenate([grad, -2.0 * v.conj().dot(e)])
+        return grad
 
-    return evaluate, derivatives
+    def linearize(x, terms):
+        t, e, xw = terms
+        np.multiply(t, xw, out=jac_w)
+        if n:
+            c_phase.dot(xw, out=jac_p_flat)
+            np.multiply(jac_p_cols, x[nb:], out=jac_p_cols)
+        np.multiply(e, -1j, out=res)
+
+    return evaluate, egrad, linearize, jac.view(np.float64)
 
 
 def _project(x: np.ndarray, xc: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -244,8 +262,8 @@ def euclid_grad(x: BeamformerState, forms: PrecomputedForms) -> np.ndarray:
     equals ``Re(grad^H delta)``.
     """
     _check_state(x, forms)
-    evaluate, derivatives = _kernels(forms)
-    return derivatives(x.x, evaluate(x.x)[1])[0]
+    evaluate, egrad = _kernels(forms)[:2]
+    return egrad(x.x, evaluate(x.x)[1])
 
 
 def riem_grad(x: BeamformerState, egrad: np.ndarray) -> np.ndarray:
@@ -290,6 +308,11 @@ def _radar_block_only(free: np.ndarray | None, nb: int) -> bool:
     return free is not None and not free[nb:].any()
 
 
+def _dual_side(d_free: int, n_terms: int) -> bool:
+    """Whether a step solves the ``2*terms`` residual system, not the ``d_free`` one."""
+    return d_free > 2 * n_terms
+
+
 def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
               free: np.ndarray | None = None,
               callback: "Callable[[BeamformerState, np.ndarray, np.ndarray], None] | None" = None,
@@ -312,7 +335,8 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
 
     # Frozen coordinates are not part of the problem: the tolerance sees only
     # the free dimension (a no-RIS run must not depend on the RIS size).
-    grad_tol = cfg.resolved_grad_tol(int(free.sum()) if free is not None else x0.dim)
+    d_free = int(free.sum()) if free is not None else x0.dim
+    grad_tol = cfg.resolved_grad_tol(d_free)
 
     x = x0.x
     if _radar_block_only(free, nb):
@@ -323,9 +347,24 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
         x, free = x0.w, free[:nb]
     folded = x0.x[x.shape[0]:]      # the frozen phases when folded, else empty
     zeros = np.zeros_like(folded)
+    d = x.shape[0]
     cols = None if free is None or free.all() else np.flatnonzero(free)
-    eye = np.eye(x.shape[0] if cols is None else cols.shape[0])
-    evaluate, derivatives = _kernels(forms)
+    rows = None if cols is None else np.append(cols, d)     # free rows and r
+    evaluate, egrad, linearize, a_res = _kernels(forms)
+    # Re(J^H J) = A A^T has rank at most 2*terms. When the free dimension is
+    # larger, the step solves (A^T A + mu I) y = r and is delta = A y, by
+    # (A A^T + mu I)^-1 A = A (A^T A + mu I)^-1: the same step from the
+    # smaller system. Either system lives in a fixed buffer; each trial adds
+    # mu to its saved diagonal in place.
+    n_res = a_res.shape[1]
+    dual = _dual_side(d_free, n_res // 2)
+    if dual:
+        buffer = system = np.empty((n_res, n_res))
+    else:
+        # one gemm gives Re(J^H J) and, in its last column, the step's rhs
+        buffer = gram_rhs = np.empty((d_free + 1, d_free + 1))
+        system, rhs = gram_rhs[:-1, :-1], gram_rhs[:-1, -1]
+    diagonal = buffer.reshape(-1)[::buffer.shape[0] + 1][:system.shape[0]]
 
     f, terms = evaluate(x)
     history = [f]
@@ -334,13 +373,17 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
     accepted = True
     while True:
         if accepted:
-            grad, jac = derivatives(x, terms)
-            g = (terms[2] * grad).imag      # the gradient in theta
-            if cols is not None:
-                g, jac = g[cols], jac[:, cols]
-            g_norm = math.sqrt(g.dot(g))
+            linearize(x, terms)
+            a_r = a_res if rows is None else a_res[rows]
+            if dual:
+                a, r = a_r[:-1], a_r[-1]
+                np.dot(a.T, a, out=system)
+                rhs = a.dot(r)
+            else:
+                np.dot(a_r, a_r.T, out=gram_rhs)
+            g_norm = 2.0 * math.sqrt(rhs.dot(rhs))
             if callback is not None and iterations:
-                rg = _project(x, terms[2], grad)
+                rg = _project(x, x.conj(), egrad(x, terms))
                 if cols is not None:
                     rg = np.where(free, rg, 0.0)
                 callback(BeamformerState(x=np.concatenate([x, folded]), num_bf=nb),
@@ -348,15 +391,18 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
                          np.concatenate([1j * x * step, zeros]))
             if g_norm <= grad_tol or iterations == cfg.max_iters:
                 break
-            gram = jac.conj().T.dot(jac).real
             if mu is None:
-                mu = DAMPING_INIT * float(gram.diagonal().max())
-            rhs = -0.5 * g
+                gn_diagonal = np.einsum("ij,ij->i", a, a) if dual else diagonal
+                mu = DAMPING_INIT * float(gn_diagonal.max())
+            saved = diagonal.copy()
 
-        delta = np.linalg.solve(gram + mu * eye, rhs)
+        np.add(saved, mu, out=diagonal)
+        delta = np.linalg.solve(system, r if dual else rhs)
+        if dual:
+            delta = a.dot(delta)
         step = delta
         if cols is not None:
-            step = np.zeros(x.shape[0])
+            step = np.zeros(d)
             step[cols] = delta
         trial = x * np.exp(1j * step)
         f_new, terms_new = evaluate(trial)
@@ -367,7 +413,7 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
             # delta . (mu delta - g/2), which is positive for any delta != 0.
             # Above 1 the factor is already 1/3, so clamping rho there keeps
             # the cube finite.
-            rho = (f - f_new) / float(delta.dot(mu * delta + rhs))
+            rho = (f - f_new) / (mu * float(delta.dot(delta)) + float(delta.dot(rhs)))
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
             nu = 2.0
             x, f, terms = trial, f_new, terms_new

@@ -123,7 +123,10 @@ def assemble_p2(beams: BeamProducts, cfg: ScenarioConfig) -> SdpProblem:
     """
     u, a, o, n_samples = beams.u, beams.a, beams.o, beams.n_samples
     obj = np.outer(u, u.conj())
-    comm_mat = np.kron(np.eye(n_samples), beams.gram)
+    m_t = beams.gram.shape[0]
+    comm_mat = np.zeros((n_samples * m_t, n_samples * m_t), dtype=np.complex128)
+    block = np.arange(n_samples)
+    comm_mat.reshape(n_samples, m_t, n_samples, m_t)[block, :, block] = beams.gram
     gamma_s = cfg.gamma_sense
     sense_mat = np.outer(a, a.conj()) - gamma_s * (obj + np.outer(o, o.conj()))
 

@@ -108,9 +108,10 @@ def build_obstacle_channel(ch: ChannelSet) -> np.ndarray:
 
 def build_effective_channels(ch: ChannelSet, phi: np.ndarray,
                              validate: bool = True) -> EffectiveChannels:
-    """The four blocks at ``phi``, each read-only."""
-    blocks = (build_comm_channel(ch, phi, validate), build_pi_channel(ch, phi, validate),
-              build_sensing_channel(ch, phi, validate), build_obstacle_channel(ch))
+    """The four blocks at ``phi``, each read-only; ``phi`` is checked once."""
+    phi = _check_phases(phi, ch.H_cR.shape[0], validate)
+    blocks = (build_comm_channel(ch, phi, False), build_pi_channel(ch, phi, False),
+              build_sensing_channel(ch, phi, False), build_obstacle_channel(ch))
     for block in blocks:
         block.flags.writeable = False
     return EffectiveChannels(*blocks)

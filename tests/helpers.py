@@ -5,6 +5,9 @@ works blockwise, the tests rebuild the full identity-Kronecker matrices and
 compare.
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 
 from pimin import ScenarioConfig
@@ -13,7 +16,7 @@ from pimin.bccd import (STALL_FLOOR_REL_NOISE, STALL_TOL, STALL_WINDOW, BccdIter
 from pimin.errors import DimensionError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_breakdown
-from pimin.rcg import (BeamformerState, PrecomputedForms, precompute_forms,
+from pimin.rcg import (DAMPING_INIT, BeamformerState, PrecomputedForms, precompute_forms,
                        random_state, rcg_solve)
 from pimin.sdp import SdpProblem, assemble_p2, solve_sdp
 from pimin.sysmodel import beam_products, build_effective_channels
@@ -194,6 +197,73 @@ def sample_feasible_points(prob, rng: np.random.Generator, count: int,
             continue
         out.append(r)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Plain Levenberg–Marquardt loop in phase coordinates
+# ---------------------------------------------------------------------------
+
+def reference_lm(forms, x0, cfg, free=None):
+    """``rcg_solve``'s damped Gauss–Newton loop, written out plainly.
+
+    A test-only oracle: the complex Jacobian ``J`` of ``e_i = w^H (b_i + c_i
+    phi)`` in the phases ``theta`` of ``x = exp(j theta)``, restricted to the
+    free columns, the gradient ``2 Re(J^H e)``, and one ``d_free x d_free``
+    ``np.linalg.solve`` of ``(Re(J^H J) + mu I) delta = -g/2`` per trial,
+    with the same acceptance, damping and stop rules. Returns the final
+    point, the counters and the accepted steps ``delta`` (full length, zero
+    on frozen coordinates).
+    """
+    b = np.asarray(forms.b, dtype=complex)
+    c = np.asarray(forms.c, dtype=complex)
+    nb, dim = x0.num_bf, x0.dim
+    cols = np.flatnonzero(np.ones(dim, dtype=bool) if free is None else free)
+    grad_tol = cfg.resolved_grad_tol(len(cols))
+
+    def residual(x):
+        t = b + c @ x[nb:]
+        e = t @ x[:nb].conj()
+        return t, e, float(np.vdot(e, e).real)
+
+    x = x0.x.copy()
+    t, e, f = residual(x)
+    iterations = backtracks = 0
+    mu, nu, accepted, steps = None, 2.0, True, []
+    while True:
+        if accepted:
+            w, phi = x[:nb], x[nb:]
+            jac = np.concatenate([-1j * t * w.conj(), 1j * (w.conj() @ c) * phi], axis=1)
+            jac = jac[:, cols]
+            g = 2.0 * (jac.conj().T @ e).real
+            g_norm = float(np.linalg.norm(g))
+            if g_norm <= grad_tol or iterations == cfg.max_iters:
+                break
+            gauss_newton = (jac.conj().T @ jac).real
+            if mu is None:
+                mu = DAMPING_INIT * float(gauss_newton.diagonal().max())
+        delta = np.linalg.solve(gauss_newton + mu * np.eye(len(cols)), -0.5 * g)
+        step = np.zeros(dim)
+        step[cols] = delta
+        trial = x * np.exp(1j * step)
+        t_new, e_new, f_new = residual(trial)
+        accepted = f_new < f
+        if accepted:
+            rho = (f - f_new) / float(delta @ (mu * delta - 0.5 * g))
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
+            nu = 2.0
+            x, t, e, f = trial, t_new, e_new, f_new
+            iterations += 1
+            steps.append(step)
+        else:
+            backtracks += 1
+            if not math.isfinite(f_new) or np.array_equal(trial, x):
+                break
+            mu *= nu
+            nu *= 2.0
+    stop = ("grad_tol" if g_norm <= grad_tol
+            else "max_iters" if iterations == cfg.max_iters else "stalled")
+    return SimpleNamespace(x=x, iterations=iterations, backtracks=backtracks,
+                           stop_reason=stop, steps=steps)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,22 @@ class TestHermitianEvd:
         evd = hermitian_evd(random_hermitian(rng, 7))
         assert np.all(np.diff(evd.eigenvalues) <= 0)
 
+    def test_repeated_eigenvalues_keep_the_stable_sort_order(self, rng):
+        # reversing eigh's ascending output orders ties as a stable argsort,
+        # reversed, does
+        q, _ = np.linalg.qr(cplx(rng, 6, 6))
+        spectra = ([2.0, 2.0, 2.0, 1.0, 0.0, 0.0], [1.0] * 6, [3.0, 3.0, 0.0, 0.0, 0.0, -1.0])
+        # a diagonal input has exactly tied eigenvalues, a rotated one nearly tied
+        inputs = [np.diag(lam).astype(complex) for lam in spectra]
+        inputs += [(q * np.array(lam)) @ q.conj().T for lam in spectra]
+        inputs.append(np.diag([0.0, 2.0, 1.0, 2.0, 0.0, 2.0]).astype(complex))
+        for a in inputs:
+            evd = hermitian_evd(a)
+            ref_lam, ref_v = np.linalg.eigh(0.5 * (a + a.conj().T))
+            order = np.argsort(ref_lam, kind="stable")[::-1]
+            assert np.array_equal(evd.eigenvalues, ref_lam[order])
+            assert np.array_equal(evd.eigenvectors, ref_v[:, order])
+
     def test_eigenvalue_sum_equals_trace(self, rng):
         for _ in range(20):
             a = random_hermitian(rng, int(rng.integers(2, 9)))

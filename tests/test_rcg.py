@@ -13,7 +13,7 @@ from pimin.scenario import desk_bench_scenario, generate_channels
 from pimin.sysmodel import build_pi_channel
 
 from helpers import (cplx, dense_forms, random_forms, random_psd, random_unit_modulus,
-                     tiny_scenario)
+                     reference_lm, tiny_scenario)
 
 
 def zero_forms(terms=2, lm=3, n=2):
@@ -308,8 +308,8 @@ def loop_mask(kind, lm, n):
     return free
 
 
-def loop_problem(terms, lm, n, kind):
-    gen = np.random.default_rng(100 * terms + 10 * lm + n)
+def loop_problem(terms, lm, n, kind, draw=0):
+    gen = np.random.default_rng(100 * terms + 10 * lm + n + 1000 * draw)
     return random_forms(gen, terms, lm, n), random_state(lm, n, gen), loop_mask(kind, lm, n)
 
 
@@ -351,6 +351,48 @@ class TestLoopAgainstWrappers:
         assert len(values) == out.iterations and moves(out, lm, kind)
         assert out.history[0] == objective(x0, forms)
         assert np.allclose(out.history[1:], values, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["none", "phases_frozen", "partial"])
+@pytest.mark.parametrize("terms,lm,n", LOOP_SHAPES)
+def test_loop_matches_the_plain_reference_loop(terms, lm, n, kind):
+    # a complex Jacobian and a d_free x d_free solve per trial take the same
+    # steps up to round-off, which stays far below the stop tolerance
+    for draw in range(20):
+        forms, x0, free = loop_problem(terms, lm, n, kind, draw)
+        out = rcg_solve(forms, x0, LOOP_CFG, free=free)
+        ref = reference_lm(forms, x0, LOOP_CFG, free=free)
+        assert (out.iterations, out.backtracks, out.stop_reason) == (
+            ref.iterations, ref.backtracks, ref.stop_reason)
+        assert np.max(np.abs(out.x.x - ref.x)) <= 1e-7
+
+
+# More free coordinates than the 2*terms real residuals: d_free > 2 terms for
+# every mask below, so the loop solves the residual-sized system.
+WIDE_SHAPES = [(1, 3, 2), (2, 5, 4), (3, 7, 5), (2, 9, 0)]
+
+
+@pytest.mark.parametrize("kind", ["none", "phases_frozen", "partial"])
+@pytest.mark.parametrize("terms,lm,n", WIDE_SHAPES)
+def test_residual_side_step_equals_the_full_step(terms, lm, n, kind, monkeypatch):
+    sides, dual_side = [], rcg._dual_side
+
+    def spy(d_free, n_terms):
+        sides.append(dual_side(d_free, n_terms))
+        return sides[-1]
+
+    monkeypatch.setattr(rcg, "_dual_side", spy)
+    one_step = RcgConfig(max_iters=1, grad_tol=0.0)
+    for draw in range(5):
+        forms, x0, free = loop_problem(terms, lm, n, kind, draw)
+        steps = []
+        rcg_solve(forms, x0, one_step, free=free,
+                  callback=lambda x, g, d: steps.append((d * x.x.conj()).imag))
+        ref = reference_lm(forms, x0, one_step, free=free)
+        assert len(steps) == len(ref.steps) == 1
+        err = np.linalg.norm(steps[0] - ref.steps[0]) / np.linalg.norm(ref.steps[0])
+        assert err <= 1e-12
+    assert sides and all(sides)
 
 
 @pytest.mark.parametrize("terms,lm,n", LOOP_SHAPES)

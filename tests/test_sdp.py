@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pimin.errors import DomainError
+from pimin.errors import DomainError, HermitianError
 from pimin.metrics import comm_snr, power_quadratic
 from pimin.scenario import generate_channels
 from pimin.sdp import (SdpProblem, TransmitCovariance, assemble_p2, solve_sdp)
@@ -92,10 +92,43 @@ class TestAssembleP2:
         assert evals.min() >= -1e-12 * max(evals.max(), 1e-300)  # pure echo Gram
 
     def test_hermitian_validation(self, rng):
-        with pytest.raises(Exception):
+        with pytest.raises(HermitianError):
             SdpProblem(dim=2, obj=cplx(rng, 2, 2), comm_mat=np.eye(2),
                        comm_rhs=0.0, sense_mat=np.eye(2), sense_rhs=0.0,
                        trace_budget=1.0)
+
+    @pytest.mark.parametrize("rel_asym,hermitian", [(0.5e-10, True), (2e-10, False)])
+    def test_near_hermitian_input_symmetrized_at_the_tolerance(self, rng, rel_asym, hermitian):
+        # ||A - A^H|| / ||A|| against the 1e-10 tolerance: the Hermitian part
+        # is kept below it, and the matrix is rejected above it
+        h = random_hermitian(rng, 4)
+        k = cplx(rng, 4, 4)
+        k = k - k.conj().T                  # anti-Hermitian: a - a^H = s k
+        s = rel_asym * np.linalg.norm(h) / np.linalg.norm(k)
+        a = h + 0.5 * s * k
+
+        def problem():
+            return SdpProblem(dim=4, obj=a, comm_mat=np.eye(4), comm_rhs=0.0,
+                              sense_mat=np.eye(4), sense_rhs=0.0, trace_budget=1.0)
+
+        if not hermitian:
+            with pytest.raises(HermitianError):
+                problem()
+            return
+        obj = problem().obj
+        assert np.array_equal(obj, 0.5 * (a + a.conj().T))
+        assert np.array_equal(obj, obj.conj().T)
+
+    def test_outer_products_are_symmetrized(self, rng):
+        # u u^H rounds asymmetrically in general; the problem stores its
+        # exactly Hermitian part
+        u = cplx(rng, 6)
+        outer = np.outer(u, u.conj())
+        prob = SdpProblem(dim=6, obj=outer, comm_mat=np.eye(6), comm_rhs=0.0,
+                          sense_mat=outer, sense_rhs=0.0, trace_budget=1.0)
+        for mat in (prob.obj, prob.sense_mat):
+            assert np.array_equal(mat, mat.conj().T)
+            assert np.max(np.abs(mat - outer)) <= 1e-15 * np.max(np.abs(outer))
 
 
 class TestSolveSdp:
