@@ -13,7 +13,10 @@ A run starts from a ``BccdStart`` that the caller passes in: the channel set,
 the ``init_rss`` covariance, its eigendecomposition, the random state and the
 forms of that start, all read-only, so the runs of one trial can share one
 start. ``seeded_start`` builds it from a seed; ``BccdStart.without_ris`` gives
-the same start on the no-RIS channels, with forms of its own.
+the same start on the no-RIS channels, with forms of its own. A run given
+``frozen_phi`` keeps the RIS phases there (the benchmark designs): each set of
+forms is folded at those phases once, and the manifold block moves only the
+radar weights.
 
 Once a later outer iteration's manifold solve takes no step, the loop has
 reached an exact fixed point: the SDP would be solved again at the point it
@@ -40,7 +43,7 @@ from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, precompute_forms
                   random_state, rcg_solve)
 from .scenario import ChannelSet, ScenarioConfig, check_count
 from .sdp import TransmitCovariance, assemble_p2, solve_sdp
-from .sysmodel import beam_products, build_effective_channels
+from .sysmodel import beam_products, build_effective_channels, check_phases
 
 # Interference below this fraction of the noise power counts as fully
 # suppressed when measuring relative change; it keeps the stall rule
@@ -151,15 +154,15 @@ def _restart_is_idle(p_pi: float, ac_block: np.ndarray, ch: ChannelSet, scen: Sc
     sqrt(lam_i) (I kron Ac) v_i`` and ``e_i = w^H t_i = sqrt(lam_i) u^H v_i``
     with ``u = (I kron Ac)^H w``, so ``sum |e_i|^2 = p_pi``, the power just
     reported. The solver stops before its first step when the gradient in
-    theta, ``Im(conj(x) * egrad)`` over the free coordinates, has norm at most
-    ``grad_tol``; that norm is at most ``||egrad||``. By Cauchy-Schwarz:
+    theta, ``Im(conj(x) * egrad)`` over the state's coordinates, has norm at
+    most ``grad_tol``; that norm is at most ``||egrad||``. By Cauchy-Schwarz:
 
     * the radar part ``2 sum conj(e_i) t_i`` has norm at most
       ``2 sqrt(p_pi) sqrt(sum ||t_i||^2) <= 2 sqrt(p_pi P_B) ||Ac||_F``;
     * the phase part ``sum e_i 2 conj(c_i)^T w`` has norm at most
       ``2 sqrt(p_pi) sqrt(sum ||c_i||_F^2 ||w||^2)``, where ``||w||^2 = L M``
       and ``||c_i||_F <= sqrt(lam_i) |gamma_RPI| ||G_rR||_F ||H_cR||_F``; it
-      counts only when the phases are free.
+      counts only when the state holds the phases (``optimize_phi``).
 
     So ``||g|| <= K sqrt(p_pi)`` with ``K = 2 sqrt(P_B) (||Ac||_F +
     |gamma_RPI| ||H_cR||_F ||G_rR||_F sqrt(L M))``. In floating point the
@@ -190,13 +193,12 @@ def _restart_is_idle(p_pi: float, ac_block: np.ndarray, ch: ChannelSet, scen: Sc
 
 
 def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
-               phi_init: np.ndarray | None = None,
-               optimize_phi: bool = True) -> BccdResult:
+               frozen_phi: np.ndarray | None = None) -> BccdResult:
     """Alternate the manifold block and the covariance SDP block from ``start``.
 
-    ``phi_init`` overrides the start's random RIS phases; with
-    ``optimize_phi=False`` the phases stay frozen for the whole run (the
-    benchmark designs), leaving only the radar weights on the manifold.
+    With ``frozen_phi`` the RIS phases stay there for the whole run (the
+    benchmark designs) in place of the start's, and the manifold block
+    solves the forms folded at them from the start's radar weights alone.
     """
     ch, r_cov, evd, x, forms = start.ch, start.R_ss, start.evd, start.x, start.forms
     m_r, m_t, m, n = ch.dims
@@ -206,17 +208,15 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
         raise DimensionError(
             f"start (M_r={m_r}, M_t={m_t}, M={m}, N={n}, covariance dim {evd.dim}, "
             f"state {x.num_bf} + {x.dim - x.num_bf}) does not match scenario")
-    if phi_init is not None:
-        phi_init = np.asarray(phi_init, dtype=np.complex128)
-        if phi_init.shape != (n,):
-            raise DimensionError(f"phi_init has shape {phi_init.shape}, expected ({n},)")
-        x = BeamformerState(x=np.concatenate([x.w, phi_init]), num_bf=lm)
-    free = None
+    optimize_phi = frozen_phi is None
+    phi = x.phi
     if not optimize_phi:
-        free = np.concatenate([np.ones(lm, dtype=bool), np.zeros(n, dtype=bool)])
+        phi = check_phases(frozen_phi, n, True)
+        x = BeamformerState(x=x.w, num_bf=lm)
+        forms = forms.fold(phi)
 
     stall_floor = STALL_FLOOR_REL_NOISE * scen.sigma_r2_W * lm
-    grad_tol = cfg.rcg.resolved_grad_tol(lm + n if optimize_phi else lm)
+    grad_tol = cfg.rcg.resolved_grad_tol(x.dim)
     history: list[BccdIteration] = []
     powers: PowerBreakdown | None = None
     converged = False
@@ -228,7 +228,9 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
         if not fixed:
             if forms is None:
                 forms = precompute_forms(evd, ch, scen.L)
-            rcg_out = rcg_solve(forms, x, cfg.rcg, free=free)
+                if not optimize_phi:
+                    forms = forms.fold(phi)
+            rcg_out = rcg_solve(forms, x, cfg.rcg)
             # A 0-step solve returns x itself, the point at which the last
             # iteration solved the SDP. The SDP reads only (w, phi), so it
             # would give the same answer, hence the same covariance, its
@@ -241,7 +243,9 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
             history.append(history[-1])
         else:
             x = rcg_out.x
-            eff = build_effective_channels(ch, x.phi)
+            if optimize_phi:
+                phi = x.phi
+            eff = build_effective_channels(ch, phi)
             beams = beam_products(eff, x.w)
             sol = solve_sdp(assemble_p2(beams, scen), max_iters=cfg.sdp_max_iters)
             if sol.status == "optimal":
@@ -284,7 +288,7 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
     assert powers is not None
     return BccdResult(
         w=x.w.copy(),
-        phi=x.phi.copy(),
+        phi=phi.copy(),
         R_ss=r_cov,
         history=tuple(history),
         converged=converged,

@@ -3,8 +3,10 @@
 Every benchmark re-optimizes the radar weights and the transmit covariance
 with the same machinery as the proposed design; only the RIS phase treatment
 differs (optimized, frozen random, frozen equal, or absent), so sweep results
-isolate the phase design. All methods spend the same transmit power: the
-covariance trace always equals the budget.
+isolate the phase design. A benchmark passes its phases to ``bccd_solve`` as
+``frozen_phi``: the start's random draw, all ones, or all ones on the no-RIS
+start. All methods spend the same transmit power: the covariance trace always
+equals the budget.
 
 A sweep's unit of work is one trial: every method runs from the trial's one
 ``BccdStart`` (channel draw, seeded covariance, its eigendecomposition, random
@@ -107,14 +109,11 @@ def run_trial(scen: ScenarioConfig, method: Method, cfg: BccdConfig,
         result = bccd_solve(cfg, scen, start)
     elif method is Method.BENCH1_RANDOM_PHASE:
         # phases stay at their seeded random draw
-        result = bccd_solve(cfg, scen, start, optimize_phi=False)
+        result = bccd_solve(cfg, scen, start, frozen_phi=start.x.phi)
     elif method is Method.BENCH2_EQUAL_PHASE:
-        ones = np.ones(scen.N, dtype=np.complex128)
-        result = bccd_solve(cfg, scen, start, phi_init=ones, optimize_phi=False)
+        result = bccd_solve(cfg, scen, start, frozen_phi=np.ones(scen.N))
     elif method is Method.BENCH3_NO_RIS:
-        ones = np.ones(scen.N, dtype=np.complex128)
-        result = bccd_solve(cfg, scen, start.without_ris(), phi_init=ones,
-                            optimize_phi=False)
+        result = bccd_solve(cfg, scen, start.without_ris(), frozen_phi=np.ones(scen.N))
     else:   # pragma: no cover
         raise DomainError(f"unhandled method {method}")
 

@@ -13,21 +13,20 @@ phase coordinates ``x = exp(j theta)`` (Absil, Mahony & Sepulchre,
   row, so one gemm of that stack gives both ``Re(J^H J) = A A^T`` and
   ``A r = -grad_theta(f) / 2``;
 * a step solves ``(A A^T + mu I) delta = A r``. ``A A^T`` has rank at most
-  ``2 * terms``, so when the free dimension exceeds that, the step solves the
-  smaller ``(A^T A + mu I) y = r`` instead and takes ``delta = A y`` (the
-  push-through identity). The side depends only on the free dimension and
-  the number of terms;
+  ``2 * terms``, so when the state's dimension exceeds that, the step solves
+  the smaller ``(A^T A + mu I) y = r`` instead and takes ``delta = A y`` (the
+  push-through identity). The side depends only on that dimension and the
+  number of terms;
 * the trial point ``x * exp(j delta)`` is unit-modulus by construction;
 * a trial is accepted only when it lowers ``f``, and the damping ``mu`` then
   shrinks by Nielsen's gain-ratio rule; otherwise it grows by a factor that
   doubles with each rejection in a row (Madsen, Nielsen & Tingleff, "Methods
   for non-linear least squares problems", 2004, §3.2).
 
-An optional boolean mask freezes coordinates (used by the benchmark designs
-that keep the RIS phases fixed); the step uses only the free rows of ``A``,
-so frozen entries never move. When the mask freezes every phase,
-``b + c phi0`` is folded into ``b`` once per solve and the same loop runs on
-the radar block alone; its results are stacked back with the frozen phases.
+Every coordinate moves. A run that keeps the RIS phases fixed (the benchmark
+designs) solves ``PrecomputedForms.fold(phi)``, whose ``b`` holds
+``b + c phi`` and whose phase block is empty, from a state that holds only the
+radar weights.
 
 The loop runs on raw arrays and validates its inputs once. Every objective
 evaluation also returns the terms ``t[i] = b_i + c_i phi`` and
@@ -122,6 +121,16 @@ class PrecomputedForms:
     def __len__(self) -> int:
         return self.num_terms
 
+    def fold(self, phi: np.ndarray) -> "PrecomputedForms":
+        """The forms of the radar block alone at the fixed phases ``phi``.
+
+        Only ``t = b + c phi`` enters the objective, so ``b`` becomes ``t`` and
+        the phase block is empty.
+        """
+        return PrecomputedForms(
+            b=self.b + self.c @ phi,
+            c=np.empty((self.num_terms, self.num_bf, 0), dtype=np.complex128))
+
 
 def precompute_forms(evd: EvdResult, ch: ChannelSet, n_samples: int) -> PrecomputedForms:
     """Reduce the covariance quadratic form to per-eigenpair coefficients.
@@ -196,8 +205,8 @@ def _kernels(forms: PrecomputedForms):
     Jacobian ``A`` of ``[Re e; Im e]``, one row of ``2*terms`` per
     coordinate, over the residual ``r``: ``A A^T = Re(J^H J)``, and
     ``A r = -grad_theta(f) / 2`` is the right-hand side of the step. With no
-    phase block (the phases folded into ``b``) the terms are ``b`` itself and
-    the kernels skip the empty phase products.
+    phase block (folded forms) the terms are ``b`` itself and the kernels
+    skip the empty phase products.
     """
     b = np.asarray(forms.b, dtype=np.complex128)
     c = np.asarray(forms.c, dtype=np.complex128)
@@ -284,7 +293,7 @@ class RcgConfig:
 
     def __post_init__(self) -> None:
         check_count("max_iters", self.max_iters, 0)
-        if self.grad_tol is not None and self.grad_tol < 0.0:
+        if self.grad_tol is not None and not self.grad_tol >= 0.0:
             raise DomainError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
     def resolved_grad_tol(self, dim: int) -> float:
@@ -295,7 +304,7 @@ class RcgConfig:
 class RcgResult:
     x: BeamformerState
     history: np.ndarray     # objective value at x0 and after each iteration
-    grad_norm: float        # Riemannian gradient norm over the free coordinates
+    grad_norm: float        # Riemannian gradient norm at x
     iterations: int
     stop_reason: str        # "grad_tol", "max_iters" or "stalled" (a rejected trial equal
                             # to x or not finite)
@@ -303,66 +312,42 @@ class RcgResult:
     backtracks: int         # trial points rejected because they did not lower the objective
 
 
-def _radar_block_only(free: np.ndarray | None, nb: int) -> bool:
-    """Whether ``free`` freezes every phase, so the loop runs on the radar block alone."""
-    return free is not None and not free[nb:].any()
-
-
-def _dual_side(d_free: int, n_terms: int) -> bool:
-    """Whether a step solves the ``2*terms`` residual system, not the ``d_free`` one."""
-    return d_free > 2 * n_terms
+def _dual_side(dim: int, n_terms: int) -> bool:
+    """Whether a step solves the ``2*terms`` residual system, not the ``dim`` one."""
+    return dim > 2 * n_terms
 
 
 def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
-              free: np.ndarray | None = None,
               callback: "Callable[[BeamformerState, np.ndarray, np.ndarray], None] | None" = None,
               ) -> RcgResult:
     """Run the Riemannian Levenberg–Marquardt loop from ``x0``.
 
-    ``free`` optionally marks which coordinates may move (True = optimized);
-    anything else stays frozen at its initial value. The recorded history
+    Every coordinate moves; to keep the phases fixed, solve
+    ``forms.fold(phi)`` from the radar weights alone. The recorded history
     decreases strictly: a trial is accepted only when it lowers the
     objective. ``callback`` observes ``(iterate, gradient, step)`` once per
-    accepted step: the masked Riemannian gradient at the new iterate and the
-    step ``j x * delta``, tangent there.
+    accepted step: the Riemannian gradient at the new iterate and the step
+    ``j x * delta``, tangent there.
     """
     _check_state(x0, forms)
-    nb = x0.num_bf
-    if free is not None:
-        free = np.asarray(free, dtype=bool)
-        if free.shape != x0.x.shape:
-            raise DimensionError(f"mask shape {free.shape} != state shape {x0.x.shape}")
-
-    # Frozen coordinates are not part of the problem: the tolerance sees only
-    # the free dimension (a no-RIS run must not depend on the RIS size).
-    d_free = int(free.sum()) if free is not None else x0.dim
-    grad_tol = cfg.resolved_grad_tol(d_free)
+    nb, d = x0.num_bf, x0.dim
+    grad_tol = cfg.resolved_grad_tol(d)
 
     x = x0.x
-    if _radar_block_only(free, nb):
-        # Every phase is frozen, so only t = b + c phi0 matters: fold it into
-        # b and drop the phase block, leaving a problem in w alone.
-        forms = PrecomputedForms(b=forms.b + forms.c @ x0.phi,
-                                 c=np.empty((len(forms), nb, 0), dtype=np.complex128))
-        x, free = x0.w, free[:nb]
-    folded = x0.x[x.shape[0]:]      # the frozen phases when folded, else empty
-    zeros = np.zeros_like(folded)
-    d = x.shape[0]
-    cols = None if free is None or free.all() else np.flatnonzero(free)
-    rows = None if cols is None else np.append(cols, d)     # free rows and r
     evaluate, egrad, linearize, a_res = _kernels(forms)
-    # Re(J^H J) = A A^T has rank at most 2*terms. When the free dimension is
+    # Re(J^H J) = A A^T has rank at most 2*terms. When the dimension is
     # larger, the step solves (A^T A + mu I) y = r and is delta = A y, by
     # (A A^T + mu I)^-1 A = A (A^T A + mu I)^-1: the same step from the
     # smaller system. Either system lives in a fixed buffer; each trial adds
     # mu to its saved diagonal in place.
     n_res = a_res.shape[1]
-    dual = _dual_side(d_free, n_res // 2)
+    dual = _dual_side(d, n_res // 2)
     if dual:
+        a, r = a_res[:-1], a_res[-1]
         buffer = system = np.empty((n_res, n_res))
     else:
         # one gemm gives Re(J^H J) and, in its last column, the step's rhs
-        buffer = gram_rhs = np.empty((d_free + 1, d_free + 1))
+        buffer = gram_rhs = np.empty((d + 1, d + 1))
         system, rhs = gram_rhs[:-1, :-1], gram_rhs[:-1, -1]
     diagonal = buffer.reshape(-1)[::buffer.shape[0] + 1][:system.shape[0]]
 
@@ -374,21 +359,15 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
     while True:
         if accepted:
             linearize(x, terms)
-            a_r = a_res if rows is None else a_res[rows]
             if dual:
-                a, r = a_r[:-1], a_r[-1]
                 np.dot(a.T, a, out=system)
                 rhs = a.dot(r)
             else:
-                np.dot(a_r, a_r.T, out=gram_rhs)
+                np.dot(a_res, a_res.T, out=gram_rhs)
             g_norm = 2.0 * math.sqrt(rhs.dot(rhs))
             if callback is not None and iterations:
-                rg = _project(x, x.conj(), egrad(x, terms))
-                if cols is not None:
-                    rg = np.where(free, rg, 0.0)
-                callback(BeamformerState(x=np.concatenate([x, folded]), num_bf=nb),
-                         np.concatenate([rg, zeros]),
-                         np.concatenate([1j * x * step, zeros]))
+                callback(BeamformerState(x=x, num_bf=nb),
+                         _project(x, x.conj(), egrad(x, terms)), 1j * x * delta)
             if g_norm <= grad_tol or iterations == cfg.max_iters:
                 break
             if mu is None:
@@ -400,11 +379,7 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
         delta = np.linalg.solve(system, r if dual else rhs)
         if dual:
             delta = a.dot(delta)
-        step = delta
-        if cols is not None:
-            step = np.zeros(d)
-            step[cols] = delta
-        trial = x * np.exp(1j * step)
+        trial = x * np.exp(1j * delta)
         f_new, terms_new = evaluate(trial)
         evaluations += 1
         accepted = f_new < f
@@ -428,8 +403,7 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
 
     stop = ("grad_tol" if g_norm <= grad_tol
             else "max_iters" if iterations == cfg.max_iters else "stalled")
-    x_out = x0 if iterations == 0 else BeamformerState(
-        x=np.concatenate([x, folded]), num_bf=nb)
+    x_out = x0 if iterations == 0 else BeamformerState(x=x, num_bf=nb)
     return RcgResult(x=x_out, history=np.asarray(history), grad_norm=g_norm,
                      iterations=iterations, stop_reason=stop,
                      objective_evals=evaluations, backtracks=backtracks)

@@ -173,9 +173,12 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in ("M_t", "M_r", "M", "N_x", "N_y", "L"):
             check_count(name, getattr(self, name), 1)
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("d_k", "d_Rk", "d_cR", "d_DPI", "d_rR", "d_Bt", "d_tPR", "d_tR",
                      "f_c_Hz", "d_x_m", "d_y_m"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
         if not (0.0 < self.A_ris <= 1.0):
             raise DomainError(f"A_ris must lie in (0, 1], got {self.A_ris}")
@@ -184,8 +187,8 @@ class ScenarioConfig:
         for ob in self.obstacles:
             if len(ob) != 3:
                 raise DimensionError(f"obstacle entries are (d_B_ob, d_ob_PR, rcs_m2), got {ob}")
-            if any(v <= 0 for v in ob):
-                raise DomainError(f"obstacle parameters must be > 0, got {ob}")
+            if not all(0 < v < math.inf for v in ob):
+                raise DomainError(f"obstacle parameters must be finite and > 0, got {ob}")
 
     # derived quantities -----------------------------------------------------
 

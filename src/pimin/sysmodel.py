@@ -22,11 +22,13 @@ from .scenario import ChannelSet
 UNIT_MODULUS_TOL = 1e-9
 
 
-def _check_phases(phi: np.ndarray, n: int, validate: bool) -> np.ndarray:
+def check_phases(phi: np.ndarray, n: int, validate: bool) -> np.ndarray:
+    """``phi`` as a complex vector of length ``n``; with ``validate``, of unit modulus."""
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (n,):
         raise DimensionError(f"phase vector has shape {phi.shape}, expected ({n},)")
-    if validate and np.max(np.abs(np.abs(phi) - 1.0)) > UNIT_MODULUS_TOL:
+    # written so that a NaN entry fails it
+    if validate and not np.max(np.abs(np.abs(phi) - 1.0)) <= UNIT_MODULUS_TOL:
         raise DomainError("phase vector entries must have unit modulus")
     return phi
 
@@ -70,14 +72,14 @@ def beam_products(eff: EffectiveChannels, w: np.ndarray) -> BeamProducts:
 def build_comm_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
     """User-side block: direct link plus the RIS-reflected link."""
     n = ch.H_cR.shape[0]
-    phi = _check_phases(phi, n, validate)
+    phi = check_phases(phi, n, validate)
     return ch.gamma_c_d * ch.H_k + ch.gamma_c_r * ((ch.H_Rk * phi[None, :]) @ ch.H_cR)
 
 
 def build_pi_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
     """Path-interference block: direct leakage plus RIS-reflected leakage."""
     n = ch.H_cR.shape[0]
-    phi = _check_phases(phi, n, validate)
+    phi = check_phases(phi, n, validate)
     return ch.gamma_DPI * ch.H_DPI \
         + ch.gamma_RPI * ((ch.G_rR.conj().T * phi[None, :]) @ ch.H_cR)
 
@@ -85,7 +87,7 @@ def build_pi_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> 
 def build_sensing_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
     """Four-path target echo block; the double-bounce path is quadratic in phi."""
     n = ch.H_cR.shape[0]
-    phi = _check_phases(phi, n, validate)
+    phi = check_phases(phi, n, validate)
     ht_row = ch.h_t.conj()[None, :]
     ris_to_pr = ch.G_rR.conj().T @ (phi * ch.g_Rt)          # (M,)
     ris_from_bs = (ch.g_Rt.conj() * phi) @ ch.H_cR          # (M_t,)
@@ -106,10 +108,9 @@ def build_obstacle_channel(ch: ChannelSet) -> np.ndarray:
     return out
 
 
-def build_effective_channels(ch: ChannelSet, phi: np.ndarray,
-                             validate: bool = True) -> EffectiveChannels:
+def build_effective_channels(ch: ChannelSet, phi: np.ndarray) -> EffectiveChannels:
     """The four blocks at ``phi``, each read-only; ``phi`` is checked once."""
-    phi = _check_phases(phi, ch.H_cR.shape[0], validate)
+    phi = check_phases(phi, ch.H_cR.shape[0], True)
     blocks = (build_comm_channel(ch, phi, False), build_pi_channel(ch, phi, False),
               build_sensing_channel(ch, phi, False), build_obstacle_channel(ch))
     for block in blocks:

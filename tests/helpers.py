@@ -270,14 +270,15 @@ def reference_lm(forms, x0, cfg, free=None):
 # Outer loop that runs every block in every iteration
 # ---------------------------------------------------------------------------
 
-def reference_bccd_solve(cfg, scen, ch, seed, *, phi_init=None, optimize_phi=True):
+def reference_bccd_solve(cfg, scen, ch, seed, *, frozen_phi=None):
     """``bccd_solve`` from ``seeded_start(seed, scen, ch)``, without its shortcuts.
 
     A test-only oracle: it draws its own start from ``default_rng(seed)``
-    instead of taking a ``BccdStart``, and every outer iteration runs the
-    manifold block, the SDP and the figures of merit, even when the manifold
-    solve takes no step or provably would take none, so the production loop
-    must return a bit-identical result.
+    instead of taking a ``BccdStart``, folds ``frozen_phi`` into the forms by
+    its own ``b + c phi``, and every outer iteration runs the manifold block,
+    the SDP and the figures of merit, even when the manifold solve takes no
+    step or provably would take none, so the production loop must return a
+    bit-identical result.
     """
     m_r, m_t, m, n = ch.dims
     if (m_t, m_r, m, n) != (scen.M_t, scen.M_r, scen.M, scen.N):
@@ -289,14 +290,10 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, phi_init=None, optimize_phi=Tru
     rng = np.random.default_rng(seed)
     r_cov = init_rss(dim, scen.P_B, rng)
     x = random_state(lm, n, rng)
-    if phi_init is not None:
-        phi_init = np.asarray(phi_init, dtype=np.complex128)
-        if phi_init.shape != (n,):
-            raise DimensionError(f"phi_init has shape {phi_init.shape}, expected ({n},)")
-        x = BeamformerState(x=np.concatenate([x.w, phi_init]), num_bf=lm)
-    free = None
-    if not optimize_phi:
-        free = np.concatenate([np.ones(lm, dtype=bool), np.zeros(n, dtype=bool)])
+    phi = x.phi
+    if frozen_phi is not None:
+        phi = np.asarray(frozen_phi, dtype=np.complex128)
+        x = BeamformerState(x=x.w, num_bf=lm)
 
     stall_floor = STALL_FLOOR_REL_NOISE * scen.sigma_r2_W * lm
     history = []
@@ -309,10 +306,15 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, phi_init=None, optimize_phi=Tru
     for _ in range(cfg.n_iter):
         if forms is None:
             forms = precompute_forms(evd, ch, scen.L)
-        rcg_out = rcg_solve(forms, x, cfg.rcg, free=free)
+            if frozen_phi is not None:
+                forms = PrecomputedForms(b=forms.b + forms.c @ phi,
+                                         c=np.empty((len(forms), lm, 0), dtype=np.complex128))
+        rcg_out = rcg_solve(forms, x, cfg.rcg)
         x = rcg_out.x
+        if frozen_phi is None:
+            phi = x.phi
 
-        beams = beam_products(build_effective_channels(ch, x.phi), x.w)
+        beams = beam_products(build_effective_channels(ch, phi), x.w)
         sol = solve_sdp(assemble_p2(beams, scen), max_iters=cfg.sdp_max_iters)
         if sol.status == "optimal":
             r_cov = sol.R_ss
@@ -343,7 +345,7 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, phi_init=None, optimize_phi=Tru
     assert powers is not None
     return BccdResult(
         w=x.w.copy(),
-        phi=x.phi.copy(),
+        phi=phi.copy(),
         R_ss=r_cov,
         history=tuple(history),
         converged=converged,

@@ -205,8 +205,23 @@ class TestBccdSolve:
         ch = desk_channels(scen)
         phi = np.ones(scen.N, dtype=complex)
         cfg = BccdConfig(n_iter=4)
-        out = bccd_solve(cfg, scen, seeded_start(13, scen, ch), phi_init=phi, optimize_phi=False)
+        out = bccd_solve(cfg, scen, seeded_start(13, scen, ch), frozen_phi=phi)
         assert np.array_equal(out.phi, phi)
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda n: np.ones(n + 1), DimensionError),
+        (lambda n: np.ones((n, 1)), DimensionError),
+        (lambda n: np.full(n, 1.5), DomainError),
+        (lambda n: np.r_[np.nan, np.ones(n - 1)], DomainError),
+    ], ids=["long", "column", "not_unit", "nan"])
+    def test_bad_frozen_phases_rejected_before_any_block(self, monkeypatch, bad, error):
+        import pimin.bccd
+        scen = desk_scenario(seed=1)
+        start = seeded_start(1, scen, desk_channels(scen, 1))
+        solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
+        with pytest.raises(error, match="phase vector"):
+            bccd_solve(BccdConfig(n_iter=2), scen, start, frozen_phi=bad(scen.N))
+        assert not solves
 
     def test_inner_histories_monotone(self):
         # the manifold solver's guarantee carries into every outer iteration
@@ -216,8 +231,8 @@ class TestBccdSolve:
         seen = []
         orig = rcg.rcg_solve
 
-        def spy(forms, x0, cfg, free=None, callback=None):
-            out = orig(forms, x0, cfg, free=free, callback=callback)
+        def spy(forms, x0, cfg, callback=None):
+            out = orig(forms, x0, cfg, callback=callback)
             seen.append(out.history)
             return out
 
@@ -267,14 +282,14 @@ def first_args(monkeypatch, module, name):
 
 def method_setup(name, scen, ch, seed):
     """The seeded start and ``bccd_solve`` keywords of one of the four method set-ups."""
+    start = seeded_start(seed, scen, ch.without_ris() if name == "no_ris" else ch)
     ones = np.ones(scen.N, dtype=np.complex128)
-    ch, kwargs = {
-        "joint": (ch, {}),
-        "frozen_random": (ch, {"optimize_phi": False}),
-        "frozen_ones": (ch, {"phi_init": ones, "optimize_phi": False}),
-        "no_ris": (ch.without_ris(), {"phi_init": ones, "optimize_phi": False}),
+    return start, {
+        "joint": {},
+        "frozen_random": {"frozen_phi": start.x.phi},
+        "frozen_ones": {"frozen_phi": ones},
+        "no_ris": {"frozen_phi": ones},
     }[name]
-    return seeded_start(seed, scen, ch), kwargs
 
 
 SETUPS = ["joint", "frozen_random", "frozen_ones", "no_ris"]
@@ -411,9 +426,10 @@ class TestIdleRestartSkips:
             r = init_rss(scen.L * scen.M_t, scen.P_B, rng)
             ac = build_pi_channel(ch, x.phi)
             p_pi = power_quadratic(ac, x.w, r.matrix)
-            free = None if optimize_phi else np.arange(x.dim) < scen.L * scen.M
-            g = rcg_solve(precompute_forms(hermitian_evd(r.matrix), ch, scen.L), x,
-                          RcgConfig(max_iters=0), free=free).grad_norm
+            forms = precompute_forms(hermitian_evd(r.matrix), ch, scen.L)
+            if not optimize_phi:
+                forms, x = forms.fold(x.phi), BeamformerState(x=x.w, num_bf=x.num_bf)
+            g = rcg_solve(forms, x, RcgConfig(max_iters=0)).grad_norm
             assert 0.0 < g <= 0.5 * self.least_skipping_tol(p_pi, ac, ch, scen, optimize_phi)
 
     def test_phase_term_covers_a_reflection_nulled_point(self):

@@ -75,19 +75,22 @@ class TestRunTrial:
         rec = run_trial(scen, Method.BENCH2_EQUAL_PHASE, FAST, seed=77)
         ch = generate_channels(scen, np.random.default_rng(77))
         out = bccd_solve(FAST, scen, seeded_start(77, scen, ch),
-                         phi_init=np.ones(scen.N, dtype=complex),
-                         optimize_phi=False)
+                         frozen_phi=np.ones(scen.N, dtype=complex))
         assert np.array_equal(out.phi, np.ones(scen.N, dtype=complex))
         assert abs(rec.P_PI_dB - 10 * math.log10(out.final_powers.p_pi
                                                  * scen.g_lna_lin)) <= 1e-9
 
     def test_random_phase_benchmark_freezes_seeded_draw(self):
         scen = desk_scenario(seed=4)
+        rec = run_trial(scen, Method.BENCH1_RANDOM_PHASE, FAST, seed=88)
         ch = generate_channels(scen, np.random.default_rng(88))
-        out = bccd_solve(FAST, scen, seeded_start(88, scen, ch), optimize_phi=False)
+        start = seeded_start(88, scen, ch)
+        out = bccd_solve(FAST, scen, start, frozen_phi=start.x.phi)
         # phases stayed on their random initialization: unit modulus, not ones
-        assert np.max(np.abs(np.abs(out.phi) - 1.0)) <= 1e-12
+        assert np.array_equal(out.phi, start.x.phi)
         assert np.max(np.abs(out.phi - 1.0)) > 1e-3
+        assert abs(rec.P_PI_dB - 10 * math.log10(out.final_powers.p_pi
+                                                 * scen.g_lna_lin)) <= 1e-9
 
     def test_proposed_not_worse_than_random_phase(self):
         scen = desk_bench_scenario(seed=5)
@@ -103,9 +106,8 @@ class TestRunTrial:
             if method is Method.BENCH3_NO_RIS:
                 start = start.without_ris()
             out = bccd_solve(FAST, scen, start,
-                             phi_init=None if method is Method.PROPOSED else
-                             np.ones(scen.N, dtype=complex),
-                             optimize_phi=method is Method.PROPOSED)
+                             frozen_phi=None if method is Method.PROPOSED else
+                             np.ones(scen.N, dtype=complex))
             assert abs(out.R_ss.trace - scen.P_B) <= 1e-6 * scen.P_B
 
     def test_determinism_modulo_runtime(self):

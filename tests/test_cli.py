@@ -148,6 +148,19 @@ class TestSweep:
         assert "spec error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["d_k", "sigma_r2_dBm"])
+    def test_nan_scenario_field_is_spec_error(self, tmp_path, capsys, field):
+        base = dict(desk_scenario(seed=1).to_json_dict(), **{field: float("nan")})
+        spec = {"base": base, "axis": "M", "values": [2], "trials_per_point": 1,
+                "methods": ["proposed"], "solver": {"n_iter": 2}}
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))     # writes the field as NaN
+        assert "NaN" in spec_path.read_text()
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_spec_usage_error(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text("{\"axis\": \"M\"}")

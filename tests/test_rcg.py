@@ -3,7 +3,7 @@ import pytest
 
 from pimin import rcg
 from pimin.bccd import init_rss
-from pimin.errors import DimensionError
+from pimin.errors import DimensionError, DomainError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_quadratic
 from pimin.rcg import (BeamformerState, PrecomputedForms, RcgConfig, euclid_grad,
@@ -187,13 +187,14 @@ class TestRcgSolve:
             vals = np.abs(np.exp(-1j * pw) * (b + c * np.exp(1j * pp))) ** 2
             assert out.history[-1] <= vals.min() + 1e-3
 
-    def test_frozen_phases_stay_fixed(self, rng):
+    def test_folded_solve_moves_only_the_radar_weights(self, rng):
         forms = random_forms(rng, 3, 3, 4)
         x0 = random_state(3, 4, rng)
-        mask = np.concatenate([np.ones(3, dtype=bool), np.zeros(4, dtype=bool)])
-        out = rcg_solve(forms, x0, RcgConfig(max_iters=60), free=mask)
-        assert np.array_equal(out.x.phi, x0.phi)
-        assert out.history[-1] <= out.history[0]
+        out = solve(forms, x0, RcgConfig(max_iters=60), "phases_frozen")
+        assert (out.x.num_bf, out.x.dim) == (3, 3) and out.iterations > 0
+        assert out.history[-1] < out.history[0]
+        final = objective(stacked(out.x, x0.phi), forms)
+        assert abs(final - out.history[-1]) <= 1e-12 * out.history[-1]
 
     def test_phase_gauge_when_reflected_terms_vanish(self, rng):
         # with no reflected coupling the objective ignores the phase block
@@ -204,6 +205,13 @@ class TestRcgSolve:
             x=np.concatenate([w, random_unit_modulus(rng, 2)]), num_bf=3), forms)
             for _ in range(5)}
         assert max(f_vals) - min(f_vals) == 0.0
+
+
+class TestRcgConfig:
+    @pytest.mark.parametrize("tol", [-1.0, np.nan])
+    def test_negative_or_nan_grad_tol_rejected(self, tol):
+        with pytest.raises(DomainError, match="grad_tol"):
+            RcgConfig(grad_tol=tol)
 
 
 class TestRcgCounters:
@@ -231,10 +239,10 @@ class TestRcgCounters:
     def test_every_evaluation_is_the_start_a_step_or_a_backtrack(self, rng):
         total_backtracks = 0
         for max_iters in (0, 1, 7, 60):
-            for free in (None, np.array([True, True, False, True, False])):
+            for kind in ("none", "phases_frozen"):
                 forms = random_forms(rng, 3, 3, 2)
-                out = rcg_solve(forms, random_state(3, 2, rng),
-                                RcgConfig(max_iters=max_iters), free=free)
+                out = solve(forms, random_state(3, 2, rng), RcgConfig(max_iters=max_iters),
+                            kind)
                 assert out.objective_evals == out.iterations + out.backtracks + 1
                 assert len(out.history) == out.iterations + 1
                 total_backtracks += out.backtracks
@@ -242,34 +250,23 @@ class TestRcgCounters:
 
 
 class TestFrozenPhasePath:
-    @staticmethod
-    def phases_frozen(lm, n):
-        return np.concatenate([np.ones(lm, dtype=bool), np.zeros(n, dtype=bool)])
-
-    def test_matches_problem_with_phases_folded_into_b(self):
-        # with every phase frozen only b + c phi0 matters, so moving it into b
-        # and dropping c must leave the run unchanged
+    def test_fold_keeps_the_objective(self):
         for seed in range(6):
             gen = np.random.default_rng(seed)
             lm, n = int(gen.integers(1, 6)), int(gen.integers(1, 6))
             forms = random_forms(gen, int(gen.integers(1, 5)), lm, n)
-            x0 = random_state(lm, n, gen)
-            mask = self.phases_frozen(lm, n)
-            folded = PrecomputedForms(b=forms.b + forms.c @ x0.phi,
-                                      c=np.zeros_like(forms.c))
-            cfg = RcgConfig(max_iters=80)
-            out = rcg_solve(forms, x0, cfg, free=mask)
-            ref = rcg_solve(folded, x0, cfg, free=mask)
-            assert np.array_equal(out.history, ref.history)
-            assert np.array_equal(out.x.x, ref.x.x)
-            assert out.iterations == ref.iterations
+            x = random_state(lm, n, gen)
+            folded = forms.fold(x.phi)
+            assert folded.c.shape == (len(forms), lm, 0)
+            full = objective(x, forms)
+            assert abs(objective(radar_only(x), folded) - full) <= 1e-12 * full
 
     def test_history_is_the_objective_at_the_iterates(self, rng):
         forms = random_forms(rng, 4, 4, 3)
         x0 = random_state(4, 3, rng)
         values = []
-        out = rcg_solve(forms, x0, RcgConfig(max_iters=30), free=self.phases_frozen(4, 3),
-                        callback=lambda x, g, d: values.append(objective(x, forms)))
+        out = solve(forms, x0, RcgConfig(max_iters=30), "phases_frozen",
+                    callback=lambda x, g, d: values.append(objective(stacked(x, x0.phi), forms)))
         assert len(values) == out.iterations > 0
         assert np.allclose(out.history[1:], values, rtol=1e-12, atol=0.0)
 
@@ -282,35 +279,47 @@ class TestFrozenPhasePath:
             seen.append((x.max_modulus_error(),
                          float(np.max(np.abs(np.real(g * x.x.conj())))),
                          float(np.max(np.abs(np.real(d * x.x.conj())))),
-                         bool(np.array_equal(x.phi, x0.phi))))
+                         x.dim))
 
-        rcg_solve(forms, x0, RcgConfig(max_iters=80), free=self.phases_frozen(4, 3),
-                  callback=watch)
+        solve(forms, x0, RcgConfig(max_iters=80), "phases_frozen", callback=watch)
         assert seen
         assert max(s[0] for s in seen) <= 1e-12
         assert max(s[1] for s in seen) <= 1e-10
         assert max(s[2] for s in seen) <= 1e-10
-        assert all(s[3] for s in seen)
+        assert all(s[3] == 4 for s in seen)
+
+
+def radar_only(x):
+    """The radar weights of ``x`` alone, the state of a solve with its phases folded."""
+    return BeamformerState(x=x.w, num_bf=x.num_bf)
+
+
+def stacked(x, phi):
+    """The stacked state of radar weights ``x`` and phases ``phi``."""
+    return BeamformerState(x=np.concatenate([x.x, phi]), num_bf=x.num_bf)
+
+
+def solve(forms, x0, cfg, kind, callback=None):
+    """``rcg_solve`` on every coordinate, or, for ``"phases_frozen"``, on the
+    forms folded at ``x0``'s phases from its radar weights alone."""
+    if kind == "phases_frozen":
+        forms, x0 = forms.fold(x0.phi), radar_only(x0)
+    return rcg_solve(forms, x0, cfg, callback=callback)
 
 
 def loop_mask(kind, lm, n):
-    """No mask, every phase frozen, or a partial mask that freezes radar weight 0
-    and, when there are several, the last phase (so the phase block still moves)."""
-    if kind == "none":
-        return None
-    free = np.ones(lm + n, dtype=bool)
-    if kind == "phases_frozen":
-        free[lm:] = False
-    else:
-        free[0] = False
-        if n > 1:
-            free[-1] = False
-    return free
+    """No mask, or every phase frozen: the reference loop's ``free`` for ``kind``."""
+    return None if kind == "none" else np.arange(lm + n) < lm
 
 
 def loop_problem(terms, lm, n, kind, draw=0):
     gen = np.random.default_rng(100 * terms + 10 * lm + n + 1000 * draw)
     return random_forms(gen, terms, lm, n), random_state(lm, n, gen), loop_mask(kind, lm, n)
+
+
+def full_state(x, x0, kind):
+    """An iterate of ``solve`` with ``x0``'s phases stacked back when they were folded."""
+    return stacked(x, x0.phi) if kind == "phases_frozen" else x
 
 
 # Stops well above the objective's round-off, where a reassociated sum can flip
@@ -324,61 +333,62 @@ def moves(out, lm, kind):
     return out.iterations > 0 or (lm == 1 and kind == "phases_frozen")
 
 
-@pytest.mark.parametrize("kind", ["none", "phases_frozen", "partial"])
+@pytest.mark.parametrize("kind", ["none", "phases_frozen"])
 @pytest.mark.parametrize("terms,lm,n", LOOP_SHAPES)
 class TestLoopAgainstWrappers:
     """The loop's private kernels against the validating public functions."""
 
-    def test_callback_gradient_is_the_masked_riemannian_gradient(self, terms, lm, n, kind):
-        forms, x0, free = loop_problem(terms, lm, n, kind)
+    def test_callback_gradient_is_the_riemannian_gradient(self, terms, lm, n, kind):
+        # with the phases folded, the gradient is the radar part of the full one
+        forms, x0, _ = loop_problem(terms, lm, n, kind)
         errors = []
 
         def watch(x, g, d):
-            ref = riem_grad(x, euclid_grad(x, forms))
-            if free is not None:
-                ref = np.where(free, ref, 0.0)
+            full = full_state(x, x0, kind)
+            ref = riem_grad(full, euclid_grad(full, forms))[:x.dim]
             errors.append(np.max(np.abs(g - ref)) / np.max(np.abs(ref)))
 
-        out = rcg_solve(forms, x0, LOOP_CFG, free=free, callback=watch)
+        out = solve(forms, x0, LOOP_CFG, kind, callback=watch)
         assert len(errors) == out.iterations and moves(out, lm, kind)
         assert max(errors, default=0.0) <= 1e-12
 
     def test_history_is_the_objective_at_the_iterates(self, terms, lm, n, kind):
-        forms, x0, free = loop_problem(terms, lm, n, kind)
+        forms, x0, _ = loop_problem(terms, lm, n, kind)
         values = []
-        out = rcg_solve(forms, x0, LOOP_CFG, free=free,
-                        callback=lambda x, g, d: values.append(objective(x, forms)))
+        out = solve(forms, x0, LOOP_CFG, kind, callback=lambda x, g, d: values.append(
+            objective(full_state(x, x0, kind), forms)))
         assert len(values) == out.iterations and moves(out, lm, kind)
         assert out.history[0] == objective(x0, forms)
         assert np.allclose(out.history[1:], values, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("kind", ["none", "phases_frozen", "partial"])
+@pytest.mark.parametrize("kind", ["none", "phases_frozen"])
 @pytest.mark.parametrize("terms,lm,n", LOOP_SHAPES)
 def test_loop_matches_the_plain_reference_loop(terms, lm, n, kind):
     # a complex Jacobian and a d_free x d_free solve per trial take the same
-    # steps up to round-off, which stays far below the stop tolerance
+    # steps up to round-off, which stays far below the stop tolerance; the
+    # reference freezes the phases with its mask, the loop solves folded forms
     for draw in range(20):
         forms, x0, free = loop_problem(terms, lm, n, kind, draw)
-        out = rcg_solve(forms, x0, LOOP_CFG, free=free)
+        out = solve(forms, x0, LOOP_CFG, kind)
         ref = reference_lm(forms, x0, LOOP_CFG, free=free)
         assert (out.iterations, out.backtracks, out.stop_reason) == (
             ref.iterations, ref.backtracks, ref.stop_reason)
-        assert np.max(np.abs(out.x.x - ref.x)) <= 1e-7
+        assert np.max(np.abs(full_state(out.x, x0, kind).x - ref.x)) <= 1e-7
 
 
 # More free coordinates than the 2*terms real residuals: d_free > 2 terms for
-# every mask below, so the loop solves the residual-sized system.
+# both kinds below, so the loop solves the residual-sized system.
 WIDE_SHAPES = [(1, 3, 2), (2, 5, 4), (3, 7, 5), (2, 9, 0)]
 
 
-@pytest.mark.parametrize("kind", ["none", "phases_frozen", "partial"])
+@pytest.mark.parametrize("kind", ["none", "phases_frozen"])
 @pytest.mark.parametrize("terms,lm,n", WIDE_SHAPES)
 def test_residual_side_step_equals_the_full_step(terms, lm, n, kind, monkeypatch):
     sides, dual_side = [], rcg._dual_side
 
-    def spy(d_free, n_terms):
-        sides.append(dual_side(d_free, n_terms))
+    def spy(dim, n_terms):
+        sides.append(dual_side(dim, n_terms))
         return sides[-1]
 
     monkeypatch.setattr(rcg, "_dual_side", spy)
@@ -386,29 +396,14 @@ def test_residual_side_step_equals_the_full_step(terms, lm, n, kind, monkeypatch
     for draw in range(5):
         forms, x0, free = loop_problem(terms, lm, n, kind, draw)
         steps = []
-        rcg_solve(forms, x0, one_step, free=free,
-                  callback=lambda x, g, d: steps.append((d * x.x.conj()).imag))
+        solve(forms, x0, one_step, kind,
+              callback=lambda x, g, d: steps.append((d * x.x.conj()).imag))
         ref = reference_lm(forms, x0, one_step, free=free)
         assert len(steps) == len(ref.steps) == 1
-        err = np.linalg.norm(steps[0] - ref.steps[0]) / np.linalg.norm(ref.steps[0])
+        ref_step = ref.steps[0][:len(steps[0])]
+        err = np.linalg.norm(steps[0] - ref_step) / np.linalg.norm(ref_step)
         assert err <= 1e-12
     assert sides and all(sides)
-
-
-@pytest.mark.parametrize("terms,lm,n", LOOP_SHAPES)
-def test_radar_block_path_matches_the_masked_stacked_loop(terms, lm, n, monkeypatch):
-    # a phases-frozen mask runs on the radar block alone; with that shortcut
-    # turned off the same mask runs the stacked loop with masked gradients
-    forms, x0, free = loop_problem(terms, lm, n, "phases_frozen")
-    fast = rcg_solve(forms, x0, LOOP_CFG, free=free)
-    monkeypatch.setattr(rcg, "_radar_block_only", lambda free, nb: False)
-    slow = rcg_solve(forms, x0, LOOP_CFG, free=free)
-    assert fast.iterations == slow.iterations and moves(fast, lm, "phases_frozen")
-    assert (fast.objective_evals, fast.backtracks) == (slow.objective_evals, slow.backtracks)
-    assert fast.x.dim == slow.x.dim == lm + n
-    assert np.array_equal(fast.x.phi, x0.phi) and np.array_equal(slow.x.phi, x0.phi)
-    assert np.max(np.abs(fast.x.x - slow.x.x)) <= 1e-12
-    assert np.allclose(fast.history, slow.history, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", ["none", "phases_frozen"])
@@ -424,10 +419,8 @@ def test_power_of_two_scaling_leaves_the_run_unchanged(kind, exponent):
         terms, lm, n = (int(v) for v in gen.integers(1, 7, size=3))
         forms = random_forms(gen, terms, lm, n)
         x0 = random_state(lm, n, gen)
-        free = loop_mask(kind, lm, n)
-        ref = rcg_solve(forms, x0, cfg, free=free)
-        out = rcg_solve(PrecomputedForms(b=scale * forms.b, c=scale * forms.c), x0, cfg,
-                        free=free)
+        ref = solve(forms, x0, cfg, kind)
+        out = solve(PrecomputedForms(b=scale * forms.b, c=scale * forms.c), x0, cfg, kind)
         assert np.array_equal(out.x.x, ref.x.x)
         assert (out.iterations, out.stop_reason) == (ref.iterations, ref.stop_reason)
         assert np.array_equal(out.history, scale ** 2 * ref.history)
@@ -446,9 +439,8 @@ def test_desk_bench_solves_stop_at_the_gradient_tolerance(seed):
     lm, n = scen.L * scen.M, scen.N
     x0 = random_state(lm, n, gen)
     for kind in ("none", "phases_frozen"):
-        free = loop_mask(kind, lm, n)
-        out = rcg_solve(forms, x0, RcgConfig(max_iters=200, grad_tol=1e-10), free=free)
+        out = solve(forms, x0, RcgConfig(max_iters=200, grad_tol=1e-10), kind)
         assert out.stop_reason == "grad_tol" and out.iterations > 0
-        more = rcg_solve(forms, x0, RcgConfig(max_iters=400, grad_tol=1e-10), free=free)
+        more = solve(forms, x0, RcgConfig(max_iters=400, grad_tol=1e-10), kind)
         assert np.array_equal(more.x.x, out.x.x)
         assert np.array_equal(more.history, out.history)

@@ -227,6 +227,17 @@ class TestConfigSerialization:
         with pytest.raises(DomainError):
             ScenarioConfig(A_ris=1.5)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"d_k": math.nan}, "d_k must be finite"),
+        ({"obstacles": [(100.0, math.nan, 1.0)]}, "obstacle parameters"),
+        ({"obstacles": [(100.0, 50.0, math.inf)]}, "obstacle parameters"),
+        ({"sigma_r2_dBm": math.nan}, "sigma_r2_dBm must be finite"),
+        ({"P_T_dBm": math.inf}, "P_T_dBm must be finite"),
+    ], ids=["d_k_nan", "obstacle_nan", "obstacle_inf", "sigma_r2_nan", "P_T_inf"])
+    def test_non_finite_values_rejected(self, fields, message):
+        with pytest.raises(DomainError, match=message):
+            ScenarioConfig(**fields)
+
     @pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
     def test_non_integer_size_rejected(self, value):
         with pytest.raises(DomainError, match="M must be an integer"):

@@ -115,6 +115,14 @@ class TestObstacleChannel:
         assert np.max(np.abs(build_obstacle_channel(channels) - expect)) <= 1e-12
 
 
+class TestEffectiveChannels:
+    def test_nan_phase_rejected(self, channels):
+        phi = np.ones(channels.H_cR.shape[0], dtype=complex)
+        phi[0] = np.nan
+        with pytest.raises(DomainError, match="unit modulus"):
+            build_effective_channels(channels, phi)
+
+
 class TestBlockStructure:
     def test_block_equals_dense_kron_diagonal_block(self, channels, rng):
         # the block builders are the (l, l) diagonal block of the full

@@ -41,3 +41,29 @@ def test_traced_solve_counts_one_of_each_block_per_solved_iteration(spans):
     assert calls["bccd.build_effective_channels"] == calls["bccd.assemble_p2"] \
         == calls["bccd.power_breakdown"] == calls["bccd.solve_sdp"] == 3
     assert sum(n for key, n in tracer.counts.items() if key.startswith("sdp.path_")) == 3
+
+
+def test_traced_stop_counts_are_the_solver_stop_reasons(spans, monkeypatch):
+    # folded solves pass no mask, so the trace must size the tolerance from
+    # the state it is given, as the solver does
+    from collections import Counter
+
+    from pimin.bench import Method, run_trial
+    returned = []
+    solve = bccd.rcg_solve
+
+    def spy(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        returned.append(out.stop_reason)
+        return out
+
+    monkeypatch.setattr(bccd, "rcg_solve", spy)
+    scen = desk_bench_scenario(seed=1)
+    cfg = bccd.BccdConfig(n_iter=3, rcg=RcgConfig(max_iters=10))
+    with spans.Tracer() as tracer:
+        for method in Method:
+            run_trial(scen, method, cfg, seed=1)
+    traced = {key[len("rcg.stop_"):]: n for key, n in tracer.counts.items()
+              if key.startswith("rcg.stop_")}
+    assert traced == Counter(returned)
+    assert set(returned) == {"grad_tol", "max_iters"}
