@@ -27,8 +27,8 @@ def check_phases(phi: np.ndarray, n: int, validate: bool) -> np.ndarray:
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (n,):
         raise DimensionError(f"phase vector has shape {phi.shape}, expected ({n},)")
-    # written so that a NaN entry fails it
-    if validate and not np.max(np.abs(np.abs(phi) - 1.0)) <= UNIT_MODULUS_TOL:
+    # written so that a NaN entry fails it and an empty vector passes it
+    if validate and not np.all(np.abs(np.abs(phi) - 1.0) <= UNIT_MODULUS_TOL):
         raise DomainError("phase vector entries must have unit modulus")
     return phi
 

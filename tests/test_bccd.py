@@ -213,7 +213,8 @@ class TestBccdSolve:
         (lambda n: np.ones((n, 1)), DimensionError),
         (lambda n: np.full(n, 1.5), DomainError),
         (lambda n: np.r_[np.nan, np.ones(n - 1)], DomainError),
-    ], ids=["long", "column", "not_unit", "nan"])
+        (lambda n: np.r_[np.inf, np.ones(n - 1)], DomainError),
+    ], ids=["long", "column", "not_unit", "nan", "inf"])
     def test_bad_frozen_phases_rejected_before_any_block(self, monkeypatch, bad, error):
         import pimin.bccd
         scen = desk_scenario(seed=1)

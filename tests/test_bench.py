@@ -80,6 +80,15 @@ class TestRunTrial:
         assert abs(rec.P_PI_dB - 10 * math.log10(out.final_powers.p_pi
                                                  * scen.g_lna_lin)) <= 1e-9
 
+    def test_no_ris_matches_direct_solver_call(self):
+        scen = desk_scenario(seed=5)
+        rec = run_trial(scen, Method.BENCH3_NO_RIS, FAST, seed=66)
+        ch = generate_channels(scen, np.random.default_rng(66))
+        out = bccd_solve(FAST, scen, seeded_start(66, scen, ch).without_ris(),
+                         frozen_phi=np.ones(scen.N, dtype=complex))
+        assert abs(rec.P_PI_dB - 10 * math.log10(out.final_powers.p_pi
+                                                 * scen.g_lna_lin)) <= 1e-9
+
     def test_random_phase_benchmark_freezes_seeded_draw(self):
         scen = desk_scenario(seed=4)
         rec = run_trial(scen, Method.BENCH1_RANDOM_PHASE, FAST, seed=88)

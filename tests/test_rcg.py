@@ -261,6 +261,22 @@ class TestFrozenPhasePath:
             full = objective(x, forms)
             assert abs(objective(radar_only(x), folded) - full) <= 1e-12 * full
 
+    def test_fold_keeps_the_radar_gradient(self):
+        # the folded problem's gradient is the radar part of the full one
+        for seed in range(6):
+            gen = np.random.default_rng(seed)
+            lm, n = int(gen.integers(1, 6)), int(gen.integers(0, 6))
+            forms = random_forms(gen, int(gen.integers(1, 5)), lm, n)
+            x = random_state(lm, n, gen)
+            full = euclid_grad(x, forms)[:lm]
+            folded = euclid_grad(radar_only(x), forms.fold(x.phi))
+            assert np.max(np.abs(folded - full)) <= 1e-12 * np.max(np.abs(full))
+
+    def test_fold_without_phases_keeps_b(self, rng):
+        forms = random_forms(rng, 3, 4, 0)
+        folded = forms.fold(np.empty(0, dtype=complex))
+        assert np.array_equal(folded.b, forms.b) and folded.c.shape == (3, 4, 0)
+
     def test_history_is_the_objective_at_the_iterates(self, rng):
         forms = random_forms(rng, 4, 4, 3)
         x0 = random_state(4, 3, rng)

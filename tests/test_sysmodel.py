@@ -7,7 +7,7 @@ from pimin.errors import DimensionError, DomainError
 from pimin.scenario import generate_channels
 from pimin.sysmodel import (beam_products, build_comm_channel,
                             build_effective_channels, build_obstacle_channel,
-                            build_pi_channel, build_sensing_channel)
+                            build_pi_channel, build_sensing_channel, check_phases)
 
 from helpers import dense_kron_block, random_unit_modulus, tiny_scenario
 
@@ -121,6 +121,9 @@ class TestEffectiveChannels:
         phi[0] = np.nan
         with pytest.raises(DomainError, match="unit modulus"):
             build_effective_channels(channels, phi)
+
+    def test_empty_phase_vector_accepted(self):
+        assert check_phases(np.empty(0), 0, True).shape == (0,)
 
 
 class TestBlockStructure:
