@@ -16,11 +16,9 @@ from .metrics import (PowerBreakdown, adc_snr, comm_snr, dynamic_range,
 from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, RcgResult,
                   euclid_grad, objective, precompute_forms, random_state,
                   rcg_solve, riem_grad)
-from .scenario import (ChannelSet, RisSpec, ScenarioConfig, db_to_linear,
-                       dbm_to_watt, desk_bench_scenario, desk_scenario,
-                       generate_channels, higher_order_gain, linear_to_db,
-                       load_config, pathloss_direct, pathloss_reflected,
-                       ris_rcs, save_config)
+from .scenario import (ChannelSet, ScenarioConfig, db_to_linear, dbm_to_watt,
+                       desk_bench_scenario, desk_scenario, generate_channels,
+                       linear_to_db, load_config, save_config)
 from .sdp import (SdpProblem, SdpSolution, TransmitCovariance, assemble_p2,
                   solve_sdp)
 from .selfcheck import CheckReport, self_check

@@ -6,13 +6,11 @@ Exit codes: 0 success, 1 usage error, 2 solver failure, 3 self-check failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bccd import BccdConfig
 from .bench import (Method, load_sweep_spec, run_sweep, run_trial,
                     write_records_csv)
-from .errors import DomainError
 from .scenario import load_config
 from .selfcheck import self_check
 
@@ -72,10 +70,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "run":
+            # ValueError is the base of DomainError, DimensionError and JSONDecodeError
             try:
                 scen = load_config(args.config)
                 method = Method.parse(args.method)
-            except (OSError, json.JSONDecodeError, DomainError, TypeError) as exc:
+            except (OSError, ValueError, TypeError) as exc:
                 print(f"pimin: config error: {exc}", file=sys.stderr)
                 return EXIT_USAGE
             cfg = BccdConfig(n_iter=args.n_iter)
@@ -88,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             try:
                 spec = load_sweep_spec(args.spec)
-            except (OSError, json.JSONDecodeError, DomainError, TypeError, KeyError) as exc:
+            except (OSError, ValueError, TypeError, KeyError) as exc:
                 print(f"pimin: spec error: {exc}", file=sys.stderr)
                 return EXIT_USAGE
             records, _ = run_sweep(spec, parallelism=args.parallelism,

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .linalg import EvdResult
-from .scenario import ChannelSet, check_count
+from .scenario import ChannelSet, check_count, check_real
 
 # The first damping is this fraction of the largest diagonal entry of
 # Re(J^H J) at the start point.
@@ -293,8 +293,10 @@ class RcgConfig:
 
     def __post_init__(self) -> None:
         check_count("max_iters", self.max_iters, 0)
-        if self.grad_tol is not None and not self.grad_tol >= 0.0:
-            raise DomainError(f"grad_tol must be >= 0, got {self.grad_tol}")
+        if self.grad_tol is not None:
+            check_real("grad_tol", self.grad_tol)
+            if not self.grad_tol >= 0.0:
+                raise DomainError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
     def resolved_grad_tol(self, dim: int) -> float:
         return self.grad_tol if self.grad_tol is not None else 1e-8 * dim

@@ -1,10 +1,16 @@
-"""Physical parameters, path-loss physics and seeded channel realizations.
+"""Physical parameters, the link budget and seeded channel realizations.
 
 A :class:`ScenarioConfig` owns every knob of one simulated deployment: array
 sizes, node distances, antenna gains, RIS element geometry, noise levels and
-the optimization targets. :func:`generate_channels` turns a config plus a
-seeded random stream into one :class:`ChannelSet` realization with Rayleigh
-small-scale fading and path-loss-scaled complex gains.
+the optimization targets. Its ``__post_init__`` is the one place that decides
+whether a scenario is valid, so the formulas below never check their
+arguments. :func:`generate_channels` turns a config plus a seeded random
+stream into one :class:`ChannelSet` realization with Rayleigh small-scale
+fading and complex path gains. Every path gain, direct, RIS-reflected or
+echoed, comes from the one link budget :func:`_link_gain`; the RIS element's
+cross-section ``ScenarioConfig.sigma_ris_m2`` follows the far-field model of
+Tang et al., "Wireless Communications With Reconfigurable Intelligent
+Surface: Path Loss Modeling and Experimental Measurement", IEEE TWC 2021.
 
 Distances are consumed directly; no coordinate geometry is modeled. All dB
 valued config fields carry their unit in the field name (``_dB``, ``_dBm``,
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Sequence
 
@@ -60,6 +67,12 @@ def check_count(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
 
 
+def check_real(name: str, value) -> None:
+    """Raise ``DomainError`` unless ``value`` is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
 def known_fields(cls, d, what: str) -> dict:
     """A copy of the JSON object ``d`` whose keys are all ``init`` fields of ``cls``."""
     if not isinstance(d, dict):
@@ -68,47 +81,6 @@ def known_fields(cls, d, what: str) -> dict:
     if unknown:
         raise DomainError(f"unknown {what} fields: {sorted(unknown)}")
     return dict(d)
-
-
-# ---------------------------------------------------------------------------
-# RIS element description
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RisSpec:
-    """Geometry and radiation pattern of a single RIS element.
-
-    ``pattern_r``/``pattern_t`` are the normalized power radiation pattern
-    values in the incidence and reflection directions, both in [0, 1].
-    """
-
-    a_ris: float = 1.0          # reflection coefficient, 1 for a passive RIS
-    d_x: float = 0.004283       # element size along x (m)
-    d_y: float = 0.004283       # element size along y (m)
-    elevation_r: float = 0.0    # incidence elevation (rad)
-    elevation_t: float = 0.0    # reflection elevation (rad)
-    pattern_r: float = 1.0
-    pattern_t: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.a_ris <= 1.0):
-            raise DomainError(f"a_ris must lie in (0, 1], got {self.a_ris}")
-        for name in ("pattern_r", "pattern_t"):
-            val = getattr(self, name)
-            if not (0.0 <= val <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1], got {val}")
-
-
-def pattern_value(kind: str, elevation: float, q: float) -> float:
-    """Normalized element power pattern at the given elevation angle.
-
-    ``unity`` ignores the angle; ``cos_q`` is ``max(cos(elevation), 0)**q``.
-    """
-    if kind == "unity":
-        return 1.0
-    if kind == "cos_q":
-        return max(math.cos(elevation), 0.0) ** q
-    raise DomainError(f"unknown radiation pattern {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +146,39 @@ class ScenarioConfig:
         for name in ("M_t", "M_r", "M", "N_x", "N_y", "L"):
             check_count(name, getattr(self, name), 1)
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise DomainError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            if f.type == "float":
+                value = getattr(self, f.name)
+                check_real(f.name, value)
+                if not math.isfinite(value):
+                    raise DomainError(f"{f.name} must be finite, got {value}")
         for name in ("d_k", "d_Rk", "d_cR", "d_DPI", "d_rR", "d_Bt", "d_tPR", "d_tR",
-                     "f_c_Hz", "d_x_m", "d_y_m"):
+                     "f_c_Hz", "d_x_m", "d_y_m", "sigma_t_m2"):
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
         if not (0.0 < self.A_ris <= 1.0):
             raise DomainError(f"A_ris must lie in (0, 1], got {self.A_ris}")
-        pattern_value(self.radiation_pattern, 0.0, self.pattern_q)  # validates kind
+        if self.radiation_pattern not in ("unity", "cos_q"):
+            raise DomainError(f"unknown radiation pattern {self.radiation_pattern!r}")
+        if not self.pattern_q >= 0.0:
+            raise DomainError(f"pattern_q must be >= 0, got {self.pattern_q}")
         object.__setattr__(self, "obstacles", tuple(tuple(ob) for ob in self.obstacles))
         for ob in self.obstacles:
             if len(ob) != 3:
                 raise DimensionError(f"obstacle entries are (d_B_ob, d_ob_PR, rcs_m2), got {ob}")
+            for v in ob:
+                check_real("obstacle parameters", v)
             if not all(0 < v < math.inf for v in ob):
                 raise DomainError(f"obstacle parameters must be finite and > 0, got {ob}")
+        # the link-budget factors that a dB field or the element size can take
+        # out of float range
+        try:
+            budget = {name: getattr(self, name) for name in
+                      ("P_T_W", "g_t_lin", "g_r_c_lin", "g_r_pr_lin", "sigma_ris_m2")}
+        except OverflowError as exc:
+            raise DomainError(f"a link-budget factor overflows: {exc}") from exc
+        for name, value in budget.items():
+            if not value > 0.0:
+                raise DomainError(f"{name} must be > 0, got {value}")
 
     # derived quantities -----------------------------------------------------
 
@@ -244,18 +234,20 @@ class ScenarioConfig:
     def g_lna_lin(self) -> float:
         return db_to_linear(self.G_LNA_dB)
 
-    def ris_spec(self) -> RisSpec:
-        return RisSpec(
-            a_ris=self.A_ris,
-            d_x=self.d_x_m,
-            d_y=self.d_y_m,
-            elevation_r=self.ris_elevation_r_rad,
-            elevation_t=self.ris_elevation_t_rad,
-            pattern_r=pattern_value(self.radiation_pattern, self.ris_elevation_r_rad,
-                                    self.pattern_q),
-            pattern_t=pattern_value(self.radiation_pattern, self.ris_elevation_t_rad,
-                                    self.pattern_q),
-        )
+    @property
+    def sigma_ris_m2(self) -> float:
+        """Far-field radar cross-section of one RIS element (m^2), after Tang et al.
+
+        The element's power pattern is 1 (``unity``) or ``max(cos(elevation), 0)**q``
+        (``cos_q``), taken at the incidence and at the reflection elevation.
+        """
+        if self.radiation_pattern == "unity":
+            pattern_r = pattern_t = 1.0
+        else:
+            pattern_r, pattern_t = (max(math.cos(e), 0.0) ** self.pattern_q
+                                    for e in (self.ris_elevation_r_rad, self.ris_elevation_t_rad))
+        s_sub = self.d_x_m * self.d_y_m
+        return FOUR_PI * self.A_ris**2 * s_sub**2 / self.wavelength**2 * pattern_r * pattern_t
 
     # serialization ------------------------------------------------------------
 
@@ -284,71 +276,21 @@ def save_config(cfg: ScenarioConfig, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Path-loss and RCS formulas
+# Link budget
 # ---------------------------------------------------------------------------
 
-def _check_positive(**kwargs: float) -> None:
-    for name, val in kwargs.items():
-        if not val > 0.0:
-            raise DomainError(f"{name} must be > 0, got {val}")
+def _link_gain(wavelength: float, p_t: float, g_t: float, g_r: float, cross: float,
+               distances: Sequence[float], exponent: float) -> float:
+    """Amplitude gain of a path of ``len(distances)`` hops.
 
-
-def pathloss_direct(wavelength: float, p_t: float, g_t: float, g_r: float,
-                    d: float, exponent: float = 2.0) -> float:
-    """Amplitude gain of a single-bounce (direct) link.
-
-    ``sqrt(lambda^2 P G_T G_R / ((4 pi)^2 d^exponent))``; at the free-space
-    exponent of 2 the output halves when the distance doubles.
+    ``sqrt(lambda^2 P G_T G_R cross / ((4 pi)^(hops+1) prod d^exponent))``:
+    one ``(4 pi)`` and one ``d^exponent`` per hop, and ``cross`` the product
+    of the scatterers' cross-sections, 1 for a direct link. At the free-space
+    exponent of 2 the gain halves when any one distance doubles.
     """
-    _check_positive(wavelength=wavelength, p_t=p_t, g_t=g_t, g_r=g_r, d=d)
-    return math.sqrt(wavelength**2 * p_t * g_t * g_r / (FOUR_PI**2 * d**exponent))
-
-
-def pathloss_reflected(wavelength: float, p_t: float, g_t: float, g_r: float,
-                       sigma_ris: float, d1: float, d2: float,
-                       exponent: float = 2.0) -> float:
-    """Amplitude gain of a two-hop link through a reflector of RCS ``sigma_ris``.
-
-    ``sqrt(lambda^2 P G_T G_R sigma / ((4 pi)^3 d1^exponent d2^exponent))``.
-    """
-    _check_positive(wavelength=wavelength, p_t=p_t, g_t=g_t, g_r=g_r,
-                    sigma_ris=sigma_ris, d1=d1, d2=d2)
-    return math.sqrt(
-        wavelength**2 * p_t * g_t * g_r * sigma_ris
-        / (FOUR_PI**3 * d1**exponent * d2**exponent)
-    )
-
-
-def ris_rcs(spec: RisSpec, wavelength: float) -> float:
-    """Radar cross-section of one RIS element in the far field (m^2)."""
-    _check_positive(wavelength=wavelength)
-    s_sub = spec.d_x * spec.d_y
-    return FOUR_PI * spec.a_ris**2 * s_sub**2 / wavelength**2 * spec.pattern_r * spec.pattern_t
-
-
-def higher_order_gain(order: int, wavelength: float, p_t: float, g_t: float,
-                      g_r: float, sigma_ris: float, sigma_t: float,
-                      distances: Sequence[float], exponent: float = 2.0) -> float:
-    """Amplitude gain of a multi-hop sensing path of the given bounce order.
-
-    Extends the one- and two-hop formulas multiplicatively: one ``(4 pi)`` and
-    one ``d^exponent`` per hop, one cross-section per scatterer. Order 2 is the
-    direct echo (target RCS only), order 3 adds one RIS bounce, order 4 two.
-    """
-    if order not in (2, 3, 4):
-        raise DomainError(f"order must be 2, 3 or 4, got {order}")
-    if len(distances) != order:
-        raise DimensionError(f"order {order} path needs {order} distances, got {len(distances)}")
-    _check_positive(wavelength=wavelength, p_t=p_t, g_t=g_t, g_r=g_r,
-                    sigma_ris=sigma_ris, sigma_t=sigma_t)
-    for i, d in enumerate(distances):
-        _check_positive(**{f"distance_{i}": d})
-    cross = {2: sigma_t, 3: sigma_t * sigma_ris, 4: sigma_t * sigma_ris**2}[order]
-    dist_prod = 1.0
-    for d in distances:
-        dist_prod *= d**exponent
     return math.sqrt(wavelength**2 * p_t * g_t * g_r * cross
-                     / (FOUR_PI ** (order + 1) * dist_prod))
+                     / (FOUR_PI ** (len(distances) + 1)
+                        * math.prod(d**exponent for d in distances)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,45 +359,38 @@ def generate_channels(config: ScenarioConfig, rng: np.random.Generator) -> Chann
     """
     lam = config.wavelength
     p_t = config.P_T_W
+    g_t = config.g_t_lin
     exp = config.pathloss_exponent
-    sigma_ris = ris_rcs(config.ris_spec(), lam)
 
     children = rng.spawn(10 + config.Q)
     (rng_hk, rng_hrk, rng_hcr, rng_hdpi, rng_grr,
      rng_gt, rng_ht, rng_grt, rng_phase, rng_ob_phase) = children[:10]
 
-    def gain(magnitude: float, stream: np.random.Generator) -> complex:
+    def gain(g_r: float, cross: float, distances: tuple[float, ...],
+             stream: np.random.Generator) -> complex:
+        magnitude = _link_gain(lam, p_t, g_t, g_r, cross, distances, exp)
         phase = stream.uniform(0.0, 2.0 * math.pi)
         return magnitude * complex(math.cos(phase), math.sin(phase))
 
-    gamma_c_d = gain(pathloss_direct(lam, p_t, config.g_t_lin, config.g_r_c_lin,
-                                     config.d_k, exp), rng_phase)
-    gamma_c_r = gain(pathloss_reflected(lam, p_t, config.g_t_lin, config.g_r_c_lin,
-                                        sigma_ris, config.d_Rk, config.d_cR, exp), rng_phase)
-    gamma_dpi = gain(pathloss_direct(lam, p_t, config.g_t_lin, config.g_r_pr_lin,
-                                     config.d_DPI, exp), rng_phase)
-    gamma_rpi = gain(pathloss_reflected(lam, p_t, config.g_t_lin, config.g_r_pr_lin,
-                                        sigma_ris, config.d_rR, config.d_cR, exp), rng_phase)
-    g_pr = config.g_r_pr_lin
-    sigma_t = config.sigma_t_m2
-    gamma_s1 = gain(higher_order_gain(2, lam, p_t, config.g_t_lin, g_pr, sigma_ris, sigma_t,
-                                      [config.d_Bt, config.d_tPR], exp), rng_phase)
-    gamma_s2 = gain(higher_order_gain(3, lam, p_t, config.g_t_lin, g_pr, sigma_ris, sigma_t,
-                                      [config.d_Bt, config.d_tR, config.d_rR], exp), rng_phase)
-    gamma_s3 = gain(higher_order_gain(3, lam, p_t, config.g_t_lin, g_pr, sigma_ris, sigma_t,
-                                      [config.d_cR, config.d_tR, config.d_tPR], exp), rng_phase)
-    gamma_s4 = gain(higher_order_gain(4, lam, p_t, config.g_t_lin, g_pr, sigma_ris, sigma_t,
-                                      [config.d_cR, config.d_tR, config.d_tR, config.d_rR],
-                                      exp), rng_phase)
+    g_c, g_pr = config.g_r_c_lin, config.g_r_pr_lin
+    sigma_ris, sigma_t = config.sigma_ris_m2, config.sigma_t_m2
+    d_cR, d_rR, d_tR = config.d_cR, config.d_rR, config.d_tR
+    # the phases are drawn from one stream in this order
+    gamma_c_d = gain(g_c, 1.0, (config.d_k,), rng_phase)
+    gamma_c_r = gain(g_c, sigma_ris, (config.d_Rk, d_cR), rng_phase)
+    gamma_dpi = gain(g_pr, 1.0, (config.d_DPI,), rng_phase)
+    gamma_rpi = gain(g_pr, sigma_ris, (d_rR, d_cR), rng_phase)
+    gamma_s1 = gain(g_pr, sigma_t, (config.d_Bt, config.d_tPR), rng_phase)
+    gamma_s2 = gain(g_pr, sigma_t * sigma_ris, (config.d_Bt, d_tR, d_rR), rng_phase)
+    gamma_s3 = gain(g_pr, sigma_t * sigma_ris, (d_cR, d_tR, config.d_tPR), rng_phase)
+    gamma_s4 = gain(g_pr, sigma_t * sigma_ris**2, (d_cR, d_tR, d_tR, d_rR), rng_phase)
 
     obstacles = []
     for i, (d_b_ob, d_ob_pr, rcs) in enumerate(config.obstacles):
         ob_rng = children[10 + i]
         g_ob = _cn_vector(ob_rng, config.M)
         h_ob = _cn_vector(ob_rng, config.M_t)
-        gamma_ob = gain(higher_order_gain(2, lam, p_t, config.g_t_lin, g_pr, sigma_ris, rcs,
-                                          [d_b_ob, d_ob_pr], exp), rng_ob_phase)
-        obstacles.append((g_ob, h_ob, gamma_ob))
+        obstacles.append((g_ob, h_ob, gain(g_pr, rcs, (d_b_ob, d_ob_pr), rng_ob_phase)))
 
     return ChannelSet(
         H_k=_cn_matrix(rng_hk, config.M_r, config.M_t),

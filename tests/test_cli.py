@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -49,6 +50,17 @@ class TestRun:
     def test_missing_arguments_usage_error(self):
         assert main(["run", "--method", "proposed"]) == 1
         assert main([]) == 1
+
+    def test_obstacle_of_two_values_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(dict(desk_scenario(seed=3).to_json_dict(),
+                                        obstacles=[[50.0, 30.0]])))
+        out = tmp_path / "o.csv"
+        code = main(["run", "--config", str(path), "--method", "proposed",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 1
+        assert "config error: obstacle entries" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_iter", ["0", "-2", "two"])
     def test_n_iter_below_one_is_usage_error(self, config_path, tmp_path, capsys, n_iter):
@@ -159,6 +171,31 @@ class TestSweep:
         out = tmp_path / "o.csv"
         assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
         assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base, axis, values, message", [
+        ({"obstacles": [[50.0, 30.0]]}, "M", [2], "obstacle entries"),
+        ({"sigma_t_m2": -1.0}, "M", [2], "sigma_t_m2 must be > 0"),
+        ({}, "sigma_t_m2", [5.0, -1.0], "sigma_t_m2 must be > 0"),
+        ({"radiation_pattern": "cos_q", "pattern_q": -1.0}, "M", [2], "pattern_q must be >= 0"),
+        ({"radiation_pattern": "cos_q"}, "pattern_q", [2.0, -1.0], "pattern_q must be >= 0"),
+        ({"radiation_pattern": "cos_q", "ris_elevation_t_rad": math.pi}, "M", [2],
+         "sigma_ris_m2 must be > 0"),
+        ({"radiation_pattern": "cos_q"}, "ris_elevation_t_rad", [0.0, math.pi],
+         "sigma_ris_m2 must be > 0"),
+    ], ids=["base_obstacle_two_values", "base_sigma_t", "axis_sigma_t", "base_pattern_q",
+            "axis_pattern_q", "base_zero_ris_rcs", "axis_zero_ris_rcs"])
+    def test_invalid_link_budget_is_spec_error(self, tmp_path, capsys, base, axis, values,
+                                               message):
+        spec = {"base": dict(desk_scenario(seed=1).to_json_dict(), **base), "axis": axis,
+                "values": values, "trials_per_point": 1, "methods": ["proposed"],
+                "solver": {"n_iter": 2}}
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "spec error" in err and message in err
         assert not out.exists()
 
     def test_bad_spec_usage_error(self, tmp_path, capsys):

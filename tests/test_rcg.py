@@ -213,6 +213,11 @@ class TestRcgConfig:
         with pytest.raises(DomainError, match="grad_tol"):
             RcgConfig(grad_tol=tol)
 
+    @pytest.mark.parametrize("tol", [True, "1e-8"])
+    def test_non_number_grad_tol_rejected(self, tol):
+        with pytest.raises(DomainError, match="grad_tol must be a real number"):
+            RcgConfig(grad_tol=tol)
+
 
 class TestRcgCounters:
     def test_zero_forms_stop_at_grad_tol_without_iterating(self, rng):

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pimin.errors import DimensionError, DomainError
-from pimin.scenario import (RisSpec, ScenarioConfig, db_to_linear,
-                            dbm_to_watt, desk_scenario, generate_channels,
-                            higher_order_gain, linear_to_db, pathloss_direct,
-                            pathloss_reflected, ris_rcs)
+from pimin.scenario import (ScenarioConfig, _link_gain, db_to_linear, dbm_to_watt,
+                            desk_bench_scenario, desk_scenario, generate_channels,
+                            linear_to_db)
 
 from helpers import tiny_scenario
 
@@ -30,98 +29,121 @@ class TestConversions:
         assert linear_to_db(0.0) == float("-inf")
 
 
-class TestPathloss:
+def unit_gain(distances, cross=1.0):
+    """The link gain at unit wavelength, power and antenna gains."""
+    return _link_gain(1.0, 1.0, 1.0, 1.0, cross, distances, 2.0)
+
+
+class TestLinkGain:
     def test_unit_inputs(self):
-        assert abs(pathloss_direct(1.0, 1.0, 1.0, 1.0, 1.0) - 1.0 / FOUR_PI) <= 1e-15
+        assert abs(unit_gain([1.0]) - 1.0 / FOUR_PI) <= 1e-15
 
     def test_distance_halving(self):
-        one = pathloss_direct(1.0, 1.0, 1.0, 1.0, 1.0)
-        assert abs(pathloss_direct(1.0, 1.0, 1.0, 1.0, 2.0) - one / 2.0) <= 1e-15
+        assert abs(unit_gain([2.0]) - unit_gain([1.0]) / 2.0) <= 1e-15
 
     def test_table_parameters(self):
         # 28 GHz, 40 dBm, 25 dBi both ends, 500 m; frozen from a high
         # precision evaluation of the link-budget formula
         lam = 299792458.0 / 28e9
-        val = pathloss_direct(lam, dbm_to_watt(40.0), db_to_linear(25.0),
-                              db_to_linear(25.0), 500.0)
+        val = _link_gain(lam, dbm_to_watt(40.0), db_to_linear(25.0), db_to_linear(25.0),
+                         1.0, [500.0], 2.0)
         assert abs(val - 1.70405184258462e-3) <= 1e-15
 
-    def test_reflected_unit_inputs(self):
-        val = pathloss_reflected(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    def test_two_hop_unit_inputs(self):
+        val = unit_gain([1.0, 1.0])
         assert abs(val - FOUR_PI**-1.5) <= 1e-15
         assert abs(val - 0.0224483902656458) <= 1e-15
 
-    def test_reflected_halves_per_hop(self):
-        base = pathloss_reflected(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-        assert abs(pathloss_reflected(1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0) - base / 2) <= 1e-15
+    def test_two_hop_halves_per_hop(self):
+        base = unit_gain([1.0, 1.0])
+        assert abs(unit_gain([2.0, 1.0]) - base / 2) <= 1e-15
+        assert abs(unit_gain([1.0, 2.0]) - base / 2) <= 1e-15
+
+    def test_three_hop_per_hop_distance(self):
+        assert abs(unit_gain([10.0, 1.0, 1.0]) - unit_gain([1.0] * 3) / 10.0) <= 1e-15
 
     def test_reflected_refactors_through_direct(self, rng):
         for _ in range(10):
             lam, p, gt, gr, sig, d1, d2 = rng.uniform(0.1, 5.0, size=7)
-            lhs = pathloss_reflected(lam, p, gt, gr, sig, d1, d2)
-            rhs = pathloss_direct(lam, p, gt, gr, d1) * math.sqrt(sig / FOUR_PI) / d2
+            lhs = _link_gain(lam, p, gt, gr, sig, [d1, d2], 2.0)
+            rhs = _link_gain(lam, p, gt, gr, 1.0, [d1], 2.0) * math.sqrt(sig / FOUR_PI) / d2
             assert abs(lhs - rhs) <= 1e-12 * lhs
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            pathloss_direct(1.0, 1.0, 1.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            pathloss_reflected(1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_strictly_decreasing_in_distance(self, rng):
         for _ in range(20):
             d = rng.uniform(1.0, 100.0)
-            assert pathloss_direct(1.0, 1.0, 1.0, 1.0, d * 1.01) \
-                < pathloss_direct(1.0, 1.0, 1.0, 1.0, d)
+            assert unit_gain([d * 1.01]) < unit_gain([d])
+            assert unit_gain([3.0, d * 1.01, 2.0]) < unit_gain([3.0, d, 2.0])
+
+    def test_each_bounce_attenuates(self):
+        # sigma_ris below 4 pi: each extra bounce attenuates at unit distances
+        sigma_ris = 2.0
+        g2 = unit_gain([1.0] * 2)
+        g3 = unit_gain([1.0] * 3, cross=sigma_ris)
+        g4 = unit_gain([1.0] * 4, cross=sigma_ris**2)
+        assert g4 < g3 < g2
 
 
-class TestRisRcs:
+class TestRisCrossSection:
+    @staticmethod
+    def at_wavelength(lam, **fields):
+        return ScenarioConfig(f_c_Hz=299792458.0 / lam, **fields)
+
     def test_wavelength_sized_element(self):
-        lam = 0.3
-        spec = RisSpec(a_ris=1.0, d_x=lam, d_y=lam)
-        assert abs(ris_rcs(spec, lam) - FOUR_PI * lam**2) <= 1e-12
+        scen = self.at_wavelength(0.3, d_x_m=0.3, d_y_m=0.3)
+        assert abs(scen.sigma_ris_m2 - FOUR_PI * scen.wavelength**2) <= 1e-12
 
     def test_small_element(self):
         lam = 0.0107
-        spec = RisSpec(a_ris=1.0, d_x=0.4 * lam, d_y=0.4 * lam)
+        scen = self.at_wavelength(lam, d_x_m=0.4 * lam, d_y_m=0.4 * lam)
         expect = 0.321699087727595 * lam**2
-        assert abs(ris_rcs(spec, lam) - expect) <= 1e-12 * expect
+        assert abs(scen.sigma_ris_m2 - expect) <= 1e-12 * expect
 
-    def test_null_pattern_direction(self):
-        spec = RisSpec(d_x=0.1, d_y=0.1, pattern_t=0.0)
-        assert ris_rcs(spec, 0.1) == 0.0
+    def test_cos_q_pattern_scales_both_directions(self):
+        unity = desk_scenario().sigma_ris_m2
+        tilted = desk_scenario(radiation_pattern="cos_q", pattern_q=2.0,
+                               ris_elevation_r_rad=math.pi / 3, ris_elevation_t_rad=math.pi / 4)
+        expect = unity * math.cos(math.pi / 3) ** 2 * math.cos(math.pi / 4) ** 2
+        assert abs(tilted.sigma_ris_m2 - expect) <= 1e-12 * expect
 
 
-class TestHigherOrderGain:
-    def test_order2_matches_reflected_with_target_rcs(self):
-        val = higher_order_gain(2, 1.0, 1.0, 1.0, 1.0, sigma_ris=7.0, sigma_t=1.0,
-                                distances=[1.0, 1.0])
-        assert abs(val - FOUR_PI**-1.5) <= 1e-15
-
-    def test_order_chain_decreases(self):
-        # sigma_ris below 4 pi: each extra bounce attenuates at unit distances
-        kw = dict(wavelength=1.0, p_t=1.0, g_t=1.0, g_r=1.0, sigma_ris=2.0, sigma_t=1.0)
-        g2 = higher_order_gain(2, distances=[1.0] * 2, **kw)
-        g3 = higher_order_gain(3, distances=[1.0] * 3, **kw)
-        g4 = higher_order_gain(4, distances=[1.0] * 4, **kw)
-        assert g4 <= g3 <= g2
-
-    def test_order3_per_hop_distance(self):
-        kw = dict(wavelength=1.0, p_t=1.0, g_t=1.0, g_r=1.0, sigma_ris=1.0, sigma_t=1.0)
-        base = higher_order_gain(3, distances=[1.0, 1.0, 1.0], **kw)
-        tenth = higher_order_gain(3, distances=[10.0, 1.0, 1.0], **kw)
-        assert abs(tenth - base / 10.0) <= 1e-15
-
-    def test_wrong_distance_count(self):
-        with pytest.raises(DimensionError):
-            higher_order_gain(3, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, distances=[1.0, 2.0])
-
-    def test_bad_order(self):
-        with pytest.raises(DomainError):
-            higher_order_gain(5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, distances=[1.0] * 5)
+GAMMAS = ("gamma_c_d", "gamma_c_r", "gamma_DPI", "gamma_RPI",
+          "gamma_s1", "gamma_s2", "gamma_s3", "gamma_s4")
 
 
 class TestGenerateChannels:
+    # frozen from the three path-loss functions that _link_gain replaced, at
+    # np.random.default_rng(0); the magnitudes carry the phase draws' rounding
+    @pytest.mark.parametrize("scen, sigma_ris, gammas", [
+        (desk_scenario(), "0x1.79a33411acb33p+6",
+         ("0x1.90055bbf73a86p-12", "0x1.87960de133e11p-14", "0x1.81179b390455bp-8",
+          "0x1.b549ab4311fb7p-10", "0x1.0c5b7b5b4529ep-14", "0x1.40f85db2562c4p-16",
+          "0x1.abf5d2431d905p-19", "0x1.ffdd3107788e3p-21")),
+        (desk_bench_scenario(), "0x1.79a33411acb33p+6",
+         ("0x1.90055bbf73a86p-12", "0x1.87960de133e11p-14", "0x1.81179b390455bp-8",
+          "0x1.b549ab4311fb7p-10", "0x1.555ed71dc3637p-20", "0x1.7ac84a3f79f3ap-22",
+          "0x1.cfd0ae81f897fp-26", "0x1.0152b6702b8afp-27")),
+        (desk_bench_scenario(d_rR=5.0), "0x1.79a33411acb33p+6",
+         ("0x1.90055bbf73a86p-12", "0x1.87960de133e11p-14", "0x1.81179b390455bp-8",
+          "0x1.b549ab4311fb7p-9", "0x1.555ed71dc3637p-20", "0x1.7ac84a3f79f3ap-21",
+          "0x1.cfd0ae81f897fp-26", "0x1.0152b6702b8afp-26")),
+        (ScenarioConfig(), "0x1.356edd54162e1p-15",
+         ("0x1.90055bbf73a86p-12", "0x1.f549f75af8f3ep-25", "0x1.81179b390455bp-8",
+          "0x1.17e59ce522c3bp-20", "0x1.0c5b7b5b4529ep-14", "0x1.9ae3d1397cc12p-27",
+          "0x1.11ed3626532b6p-29", "0x1.a36acb584db12p-42")),
+    ], ids=["desk", "desk_bench", "desk_bench_d_rR_5", "default"])
+    def test_path_gains_pinned(self, scen, sigma_ris, gammas):
+        assert scen.sigma_ris_m2 == float.fromhex(sigma_ris)
+        ch = generate_channels(scen, np.random.default_rng(0))
+        assert [abs(getattr(ch, name)) for name in GAMMAS] \
+            == [float.fromhex(g) for g in gammas]
+
+    def test_obstacle_gains_pinned(self):
+        scen = desk_scenario(obstacles=((50.0, 30.0, 1.0), (80.0, 120.0, 2.5)))
+        ch = generate_channels(scen, np.random.default_rng(0))
+        assert [abs(gamma_ob) for _, _, gamma_ob in ch.obstacles] \
+            == [float.fromhex("0x1.50095bc14c55dp-13"), float.fromhex("0x1.4c134587dd415p-15")]
+
     def test_seed_determinism(self):
         scen = tiny_scenario()
         a = generate_channels(scen, np.random.default_rng(5))
@@ -183,7 +205,7 @@ class TestGenerateChannels:
     def test_reflected_weaker_than_direct_under_premise(self):
         # premise: d_Rk * d_cR >= d_k * sqrt(sigma_RIS / 4 pi)
         scen = desk_scenario(d_k=100.0, d_Rk=120.0, d_cR=150.0)
-        sigma = ris_rcs(scen.ris_spec(), scen.wavelength)
+        sigma = scen.sigma_ris_m2
         assert scen.d_Rk * scen.d_cR >= scen.d_k * math.sqrt(sigma / FOUR_PI)
         ch = generate_channels(scen, np.random.default_rng(3))
         assert abs(ch.gamma_c_r) <= abs(ch.gamma_c_d)
@@ -237,6 +259,46 @@ class TestConfigSerialization:
     def test_non_finite_values_rejected(self, fields, message):
         with pytest.raises(DomainError, match=message):
             ScenarioConfig(**fields)
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ({"sigma_t_m2": -1.0}, DomainError, "sigma_t_m2 must be > 0"),
+        ({"sigma_t_m2": 0.0}, DomainError, "sigma_t_m2 must be > 0"),
+        ({"d_tR": 0.0}, DomainError, "d_tR must be > 0"),
+        ({"radiation_pattern": "cos_q", "pattern_q": -1.0}, DomainError,
+         "pattern_q must be >= 0"),
+        ({"pattern_q": -0.5}, DomainError, "pattern_q must be >= 0"),
+        ({"radiation_pattern": "cos_q", "ris_elevation_t_rad": math.pi}, DomainError,
+         "sigma_ris_m2 must be > 0"),
+        ({"radiation_pattern": "cos_q", "ris_elevation_r_rad": -math.pi}, DomainError,
+         "sigma_ris_m2 must be > 0"),
+        ({"radiation_pattern": "cosine"}, DomainError, "unknown radiation pattern"),
+        ({"P_T_dBm": -4000.0}, DomainError, "P_T_W must be > 0"),
+        ({"G_R_PR_dBi": -4000.0}, DomainError, "g_r_pr_lin must be > 0"),
+        ({"P_T_dBm": 4000.0}, DomainError, "link-budget factor overflows"),
+        ({"obstacles": [(50.0, 30.0)]}, DimensionError, "obstacle entries"),
+        ({"obstacles": [(50.0, 30.0, 0.0)]}, DomainError, "obstacle parameters"),
+    ], ids=["sigma_t_negative", "sigma_t_zero", "distance_zero", "cos_q_negative_q",
+            "unity_negative_q", "reflection_behind_panel", "incidence_behind_panel",
+            "unknown_pattern", "power_underflow", "gain_underflow", "power_overflow",
+            "obstacle_two_values", "obstacle_zero_rcs"])
+    def test_invalid_link_budget_rejected(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            ScenarioConfig(**fields)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"d_k": True}, "d_k"),
+        ({"P_T_dBm": False}, "P_T_dBm"),
+        ({"d_k": "500"}, "d_k"),
+        ({"pattern_q": None}, "pattern_q"),
+        ({"obstacles": [(50.0, True, 1.0)]}, "obstacle parameters"),
+    ], ids=["d_k_bool", "P_T_bool", "d_k_string", "pattern_q_none", "obstacle_bool"])
+    def test_non_number_float_field_rejected(self, fields, name):
+        with pytest.raises(DomainError, match=f"{name} must be a real number"):
+            ScenarioConfig(**fields)
+
+    def test_int_and_numpy_float_fields_accepted(self):
+        scen = ScenarioConfig(d_k=500, P_T_dBm=np.float64(40.0))
+        assert scen.P_T_W == ScenarioConfig().P_T_W and scen.d_k == 500.0
 
     @pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
     def test_non_integer_size_rejected(self, value):
