@@ -10,7 +10,7 @@ values of either sign near 1e-32, and a negative power has no dB value.
 ``power_breakdown`` decomposes ``R_ss`` once for all three paths, or takes
 the caller's decomposition, and reads ``u`` for each path from the
 ``BeamProducts`` record that ``sdp.assemble_p2`` also reads. Dense Kronecker
-matrices are never formed here (the test suite keeps a dense oracle instead).
+matrices are never formed here (``selfcheck.dense_kron_block`` is the oracle).
 """
 
 from __future__ import annotations

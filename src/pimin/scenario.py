@@ -7,7 +7,9 @@ whether a scenario is valid, so the formulas below never check their
 arguments. :func:`generate_channels` turns a config plus a seeded random
 stream into one :class:`ChannelSet` realization with Rayleigh small-scale
 fading and complex path gains. Every path gain, direct, RIS-reflected or
-echoed, comes from the one link budget :func:`_link_gain`; the RIS element's
+echoed, comes from the one list of paths :func:`_path_gains` through the one
+link budget :func:`_link_gain`; a config evaluates that list when it is
+built, so a gain out of float range is rejected there. The RIS element's
 cross-section ``ScenarioConfig.sigma_ris_m2`` follows the far-field model of
 Tang et al., "Wireless Communications With Reconfigurable Intelligent
 Surface: Path Loss Modeling and Experimental Measurement", IEEE TWC 2021.
@@ -179,6 +181,13 @@ class ScenarioConfig:
         for name, value in budget.items():
             if not value > 0.0:
                 raise DomainError(f"{name} must be > 0, got {value}")
+        # a distance power or a product of cross-sections can still leave float range
+        try:
+            magnitudes = _path_gains(self)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DomainError(f"a path gain is out of float range: {exc}") from exc
+        if not all(0.0 < g < math.inf for g in magnitudes):
+            raise DomainError(f"a path gain is out of float range: {magnitudes}")
 
     # derived quantities -----------------------------------------------------
 
@@ -293,6 +302,28 @@ def _link_gain(wavelength: float, p_t: float, g_t: float, g_r: float, cross: flo
                         * math.prod(d**exponent for d in distances)))
 
 
+def _path_gains(config: ScenarioConfig) -> list[float]:
+    """The magnitudes of ``gamma_c_d, gamma_c_r, gamma_DPI, gamma_RPI,
+    gamma_s1..gamma_s4`` and of each obstacle's gain, in that order."""
+    g_c, g_pr = config.g_r_c_lin, config.g_r_pr_lin
+    sigma_ris, sigma_t = config.sigma_ris_m2, config.sigma_t_m2
+    d_cR, d_rR, d_tR, d_tPR = config.d_cR, config.d_rR, config.d_tR, config.d_tPR
+    paths = [
+        (g_c, 1.0, (config.d_k,)),
+        (g_c, sigma_ris, (config.d_Rk, d_cR)),
+        (g_pr, 1.0, (config.d_DPI,)),
+        (g_pr, sigma_ris, (d_rR, d_cR)),
+        (g_pr, sigma_t, (config.d_Bt, d_tPR)),
+        (g_pr, sigma_t * sigma_ris, (config.d_Bt, d_tR, d_rR)),
+        (g_pr, sigma_t * sigma_ris, (d_cR, d_tR, d_tPR)),
+        (g_pr, sigma_t * sigma_ris**2, (d_cR, d_tR, d_tR, d_rR)),
+    ]
+    paths += [(g_pr, rcs, (d_b_ob, d_ob_pr)) for d_b_ob, d_ob_pr, rcs in config.obstacles]
+    lam, p_t, g_t = config.wavelength, config.P_T_W, config.g_t_lin
+    return [_link_gain(lam, p_t, g_t, g_r, cross, distances, config.pathloss_exponent)
+            for g_r, cross, distances in paths]
+
+
 # ---------------------------------------------------------------------------
 # Channel generation
 # ---------------------------------------------------------------------------
@@ -357,40 +388,22 @@ def generate_channels(config: ScenarioConfig, rng: np.random.Generator) -> Chann
     Every returned array is read-only, so one realization can be shared by
     several solves.
     """
-    lam = config.wavelength
-    p_t = config.P_T_W
-    g_t = config.g_t_lin
-    exp = config.pathloss_exponent
-
     children = rng.spawn(10 + config.Q)
     (rng_hk, rng_hrk, rng_hcr, rng_hdpi, rng_grr,
      rng_gt, rng_ht, rng_grt, rng_phase, rng_ob_phase) = children[:10]
 
-    def gain(g_r: float, cross: float, distances: tuple[float, ...],
-             stream: np.random.Generator) -> complex:
-        magnitude = _link_gain(lam, p_t, g_t, g_r, cross, distances, exp)
+    def with_phase(magnitude: float, stream: np.random.Generator) -> complex:
         phase = stream.uniform(0.0, 2.0 * math.pi)
         return magnitude * complex(math.cos(phase), math.sin(phase))
 
-    g_c, g_pr = config.g_r_c_lin, config.g_r_pr_lin
-    sigma_ris, sigma_t = config.sigma_ris_m2, config.sigma_t_m2
-    d_cR, d_rR, d_tR = config.d_cR, config.d_rR, config.d_tR
-    # the phases are drawn from one stream in this order
-    gamma_c_d = gain(g_c, 1.0, (config.d_k,), rng_phase)
-    gamma_c_r = gain(g_c, sigma_ris, (config.d_Rk, d_cR), rng_phase)
-    gamma_dpi = gain(g_pr, 1.0, (config.d_DPI,), rng_phase)
-    gamma_rpi = gain(g_pr, sigma_ris, (d_rR, d_cR), rng_phase)
-    gamma_s1 = gain(g_pr, sigma_t, (config.d_Bt, config.d_tPR), rng_phase)
-    gamma_s2 = gain(g_pr, sigma_t * sigma_ris, (config.d_Bt, d_tR, d_rR), rng_phase)
-    gamma_s3 = gain(g_pr, sigma_t * sigma_ris, (d_cR, d_tR, config.d_tPR), rng_phase)
-    gamma_s4 = gain(g_pr, sigma_t * sigma_ris**2, (d_cR, d_tR, d_tR, d_rR), rng_phase)
-
-    obstacles = []
-    for i, (d_b_ob, d_ob_pr, rcs) in enumerate(config.obstacles):
-        ob_rng = children[10 + i]
-        g_ob = _cn_vector(ob_rng, config.M)
-        h_ob = _cn_vector(ob_rng, config.M_t)
-        obstacles.append((g_ob, h_ob, gain(g_pr, rcs, (d_b_ob, d_ob_pr), rng_ob_phase)))
+    magnitudes = _path_gains(config)
+    # the eight phases are drawn from one stream in path order, the
+    # obstacles' from another
+    (gamma_c_d, gamma_c_r, gamma_dpi, gamma_rpi,
+     gamma_s1, gamma_s2, gamma_s3, gamma_s4) = (with_phase(g, rng_phase) for g in magnitudes[:8])
+    obstacles = [(_cn_vector(ob_rng, config.M), _cn_vector(ob_rng, config.M_t),
+                  with_phase(g, rng_ob_phase))
+                 for ob_rng, g in zip(children[10:], magnitudes[8:])]
 
     return ChannelSet(
         H_k=_cn_matrix(rng_hk, config.M_r, config.M_t),

@@ -1,15 +1,16 @@
-"""Built-in invariant suite runnable from the CLI (`pimin check`).
+"""The solver's oracles and the random instances they draw, kept once for both
+`pimin check` and the test suite.
 
-Each check returns (passed, detail). Structural checks cover the numeric
-kernels, the gradient, the manifold loop and the covariance solver on
-synthetic instances; scenario checks validate the reduced objective and the
-power metrics on generated channel realizations.
+Each oracle returns the worst error it measured over draws from the given
+generator, without judging it. :func:`self_check` (the `pimin check` command)
+runs each once on one seeded stream and compares each figure with its bound;
+the tests run the same functions at their own sizes and bounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from . import rcg
 from .linalg import hermitian_evd, kron_identity_apply
 from .metrics import power_quadratic
 from .rcg import BeamformerState, PrecomputedForms, RcgConfig, random_state
-from .scenario import ScenarioConfig, desk_scenario, generate_channels
+from .scenario import ChannelSet, ScenarioConfig, desk_scenario, generate_channels
 from .sdp import SdpProblem, solve_sdp
 from .sysmodel import build_pi_channel
 
@@ -42,76 +43,140 @@ class CheckReport:
                 for r in self.results]
 
 
-def _random_forms(rng: np.random.Generator, terms: int, lm: int, n: int,
-                  scale: float = 1.0) -> PrecomputedForms:
-    shape_b = (terms, lm)
-    shape_c = (terms, lm, n)
-    b = scale * (rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b))
-    c = scale * (rng.standard_normal(shape_c) + 1j * rng.standard_normal(shape_c))
-    return PrecomputedForms(b=b, c=c)
+def cplx(rng: np.random.Generator, *shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _check_kron(rng: np.random.Generator) -> CheckResult:
+def random_psd(rng: np.random.Generator, n: int, trace: float | None = None) -> np.ndarray:
+    a = cplx(rng, n, n)
+    p = a.conj().T @ a
+    if trace is not None:
+        p *= trace / np.trace(p).real
+    return p
+
+
+def random_forms(rng: np.random.Generator, terms: int, lm: int, n: int) -> PrecomputedForms:
+    return PrecomputedForms(b=cplx(rng, terms, lm), c=cplx(rng, terms, lm, n))
+
+
+def dense_kron_block(block: np.ndarray, blocks: int) -> np.ndarray:
+    """The full ``I_blocks kron block`` matrix, the reference for the blockwise paths."""
+    return np.kron(np.eye(blocks), block)
+
+
+def random_sdp_problem(gen: np.random.Generator, n: int) -> SdpProblem:
+    """A covariance subproblem with a full-rank objective, a positive definite
+    communication form and an indefinite sensing form, whose right-hand sides
+    sit below their values at a random trace-budget witness. At ``n = 2`` the
+    draws match acceptance criterion 6's own."""
+    h = cplx(gen, n, n)
+    obj = h.conj().T @ h
+    c1 = cplx(gen, n, n)
+    c1 = c1.conj().T @ c1 + 0.5 * np.eye(n)
+    c2 = cplx(gen, n, n)
+    c2 = 0.5 * (c2 + c2.conj().T)
+    budget = float(gen.uniform(0.5, 3.0))
+    witness = random_psd(gen, n, trace=budget)
+    sense_at_witness = float(np.trace(c2 @ witness).real)
+    return SdpProblem(
+        dim=n, obj=obj, comm_mat=c1,
+        comm_rhs=0.7 * float(np.trace(c1 @ witness).real),
+        sense_mat=c2,
+        sense_rhs=sense_at_witness - 0.3 * abs(sense_at_witness) - 0.1,
+        trace_budget=budget)
+
+
+def sample_feasible_points(prob: SdpProblem, rng: np.random.Generator,
+                           count: int) -> list[np.ndarray]:
+    """Rejection-sample up to ``count`` PSD trace-budget matrices satisfying both
+    inequalities, in at most 200 000 draws."""
+    n = prob.dim
+    out = []
+    tries = 0
+    while len(out) < count and tries < 200_000:
+        tries += 1
+        q, _ = np.linalg.qr(cplx(rng, n, n))
+        lam = rng.dirichlet(np.ones(n)) * prob.trace_budget
+        r = (q * lam) @ q.conj().T
+        if (np.trace(prob.comm_mat @ r).real >= prob.comm_rhs
+                and np.trace(prob.sense_mat @ r).real >= prob.sense_rhs):
+            out.append(r)
+    return out
+
+
+def kron_error(rng: np.random.Generator, count: int, max_size: int = 6) -> float:
+    """Largest entry error of ``kron_identity_apply`` against the dense product."""
     worst = 0.0
-    for _ in range(20):
-        a, b, blocks = rng.integers(1, 7, size=3)
-        h = rng.standard_normal((a, b)) + 1j * rng.standard_normal((a, b))
-        v = rng.standard_normal(blocks * b) + 1j * rng.standard_normal(blocks * b)
-        dense = np.kron(np.eye(blocks), h) @ v
-        worst = max(worst, float(np.max(np.abs(
-            kron_identity_apply(h, v, int(blocks)) - dense))))
-    return CheckResult("kron_identity_apply_matches_dense", worst <= 1e-12,
-                       f"max entry error {worst:.2e}")
+    for _ in range(count):
+        a, b, blocks = (int(v) for v in rng.integers(1, max_size + 1, size=3))
+        h = cplx(rng, a, b)
+        v = cplx(rng, blocks * b)
+        dense = dense_kron_block(h, blocks) @ v
+        worst = max(worst, float(np.max(np.abs(kron_identity_apply(h, v, blocks) - dense))))
+    return worst
 
 
-def _check_evd(rng: np.random.Generator) -> CheckResult:
+def evd_error(rng: np.random.Generator, count: int) -> float:
+    """Largest reconstruction or orthogonality error of ``hermitian_evd`` on Gram matrices."""
     worst = 0.0
-    for _ in range(10):
+    for _ in range(count):
         n = int(rng.integers(2, 8))
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a = b.conj().T @ b
+        a = random_psd(rng, n)
         evd = hermitian_evd(a)
         rel = np.linalg.norm(a - evd.reconstruct()) / np.linalg.norm(a)
         ortho = np.max(np.abs(evd.eigenvectors.conj().T @ evd.eigenvectors - np.eye(n)))
         worst = max(worst, float(rel), float(ortho))
-    return CheckResult("hermitian_evd_reconstruction", worst <= 1e-10,
-                       f"max residual {worst:.2e}")
+    return worst
 
 
-def _check_gradient(rng: np.random.Generator,
-                    grad_fn: Callable | None = None) -> CheckResult:
-    grad_fn = grad_fn or rcg.euclid_grad
+def gradient_error(rng: np.random.Generator, count: int, max_size: int = 4) -> float:
+    """Largest relative error of ``rcg.euclid_grad`` against a central difference."""
     worst = 0.0
-    for _ in range(10):
-        lm, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        forms = _random_forms(rng, int(rng.integers(1, 5)), lm, n)
+    for _ in range(count):
+        lm, n = int(rng.integers(1, max_size + 1)), int(rng.integers(1, max_size + 1))
+        forms = random_forms(rng, int(rng.integers(1, max_size + 1)), lm, n)
         x = random_state(lm, n, rng)
-        delta = rng.standard_normal(lm + n) + 1j * rng.standard_normal(lm + n)
-        g = grad_fn(x, forms)
+        delta = cplx(rng, lm + n)
+        g = rcg.euclid_grad(x, forms)
         h = 1e-6
         f_plus = rcg.objective(BeamformerState(x=x.x + h * delta, num_bf=lm), forms)
         f_minus = rcg.objective(BeamformerState(x=x.x - h * delta, num_bf=lm), forms)
         fd = (f_plus - f_minus) / (2.0 * h)
         analytic = float(np.real(np.vdot(g, delta)))
-        rel = abs(fd - analytic) / max(abs(fd), 1e-12)
-        worst = max(worst, rel)
-    return CheckResult("euclidean_gradient_matches_finite_difference",
-                       worst <= 1e-6, f"max relative error {worst:.2e}")
+        worst = max(worst, abs(fd - analytic) / max(abs(fd), 1e-12))
+    return worst
 
 
-def _check_manifold(rng: np.random.Generator) -> CheckResult:
-    forms = _random_forms(rng, 4, 3, 3)
-    x0 = random_state(3, 3, rng)
-    out = rcg.rcg_solve(forms, x0, RcgConfig(max_iters=60))
-    mod_err = out.x.max_modulus_error()
-    g = rcg.riem_grad(out.x, rcg.euclid_grad(out.x, forms))
-    tangency = float(np.max(np.abs(np.real(g * out.x.x.conj()))))
-    monotone = bool(np.all(np.diff(out.history) <= 1e-12))
-    ok = mod_err <= 1e-12 and tangency <= 1e-10 and monotone
-    return CheckResult(
-        "manifold_iterates_and_descent",
-        ok,
-        f"modulus error {mod_err:.2e}, tangency {tangency:.2e}, monotone={monotone}")
+def _tangency(v: np.ndarray, x: BeamformerState) -> float:
+    return float(np.max(np.abs(np.real(v * x.x.conj()))))
+
+
+def manifold_errors(forms: PrecomputedForms, x0: BeamformerState,
+                    max_iters: int) -> tuple[float, float, float, float]:
+    """The largest modulus error, gradient and step tangency over the accepted
+    steps of one ``rcg_solve`` run, and the largest rise of its history; all
+    NaN, failing any bound, when the run takes no step."""
+    seen = []
+
+    def watch(x, g, d):
+        seen.append((x.max_modulus_error(), _tangency(g, x), _tangency(d, x)))
+
+    out = rcg.rcg_solve(forms, x0, RcgConfig(max_iters=max_iters), callback=watch)
+    if not seen:
+        return (math.nan,) * 4
+    mod, grad_tan, step_tan = (float(v) for v in np.max(seen, axis=0))
+    return mod, grad_tan, step_tan, float(np.max(np.diff(out.history)))
+
+
+def reduced_objective_error(scen: ScenarioConfig, ch: ChannelSet,
+                            rng: np.random.Generator) -> float:
+    """Relative error of the reduced objective against the direct power quadratic."""
+    r_ss = random_psd(rng, scen.L * scen.M_t, trace=scen.P_B)
+    forms = rcg.precompute_forms(hermitian_evd(r_ss), ch, scen.L)
+    x = random_state(scen.L * scen.M, scen.N, rng)
+    reduced = rcg.objective(x, forms)
+    direct = power_quadratic(build_pi_channel(ch, x.phi), x.w, r_ss)
+    return abs(reduced - direct) / max(direct, 1e-300)
 
 
 def _check_sdp(rng: np.random.Generator) -> CheckResult:
@@ -123,73 +188,41 @@ def _check_sdp(rng: np.random.Generator) -> CheckResult:
     sol1 = solve_sdp(p1)
     scalar_ok = sol1.status == "optimal" and abs(sol1.objective_value - 6.0) <= 1e-8
 
-    # random feasible-by-construction instance must never beat the solver
-    n = 3
-    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    obj = h.conj().T @ h
-    c1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    c1 = c1.conj().T @ c1
-    c2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    c2 = 0.5 * (c2 + c2.conj().T)
-    witness = np.eye(n, dtype=np.complex128) / n
-    prob = SdpProblem(dim=n, obj=obj,
-                      comm_mat=c1, comm_rhs=0.5 * float(np.trace(c1 @ witness).real),
-                      sense_mat=c2, sense_rhs=min(0.0, float(np.trace(c2 @ witness).real)),
-                      trace_budget=1.0)
+    # no feasible sample may beat the solver's optimum
+    prob = random_sdp_problem(rng, 3)
     sol = solve_sdp(prob)
-    dominated = True
-    if sol.status == "optimal":
-        for _ in range(200):
-            q, _ = np.linalg.qr(rng.standard_normal((n, n))
-                                + 1j * rng.standard_normal((n, n)))
-            lam = rng.dirichlet(np.ones(n))
-            r = (q * lam) @ q.conj().T
-            if float(np.trace(prob.comm_mat @ r).real) < prob.comm_rhs:
-                continue
-            if float(np.trace(prob.sense_mat @ r).real) < prob.sense_rhs:
-                continue
-            if float(np.trace(prob.obj @ r).real) < sol.objective_value - 1e-6:
-                dominated = False
-    ok = scalar_ok and sol.status == "optimal" and dominated
+    values = [float(np.trace(prob.obj @ r).real) for r in sample_feasible_points(prob, rng, 200)]
+    dominated = (bool(values) and sol.status == "optimal"
+                 and sol.objective_value <= min(values) + 1e-6 * abs(min(values)))
     return CheckResult(
-        "sdp_scalar_exact_and_dominates_samples", ok,
-        f"scalar={scalar_ok}, status={sol.status}, dominates={dominated}")
+        "sdp_scalar_exact_and_dominates_samples", scalar_ok and dominated,
+        f"scalar={scalar_ok}, status={sol.status}, "
+        f"dominates {len(values)} samples={dominated}")
 
 
-def _check_reduced_objective(scen: ScenarioConfig,
-                             rng: np.random.Generator) -> CheckResult:
-    ch = generate_channels(scen, rng)
-    dim = scen.L * scen.M_t
-    u = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    r_ss = u.conj().T @ u
-    r_ss *= scen.P_B / np.trace(r_ss).real
-    forms = rcg.precompute_forms(hermitian_evd(r_ss), ch, scen.L)
-    x = random_state(scen.L * scen.M, scen.N, rng)
-    reduced = rcg.objective(x, forms)
-    direct = power_quadratic(build_pi_channel(ch, x.phi), x.w, r_ss)
-    rel = abs(reduced - direct) / max(direct, 1e-300)
-    return CheckResult(f"reduced_objective_matches_power[{scen.M_t}x{scen.M}x{scen.N}]",
-                       rel <= 1e-10, f"relative error {rel:.2e}")
-
-
-def self_check(scenarios: Sequence[ScenarioConfig] | None = None,
-               euclid_grad_fn: Callable | None = None,
-               seed: int = 2024) -> CheckReport:
-    """Run the invariant suite; scenario-dependent checks run per scenario.
-
-    ``euclid_grad_fn`` exists to let tests inject a corrupted gradient and
-    confirm the finite-difference check catches it.
-    """
-    rng = np.random.default_rng(seed)
-    results = [
-        _check_kron(rng),
-        _check_evd(rng),
-        _check_gradient(rng, euclid_grad_fn),
-        _check_manifold(rng),
-        _check_sdp(rng),
-    ]
-    if scenarios is None:
-        scenarios = [desk_scenario()]
-    for scen in scenarios:
-        results.append(_check_reduced_objective(scen, rng))
-    return CheckReport(results=tuple(results))
+def self_check() -> CheckReport:
+    """Run every oracle once on draws from ``default_rng(2024)`` and judge each figure."""
+    rng = np.random.default_rng(2024)
+    kron = kron_error(rng, 20)
+    evd = evd_error(rng, 10)
+    grad = gradient_error(rng, 10)
+    mod, grad_tan, step_tan, rise = manifold_errors(random_forms(rng, 4, 3, 3),
+                                                    random_state(3, 3, rng), 60)
+    tangency = max(grad_tan, step_tan)
+    sdp = _check_sdp(rng)
+    scen = desk_scenario()
+    rel = reduced_objective_error(scen, generate_channels(scen, rng), rng)
+    return CheckReport(results=(
+        CheckResult("kron_identity_apply_matches_dense", kron <= 1e-12,
+                    f"max entry error {kron:.2e}"),
+        CheckResult("hermitian_evd_reconstruction", evd <= 1e-10,
+                    f"max residual {evd:.2e}"),
+        CheckResult("euclidean_gradient_matches_finite_difference", grad <= 1e-6,
+                    f"max relative error {grad:.2e}"),
+        CheckResult("manifold_iterates_and_descent",
+                    mod <= 1e-12 and tangency <= 1e-10 and rise <= 1e-12,
+                    f"modulus error {mod:.2e}, tangency {tangency:.2e}, max rise {rise:.2e}"),
+        sdp,
+        CheckResult(f"reduced_objective_matches_power[{scen.M_t}x{scen.M}x{scen.N}]",
+                    rel <= 1e-10, f"relative error {rel:.2e}"),
+    ))

@@ -1,8 +1,10 @@
-"""Shared oracles and generators for the test suite.
+"""Test-only oracles and generators.
 
-Dense-matrix reference paths live here, never in the package: production code
-works blockwise, the tests rebuild the full identity-Kronecker matrices and
-compare.
+The oracles that `pimin check` also runs, and the random instances they
+draw, live in :mod:`pimin.selfcheck`. What stays here is used by the tests
+alone: dense rebuilds of the forms and of the power quadratic, a grid oracle
+for the 2x2 covariance subproblem, plain reference loops for the manifold
+solver and the outer iteration, and small generators.
 """
 
 import math
@@ -18,12 +20,9 @@ from pimin.linalg import hermitian_evd
 from pimin.metrics import power_breakdown
 from pimin.rcg import (DAMPING_INIT, BeamformerState, PrecomputedForms, precompute_forms,
                        random_state, rcg_solve)
-from pimin.sdp import SdpProblem, assemble_p2, solve_sdp
+from pimin.sdp import assemble_p2, solve_sdp
+from pimin.selfcheck import cplx, dense_kron_block
 from pimin.sysmodel import beam_products, build_effective_channels
-
-
-def cplx(rng: np.random.Generator, *shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -31,21 +30,8 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def random_psd(rng: np.random.Generator, n: int, trace: float | None = None) -> np.ndarray:
-    a = cplx(rng, n, n)
-    p = a.conj().T @ a
-    if trace is not None:
-        p *= trace / np.trace(p).real
-    return p
-
-
 def random_unit_modulus(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
-
-
-def dense_kron_block(block: np.ndarray, blocks: int) -> np.ndarray:
-    """The full ``I_blocks kron block`` matrix (test-only reference)."""
-    return np.kron(np.eye(blocks), block)
 
 
 def dense_power_quadratic(block: np.ndarray, w: np.ndarray, r_ss: np.ndarray) -> float:
@@ -70,14 +56,6 @@ def dense_forms(evd, ch, n_samples: int) -> PrecomputedForms:
         b.append(np.sqrt(lam) * ch.gamma_DPI * (h_dpi @ v))
         c.append(np.sqrt(lam) * ch.gamma_RPI * (g_rr_h @ np.diag(h_cr @ v) @ fold))
     return PrecomputedForms(b=np.array(b), c=np.array(c))
-
-
-def random_forms(rng: np.random.Generator, terms: int, lm: int, n: int,
-                 scale: float = 1.0) -> PrecomputedForms:
-    return PrecomputedForms(
-        b=scale * cplx(rng, terms, lm),
-        c=scale * cplx(rng, terms, lm, n),
-    )
 
 
 def tiny_scenario(**overrides) -> ScenarioConfig:
@@ -153,50 +131,6 @@ def pauli_coords(r: np.ndarray, budget: float) -> np.ndarray:
     """Ball coordinates of a 2x2 trace-``budget`` Hermitian matrix."""
     half = budget / 2.0
     return np.array([np.trace(r @ s).real for s in _PAULI]) / (2.0 * half)
-
-
-def criterion6_problem(gen: np.random.Generator, n: int = 2) -> SdpProblem:
-    """Acceptance criterion 6's random covariance subproblem, at dimension ``n``.
-
-    A full-rank objective, a positive definite communication form and an
-    indefinite sensing form, with right-hand sides set below the values at a
-    random trace-budget witness so that the witness is strictly feasible. At
-    ``n = 2`` the draws match the acceptance test's own.
-    """
-    h = cplx(gen, n, n)
-    obj = h.conj().T @ h
-    c1 = cplx(gen, n, n)
-    c1 = c1.conj().T @ c1 + 0.5 * np.eye(n)
-    c2 = cplx(gen, n, n)
-    c2 = 0.5 * (c2 + c2.conj().T)
-    budget = float(gen.uniform(0.5, 3.0))
-    witness = random_psd(gen, n, trace=budget)
-    sense_at_witness = float(np.trace(c2 @ witness).real)
-    return SdpProblem(
-        dim=n, obj=obj, comm_mat=c1,
-        comm_rhs=0.7 * float(np.trace(c1 @ witness).real),
-        sense_mat=c2,
-        sense_rhs=sense_at_witness - 0.3 * abs(sense_at_witness) - 0.1,
-        trace_budget=budget)
-
-
-def sample_feasible_points(prob, rng: np.random.Generator, count: int,
-                           max_tries: int = 200_000):
-    """Rejection-sample PSD trace-budget matrices satisfying both inequalities."""
-    n = prob.dim
-    out = []
-    tries = 0
-    while len(out) < count and tries < max_tries:
-        tries += 1
-        q, _ = np.linalg.qr(cplx(rng, n, n))
-        lam = rng.dirichlet(np.ones(n)) * prob.trace_budget
-        r = (q * lam) @ q.conj().T
-        if np.trace(prob.comm_mat @ r).real < prob.comm_rhs:
-            continue
-        if np.trace(prob.sense_mat @ r).real < prob.sense_rhs:
-            continue
-        out.append(r)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from pimin.scenario import (ScenarioConfig, desk_bench_scenario,
 from pimin.sdp import SdpProblem, solve_sdp
 from pimin.sysmodel import build_pi_channel
 
-from helpers import (cplx, pauli_coords, random_forms, random_psd,
-                     random_unit_modulus, sample_feasible_points,
-                     sdp2_grid_oracle)
+from pimin.selfcheck import cplx, random_forms, random_psd, sample_feasible_points
+
+from helpers import pauli_coords, random_unit_modulus, sdp2_grid_oracle
 
 # Deep solver settings for the statistical trend criteria: the interference
 # floor of the joint design sits orders of magnitude below the default

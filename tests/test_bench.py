@@ -17,8 +17,6 @@ from pimin.rcg import RcgConfig
 from pimin.scenario import desk_bench_scenario, desk_scenario, generate_channels
 from pimin.selfcheck import self_check
 
-from helpers import tiny_scenario
-
 FAST = BccdConfig(n_iter=4)
 
 
@@ -378,21 +376,15 @@ class TestCsv:
 
 class TestSelfCheck:
     def test_fresh_build_passes(self):
-        report = self_check(scenarios=[tiny_scenario()])
+        report = self_check()
         assert report.passed, report.lines()
+        assert [r.name for r in report.results] == [
+            "kron_identity_apply_matches_dense", "hermitian_evd_reconstruction",
+            "euclidean_gradient_matches_finite_difference", "manifold_iterates_and_descent",
+            "sdp_scalar_exact_and_dominates_samples", "reduced_objective_matches_power[2x4x4]"]
 
-    def test_corrupted_gradient_detected(self):
-        def flipped(x, forms):
-            return -rcg.euclid_grad(x, forms)
-
-        report = self_check(scenarios=[], euclid_grad_fn=flipped)
-        failed = [r.name for r in report.results if not r.passed]
-        assert "euclidean_gradient_matches_finite_difference" in failed
-
-    def test_empty_scenarios_only_structural(self):
-        report = self_check(scenarios=[])
-        names = [r.name for r in report.results]
-        assert names == ["kron_identity_apply_matches_dense", "hermitian_evd_reconstruction",
-                         "euclidean_gradient_matches_finite_difference",
-                         "manifold_iterates_and_descent",
-                         "sdp_scalar_exact_and_dominates_samples"]
+    def test_corrupted_gradient_detected(self, monkeypatch):
+        euclid_grad = rcg.euclid_grad
+        monkeypatch.setattr(rcg, "euclid_grad", lambda x, forms: -euclid_grad(x, forms))
+        failed = [r.name for r in self_check().results if not r.passed]
+        assert failed == ["euclidean_gradient_matches_finite_difference"]

@@ -183,8 +183,10 @@ class TestSweep:
          "sigma_ris_m2 must be > 0"),
         ({"radiation_pattern": "cos_q"}, "ris_elevation_t_rad", [0.0, math.pi],
          "sigma_ris_m2 must be > 0"),
+        ({}, "d_k", [500.0, 1e200], "path gain is out of float range"),
     ], ids=["base_obstacle_two_values", "base_sigma_t", "axis_sigma_t", "base_pattern_q",
-            "axis_pattern_q", "base_zero_ris_rcs", "axis_zero_ris_rcs"])
+            "axis_pattern_q", "base_zero_ris_rcs", "axis_zero_ris_rcs",
+            "axis_overflowing_path_gain"])
     def test_invalid_link_budget_is_spec_error(self, tmp_path, capsys, base, axis, values,
                                                message):
         spec = {"base": dict(desk_scenario(seed=1).to_json_dict(), **base), "axis": axis,
@@ -214,6 +216,15 @@ class TestCheck:
         assert main(["check"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_failed_check_exits_3(self, capsys, monkeypatch):
+        from pimin import rcg
+        euclid_grad = rcg.euclid_grad
+        monkeypatch.setattr(rcg, "euclid_grad", lambda x, forms: -euclid_grad(x, forms))
+        assert main(["check"]) == 3
+        failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed == ["FAIL euclidean_gradient_matches_finite_difference"]
 
 
 class TestSolverFailureExit:

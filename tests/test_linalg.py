@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from pimin.errors import DimensionError, HermitianError
 from pimin.linalg import hermitian_evd, kron_identity_apply
 
-from helpers import cplx, random_hermitian
+from pimin.selfcheck import cplx, dense_kron_block, evd_error
+
+from helpers import random_hermitian
 
 
 class TestHermitianEvd:
@@ -21,13 +23,7 @@ class TestHermitianEvd:
         assert np.allclose(np.abs(evd.eigenvectors), np.eye(2))
 
     def test_reconstruction_gram_input(self, rng):
-        b = cplx(rng, 6, 6)
-        a = b.conj().T @ b
-        evd = hermitian_evd(a)
-        rel = np.linalg.norm(a - evd.reconstruct()) / np.linalg.norm(a)
-        assert rel <= 1e-10
-        ortho = evd.eigenvectors.conj().T @ evd.eigenvectors
-        assert np.max(np.abs(ortho - np.eye(6))) <= 1e-10
+        assert evd_error(rng, 10) <= 1e-10
 
     def test_descending_order(self, rng):
         evd = hermitian_evd(random_hermitian(rng, 7))
@@ -96,7 +92,7 @@ class TestKronIdentityApply:
     def test_rectangular_vs_dense(self, rng):
         h = cplx(rng, 3, 2)
         v = cplx(rng, 8)
-        dense = np.kron(np.eye(4), h) @ v
+        dense = dense_kron_block(h, 4) @ v
         assert np.max(np.abs(kron_identity_apply(h, v, 4) - dense)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -106,7 +102,7 @@ class TestKronIdentityApply:
         gen = np.random.default_rng(seed)
         h = cplx(gen, a, b)
         v = cplx(gen, blocks * b)
-        dense = np.kron(np.eye(blocks), h) @ v
+        dense = dense_kron_block(h, blocks) @ v
         assert np.max(np.abs(kron_identity_apply(h, v, blocks) - dense)) <= 1e-12
 
     def test_dimension_mismatch(self, rng):

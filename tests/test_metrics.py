@@ -9,8 +9,9 @@ from pimin.metrics import (adc_snr, comm_snr, dynamic_range, power_breakdown,
 from pimin.scenario import dbm_to_watt, generate_channels
 from pimin.sysmodel import beam_products, build_effective_channels
 
-from helpers import (cplx, dense_kron_block, dense_power_quadratic,
-                     random_psd, random_unit_modulus, tiny_scenario)
+from pimin.selfcheck import cplx, dense_kron_block, random_psd
+
+from helpers import dense_power_quadratic, random_unit_modulus, tiny_scenario
 
 
 class TestPowerQuadratic:

@@ -5,15 +5,14 @@ from pimin import rcg
 from pimin.bccd import init_rss
 from pimin.errors import DimensionError, DomainError
 from pimin.linalg import hermitian_evd
-from pimin.metrics import power_quadratic
 from pimin.rcg import (BeamformerState, PrecomputedForms, RcgConfig, euclid_grad,
                        objective, precompute_forms, random_state, rcg_solve,
                        riem_grad)
 from pimin.scenario import desk_bench_scenario, generate_channels
-from pimin.sysmodel import build_pi_channel
+from pimin.selfcheck import (cplx, gradient_error, manifold_errors, random_forms, random_psd,
+                             reduced_objective_error)
 
-from helpers import (cplx, dense_forms, random_forms, random_psd, random_unit_modulus,
-                     reference_lm, tiny_scenario)
+from helpers import dense_forms, random_unit_modulus, reference_lm, tiny_scenario
 
 
 def zero_forms(terms=2, lm=3, n=2):
@@ -72,12 +71,7 @@ class TestPrecomputeForms:
         for seed in range(8):
             scen = tiny_scenario(L=int(1 + seed % 3))
             ch = generate_channels(scen, np.random.default_rng(seed))
-            r = random_psd(rng, scen.L * scen.M_t, trace=2.0)
-            forms = precompute_forms(hermitian_evd(r), ch, scen.L)
-            x = random_state(scen.L * scen.M, scen.N, rng)
-            reduced = objective(x, forms)
-            direct = power_quadratic(build_pi_channel(ch, x.phi), x.w, r)
-            assert abs(reduced - direct) <= 1e-10 * max(direct, 1e-300)
+            assert reduced_objective_error(scen, ch, rng) <= 1e-10
 
 
 class TestObjective:
@@ -102,18 +96,7 @@ class TestEuclidGrad:
         assert not np.any(euclid_grad(x, zero_forms()))
 
     def test_finite_difference_oracle(self, rng):
-        for _ in range(12):
-            lm, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            forms = random_forms(rng, int(rng.integers(1, 5)), lm, n)
-            x = random_state(lm, n, rng)
-            delta = cplx(rng, lm + n)
-            g = euclid_grad(x, forms)
-            h = 1e-6
-            f_p = objective(BeamformerState(x=x.x + h * delta, num_bf=lm), forms)
-            f_m = objective(BeamformerState(x=x.x - h * delta, num_bf=lm), forms)
-            fd = (f_p - f_m) / (2 * h)
-            analytic = float(np.real(np.vdot(g, delta)))
-            assert abs(fd - analytic) <= 1e-6 * max(abs(fd), 1e-9)
+        assert gradient_error(rng, 12) <= 1e-6
 
     def test_quadratic_scaling(self, rng):
         forms = random_forms(rng, 3, 2, 2)
@@ -157,20 +140,11 @@ class TestRcgSolve:
             assert np.all(np.diff(out.history) <= 1e-12)
 
     def test_iterate_invariants_via_callback(self, rng):
-        forms = random_forms(rng, 4, 4, 3)
-        x0 = random_state(4, 3, rng)
-        seen = []
-
-        def watch(x, g, d):
-            seen.append((x.max_modulus_error(),
-                         float(np.max(np.abs(np.real(g * x.x.conj())))),
-                         float(np.max(np.abs(np.real(d * x.x.conj()))))))
-
-        rcg_solve(forms, x0, RcgConfig(max_iters=80), callback=watch)
-        assert seen
-        assert max(s[0] for s in seen) <= 1e-12
-        assert max(s[1] for s in seen) <= 1e-10
-        assert max(s[2] for s in seen) <= 1e-10
+        modulus, grad_tangency, step_tangency, rise = manifold_errors(
+            random_forms(rng, 4, 4, 3), random_state(4, 3, rng), 80)
+        assert modulus <= 1e-12
+        assert grad_tangency <= 1e-10 and step_tangency <= 1e-10
+        assert rise <= 1e-12
 
     def test_single_term_grid_oracle(self):
         # scalar instance: the optimum aligns the phase product against the
@@ -292,22 +266,15 @@ class TestFrozenPhasePath:
         assert np.allclose(out.history[1:], values, rtol=1e-12, atol=0.0)
 
     def test_iterate_invariants_via_callback(self, rng):
+        # test_history_is_the_objective_at_the_iterates pins the iterates'
+        # length: their stacked state must have the forms' dimension
         forms = random_forms(rng, 4, 4, 3)
         x0 = random_state(4, 3, rng)
-        seen = []
-
-        def watch(x, g, d):
-            seen.append((x.max_modulus_error(),
-                         float(np.max(np.abs(np.real(g * x.x.conj())))),
-                         float(np.max(np.abs(np.real(d * x.x.conj())))),
-                         x.dim))
-
-        solve(forms, x0, RcgConfig(max_iters=80), "phases_frozen", callback=watch)
-        assert seen
-        assert max(s[0] for s in seen) <= 1e-12
-        assert max(s[1] for s in seen) <= 1e-10
-        assert max(s[2] for s in seen) <= 1e-10
-        assert all(s[3] == 4 for s in seen)
+        modulus, grad_tangency, step_tangency, rise = manifold_errors(
+            forms.fold(x0.phi), radar_only(x0), 80)
+        assert modulus <= 1e-12
+        assert grad_tangency <= 1e-10 and step_tangency <= 1e-10
+        assert rise <= 1e-12
 
 
 def radar_only(x):

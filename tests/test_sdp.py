@@ -7,9 +7,10 @@ from pimin.scenario import generate_channels
 from pimin.sdp import (SdpProblem, TransmitCovariance, assemble_p2, solve_sdp)
 from pimin.sysmodel import beam_products, build_effective_channels
 
-from helpers import (cplx, criterion6_problem, pauli_coords, random_hermitian,
-                     random_psd, random_unit_modulus, sample_feasible_points,
-                     sdp2_grid_oracle, tiny_scenario)
+from pimin.selfcheck import cplx, random_psd, random_sdp_problem, sample_feasible_points
+
+from helpers import (pauli_coords, random_hermitian, random_unit_modulus, sdp2_grid_oracle,
+                     tiny_scenario)
 
 
 def feasible_2x2_problem(rng, full_rank_obj=True):
@@ -280,7 +281,7 @@ class TestSolveSdp:
 class TestDualCertificates:
     def test_strictly_feasible_recipe_is_optimal(self):
         # criterion 6's recipe always has a strictly feasible witness
-        prob = criterion6_problem(np.random.default_rng(9), 8)
+        prob = random_sdp_problem(np.random.default_rng(9), 8)
         sol = solve_sdp(prob)
         assert sol.status == "optimal" and sol.iterations >= 1
         r = sol.R_ss.matrix
@@ -294,7 +295,7 @@ class TestDualCertificates:
     def test_feasible_min_eigenvector_attains_lower_bound(self):
         # <obj, R> >= trace_budget * lambda_min(obj) for every feasible R, with
         # equality here because the minimum eigenvector meets both constraints
-        prob = criterion6_problem(np.random.default_rng(39), 7)
+        prob = random_sdp_problem(np.random.default_rng(39), 7)
         sol = solve_sdp(prob)
         bound = prob.trace_budget * float(np.linalg.eigvalsh(prob.obj)[0])
         assert sol.status == "optimal"

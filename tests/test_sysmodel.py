@@ -9,7 +9,9 @@ from pimin.sysmodel import (beam_products, build_comm_channel,
                             build_effective_channels, build_obstacle_channel,
                             build_pi_channel, build_sensing_channel, check_phases)
 
-from helpers import dense_kron_block, random_unit_modulus, tiny_scenario
+from pimin.selfcheck import dense_kron_block
+
+from helpers import random_unit_modulus, tiny_scenario
 
 
 @pytest.fixture
