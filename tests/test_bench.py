@@ -382,9 +382,3 @@ class TestSelfCheck:
             "kron_identity_apply_matches_dense", "hermitian_evd_reconstruction",
             "euclidean_gradient_matches_finite_difference", "manifold_iterates_and_descent",
             "sdp_scalar_exact_and_dominates_samples", "reduced_objective_matches_power[2x4x4]"]
-
-    def test_corrupted_gradient_detected(self, monkeypatch):
-        euclid_grad = rcg.euclid_grad
-        monkeypatch.setattr(rcg, "euclid_grad", lambda x, forms: -euclid_grad(x, forms))
-        failed = [r.name for r in self_check().results if not r.passed]
-        assert failed == ["euclidean_gradient_matches_finite_difference"]

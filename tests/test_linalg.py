@@ -23,7 +23,7 @@ class TestHermitianEvd:
         assert np.allclose(np.abs(evd.eigenvectors), np.eye(2))
 
     def test_reconstruction_gram_input(self, rng):
-        assert evd_error(rng, 10) <= 1e-10
+        assert evd_error(rng) <= 1e-10
 
     def test_descending_order(self, rng):
         evd = hermitian_evd(random_hermitian(rng, 7))
