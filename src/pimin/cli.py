@@ -20,14 +20,16 @@ EXIT_SOLVER = 2
 EXIT_CHECK = 3
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,14 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="scenario JSON path")
     run_p.add_argument("--method", required=True,
                        choices=[m.value for m in Method])
-    run_p.add_argument("--seed", required=True, type=int)
+    run_p.add_argument("--seed", required=True, type=_int_at_least(0))
     run_p.add_argument("--out", required=True, help="output CSV path")
-    run_p.add_argument("--n-iter", type=_positive_int, default=20,
+    run_p.add_argument("--n-iter", type=_int_at_least(1), default=20,
                        help="outer iterations (default 20)")
 
     sweep_p = sub.add_parser("sweep", help="run a Monte Carlo parameter sweep")
     sweep_p.add_argument("--spec", required=True, help="sweep spec JSON path")
-    sweep_p.add_argument("--parallelism", type=_positive_int, default=1)
+    sweep_p.add_argument("--parallelism", type=_int_at_least(1), default=1)
     sweep_p.add_argument("--out", required=True, help="output CSV path")
 
     sub.add_parser("check", help="run the built-in invariant suite")

@@ -147,6 +147,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in ("M_t", "M_r", "M", "N_x", "N_y", "L"):
             check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed, 0)
         for f in fields(self):
             if f.type == "float":
                 value = getattr(self, f.name)

@@ -12,7 +12,9 @@ two inequality multipliers (Vandenberghe & Boyd, SIAM Review 1996)::
 
 Three trace constraints admit a rank-one optimum (Huang & Palomar, IEEE TSP
 2010), so a minimum eigenvector ``v`` of the dual matrix gives the primal
-answer ``P v v^H``. Every answer carries its evidence:
+answer ``P v v^H``. A point is feasible when each inequality holds within
+``tol``, relative to a positive right-hand side, and every answer carries its
+evidence at that tolerance:
 
 * a spectral certificate declares infeasibility at once when even the best
   rank-one covariance cannot reach a right-hand side;
@@ -22,6 +24,8 @@ answer ``P v v^H``. Every answer carries its evidence:
   interference-nulling one. The uniform covariance on the eigenspace is kept
   when it is feasible, and otherwise mixed with the fewest weight toward the
   max-margin point of the eigenspace;
+* a max-margin point of the whole space that misses by more than ``tol``
+  proves the two constraints jointly out of reach;
 * otherwise a projected Newton ascent climbs ``g``. Its gradient is
   ``b_i - v^H A_i v`` and its Hessian follows from eigenvalue perturbation.
   The duality gap ``<C, P v v^H> - g(mu)`` certifies optimality, and by weak
@@ -41,8 +45,6 @@ from .errors import DimensionError, DomainError
 from .linalg import check_hermitian
 from .scenario import ScenarioConfig
 from .sysmodel import BeamProducts
-
-FEASIBILITY_SLACK = 1e-9
 
 # Eigenvalues of the unit-norm objective within this distance of the smallest
 # span the minimum eigenspace searched at zero multipliers.
@@ -106,8 +108,8 @@ class SdpSolution:
     objective_value: float
     kkt_residual: float         # duality gap over ||obj||_F * trace budget
     status: str                 # "optimal", "infeasible" (certified) or "max_iters"
-    constraint_violation: float  # worst shortfall, relative to each rhs > 0
-    iterations: int             # dual evaluations; 0 when a certificate answered
+    constraint_violation: float  # worst shortfall, relative to each rhs > 0 (infeasible: proven)
+    iterations: int             # dual evaluations; 0 for a spectral or zero-matrix certificate
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +199,10 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
 
     ``optimal``: each inequality holds within ``tol`` (relative to a positive
     right-hand side) and the duality gap is at most ``tol`` relative to the
-    objective. ``infeasible``: certified, spectrally or by a dual value above
-    ``lambda_max``. ``max_iters``: the last primal point, after ``max_iters``
-    dual evaluations or an ascent stalled at round-off.
+    objective. ``infeasible``: a certificate proves that every point falls
+    short by at least ``constraint_violation``. ``max_iters``: the last primal
+    point, after ``max_iters`` dual evaluations or an ascent stalled at
+    round-off.
     """
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
@@ -225,8 +228,8 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
                    (problem.sense_mat, problem.sense_rhs)):
         f = float(np.linalg.norm(mat))
         if f == 0.0:
-            if b / s > FEASIBILITY_SLACK:
-                return finish(uniform, "infeasible", np.inf, b / s, 0)
+            if b > 0.0:
+                return finish(uniform, "infeasible", np.inf, 1.0, 0)
             continue    # vacuous constraint
         mats.append(np.asarray(mat, dtype=np.complex128) / f)
         rhs.append(b / (s * f))
@@ -236,16 +239,10 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     c = np.asarray(problem.obj, dtype=np.complex128) / f_obj if f_obj > 0.0 \
         else np.zeros((n, n), dtype=np.complex128)
 
-    # Spectral infeasibility certificate: even the best rank-one covariance
-    # cannot reach the right-hand side.
-    worst_gap = max((float(rhs_i - np.linalg.eigvalsh(mat)[-1]) / max(1.0, abs(rhs_i))
-                     for mat, rhs_i in zip(a, b)), default=0.0)
-    if worst_gap > FEASIBILITY_SLACK:
+    # Spectral certificate: every Y has <A_i, Y> <= lambda_max(A_i).
+    worst_gap = _shortfall(np.linalg.eigvalsh(a)[:, -1], b)
+    if worst_gap > tol:
         return finish(uniform, "infeasible", np.inf, worst_gap, 0)
-
-    if n == 1:
-        # trace equality pins the scalar; feasibility was certified above
-        return finish(np.ones((1, 1), dtype=np.complex128), "optimal", 0.0, 0.0, 0)
 
     # Iteration 1, mu = 0: any feasible point of the minimum eigenspace E of C
     # attains the lower bound g(0) = lambda_min(C).
@@ -267,11 +264,11 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         return finish(r, "optimal", max(float(np.vdot(c, r).real) - lam_c[0], 0.0),
                       violation, 1)
 
-    # A negative margin over the whole space gives a dual ray: along its
-    # weights d, g(t d) >= lambda_min(C) - t h passes lambda_max(C) at this t.
-    _, d, h = _max_margin(a, b)
-    if h < 0.0:
-        step = d * (lam_c[-1] - lam_c[0] + 1.0) / -h
+    # Every Y has some margin <A_i, Y> - b_i <= h: a shortfall of -h / scale.
+    _, _, h = _max_margin(a, b)
+    scale = float(np.where(b > 0.0, b, 1.0).max())
+    if h < -tol * scale:
+        return finish(uniform, "infeasible", np.inf, -h / scale, 1)
 
     # Projected Newton ascent on g from mu = 0 (each evaluation counts once).
     mu, g, gap = np.zeros(len(b)), float(lam_c[0]), np.inf
@@ -293,8 +290,10 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         ay = a @ y
         vals = (ay @ y.conj()).real
         violation = _shortfall(vals, b)
-        if g > lam_c[-1] + FEASIBILITY_SLACK * (1.0 + mu.sum()):
-            return finish(uniform, "infeasible", np.inf, violation, it)
+        # weak duality: every Y has sum_i mu_i (<A_i, Y> - b_i) <= -excess
+        excess = g - lam_c[-1]
+        if excess > 1e-14 * (1.0 + mu.sum()):    # g's round-off
+            return finish(uniform, "infeasible", np.inf, excess / (mu.sum() * scale), it)
         r = np.outer(y, y.conj())
         primal = float(lam[0] + mu @ vals)
         gap = primal - g

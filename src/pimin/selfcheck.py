@@ -153,11 +153,17 @@ def _tangency(v: np.ndarray, x: BeamformerState) -> float:
     return float(np.max(np.abs(np.real(v * x.x.conj()))))
 
 
+def _riem_grad_norm(x: BeamformerState, forms: PrecomputedForms) -> float:
+    return float(np.linalg.norm(rcg.riem_grad(x, rcg.euclid_grad(x, forms))))
+
+
 def manifold_errors(forms: PrecomputedForms, x0: BeamformerState,
-                    max_iters: int) -> tuple[float, float, float, float]:
+                    max_iters: int) -> tuple[float, float, float, float, float]:
     """The largest modulus error, gradient and step tangency over the accepted
-    steps of one ``rcg_solve`` run, and the largest rise of its history; all
-    NaN, failing any bound, when the run takes no step."""
+    steps of one ``rcg_solve`` run, the largest rise of its history, and the
+    Riemannian gradient norm at its last iterate over that at ``x0``, both
+    from ``rcg.euclid_grad``; all NaN, failing any bound, when the run takes
+    no step."""
     seen = []
 
     def watch(x, g, d):
@@ -165,9 +171,10 @@ def manifold_errors(forms: PrecomputedForms, x0: BeamformerState,
 
     out = rcg.rcg_solve(forms, x0, RcgConfig(max_iters=max_iters), callback=watch)
     if not seen:
-        return (math.nan,) * 4
+        return (math.nan,) * 5
     mod, grad_tan, step_tan = (float(v) for v in np.max(seen, axis=0))
-    return mod, grad_tan, step_tan, float(np.max(np.diff(out.history)))
+    return (mod, grad_tan, step_tan, float(np.max(np.diff(out.history))),
+            _riem_grad_norm(out.x, forms) / _riem_grad_norm(x0, forms))
 
 
 def reduced_objective_error(scen: ScenarioConfig, ch: ChannelSet,
@@ -208,8 +215,8 @@ def self_check() -> CheckReport:
     kron = kron_error(rng)
     evd = evd_error(rng)
     grad = gradient_error(rng, 10)
-    mod, grad_tan, step_tan, rise = manifold_errors(random_forms(rng, 4, 3, 3),
-                                                    random_state(3, 3, rng), 60)
+    mod, grad_tan, step_tan, rise, grad_ratio = manifold_errors(
+        random_forms(rng, 4, 3, 3), random_state(3, 3, rng), 60)
     tangency = max(grad_tan, step_tan)
     sdp = _check_sdp(rng)
     scen = desk_scenario()
@@ -222,8 +229,10 @@ def self_check() -> CheckReport:
         CheckResult("euclidean_gradient_matches_finite_difference", grad <= 1e-6,
                     f"max relative error {grad:.2e}"),
         CheckResult("manifold_iterates_and_descent",
-                    mod <= 1e-12 and tangency <= 1e-10 and rise <= 1e-12,
-                    f"modulus error {mod:.2e}, tangency {tangency:.2e}, max rise {rise:.2e}"),
+                    mod <= 1e-12 and tangency <= 1e-10 and rise <= 1e-12
+                    and grad_ratio <= 1e-6,
+                    f"modulus error {mod:.2e}, tangency {tangency:.2e}, max rise {rise:.2e}, "
+                    f"gradient ratio {grad_ratio:.2e}"),
         sdp,
         CheckResult(f"reduced_objective_matches_power[{scen.M_t}x{scen.M}x{scen.N}]",
                     rel <= 1e-10, f"relative error {rel:.2e}"),

@@ -62,6 +62,14 @@ class TestRun:
         assert "config error: obstacle entries" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = main(["run", "--config", config_path, "--method", "proposed",
+                     "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_iter", ["0", "-2", "two"])
     def test_n_iter_below_one_is_usage_error(self, config_path, tmp_path, capsys, n_iter):
         out = tmp_path / "o.csv"
@@ -184,9 +192,13 @@ class TestSweep:
         ({"radiation_pattern": "cos_q"}, "ris_elevation_t_rad", [0.0, math.pi],
          "sigma_ris_m2 must be > 0"),
         ({}, "d_k", [500.0, 1e200], "path gain is out of float range"),
+        ({"seed": "x"}, "M", [2], "seed must be an integer"),
+        ({"seed": 1.5}, "M", [2], "seed must be an integer"),
+        ({"seed": True}, "M", [2], "seed must be an integer"),
     ], ids=["base_obstacle_two_values", "base_sigma_t", "axis_sigma_t", "base_pattern_q",
             "axis_pattern_q", "base_zero_ris_rcs", "axis_zero_ris_rcs",
-            "axis_overflowing_path_gain"])
+            "axis_overflowing_path_gain", "base_seed_string", "base_seed_float",
+            "base_seed_bool"])
     def test_invalid_link_budget_is_spec_error(self, tmp_path, capsys, base, axis, values,
                                                message):
         spec = {"base": dict(desk_scenario(seed=1).to_json_dict(), **base), "axis": axis,
@@ -225,6 +237,26 @@ class TestCheck:
         failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
                   if line.startswith("FAIL")]
         assert failed == ["FAIL euclidean_gradient_matches_finite_difference"]
+
+    def test_wrong_jacobian_fails_the_manifold_check(self, capsys, monkeypatch):
+        # the LM steps with the Jacobian that linearize writes, not with
+        # euclid_grad: a flipped residual leaves the gradient check passing
+        from pimin import rcg
+        kernels = rcg._kernels
+
+        def flipped_residual(forms):
+            evaluate, egrad, linearize, a_res = kernels(forms)
+
+            def linearize_flipped(x, terms):
+                linearize(x, terms)
+                a_res[-1] *= -1.0
+            return evaluate, egrad, linearize_flipped, a_res
+
+        monkeypatch.setattr(rcg, "_kernels", flipped_residual)
+        assert main(["check"]) == 3
+        failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed == ["FAIL manifold_iterates_and_descent"]
 
 
 class TestSolverFailureExit:

@@ -140,11 +140,12 @@ class TestRcgSolve:
             assert np.all(np.diff(out.history) <= 1e-12)
 
     def test_iterate_invariants_via_callback(self, rng):
-        modulus, grad_tangency, step_tangency, rise = manifold_errors(
+        modulus, grad_tangency, step_tangency, rise, grad_ratio = manifold_errors(
             random_forms(rng, 4, 4, 3), random_state(4, 3, rng), 80)
         assert modulus <= 1e-12
         assert grad_tangency <= 1e-10 and step_tangency <= 1e-10
         assert rise <= 1e-12
+        assert grad_ratio <= 1e-8     # measured 4.4e-9
 
     def test_single_term_grid_oracle(self):
         # scalar instance: the optimum aligns the phase product against the
@@ -270,11 +271,12 @@ class TestFrozenPhasePath:
         # length: their stacked state must have the forms' dimension
         forms = random_forms(rng, 4, 4, 3)
         x0 = random_state(4, 3, rng)
-        modulus, grad_tangency, step_tangency, rise = manifold_errors(
+        modulus, grad_tangency, step_tangency, rise, grad_ratio = manifold_errors(
             forms.fold(x0.phi), radar_only(x0), 80)
         assert modulus <= 1e-12
         assert grad_tangency <= 1e-10 and step_tangency <= 1e-10
         assert rise <= 1e-12
+        assert grad_ratio <= 1e-8     # measured 4.2e-9
 
 
 def radar_only(x):

@@ -284,13 +284,18 @@ class TestConfigSerialization:
         ({"d_k": 1e-200}, DomainError, "path gain is out of float range"),
         ({"d_cR": 1e-160, "d_rR": 1e-160}, DomainError, "path gain is out of float range"),
         ({"sigma_t_m2": 1e300, "d_x_m": 1.0, "d_y_m": 1.0}, DomainError, "out of float range"),
+        ({"seed": "x"}, DomainError, "seed must be an integer"),
+        ({"seed": 1.5}, DomainError, "seed must be an integer"),
+        ({"seed": True}, DomainError, "seed must be an integer"),
+        ({"seed": -1}, DomainError, "seed must be >= 0"),
     ], ids=["sigma_t_negative", "sigma_t_zero", "distance_zero", "cos_q_negative_q",
             "unity_negative_q", "reflection_behind_panel", "incidence_behind_panel",
             "unknown_pattern", "power_underflow", "gain_underflow", "power_overflow",
             "obstacle_two_values", "obstacle_zero_rcs", "distance_power_overflow",
             "exponent_overflow", "ris_cross_section_squared_overflow",
             "obstacle_distance_overflow", "distance_power_underflow",
-            "ris_hop_product_underflow", "cross_section_product_inf"])
+            "ris_hop_product_underflow", "cross_section_product_inf", "seed_string",
+            "seed_float", "seed_bool", "seed_negative"])
     def test_invalid_link_budget_rejected(self, fields, error, message):
         with pytest.raises(error, match=message):
             ScenarioConfig(**fields)

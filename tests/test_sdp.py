@@ -1,3 +1,6 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,23 @@ def feasible_2x2_problem(rng, full_rank_obj=True):
         - 0.3 * abs(float(np.trace(c2 @ witness).real)) - 0.1,
         trace_budget=budget,
     )
+
+
+def dependent_constraints_problem():
+    """Each constraint alone is reachable, but they need more than the budget."""
+    e1 = np.diag([1.0, 0.0]).astype(complex)
+    e2 = np.diag([0.0, 1.0]).astype(complex)
+    return SdpProblem(dim=2, obj=np.eye(2, dtype=complex), comm_mat=e1,
+                      comm_rhs=0.9, sense_mat=e2, sense_rhs=0.9, trace_budget=1.0)
+
+
+def contradictory_problem():
+    """``comm_mat + sense_mat = 0``: no point has both margins positive, however
+    small the right-hand sides are against the matrix scale."""
+    return SdpProblem(dim=2, obj=np.array([[2.0, 0.3], [0.3, 1.0]], dtype=complex),
+                      comm_mat=np.diag([1.0, -1.0]).astype(complex), comm_rhs=5e-10,
+                      sense_mat=np.diag([-1.0, 1.0]).astype(complex), sense_rhs=5e-10,
+                      trace_budget=1.0)
 
 
 class TestAssembleP2:
@@ -222,11 +242,7 @@ class TestSolveSdp:
             <= 1e-5 * prob.trace_budget
 
     def test_dependent_constraints_infeasible(self):
-        e1 = np.diag([1.0, 0.0]).astype(complex)
-        e2 = np.diag([0.0, 1.0]).astype(complex)
-        p = SdpProblem(dim=2, obj=np.eye(2, dtype=complex), comm_mat=e1,
-                       comm_rhs=0.9, sense_mat=e2, sense_rhs=0.9, trace_budget=1.0)
-        sol = solve_sdp(p)
+        sol = solve_sdp(dependent_constraints_problem())
         assert sol.status == "infeasible"
         assert sol.constraint_violation > 0.0
 
@@ -326,15 +342,62 @@ class TestDualCertificates:
 
     def test_dual_value_certifies_infeasibility(self):
         # each constraint alone is reachable, both together are not: only the
-        # dual ray along mu_1 = mu_2 proves it
+        # max-margin point of the whole space, at weights (1/2, 1/2), proves it
         e1 = np.diag([1.0, 0.0]).astype(complex)
         e2 = np.diag([0.0, 1.0]).astype(complex)
         u = np.array([1.0, 1j]) / np.sqrt(2.0)
         p = SdpProblem(dim=2, obj=np.outer(u, u.conj()), comm_mat=e1,
                        comm_rhs=0.6, sense_mat=e2, sense_rhs=0.6, trace_budget=1.0)
         sol = solve_sdp(p)
-        assert sol.status == "infeasible" and sol.iterations >= 1
+        assert sol.status == "infeasible" and sol.iterations == 1
         assert np.isinf(sol.kkt_residual) and sol.constraint_violation > 0.0
+
+    def test_joint_certificate_is_relative_to_the_rhs(self):
+        # the max-margin point misses both right-hand sides by all of their
+        # size, though they are 1e-9 of the matrix scale
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            sol = solve_sdp(contradictory_problem())
+            times.append(time.perf_counter() - start)
+        assert sol.status == "infeasible" and sol.iterations == 1
+        assert abs(sol.constraint_violation - 1.0) <= 1e-12
+        assert min(times) < 0.01
+
+    @pytest.mark.parametrize("excess,status", [(5e-8, "optimal"), (5e-7, "infeasible")])
+    def test_scalar_shortfall_judged_at_tol(self, excess, status):
+        # the only point misses a right-hand side of 1 + excess by excess
+        p = SdpProblem(dim=1, obj=np.ones((1, 1), dtype=complex),
+                       comm_mat=np.ones((1, 1), dtype=complex), comm_rhs=1.0 + excess,
+                       sense_mat=np.zeros((1, 1), dtype=complex), sense_rhs=0.0,
+                       trace_budget=1.0)
+        sol = solve_sdp(p)
+        assert sol.status == status
+        assert sol.constraint_violation == pytest.approx(excess, rel=1e-6)
+
+    def test_status_is_scale_invariant(self):
+        # raising both right-hand sides to 50-95% of their spectral reach
+        # makes some draws jointly infeasible
+        gen = np.random.default_rng(0)
+        drawn = [random_sdp_problem(gen, int(gen.integers(2, 6))) for _ in range(20)]
+
+        def reach(mat, budget):
+            return float(np.linalg.eigvalsh(mat)[-1]) * budget
+
+        raised = [replace(p, comm_rhs=u1 * reach(p.comm_mat, p.trace_budget),
+                          sense_rhs=u2 * reach(p.sense_mat, p.trace_budget))
+                  for p, (u1, u2) in zip(drawn[:10], gen.uniform(0.5, 0.95, size=(10, 2)))]
+        problems = drawn + raised + [dependent_constraints_problem(), contradictory_problem()]
+        statuses = set()
+        for prob in problems:
+            status = solve_sdp(prob).status
+            statuses.add(status)
+            for f in 10.0 ** np.array([-12, -6, 6, 12]):
+                scaled = replace(prob, obj=f * prob.obj, comm_mat=f * prob.comm_mat,
+                                 comm_rhs=f * prob.comm_rhs, sense_mat=f * prob.sense_mat,
+                                 sense_rhs=f * prob.sense_rhs)
+                assert solve_sdp(scaled).status == status
+        assert statuses == {"optimal", "infeasible"}
 
 
 class TestTransmitCovariance:
