@@ -1,9 +1,28 @@
-"""Dense complex linear-algebra kernels.
+"""Dense complex linear-algebra kernels, and the package's only LAPACK calls.
 
-Everything downstream funnels its matrix work through the two operations
-here: Hermitian eigendecomposition and block-structured products with
-identity-Kronecker matrices. All functions are
-pure and operate on immutable inputs, so they are safe to call concurrently.
+Everything downstream funnels its matrix work through the operations here:
+Hermitian eigendecomposition, block-structured products with
+identity-Kronecker matrices, and three thin LAPACK wrappers:
+
+* ``solve(a, b)``: one real square system with a vector right-hand side;
+* ``eigh(a)`` and ``eigvalsh(a)``: complex Hermitian input, read from its
+  lower triangle, eigenvalues ascending; a stack of matrices is allowed.
+
+Each calls the gufunc that ``numpy.linalg`` itself calls (``solve1``,
+``eigh_lo``, ``eigvalsh_lo`` of the private ``numpy.linalg._umath_linalg``)
+with a fixed signature, so the LAPACK routine, its inputs and its bits are
+those of ``numpy.linalg``'s ``solve``, ``eigh`` and ``eigvalsh``. They skip
+numpy's per-call validation and type resolution, which at the solvers' sizes
+cost as much as the factorization: every caller passes a float64 (``solve``) or
+complex128 (``eigh``, ``eigvalsh``) array it built itself. They keep numpy's
+error contract: a singular system or an eigensolver that does not converge
+raises ``numpy.linalg.LinAlgError``, under the error state ``numpy.linalg``
+uses. There is no fallback: if a numpy release drops these names, importing
+the package fails, and ``pimin check`` compares the wrappers with
+``numpy.linalg`` bit for bit.
+
+All functions are pure and operate on immutable inputs, so they are safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -13,8 +32,52 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DimensionError, HermitianError
+
+_solve1 = _umath_linalg.solve1
+_eigh_lo = _umath_linalg.eigh_lo
+_eigvalsh_lo = _umath_linalg.eigvalsh_lo
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _raise_nonconvergence(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _lapack_errors(handler):
+    """The error state ``numpy.linalg`` calls its gufuncs in: LAPACK failure
+    sets the invalid flag, which calls ``handler``."""
+    return np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x`` with ``a x = b``: ``a`` (m, m) and ``b`` (m,), both float64.
+
+    Raises ``LinAlgError`` when ``a`` is exactly singular.
+    """
+    with _lapack_errors(_raise_singular):
+        return _solve1(a, b, signature="dd->d")
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors (columns) of complex128
+    Hermitian ``a`` (..., n, n), read from its lower triangle."""
+    with _lapack_errors(_raise_nonconvergence):
+        return _eigh_lo(a, signature="D->dD")
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of complex128 Hermitian ``a`` (..., n, n), read
+    from its lower triangle."""
+    with _lapack_errors(_raise_nonconvergence):
+        return _eigvalsh_lo(a, signature="D->d")
+
 
 # Eigenvalues smaller than this fraction of the largest magnitude are treated
 # as zero wherever a square root is taken.
@@ -103,7 +166,7 @@ def hermitian_evd(a: np.ndarray) -> EvdResult:
     a = check_hermitian(a)
     # Symmetrize before factorizing so round-off asymmetry cannot leak into
     # complex eigenvalues.
-    lam, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    lam, v = eigh(0.5 * (a + a.conj().T))
     # eigh returns ascending eigenvalues, so reversing sorts them descending
     lam, v = lam[::-1].copy(), v[:, ::-1].copy()
     lam.flags.writeable = False

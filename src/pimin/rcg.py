@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import EvdResult
+from .linalg import EvdResult, solve
 from .scenario import ChannelSet, check_count, check_real
 
 # The first damping is this fraction of the largest diagonal entry of
@@ -378,7 +378,7 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
             saved = diagonal.copy()
 
         np.add(saved, mu, out=diagonal)
-        delta = np.linalg.solve(system, r if dual else rhs)
+        delta = solve(system, r if dual else rhs)
         if dual:
             delta = a.dot(delta)
         trial = x * np.exp(1j * delta)

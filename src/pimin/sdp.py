@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import check_hermitian
+from .linalg import check_hermitian, eigh, eigvalsh, solve
 from .scenario import ScenarioConfig
 from .sysmodel import BeamProducts
 
@@ -93,8 +93,8 @@ class TransmitCovariance:
         return float(np.trace(self.matrix).real)
 
     def validate(self) -> None:
-        check_hermitian(self.matrix, rel_tol=1e-10, name="covariance")
-        eigs = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
+        m = check_hermitian(self.matrix, rel_tol=1e-10, name="covariance")
+        eigs = eigvalsh(0.5 * (m + m.conj().T))
         if eigs.min() < -1e-8 * self.budget:
             raise DomainError(f"covariance not PSD: min eigenvalue {eigs.min():.3e}")
         if abs(self.trace - self.budget) > 1e-6 * self.budget:
@@ -166,7 +166,7 @@ def _max_margin(mats: np.ndarray, b: np.ndarray):
     theta, lo, hi, best = 1.0, None, None, (np.inf, b)
     for _ in range(64):
         d = np.array([theta, 1.0 - theta])[:len(b)]
-        lam, v = np.linalg.eigh(np.tensordot(d, mats, axes=1))
+        lam, v = eigh(np.tensordot(d, mats, axes=1))
         y = v[:, -1]
         ay = mats @ y
         margins = (ay @ y.conj()).real - b
@@ -240,13 +240,13 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         else np.zeros((n, n), dtype=np.complex128)
 
     # Spectral certificate: every Y has <A_i, Y> <= lambda_max(A_i).
-    worst_gap = _shortfall(np.linalg.eigvalsh(a)[:, -1], b)
+    worst_gap = _shortfall(eigvalsh(a)[:, -1], b)
     if worst_gap > tol:
         return finish(uniform, "infeasible", np.inf, worst_gap, 0)
 
     # Iteration 1, mu = 0: any feasible point of the minimum eigenspace E of C
     # attains the lower bound g(0) = lambda_min(C).
-    lam_c, vec_c = np.linalg.eigh(c)
+    lam_c, vec_c = eigh(c)
     e = vec_c[:, lam_c <= lam_c[0] + EIG_CLUSTER]
     red = e.conj().T @ a @ e
     x = np.eye(e.shape[1]) / e.shape[1]
@@ -276,7 +276,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         t = 1.0
         for _ in range(60):
             trial = np.maximum(mu + t * step, 0.0)
-            lam, v = np.linalg.eigh(c - np.tensordot(trial, a, axes=1))
+            lam, v = eigh(c - np.tensordot(trial, a, axes=1))
             g_trial = float(lam[0] + trial @ b)
             if g_trial >= g - 1e-14 * (1.0 + trial.sum()):    # g's round-off
                 break
@@ -308,5 +308,5 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         neg = -hess[np.ix_(free, free)]
         step = np.zeros(len(b))
         reg = 1e-12 * np.trace(neg) + 1e-15
-        step[free] = np.linalg.solve(neg + reg * np.eye(len(neg)), grad[free])
+        step[free] = solve(neg + reg * np.eye(len(neg)), grad[free])
     return finish(r, "max_iters", gap, violation, max_iters)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rcg
+from . import linalg, rcg
 from .linalg import hermitian_evd, kron_identity_apply
 from .metrics import power_quadratic
 from .rcg import BeamformerState, PrecomputedForms, RcgConfig, random_state
@@ -149,6 +149,29 @@ def gradient_error(rng: np.random.Generator, count: int) -> float:
     return worst
 
 
+def lapack_error(rng: np.random.Generator, count: int) -> float:
+    """Largest entry difference between the ``pimin.linalg`` LAPACK wrappers and
+    ``numpy.linalg`` over ``count`` draws of sizes 1 to 17: a real ``solve``,
+    and ``eigh`` and ``eigvalsh`` of a complex Hermitian matrix; then
+    ``eigvalsh`` of one stacked pair. The wrappers call the same LAPACK
+    routine on the same input, so anything but 0.0 is a fault."""
+    def hermitian(*shape):
+        z = cplx(rng, *shape)
+        return z + np.swapaxes(z, -1, -2).conj()
+
+    pairs = []
+    for _ in range(count):
+        n = int(rng.integers(1, 18))
+        a, b, h = rng.standard_normal((n, n)), rng.standard_normal(n), hermitian(n, n)
+        pairs += [(linalg.solve(a, b), np.linalg.solve(a, b)),
+                  (linalg.eigvalsh(h), np.linalg.eigvalsh(h))]
+        pairs += zip(linalg.eigh(h), np.linalg.eigh(h))
+    n = int(rng.integers(1, 18))
+    stack = hermitian(2, n, n)
+    pairs.append((linalg.eigvalsh(stack), np.linalg.eigvalsh(stack)))
+    return max(float(np.max(np.abs(got - ref))) for got, ref in pairs)
+
+
 def _tangency(v: np.ndarray, x: BeamformerState) -> float:
     return float(np.max(np.abs(np.real(v * x.x.conj()))))
 
@@ -221,6 +244,7 @@ def self_check() -> CheckReport:
     sdp = _check_sdp(rng)
     scen = desk_scenario()
     rel = reduced_objective_error(scen, generate_channels(scen, rng), rng)
+    lapack = lapack_error(rng, 20)
     return CheckReport(results=(
         CheckResult("kron_identity_apply_matches_dense", kron <= 1e-12,
                     f"max entry error {kron:.2e}"),
@@ -236,4 +260,6 @@ def self_check() -> CheckReport:
         sdp,
         CheckResult(f"reduced_objective_matches_power[{scen.M_t}x{scen.M}x{scen.N}]",
                     rel <= 1e-10, f"relative error {rel:.2e}"),
+        CheckResult("lapack_wrappers_match_numpy_linalg", lapack == 0.0,
+                    f"max entry difference {lapack:.2e}"),
     ))

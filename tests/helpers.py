@@ -105,9 +105,10 @@ def sdp2_grid_oracle(prob, per_axis: int = 100, stages: int = 4,
         keep &= pts @ c_2 + o_2 >= prob.sense_rhs - 1e-12
         if not keep.any():
             return []
-        vals = pts[keep] @ c_obj + o_obj
+        kept = pts[keep]
+        vals = kept @ c_obj + o_obj
         order = np.argsort(vals)[:3]
-        return [(float(vals[i]), pts[keep][i]) for i in order]
+        return [(float(vals[i]), kept[i]) for i in order]
 
     candidates = scan(np.full(3, -1.0), np.full(3, 1.0))
     if not candidates:

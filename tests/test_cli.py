@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from pimin.bench import TRIAL_FIELDS
@@ -257,6 +258,17 @@ class TestCheck:
         failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
                   if line.startswith("FAIL")]
         assert failed == ["FAIL manifold_iterates_and_descent"]
+
+    def test_wrong_triangle_fails_the_lapack_check(self, capsys, monkeypatch):
+        # eigenvectors read from the upper triangle are as valid, so only the
+        # bit-for-bit comparison with numpy.linalg sees the swap
+        from pimin import linalg
+        monkeypatch.setattr(linalg, "_eigh_lo",
+                            lambda a, signature: np.linalg.eigh(a, UPLO="U"))
+        assert main(["check"]) == 3
+        failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed == ["FAIL lapack_wrappers_match_numpy_linalg"]
 
 
 class TestSolverFailureExit:

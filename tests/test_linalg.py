@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimin import linalg
 from pimin.errors import DimensionError, HermitianError
 from pimin.linalg import hermitian_evd, kron_identity_apply
 
-from pimin.selfcheck import cplx, dense_kron_block, evd_error
+from pimin.selfcheck import cplx, dense_kron_block, evd_error, lapack_error
 
 from helpers import random_hermitian
 
@@ -108,3 +109,12 @@ class TestKronIdentityApply:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
             kron_identity_apply(np.eye(2, dtype=complex), cplx(rng, 5), 2)
+
+
+class TestLapackWrappers:
+    def test_match_numpy_linalg_bit_for_bit(self, rng):
+        assert lapack_error(rng, 200) == 0.0
+
+    def test_singular_system_raises(self):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            linalg.solve(np.zeros((3, 3)), np.ones(3))

@@ -181,6 +181,16 @@ class TestRcgSolve:
             for _ in range(5)}
         assert max(f_vals) - min(f_vals) == 0.0
 
+    def test_exactly_singular_step_raises(self, rng, monkeypatch):
+        # a zero column of b: that radar weight moves no residual, so its row of
+        # Re(J^H J) is zero, and with no damping the step system is singular
+        b = cplx(rng, 3, 3)
+        b[:, 1] = 0.0
+        forms = PrecomputedForms(b=b, c=np.empty((3, 3, 0), dtype=complex))
+        monkeypatch.setattr(rcg, "DAMPING_INIT", 0.0)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            rcg_solve(forms, random_state(3, 0, rng), RcgConfig())
+
 
 class TestRcgConfig:
     @pytest.mark.parametrize("tol", [-1.0, np.nan])
