@@ -18,14 +18,12 @@ the same start on the no-RIS channels, with forms of its own. A run given
 forms is folded at those phases once, and the manifold block moves only the
 radar weights.
 
-Once a later outer iteration's manifold solve takes no step, the loop has
-reached an exact fixed point: the SDP would be solved again at the point it
-was last solved at, and every later iteration would repeat the last one. From
-there the loop repeats the last record, without calling any block, until the
-stall rule or ``n_iter`` ends it. It gets there without the restart solve
-when that solve provably takes no step: when the covariance is kept after a
-solve that stopped at ``grad_tol``, and when, after an optimal SDP, a bound
-on the restart's first gradient is below the tolerance.
+The loop ends at an exact fixed point: once a later manifold solve takes no
+step, or right after a record whose restart solve provably takes none (the
+covariance is kept after a ``grad_tol`` stop, or after an optimal SDP a bound
+on the restart's first gradient is below the tolerance). Every later
+iteration would repeat the last record, so a tail repeats it, without calling
+any block, until the stall rule or ``n_iter`` ends the run.
 """
 
 from __future__ import annotations
@@ -218,79 +216,68 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
     stall_floor = STALL_FLOOR_REL_NOISE * scen.sigma_r2_W * lm
     grad_tol = cfg.rcg.resolved_grad_tol(x.dim)
     history: list[BccdIteration] = []
-    powers: PowerBreakdown | None = None
-    converged = False
+
+    def stalled() -> bool:
+        """Each of the last STALL_WINDOW records moved p_pi by less than STALL_TOL."""
+        return len(history) > STALL_WINDOW and max(
+            relative_change(history[-k].p_pi, history[-k - 1].p_pi, stall_floor)
+            for k in range(1, STALL_WINDOW + 1)) < STALL_TOL
 
     # The covariance changes only when the SDP is solved, so its
     # eigendecomposition and forms carry over an infeasible or stalled call.
-    fixed = False
     for _ in range(cfg.n_iter):
-        if not fixed:
-            if forms is None:
-                forms = precompute_forms(evd, ch, scen.L)
-                if not optimize_phi:
-                    forms = forms.fold(phi)
-            rcg_out = rcg_solve(forms, x, cfg.rcg)
-            # A 0-step solve returns x itself, the point at which the last
-            # iteration solved the SDP. The SDP reads only (w, phi), so it
-            # would give the same answer, hence the same covariance, its
-            # eigendecomposition, the same forms and the same record. The
-            # next solve would then start from the same x on the same forms
-            # and take 0 steps again; by induction every later iteration
-            # repeats the last record, so no block needs to run again.
-            fixed = bool(history) and rcg_out.iterations == 0
-        if fixed:
-            history.append(history[-1])
-        else:
-            x = rcg_out.x
-            if optimize_phi:
-                phi = x.phi
-            eff = build_effective_channels(ch, phi)
-            beams = beam_products(eff, x.w)
-            sol = solve_sdp(assemble_p2(beams, scen), max_iters=cfg.sdp_max_iters)
-            if sol.status == "optimal":
-                r_cov = sol.R_ss
-                evd = hermitian_evd(r_cov.matrix)
-                forms = None
+        if forms is None:
+            forms = precompute_forms(evd, ch, scen.L)
+            if not optimize_phi:
+                forms = forms.fold(phi)
+        rcg_out = rcg_solve(forms, x, cfg.rcg)
+        # A 0-step solve returns x itself, where the last SDP was solved. The
+        # SDP reads only (w, phi), so it would give the same covariance, forms
+        # and record, and the next solve would take 0 steps again: by
+        # induction every later iteration repeats the last record.
+        if history and rcg_out.iterations == 0:
+            break
+        x = rcg_out.x
+        if optimize_phi:
+            phi = x.phi
+        eff = build_effective_channels(ch, phi)
+        beams = beam_products(eff, x.w)
+        sol = solve_sdp(assemble_p2(beams, scen), max_iters=cfg.sdp_max_iters)
+        if sol.status == "optimal":
+            r_cov = sol.R_ss
+            evd = hermitian_evd(r_cov.matrix)
+            forms = None
 
-            powers = power_breakdown(beams, r_cov.matrix, scen.sigma_r2_W,
-                                     scen.sigma_c2_W, scen.M_r, evd=evd)
-            history.append(BccdIteration(
-                p_pi=powers.p_pi,
-                p_sense=powers.p_sense,
-                sndr_db=powers.sndr_db,
-                comm_snr_db=powers.comm_snr_db,
-                dr_db=powers.dr_db,
-                sdp_status=sol.status,
-            ))
-            # The next solve would take no step, so it would return x itself
-            # and the loop would be at the fixed point above, in two cases.
-            # The covariance, hence the forms, are kept and this solve stopped
-            # at grad_tol: the next would run the same kernels on the same
-            # forms from the same x and stop at once. Or the SDP gave a new
-            # covariance and _restart_is_idle proves that the first gradient
-            # on its forms is below grad_tol; its docstring holds the proof.
-            if sol.status == "optimal":
-                fixed = _restart_is_idle(powers.p_pi, eff.Ac_block, ch, scen,
-                                         optimize_phi, grad_tol)
-            else:
-                fixed = rcg_out.stop_reason == "grad_tol"
+        powers = power_breakdown(beams, r_cov.matrix, scen.sigma_r2_W,
+                                 scen.sigma_c2_W, scen.M_r, evd)
+        history.append(BccdIteration(
+            p_pi=powers.p_pi,
+            p_sense=powers.p_sense,
+            sndr_db=powers.sndr_db,
+            comm_snr_db=powers.comm_snr_db,
+            dr_db=powers.dr_db,
+            sdp_status=sol.status,
+        ))
+        # The next solve would take no step, so the loop is at the fixed point
+        # above, in two cases. The covariance, hence the forms, are kept and
+        # this solve stopped at grad_tol: the next would run the same kernels
+        # on the same forms from the same x and stop at once. Or the SDP gave
+        # a new covariance and _restart_is_idle proves that the first gradient
+        # on its forms is below grad_tol; its docstring holds the proof.
+        idle = (_restart_is_idle(powers.p_pi, eff.Ac_block, ch, scen, optimize_phi, grad_tol)
+                if sol.status == "optimal" else rcg_out.stop_reason == "grad_tol")
+        if idle or stalled():
+            break
 
-        if len(history) > STALL_WINDOW:
-            recent = [
-                relative_change(history[-k].p_pi, history[-k - 1].p_pi, stall_floor)
-                for k in range(1, STALL_WINDOW + 1)
-            ]
-            if max(recent) < STALL_TOL:
-                converged = True
-                break
+    # From the fixed point every later iteration repeats the last record.
+    while len(history) < cfg.n_iter and not stalled():
+        history.append(history[-1])
 
-    assert powers is not None
     return BccdResult(
         w=x.w.copy(),
         phi=phi.copy(),
         R_ss=r_cov,
         history=tuple(history),
-        converged=converged,
+        converged=stalled(),
         final_powers=powers,
     )

@@ -186,18 +186,10 @@ class SweepSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SweepSpec":
         d = known_fields(cls, d, "sweep")
-        kwargs = dict(
-            base=ScenarioConfig.from_json_dict(d["base"]),
-            axis=d["axis"],
-            values=tuple(d["values"]),
-        )
-        if "trials_per_point" in d:
-            kwargs["trials_per_point"] = d["trials_per_point"]
-        if "methods" in d:
-            kwargs["methods"] = tuple(d["methods"])
+        d["base"] = ScenarioConfig.from_json_dict(d["base"])
         if "solver" in d:
-            kwargs["solver"] = _bccd_from_dict(d["solver"])
-        return cls(**kwargs)
+            d["solver"] = _bccd_from_dict(d["solver"])
+        return cls(**d)
 
 
 def _bccd_from_dict(d: dict) -> BccdConfig:

@@ -98,7 +98,12 @@ def _frobenius(flat: np.ndarray) -> float:
 
 
 def check_hermitian(a: np.ndarray, rel_tol: float = 1e-8, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is square and Hermitian within ``rel_tol`` (Frobenius)."""
+    """The Hermitian part ``0.5 (a + a^H)`` of ``a``, once ``a`` is checked to be
+    square and Hermitian within ``rel_tol`` (Frobenius).
+
+    Symmetrizing drops the round-off asymmetry the check allows, so it cannot
+    leak into complex eigenvalues downstream.
+    """
     a = _as_complex_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
@@ -107,7 +112,7 @@ def check_hermitian(a: np.ndarray, rel_tol: float = 1e-8, name: str = "matrix") 
         raise HermitianError(
             f"{name} is not Hermitian: ||A - A^H|| = {asym:.3e} vs ||A|| = {scale:.3e}"
         )
-    return a
+    return 0.5 * (a + a.conj().T)
 
 
 @dataclass(frozen=True)
@@ -163,10 +168,7 @@ def hermitian_evd(a: np.ndarray) -> EvdResult:
     HermitianError
         If ``||a - a^H||_F > 1e-8 ||a||_F``.
     """
-    a = check_hermitian(a)
-    # Symmetrize before factorizing so round-off asymmetry cannot leak into
-    # complex eigenvalues.
-    lam, v = eigh(0.5 * (a + a.conj().T))
+    lam, v = eigh(check_hermitian(a))
     # eigh returns ascending eigenvalues, so reversing sorts them descending
     lam, v = lam[::-1].copy(), v[:, ::-1].copy()
     lam.flags.writeable = False

@@ -7,9 +7,9 @@ eigenpairs, a sum of non-negative terms, so a nulled design reports a tiny
 positive power rather than round-off of either sign. The direct form
 ``u^H R_ss u`` is not used for that reason: on nulled designs it rounds to
 values of either sign near 1e-32, and a negative power has no dB value.
-``power_breakdown`` decomposes ``R_ss`` once for all three paths, or takes
-the caller's decomposition, and reads ``u`` for each path from the
-``BeamProducts`` record that ``sdp.assemble_p2`` also reads. Dense Kronecker
+``power_breakdown`` reads all three paths through the decomposition of
+``R_ss`` that its caller already holds, and reads ``u`` for each path from
+the ``BeamProducts`` record that ``sdp.assemble_p2`` also reads. Dense Kronecker
 matrices are never formed here (``selfcheck.dense_kron_block`` is the oracle).
 """
 
@@ -107,15 +107,12 @@ def adc_snr(n_enob: float) -> float:
 
 
 def power_breakdown(beams: BeamProducts, r_ss: np.ndarray, sigma_r2: float,
-                    sigma_c2: float, m_r: int, evd: EvdResult | None = None) -> PowerBreakdown:
+                    sigma_c2: float, m_r: int, evd: EvdResult) -> PowerBreakdown:
     """Evaluate every figure of merit at one (w, phi, R_ss) operating point.
 
-    ``evd`` is the eigendecomposition of ``r_ss`` when the caller has it;
-    otherwise it is computed here.
+    ``evd`` is the eigendecomposition of ``r_ss`` (``hermitian_evd``).
     """
     snr = comm_snr(beams.gram, r_ss, m_r, beams.n_samples, sigma_c2)   # checks r_ss
-    if evd is None:
-        evd = hermitian_evd(r_ss)
     p_pi, p_sense, p_obs = (_power(v, evd) for v in (beams.u, beams.a, beams.o))
     p_noise = power_noise(beams.w, sigma_r2)
     return PowerBreakdown(

@@ -118,9 +118,6 @@ class PrecomputedForms:
     def num_phases(self) -> int:
         return self.c.shape[2]
 
-    def __len__(self) -> int:
-        return self.num_terms
-
     def fold(self, phi: np.ndarray) -> "PrecomputedForms":
         """The forms of the radar block alone at the fixed phases ``phi``.
 

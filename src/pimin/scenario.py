@@ -172,11 +172,13 @@ class ScenarioConfig:
                 check_real("obstacle parameters", v)
             if not all(0 < v < math.inf for v in ob):
                 raise DomainError(f"obstacle parameters must be finite and > 0, got {ob}")
-        # the link-budget factors that a dB field or the element size can take
-        # out of float range
+        # the link-budget factors, noise powers and targets that a dB field or
+        # the element size can take out of float range
         try:
             budget = {name: getattr(self, name) for name in
-                      ("P_T_W", "g_t_lin", "g_r_c_lin", "g_r_pr_lin", "sigma_ris_m2")}
+                      ("P_T_W", "g_t_lin", "g_r_c_lin", "g_r_pr_lin", "g_lna_lin",
+                       "sigma_ris_m2", "sigma_c2_W", "sigma_r2_W", "P_B", "gamma_comm",
+                       "gamma_sense")}
         except OverflowError as exc:
             raise DomainError(f"a link-budget factor overflows: {exc}") from exc
         for name, value in budget.items():
@@ -268,10 +270,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScenarioConfig":
-        d = known_fields(cls, d, "scenario")
-        if "obstacles" in d:
-            d = dict(d, obstacles=tuple(tuple(ob) for ob in d["obstacles"]))
-        return cls(**d)
+        return cls(**known_fields(cls, d, "scenario"))
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -77,8 +77,7 @@ class SdpProblem:
             if mat.shape != (self.dim, self.dim):
                 raise DimensionError(f"{name} has shape {mat.shape}, expected "
                                      f"({self.dim}, {self.dim})")
-            check_hermitian(mat, rel_tol=1e-10, name=name)
-            object.__setattr__(self, name, 0.5 * (mat + mat.conj().T))
+            object.__setattr__(self, name, check_hermitian(mat, rel_tol=1e-10, name=name))
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,7 @@ class TransmitCovariance:
         return float(np.trace(self.matrix).real)
 
     def validate(self) -> None:
-        m = check_hermitian(self.matrix, rel_tol=1e-10, name="covariance")
-        eigs = eigvalsh(0.5 * (m + m.conj().T))
+        eigs = eigvalsh(check_hermitian(self.matrix, rel_tol=1e-10, name="covariance"))
         if eigs.min() < -1e-8 * self.budget:
             raise DomainError(f"covariance not PSD: min eigenvalue {eigs.min():.3e}")
         if abs(self.trace - self.budget) > 1e-6 * self.budget:

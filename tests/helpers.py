@@ -243,7 +243,7 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, frozen_phi=None):
             forms = precompute_forms(evd, ch, scen.L)
             if frozen_phi is not None:
                 forms = PrecomputedForms(b=forms.b + forms.c @ phi,
-                                         c=np.empty((len(forms), lm, 0), dtype=np.complex128))
+                                         c=np.empty((forms.num_terms, lm, 0), dtype=np.complex128))
         rcg_out = rcg_solve(forms, x, cfg.rcg)
         x = rcg_out.x
         if frozen_phi is None:

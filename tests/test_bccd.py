@@ -134,35 +134,17 @@ class TestBccdSolve:
         r0 = init_rss(scen.L * scen.M_t, scen.P_B, gen)
         assert np.max(np.abs(out.R_ss.matrix - r0.matrix)) <= 1e-15
 
-    @staticmethod
-    def count_evd_and_forms(monkeypatch):
-        import pimin.bccd
-        import pimin.metrics
-        calls = {"evd": 0, "forms": 0}
-
-        def counted(fn, key):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(pimin.bccd, "hermitian_evd",
-                            counted(pimin.bccd.hermitian_evd, "evd"))
-        monkeypatch.setattr(pimin.metrics, "hermitian_evd",
-                            counted(pimin.metrics.hermitian_evd, "evd"))
-        monkeypatch.setattr(pimin.bccd, "precompute_forms",
-                            counted(pimin.bccd.precompute_forms, "forms"))
-        return calls
-
     def test_kept_covariance_is_decomposed_once(self, monkeypatch):
         # both SDP calls are certified infeasible, so the covariance, its
         # eigendecomposition and its forms serve both outer iterations
+        import pimin.bccd
         scen = desk_bench_scenario(seed=1)
         ch = generate_channels(scen, np.random.default_rng(1))
-        calls = self.count_evd_and_forms(monkeypatch)
+        evds = count_calls(monkeypatch, pimin.bccd, "hermitian_evd")
+        forms = count_calls(monkeypatch, pimin.bccd, "precompute_forms")
         out = bccd_solve(BccdConfig(n_iter=2), scen, seeded_start(1, scen, ch))
         assert [h.sdp_status for h in out.history] == ["infeasible", "infeasible"]
-        assert calls == {"evd": 1, "forms": 1}
+        assert (len(evds), len(forms)) == (1, 1)
 
     def test_one_eigendecomposition_per_covariance(self, monkeypatch):
         # every optimal SDP answer is a new covariance: one decomposition each,
@@ -172,14 +154,13 @@ class TestBccdSolve:
         # builds forms nor solves anything)
         import pimin.bccd
         scen = desk_scenario(seed=2)
-        calls = self.count_evd_and_forms(monkeypatch)
+        evds = count_calls(monkeypatch, pimin.bccd, "hermitian_evd")
+        forms = count_calls(monkeypatch, pimin.bccd, "precompute_forms")
         sdp_calls = count_calls(monkeypatch, pimin.bccd, "solve_sdp")
         solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
         out = bccd_solve(BccdConfig(n_iter=3), scen, seeded_start(2, scen, desk_channels(scen)))
         assert [h.sdp_status for h in out.history] == ["optimal"] * 3
-        assert calls == {"evd": 2, "forms": 1}
-        assert len(sdp_calls) == 1
-        assert len(solves) == 1
+        assert (len(evds), len(forms), len(sdp_calls), len(solves)) == (2, 1, 1, 1)
 
     @pytest.mark.parametrize("make_scen, cfg, solved", [
         (desk_bench_scenario, BccdConfig(n_iter=4, rcg=RcgConfig(max_iters=3, grad_tol=0.0)),
@@ -224,34 +205,19 @@ class TestBccdSolve:
             bccd_solve(BccdConfig(n_iter=2), scen, start, frozen_phi=bad(scen.N))
         assert not solves
 
-    def test_inner_histories_monotone(self):
+    def test_inner_histories_monotone(self, monkeypatch):
         # the manifold solver's guarantee carries into every outer iteration
-        from pimin import rcg
+        import pimin.bccd
         scen = tiny_scenario()
         ch = generate_channels(scen, np.random.default_rng(20))
-        seen = []
-        orig = rcg.rcg_solve
-
-        def spy(forms, x0, cfg, callback=None):
-            out = orig(forms, x0, cfg, callback=callback)
-            seen.append(out.history)
-            return out
-
-        cfg = BccdConfig(n_iter=3)
-        try:
-            rcg.rcg_solve = spy
-            import pimin.bccd
-            pimin.bccd.rcg_solve = spy
-            out = bccd_solve(cfg, scen, seeded_start(20, scen, ch))
-        finally:
-            rcg.rcg_solve = orig
-            pimin.bccd.rcg_solve = orig
+        solves = count_calls(monkeypatch, pimin.bccd, "rcg_solve")
+        out = bccd_solve(BccdConfig(n_iter=3), scen, seeded_start(20, scen, ch))
         # the restart after the first SDP is certified idle, so the second
         # and third iterations repeat the first without solving again
-        assert len(seen) == 1
+        assert len(solves) == 1
         assert out.history[2] == out.history[1] == out.history[0]
-        for hist in seen:
-            assert np.all(np.diff(hist) <= 1e-12)
+        for res in solves:
+            assert np.all(np.diff(res.history) <= 1e-12)
 
 
 def count_calls(monkeypatch, module, name):

@@ -193,13 +193,14 @@ class TestSweep:
         ({"radiation_pattern": "cos_q"}, "ris_elevation_t_rad", [0.0, math.pi],
          "sigma_ris_m2 must be > 0"),
         ({}, "d_k", [500.0, 1e200], "path gain is out of float range"),
+        ({}, "sigma_r2_dBm", [-80.0, 4000.0], "link-budget factor overflows"),
         ({"seed": "x"}, "M", [2], "seed must be an integer"),
         ({"seed": 1.5}, "M", [2], "seed must be an integer"),
         ({"seed": True}, "M", [2], "seed must be an integer"),
     ], ids=["base_obstacle_two_values", "base_sigma_t", "axis_sigma_t", "base_pattern_q",
             "axis_pattern_q", "base_zero_ris_rcs", "axis_zero_ris_rcs",
-            "axis_overflowing_path_gain", "base_seed_string", "base_seed_float",
-            "base_seed_bool"])
+            "axis_overflowing_path_gain", "axis_overflowing_noise", "base_seed_string",
+            "base_seed_float", "base_seed_bool"])
     def test_invalid_link_budget_is_spec_error(self, tmp_path, capsys, base, axis, values,
                                                message):
         spec = {"base": dict(desk_scenario(seed=1).to_json_dict(), **base), "axis": axis,

@@ -136,7 +136,8 @@ class TestPowerBreakdown:
         w = random_unit_modulus(rng, scen.L * scen.M)
         r = random_psd(rng, scen.L * scen.M_t, trace=scen.P_B)
         beams = beam_products(build_effective_channels(ch, phi), w)
-        p = power_breakdown(beams, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
+        p = power_breakdown(beams, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r,
+                            hermitian_evd(r))
         assert p.p_pi >= 0 and p.p_sense >= 0 and p.p_obs >= 0 and p.p_noise > 0
         lin_sndr = p.p_sense / (p.p_pi + p.p_obs + p.p_noise)
         assert abs(p.sndr_db - 10 * np.log10(lin_sndr)) <= 1e-9
@@ -144,33 +145,22 @@ class TestPowerBreakdown:
         scale_free = sndr(p.p_sense * 3.0, p.p_pi * 3.0, p.p_obs * 3.0, p.p_noise * 3.0)
         assert abs(scale_free - lin_sndr) <= 1e-12 * lin_sndr
 
-    def test_one_eigendecomposition_per_call(self, rng, monkeypatch):
-        scen = tiny_scenario(obstacles=((40.0, 60.0, 1.0),))
-        ch = generate_channels(scen, np.random.default_rng(5))
-        beams = beam_products(build_effective_channels(ch, random_unit_modulus(rng, scen.N)),
-                              random_unit_modulus(rng, scen.L * scen.M))
-        r = random_psd(rng, scen.L * scen.M_t, trace=scen.P_B)
-        calls = []
-
-        def counting_evd(a):
-            calls.append(a)
-            return hermitian_evd(a)
-
-        monkeypatch.setattr(pimin.metrics, "hermitian_evd", counting_evd)
-        power_breakdown(beams, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
-        assert len(calls) == 1
-
-    def test_given_eigendecomposition_gives_equal_results(self, rng, monkeypatch):
+    def test_given_eigendecomposition_matches_power_quadratic(self, rng, monkeypatch):
+        # power_breakdown reads every path through the decomposition it is
+        # given and makes none of its own
         scen = tiny_scenario(L=2, obstacles=((40.0, 60.0, 1.0),))
         ch = generate_channels(scen, np.random.default_rng(7))
-        beams = beam_products(build_effective_channels(ch, random_unit_modulus(rng, scen.N)),
-                              random_unit_modulus(rng, scen.L * scen.M))
+        eff = build_effective_channels(ch, random_unit_modulus(rng, scen.N))
+        w = random_unit_modulus(rng, scen.L * scen.M)
         r = random_psd(rng, scen.L * scen.M_t, trace=scen.P_B)
-        args = (beams, r, scen.sigma_r2_W, scen.sigma_c2_W, scen.M_r)
-        own = power_breakdown(*args)
+        expect = [power_quadratic(block, w, r)
+                  for block in (eff.Ac_block, eff.Ar_block, eff.Ao_block)]
         evd = hermitian_evd(r)
         monkeypatch.setattr(pimin.metrics, "hermitian_evd", None)   # must not be called
-        assert power_breakdown(*args, evd=evd) == own
+        p = power_breakdown(beam_products(eff, w), r, scen.sigma_r2_W, scen.sigma_c2_W,
+                            scen.M_r, evd)
+        for got, ref in zip((p.p_pi, p.p_sense, p.p_obs), expect):
+            assert abs(got - ref) <= 1e-12 * ref
 
     def test_nulled_design_keeps_a_finite_dynamic_range(self, rng):
         # R spans only the null space of u u^H, so the interference is zero up
@@ -187,6 +177,6 @@ class TestPowerBreakdown:
         r = 0.5 * (r + r.conj().T)
         assert power_quadratic(eff.Ac_block, w, r) >= 0.0
         p = power_breakdown(beam_products(eff, w), r, scen.sigma_r2_W, scen.sigma_c2_W,
-                            scen.M_r)
+                            scen.M_r, hermitian_evd(r))
         assert np.isfinite(p.dr_db)
         assert p.p_pi <= 1e-20 * scen.P_B * float(np.vdot(u, u).real)

@@ -27,7 +27,7 @@ class TestPrecomputeForms:
         dim = scen.L * scen.M_t
         forms = precompute_forms(hermitian_evd(np.zeros((dim, dim), dtype=complex)),
                                  ch, scen.L)
-        assert len(forms) == dim
+        assert forms.num_terms == dim
         assert not np.any(forms.b) and not np.any(forms.c)
 
     def test_basis_vector_case(self):
@@ -62,7 +62,7 @@ class TestPrecomputeForms:
         ch = generate_channels(scen, np.random.default_rng(3))
         r = random_psd(rng, 3 * scen.M_t)
         forms = precompute_forms(hermitian_evd(r), ch, 3)
-        assert len(forms) == 3 * scen.M_t
+        assert forms.num_terms == 3 * scen.M_t
         assert forms.c.shape == (3 * scen.M_t, 3 * scen.M, scen.N)
 
     def test_reduction_matches_covariance_quadratic(self, rng):
@@ -247,7 +247,7 @@ class TestFrozenPhasePath:
             forms = random_forms(gen, int(gen.integers(1, 5)), lm, n)
             x = random_state(lm, n, gen)
             folded = forms.fold(x.phi)
-            assert folded.c.shape == (len(forms), lm, 0)
+            assert folded.c.shape == (forms.num_terms, lm, 0)
             full = objective(x, forms)
             assert abs(objective(radar_only(x), folded) - full) <= 1e-12 * full
 

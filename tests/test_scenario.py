@@ -275,6 +275,14 @@ class TestConfigSerialization:
         ({"P_T_dBm": -4000.0}, DomainError, "P_T_W must be > 0"),
         ({"G_R_PR_dBi": -4000.0}, DomainError, "g_r_pr_lin must be > 0"),
         ({"P_T_dBm": 4000.0}, DomainError, "link-budget factor overflows"),
+        ({"sigma_r2_dBm": -4000.0}, DomainError, "sigma_r2_W must be > 0"),
+        ({"sigma_c2_dBm": -4000.0}, DomainError, "sigma_c2_W must be > 0"),
+        ({"P_B_dB": -4000.0}, DomainError, "P_B must be > 0"),
+        ({"gamma_comm_dB": -4000.0}, DomainError, "gamma_comm must be > 0"),
+        ({"sigma_r2_dBm": 4000.0}, DomainError, "link-budget factor overflows"),
+        ({"P_B_dB": 4000.0}, DomainError, "link-budget factor overflows"),
+        ({"gamma_sense_dB": 4000.0}, DomainError, "link-budget factor overflows"),
+        ({"G_LNA_dB": 4000.0}, DomainError, "link-budget factor overflows"),
         ({"obstacles": [(50.0, 30.0)]}, DimensionError, "obstacle entries"),
         ({"obstacles": [(50.0, 30.0, 0.0)]}, DomainError, "obstacle parameters"),
         ({"d_k": 1e200}, DomainError, "path gain is out of float range"),
@@ -291,6 +299,9 @@ class TestConfigSerialization:
     ], ids=["sigma_t_negative", "sigma_t_zero", "distance_zero", "cos_q_negative_q",
             "unity_negative_q", "reflection_behind_panel", "incidence_behind_panel",
             "unknown_pattern", "power_underflow", "gain_underflow", "power_overflow",
+            "radar_noise_underflow", "comm_noise_underflow", "budget_underflow",
+            "comm_target_underflow", "radar_noise_overflow", "budget_overflow",
+            "sense_target_overflow", "lna_overflow",
             "obstacle_two_values", "obstacle_zero_rcs", "distance_power_overflow",
             "exponent_overflow", "ris_cross_section_squared_overflow",
             "obstacle_distance_overflow", "distance_power_underflow",
