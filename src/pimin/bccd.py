@@ -12,11 +12,11 @@ and the iteration is flagged.
 A run starts from a ``BccdStart`` that the caller passes in: the channel set,
 the ``init_rss`` covariance, its eigendecomposition, the random state and the
 forms of that start, all read-only, so the runs of one trial can share one
-start. ``seeded_start`` builds it from a seed; ``BccdStart.without_ris`` gives
-the same start on the no-RIS channels, with forms of its own. A run given
-``frozen_phi`` keeps the RIS phases there (the benchmark designs): each set of
-forms is folded at those phases once, and the manifold block moves only the
-radar weights.
+start. ``seeded_start`` builds it from a seed. A run given ``frozen_phi``
+keeps the RIS reflection coefficients there (the benchmark designs): each set
+of forms is folded at them once, and the manifold block moves only the radar
+weights. Every RIS-coupled path is linear in the coefficients, so frozen
+zeros are the system without an RIS, on the same start.
 
 The loop ends at an exact fixed point: once a later manifold solve takes no
 step, or right after a record whose restart solve provably takes none (the
@@ -39,7 +39,7 @@ from .linalg import EvdResult, hermitian_evd
 from .metrics import PowerBreakdown, power_breakdown
 from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, precompute_forms,
                   random_state, rcg_solve)
-from .scenario import ChannelSet, ScenarioConfig, check_count
+from .scenario import ChannelSet, ScenarioConfig, check_count, dbm_to_watt
 from .sdp import TransmitCovariance, assemble_p2, solve_sdp
 from .sysmodel import beam_products, build_effective_channels, check_phases
 
@@ -54,6 +54,9 @@ STALL_WINDOW = 3
 # Round-off allowance of the idle-restart bound, in units of eps per entry of
 # the inner-product lengths summed along the way (see _restart_is_idle).
 IDLE_ROUNDOFF = 8.0
+# The radar noise power (-80 dBm, the desk scenarios' floor) at which
+# bccd_solve reads RcgConfig.grad_tol as watts.
+REF_NOISE_W = dbm_to_watt(-80.0)
 
 
 @dataclass(frozen=True)
@@ -110,17 +113,13 @@ def relative_change(new: float, old: float, floor: float) -> float:
 
 @dataclass(frozen=True)
 class BccdStart:
-    """The point a run starts from, on its channel set; every array is read-only."""
+    """The point every method of a trial runs from; every array is read-only."""
 
     ch: ChannelSet
     R_ss: TransmitCovariance
     evd: EvdResult              # eigendecomposition of R_ss
     x: BeamformerState
     forms: PrecomputedForms     # forms of evd on ch
-
-    def without_ris(self) -> "BccdStart":
-        """The same covariance, decomposition and state on ``ch.without_ris()``."""
-        return _start_on(self.ch.without_ris(), self.R_ss, self.evd, self.x)
 
 
 def seeded_start(seed: int, scen: ScenarioConfig, ch: ChannelSet) -> BccdStart:
@@ -130,13 +129,8 @@ def seeded_start(seed: int, scen: ScenarioConfig, ch: ChannelSet) -> BccdStart:
     x = random_state(scen.L * scen.M, scen.N, rng)
     r_cov.matrix.flags.writeable = False
     x.x.flags.writeable = False
-    return _start_on(ch, r_cov, hermitian_evd(r_cov.matrix), x)
-
-
-def _start_on(ch: ChannelSet, r_cov: TransmitCovariance, evd: EvdResult,
-              x: BeamformerState) -> BccdStart:
-    """The start on ``ch`` from a covariance, its decomposition and a state."""
-    forms = precompute_forms(evd, ch, evd.dim // ch.H_DPI.shape[1])
+    evd = hermitian_evd(r_cov.matrix)
+    forms = precompute_forms(evd, ch, scen.L)
     forms.b.flags.writeable = False
     forms.c.flags.writeable = False
     return BccdStart(ch=ch, R_ss=r_cov, evd=evd, x=x, forms=forms)
@@ -169,7 +163,8 @@ def _restart_is_idle(p_pi: float, ac_block: np.ndarray, ch: ChannelSet, scen: Sc
     (``L M_t + L M + N``, with ``IDLE_ROUNDOFF`` to spare) times the size of
     the summands, which is at most ``sqrt(lam_i) sqrt(L M) A`` with ``A =
     |gamma_DPI| ||H_DPI||_F + |gamma_RPI| ||G_rR||_F ||H_cR||_F``, a bound on
-    ``||Ac||_F`` for every phase vector. That adds ``c eps sqrt(P_B L M) A``
+    ``||Ac||_F`` for every coefficient vector whose entries have modulus at
+    most 1, zeros included. That adds ``c eps sqrt(P_B L M) A``
     to ``sqrt(p_pi)``; the halved tolerance covers the relative round-off of
     the gradient's own sums and of ``sum lam_i``. With ``grad_tol = 0`` the
     restart is never skipped.
@@ -194,9 +189,16 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
                frozen_phi: np.ndarray | None = None) -> BccdResult:
     """Alternate the manifold block and the covariance SDP block from ``start``.
 
-    With ``frozen_phi`` the RIS phases stay there for the whole run (the
-    benchmark designs) in place of the start's, and the manifold block
-    solves the forms folded at them from the start's radar weights alone.
+    With ``frozen_phi`` the RIS reflection coefficients stay there for the
+    whole run (the benchmark designs; all zeros is no RIS) in place of the
+    start's phases, and the manifold block solves the forms folded at them
+    from the start's radar weights alone.
+
+    ``cfg.rcg.grad_tol`` is read as watts at ``REF_NOISE_W`` and scaled with
+    ``scen.sigma_r2_W``; ``rcg_solve`` gets that absolute tolerance. The
+    interference terms scale with the transmit power and ``rcg_solve`` is
+    equivariant to that scaling, so shifting the powers and both noise floors
+    by the same number of dB leaves the design unchanged.
     """
     ch, r_cov, evd, x, forms = start.ch, start.R_ss, start.evd, start.x, start.forms
     m_r, m_t, m, n = ch.dims
@@ -214,7 +216,8 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
         forms = forms.fold(phi)
 
     stall_floor = STALL_FLOOR_REL_NOISE * scen.sigma_r2_W * lm
-    grad_tol = cfg.rcg.resolved_grad_tol(x.dim)
+    grad_tol = cfg.rcg.resolved_grad_tol(x.dim) * (scen.sigma_r2_W / REF_NOISE_W)
+    rcg_cfg = RcgConfig(cfg.rcg.max_iters, grad_tol)
     history: list[BccdIteration] = []
 
     def stalled() -> bool:
@@ -230,7 +233,7 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
             forms = precompute_forms(evd, ch, scen.L)
             if not optimize_phi:
                 forms = forms.fold(phi)
-        rcg_out = rcg_solve(forms, x, cfg.rcg)
+        rcg_out = rcg_solve(forms, x, rcg_cfg)
         # A 0-step solve returns x itself, where the last SDP was solved. The
         # SDP reads only (w, phi), so it would give the same covariance, forms
         # and record, and the next solve would take 0 steps again: by

@@ -1,20 +1,19 @@
 """Monte Carlo harness: seeded trials, method benchmarks, parameter sweeps.
 
 Every benchmark re-optimizes the radar weights and the transmit covariance
-with the same machinery as the proposed design; only the RIS phase treatment
-differs (optimized, frozen random, frozen equal, or absent), so sweep results
-isolate the phase design. A benchmark passes its phases to ``bccd_solve`` as
-``frozen_phi``: the start's random draw, all ones, or all ones on the no-RIS
-start. All methods spend the same transmit power: the covariance trace always
-equals the budget.
+with the same machinery as the proposed design; only the RIS reflection
+coefficients differ (optimized, frozen random, frozen equal, or every element
+off), so sweep results isolate the phase design. A benchmark passes its
+coefficients to ``bccd_solve`` as ``frozen_phi``: the start's random phases,
+all ones, or all zeros, which is the system without an RIS. All methods spend
+the same transmit power: the covariance trace always equals the budget.
 
 A sweep's unit of work is one trial: every method runs from the trial's one
 ``BccdStart`` (channel draw, seeded covariance, its eigendecomposition, random
 state and their forms), which ``run_trial`` takes from a one-entry memo keyed
 by (scenario, seed). The first method's call pays for it; later calls at the
-same (scenario, seed) reuse it, and the no-RIS method passes
-``start.without_ris()``, which builds its own forms. Every array of a start
-is read-only, so no method can change what another method sees.
+same (scenario, seed) reuse it. Every array of a start is read-only, so no
+method can change what another method sees.
 """
 
 from __future__ import annotations
@@ -98,24 +97,21 @@ def run_trial(scen: ScenarioConfig, method: Method, cfg: BccdConfig,
     The seed drives both the channel draw and the seeded solver start
     (``seeded_start``), so a record is reproducible from its own row.
     Consecutive calls at the same scenario and seed share one draw and one
-    start, made by the first of them and counted in its ``runtime_ms``.
-    Absolute received powers are reported after the radar's LNA gain; the
-    ratio metrics are gain-invariant.
+    start, made by the first of them and counted in its ``runtime_ms``. Every
+    method solves from that start; it chooses only the reflection coefficients
+    that stay fixed: none (the proposed design optimizes them), the start's
+    random phases, ones, or zeros (no RIS). Absolute received powers are
+    reported after the radar's LNA gain; the ratio metrics are gain-invariant.
     """
     t0 = time.perf_counter()
     start = _trial_start(scen, seed)
-
-    if method is Method.PROPOSED:
-        result = bccd_solve(cfg, scen, start)
-    elif method is Method.BENCH1_RANDOM_PHASE:
-        # phases stay at their seeded random draw
-        result = bccd_solve(cfg, scen, start, frozen_phi=start.x.phi)
-    elif method is Method.BENCH2_EQUAL_PHASE:
-        result = bccd_solve(cfg, scen, start, frozen_phi=np.ones(scen.N))
-    elif method is Method.BENCH3_NO_RIS:
-        result = bccd_solve(cfg, scen, start.without_ris(), frozen_phi=np.ones(scen.N))
-    else:   # pragma: no cover
-        raise DomainError(f"unhandled method {method}")
+    frozen_phi = {
+        Method.PROPOSED: None,
+        Method.BENCH1_RANDOM_PHASE: start.x.phi,
+        Method.BENCH2_EQUAL_PHASE: np.ones(scen.N),
+        Method.BENCH3_NO_RIS: np.zeros(scen.N),
+    }[method]
+    result = bccd_solve(cfg, scen, start, frozen_phi=frozen_phi)
 
     runtime_ms = (time.perf_counter() - t0) * 1e3
     p = result.final_powers
@@ -158,10 +154,14 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in ScenarioConfig.__dataclass_fields__:
             raise DomainError(f"axis {self.axis!r} is not a scenario field")
-        if not self.values:
+        # numpy scalars become Python ones, so that the sidecar is valid JSON
+        # and each value's repr, hence its trial seeds, is the one its sidecar
+        # loads back; no array cast, which would turn [1, 2.5] into floats
+        values = tuple(v.item() if isinstance(v, np.generic) else v for v in self.values)
+        if not values:
             raise DomainError("sweep needs at least one axis value")
         check_count("trials_per_point", self.trials_per_point, 1)
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", values)
         points = []
         for value in self.values:
             try:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -361,11 +361,6 @@ class ChannelSet:
     def dims(self) -> tuple[int, int, int, int]:
         """(M_r, M_t, M, N)."""
         return (self.H_k.shape[0], self.H_k.shape[1], self.H_DPI.shape[0], self.H_cR.shape[0])
-
-    def without_ris(self) -> "ChannelSet":
-        """Copy with every RIS-coupled path gain zeroed (no-RIS baseline)."""
-        return replace(self, gamma_c_r=0j, gamma_RPI=0j, gamma_s2=0j,
-                       gamma_s3=0j, gamma_s4=0j)
 
 
 def _cn_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -23,13 +23,16 @@ UNIT_MODULUS_TOL = 1e-9
 
 
 def check_phases(phi: np.ndarray, n: int, validate: bool) -> np.ndarray:
-    """``phi`` as a complex vector of length ``n``; with ``validate``, of unit modulus."""
+    """``phi`` as a complex vector of ``n`` reflection coefficients.
+
+    With ``validate``, each has unit modulus, or is exactly 0 for an RIS element that is off.
+    """
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (n,):
         raise DimensionError(f"phase vector has shape {phi.shape}, expected ({n},)")
     # written so that a NaN entry fails it and an empty vector passes it
-    if validate and not np.all(np.abs(np.abs(phi) - 1.0) <= UNIT_MODULUS_TOL):
-        raise DomainError("phase vector entries must have unit modulus")
+    if validate and not np.all((np.abs(np.abs(phi) - 1.0) <= UNIT_MODULUS_TOL) | (phi == 0)):
+        raise DomainError("phase vector entries must have unit modulus or be exactly 0")
     return phi
 
 

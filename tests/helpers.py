@@ -13,13 +13,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from pimin import ScenarioConfig
-from pimin.bccd import (STALL_FLOOR_REL_NOISE, STALL_TOL, STALL_WINDOW, BccdIteration,
-                        BccdResult, init_rss, relative_change)
+from pimin.bccd import (REF_NOISE_W, STALL_FLOOR_REL_NOISE, STALL_TOL, STALL_WINDOW,
+                        BccdIteration, BccdResult, init_rss, relative_change)
 from pimin.errors import DimensionError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_breakdown
-from pimin.rcg import (DAMPING_INIT, BeamformerState, PrecomputedForms, precompute_forms,
-                       random_state, rcg_solve)
+from pimin.rcg import (DAMPING_INIT, BeamformerState, PrecomputedForms, RcgConfig,
+                       precompute_forms, random_state, rcg_solve)
 from pimin.sdp import assemble_p2, solve_sdp
 from pimin.selfcheck import cplx, dense_kron_block
 from pimin.sysmodel import beam_products, build_effective_channels
@@ -231,6 +231,9 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, frozen_phi=None):
         x = BeamformerState(x=x.w, num_bf=lm)
 
     stall_floor = STALL_FLOOR_REL_NOISE * scen.sigma_r2_W * lm
+    # the tolerance is read in watts at REF_NOISE_W, as bccd_solve reads it
+    rcg_cfg = RcgConfig(cfg.rcg.max_iters, cfg.rcg.resolved_grad_tol(x.dim)
+                        * (scen.sigma_r2_W / REF_NOISE_W))
     history = []
     powers = None
     pi_trace = []
@@ -244,7 +247,7 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, frozen_phi=None):
             if frozen_phi is not None:
                 forms = PrecomputedForms(b=forms.b + forms.c @ phi,
                                          c=np.empty((forms.num_terms, lm, 0), dtype=np.complex128))
-        rcg_out = rcg_solve(forms, x, cfg.rcg)
+        rcg_out = rcg_solve(forms, x, rcg_cfg)
         x = rcg_out.x
         if frozen_phi is None:
             phi = x.phi

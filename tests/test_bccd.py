@@ -189,6 +189,23 @@ class TestBccdSolve:
         out = bccd_solve(cfg, scen, seeded_start(13, scen, ch), frozen_phi=phi)
         assert np.array_equal(out.phi, phi)
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_design_does_not_depend_on_power_units(self, seed):
+        # the transmit power and both noise floors move by the same number of
+        # dB, so every ratio is physically unchanged and so must the design be
+        base = desk_bench_scenario(seed=seed)
+        cfg = BccdConfig(n_iter=8)
+        ratios = []
+        for shift in (-30.0, 0.0, 30.0, 60.0):
+            scen = dataclasses.replace(base, P_T_dBm=base.P_T_dBm + shift,
+                                       sigma_c2_dBm=base.sigma_c2_dBm + shift,
+                                       sigma_r2_dBm=base.sigma_r2_dBm + shift)
+            out = bccd_solve(cfg, scen, seeded_start(seed, scen, desk_channels(scen, seed)))
+            p = out.final_powers
+            ratios.append((p.sndr_db, p.comm_snr_db, p.dr_db))
+        for shifted in ratios[1:]:
+            assert np.allclose(shifted, ratios[0], rtol=0.0, atol=0.01), ratios
+
     @pytest.mark.parametrize("bad, error", [
         (lambda n: np.ones(n + 1), DimensionError),
         (lambda n: np.ones((n, 1)), DimensionError),
@@ -249,13 +266,12 @@ def first_args(monkeypatch, module, name):
 
 def method_setup(name, scen, ch, seed):
     """The seeded start and ``bccd_solve`` keywords of one of the four method set-ups."""
-    start = seeded_start(seed, scen, ch.without_ris() if name == "no_ris" else ch)
-    ones = np.ones(scen.N, dtype=np.complex128)
+    start = seeded_start(seed, scen, ch)
     return start, {
         "joint": {},
         "frozen_random": {"frozen_phi": start.x.phi},
-        "frozen_ones": {"frozen_phi": ones},
-        "no_ris": {"frozen_phi": ones},
+        "frozen_ones": {"frozen_phi": np.ones(scen.N, dtype=np.complex128)},
+        "no_ris": {"frozen_phi": np.zeros(scen.N, dtype=np.complex128)},
     }[name]
 
 
@@ -381,21 +397,23 @@ class TestIdleRestartSkips:
         return hi
 
     @pytest.mark.parametrize("make_scen", [desk_scenario, desk_bench_scenario])
-    @pytest.mark.parametrize("optimize_phi", [True, False])
-    def test_bound_holds_away_from_nulling(self, rng, make_scen, optimize_phi):
+    @pytest.mark.parametrize("phases", ["joint", "frozen", "off"])
+    def test_bound_holds_away_from_nulling(self, rng, make_scen, phases):
         # at random points and covariances the first gradient is far from 0;
         # wherever the rule skips, the gradient the restart would see is at
-        # most half the tolerance
+        # most half the tolerance, with the RIS elements off too
+        optimize_phi = phases == "joint"
         for seed in range(6):
             scen = make_scen(seed=seed)
             ch = desk_channels(scen, seed)
             x = random_state(scen.L * scen.M, scen.N, rng)
             r = init_rss(scen.L * scen.M_t, scen.P_B, rng)
-            ac = build_pi_channel(ch, x.phi)
+            phi = np.zeros(scen.N) if phases == "off" else x.phi
+            ac = build_pi_channel(ch, phi)
             p_pi = power_quadratic(ac, x.w, r.matrix)
             forms = precompute_forms(hermitian_evd(r.matrix), ch, scen.L)
             if not optimize_phi:
-                forms, x = forms.fold(x.phi), BeamformerState(x=x.w, num_bf=x.num_bf)
+                forms, x = forms.fold(phi), BeamformerState(x=x.w, num_bf=x.num_bf)
             g = rcg_solve(forms, x, RcgConfig(max_iters=0)).grad_norm
             assert 0.0 < g <= 0.5 * self.least_skipping_tol(p_pi, ac, ch, scen, optimize_phi)
 
@@ -420,20 +438,11 @@ class TestIdleRestartSkips:
         scen = desk_scenario(seed=1)
         start = seeded_start(1, scen, desk_channels(scen, 1))
         bccd_solve(BccdConfig(n_iter=2), scen, start)
-        for s in (start, start.without_ris()):
-            for arr in (s.R_ss.matrix, s.evd.eigenvalues, s.evd.eigenvectors,
-                        s.evd.clipped_eigenvalues(), s.x.x, s.forms.b, s.forms.c):
-                with pytest.raises(ValueError):
-                    arr[...] = 0
-
-    def test_without_ris_shares_the_start_and_builds_its_own_forms(self):
-        scen = desk_scenario(seed=1)
-        start = seeded_start(1, scen, desk_channels(scen, 1))
-        bare = start.without_ris()
-        assert bare.R_ss is start.R_ss and bare.evd is start.evd and bare.x is start.x
-        ref = precompute_forms(start.evd, start.ch.without_ris(), scen.L)
-        assert np.array_equal(bare.forms.b, ref.b) and np.array_equal(bare.forms.c, ref.c)
-        assert bare.ch.gamma_RPI == 0j
+        bccd_solve(BccdConfig(n_iter=2), scen, start, frozen_phi=np.zeros(scen.N))
+        for arr in (start.R_ss.matrix, start.evd.eigenvalues, start.evd.eigenvectors,
+                    start.evd.clipped_eigenvalues(), start.x.x, start.forms.b, start.forms.c):
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
     def test_start_of_another_scenario_rejected(self):
         scen = desk_scenario(seed=1)

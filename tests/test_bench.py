@@ -82,8 +82,9 @@ class TestRunTrial:
         scen = desk_scenario(seed=5)
         rec = run_trial(scen, Method.BENCH3_NO_RIS, FAST, seed=66)
         ch = generate_channels(scen, np.random.default_rng(66))
-        out = bccd_solve(FAST, scen, seeded_start(66, scen, ch).without_ris(),
-                         frozen_phi=np.ones(scen.N, dtype=complex))
+        out = bccd_solve(FAST, scen, seeded_start(66, scen, ch),
+                         frozen_phi=np.zeros(scen.N, dtype=complex))
+        assert np.array_equal(out.phi, np.zeros(scen.N, dtype=complex))
         assert abs(rec.P_PI_dB - 10 * math.log10(out.final_powers.p_pi
                                                  * scen.g_lna_lin)) <= 1e-9
 
@@ -108,13 +109,9 @@ class TestRunTrial:
 
     def test_consumed_power_equals_budget_for_all_methods(self):
         scen = desk_scenario(seed=6)
-        for method in Method:
-            start = seeded_start(42, scen, generate_channels(scen, np.random.default_rng(42)))
-            if method is Method.BENCH3_NO_RIS:
-                start = start.without_ris()
-            out = bccd_solve(FAST, scen, start,
-                             frozen_phi=None if method is Method.PROPOSED else
-                             np.ones(scen.N, dtype=complex))
+        start = seeded_start(42, scen, generate_channels(scen, np.random.default_rng(42)))
+        for frozen_phi in (None, start.x.phi, np.ones(scen.N), np.zeros(scen.N)):
+            out = bccd_solve(FAST, scen, start, frozen_phi=frozen_phi)
             assert abs(out.R_ss.trace - scen.P_B) <= 1e-6 * scen.P_B
 
     def test_determinism_modulo_runtime(self):
@@ -285,6 +282,17 @@ class TestSweep:
                          solver=FAST)
         back = SweepSpec.from_json_dict(spec.to_json_dict())
         assert back == spec
+
+    @pytest.mark.parametrize("values", [np.array([2, 3]), tuple(np.array([2, 3]))],
+                             ids=["array", "numpy_scalars"])
+    def test_numpy_axis_values_give_the_plain_spec(self, values):
+        spec = SweepSpec(base=desk_scenario(seed=5), axis="M", values=values)
+        plain = SweepSpec(base=desk_scenario(seed=5), axis="M", values=(2, 3))
+        assert spec == plain and all(type(v) is int for v in spec.values)
+        back = SweepSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+        assert back == spec
+        seeds = [[trial_seed(s.base.seed, v, 0) for v in s.values] for s in (spec, back)]
+        assert seeds[0] == seeds[1] == [trial_seed(5, 2, 0), trial_seed(5, 3, 0)]
 
 
 class TestPartialFailure:

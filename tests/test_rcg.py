@@ -267,6 +267,12 @@ class TestFrozenPhasePath:
         folded = forms.fold(np.empty(0, dtype=complex))
         assert np.array_equal(folded.b, forms.b) and folded.c.shape == (3, 4, 0)
 
+    def test_fold_with_every_element_off_keeps_b(self, rng):
+        # zero coefficients add exact zeros: the no-RIS forms are b itself
+        forms = random_forms(rng, 3, 4, 5)
+        folded = forms.fold(np.zeros(5, dtype=complex))
+        assert np.array_equal(folded.b, forms.b) and folded.c.shape == (3, 4, 0)
+
     def test_history_is_the_objective_at_the_iterates(self, rng):
         forms = random_forms(rng, 4, 4, 3)
         x0 = random_state(4, 3, rng)

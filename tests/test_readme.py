@@ -1,13 +1,24 @@
-"""Every fenced ``python`` block of the README runs against the package."""
+"""The README's examples work against the package.
 
+Every fenced ``python`` block runs. The ``json`` blocks are the scenario
+example and the sweep example, in that order; each loads through its config's
+JSON loader, the sweep with its ``"..."`` base replaced by the scenario.
+"""
+
+import json
 import re
 from pathlib import Path
 
 import pytest
 
+from pimin import ScenarioConfig
+from pimin.bench import SweepSpec
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    flags=re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
+JSON_BLOCKS = [json.loads(b) for b in re.findall(r"^```json\n(.*?)^```", TEXT,
+                                                 flags=re.M | re.S)]
 
 
 def test_readme_has_python_blocks():
@@ -17,3 +28,10 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_python_block_runs(code):
     exec(compile(code, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_readme_json_examples_load():
+    scenario, sweep = JSON_BLOCKS
+    scen = ScenarioConfig.from_json_dict(scenario)
+    spec = SweepSpec.from_json_dict({**sweep, "base": scenario})
+    assert spec.base == scen

@@ -210,13 +210,6 @@ class TestGenerateChannels:
         ch = generate_channels(scen, np.random.default_rng(3))
         assert abs(ch.gamma_c_r) <= abs(ch.gamma_c_d)
 
-    def test_without_ris_zeroes_coupled_gains(self):
-        ch = generate_channels(tiny_scenario(), np.random.default_rng(0))
-        bare = ch.without_ris()
-        assert bare.gamma_c_r == 0 and bare.gamma_RPI == 0
-        assert bare.gamma_s2 == bare.gamma_s3 == bare.gamma_s4 == 0
-        assert bare.gamma_DPI == ch.gamma_DPI and bare.gamma_s1 == ch.gamma_s1
-
 
 class TestConfigSerialization:
     def test_roundtrip(self, tmp_path):

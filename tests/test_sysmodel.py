@@ -127,6 +127,29 @@ class TestEffectiveChannels:
     def test_empty_phase_vector_accepted(self):
         assert check_phases(np.empty(0), 0, True).shape == (0,)
 
+    @pytest.mark.parametrize("phi", [np.zeros(4), np.array([1.0, 0.0, -1j, 0.0])],
+                             ids=["all_off", "mixed"])
+    def test_elements_off_accepted(self, phi):
+        assert np.array_equal(check_phases(phi, 4, True), phi)
+
+    @pytest.mark.parametrize("modulus", [0.5, 2.0, np.nan])
+    def test_other_moduli_rejected(self, modulus):
+        phi = np.array([1.0, 0.0, modulus, 1j])
+        with pytest.raises(DomainError, match="unit modulus"):
+            check_phases(phi, 4, True)
+
+
+class TestElementsOff:
+    """Zero coefficients give exactly the channels whose RIS path gains are zero."""
+
+    @pytest.mark.parametrize("build", [build_comm_channel, build_pi_channel,
+                                       build_sensing_channel])
+    def test_zero_coefficients_are_zero_ris_gains(self, channels, build):
+        n = channels.H_cR.shape[0]
+        bare = dataclasses.replace(channels, gamma_c_r=0j, gamma_RPI=0j, gamma_s2=0j,
+                                   gamma_s3=0j, gamma_s4=0j)
+        assert build(channels, np.zeros(n)).tobytes() == build(bare, np.ones(n)).tobytes()
+
 
 class TestBlockStructure:
     def test_block_equals_dense_kron_diagonal_block(self, channels, rng):
