@@ -154,21 +154,23 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in ScenarioConfig.__dataclass_fields__:
             raise DomainError(f"axis {self.axis!r} is not a scenario field")
-        # numpy scalars become Python ones, so that the sidecar is valid JSON
-        # and each value's repr, hence its trial seeds, is the one its sidecar
-        # loads back; no array cast, which would turn [1, 2.5] into floats
+        # numpy scalars become Python ones, so that the sidecar is valid JSON;
+        # no array cast, which would turn [1, 2.5] into floats
         values = tuple(v.item() if isinstance(v, np.generic) else v for v in self.values)
         if not values:
             raise DomainError("sweep needs at least one axis value")
         check_count("trials_per_point", self.trials_per_point, 1)
-        object.__setattr__(self, "values", values)
         points = []
-        for value in self.values:
+        for value in values:
             try:
                 points.append(replace(self.base, **{self.axis: value}))
             except (TypeError, ValueError) as exc:
                 raise DomainError(f"axis value {self.axis}={value!r} is invalid: {exc}") from exc
         object.__setattr__(self, "points", tuple(points))
+        # each value as its scenario holds it (40 becomes 40.0 on a float
+        # field), so that equal points give equal trial seeds and the sidecar
+        # loads back the same values
+        object.__setattr__(self, "values", tuple(getattr(p, self.axis) for p in points))
         object.__setattr__(self, "methods",
                            tuple(Method.parse(m) if isinstance(m, str) else m
                                  for m in self.methods))

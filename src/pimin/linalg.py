@@ -21,6 +21,12 @@ uses. There is no fallback: if a numpy release drops these names, importing
 the package fails, and ``pimin check`` compares the wrappers with
 ``numpy.linalg`` bit for bit.
 
+``check_hermitian``, ``hermitian_evd`` and ``kron_identity_apply`` validate
+their arguments and then run a private kernel on the raw arrays
+(``_hermitian_part``, ``_kron_apply``); the other modules call those kernels,
+and ``_frobenius``, on arrays that they built themselves and that the checks
+would pass unchanged.
+
 All functions are pure and operate on immutable inputs, so they are safe to
 call concurrently.
 """
@@ -91,10 +97,18 @@ def _as_complex_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _frobenius(flat: np.ndarray) -> float:
-    """The 2-norm of a contiguous complex vector, as one real dot of its float64 view."""
-    v = flat.view(np.float64)
-    return math.sqrt(v.dot(v))
+def _frobenius(a: np.ndarray) -> float:
+    """The Frobenius norm of complex128 ``a``, bit for bit that of
+    ``numpy.linalg.norm``: one real dot of the real parts plus one of the
+    imaginary parts, in memory order."""
+    flat = a.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """``0.5 (a + a^H)`` of a square complex128 ``a``: exactly Hermitian."""
+    return 0.5 * (a + a.conj().T)
 
 
 def check_hermitian(a: np.ndarray, rel_tol: float = 1e-8, name: str = "matrix") -> np.ndarray:
@@ -107,12 +121,12 @@ def check_hermitian(a: np.ndarray, rel_tol: float = 1e-8, name: str = "matrix") 
     a = _as_complex_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    scale, asym = _frobenius(np.ravel(a)), _frobenius((a - a.conj().T).ravel())
+    scale, asym = _frobenius(a), _frobenius(a - a.conj().T)
     if asym > rel_tol * max(scale, 1e-300):
         raise HermitianError(
             f"{name} is not Hermitian: ||A - A^H|| = {asym:.3e} vs ||A|| = {scale:.3e}"
         )
-    return 0.5 * (a + a.conj().T)
+    return _hermitian_part(a)
 
 
 @dataclass(frozen=True)
@@ -149,7 +163,7 @@ class EvdResult:
     @cached_property
     def _clipped(self) -> np.ndarray:
         lam = self.eigenvalues.copy()
-        cutoff = EIG_ZERO_REL * max(float(np.max(np.abs(lam))), 0.0) if lam.size else 0.0
+        cutoff = EIG_ZERO_REL * max(float(np.abs(lam).max()), 0.0) if lam.size else 0.0
         lam[np.abs(lam) < cutoff] = 0.0
         lam[lam < 0.0] = 0.0
         lam.flags.writeable = False
@@ -188,9 +202,16 @@ def kron_identity_apply(h: np.ndarray, v: np.ndarray, blocks: int) -> np.ndarray
         raise DimensionError(f"v must be 1-D, got shape {v.shape}")
     if blocks < 1:
         raise DimensionError(f"blocks must be >= 1, got {blocks}")
-    a, b = h.shape
+    b = h.shape[1]
     if v.shape[0] != blocks * b:
         raise DimensionError(
             f"v has length {v.shape[0]}, expected blocks*cols = {blocks}*{b} = {blocks * b}"
         )
+    return _kron_apply(h, v, blocks)
+
+
+def _kron_apply(h: np.ndarray, v: np.ndarray, blocks: int) -> np.ndarray:
+    """``kron_identity_apply`` on arguments it would accept unchanged: complex128
+    ``h`` (a, b) and ``v`` (blocks * b,)."""
+    a, b = h.shape
     return (v.reshape(blocks, b) @ h.T).reshape(blocks * a)

@@ -9,8 +9,12 @@ positive power rather than round-off of either sign. The direct form
 values of either sign near 1e-32, and a negative power has no dB value.
 ``power_breakdown`` reads all three paths through the decomposition of
 ``R_ss`` that its caller already holds, and reads ``u`` for each path from
-the ``BeamProducts`` record that ``sdp.assemble_p2`` also reads. Dense Kronecker
-matrices are never formed here (``selfcheck.dense_kron_block`` is the oracle).
+the ``BeamProducts`` record that ``sdp.assemble_p2`` also reads. The public
+functions check their arguments (``power_breakdown`` through ``comm_snr``);
+the unchecked kernel ``_power`` reads one path, and ``power_breakdown`` runs
+it for all three on one conjugate transpose of the eigenvectors. Dense
+Kronecker matrices are never formed here (``selfcheck.dense_kron_block`` is
+the oracle).
 """
 
 from __future__ import annotations
@@ -38,10 +42,12 @@ class PowerBreakdown:
     dr_db: float
 
 
-def _power(u: np.ndarray, evd: EvdResult) -> float:
-    """``sum_i lam_i |v_i^H u|^2`` for ``u = (I_L kron block)^H w``."""
-    proj = evd.eigenvectors.conj().T @ u
-    return float(evd.clipped_eigenvalues() @ (proj.real**2 + proj.imag**2))
+def _power(u: np.ndarray, vh: np.ndarray, lam: np.ndarray) -> float:
+    """``sum_i lam_i |v_i^H u|^2`` for ``u = (I_L kron block)^H w``, with ``vh``
+    the conjugate transpose of the eigenvectors and ``lam`` the clipped
+    eigenvalues."""
+    proj = vh @ u
+    return float(lam @ (proj.real**2 + proj.imag**2))
 
 
 def power_quadratic(block: np.ndarray, w: np.ndarray, r_ss: np.ndarray) -> float:
@@ -60,7 +66,9 @@ def power_quadratic(block: np.ndarray, w: np.ndarray, r_ss: np.ndarray) -> float
     blocks = dim // cols
     if w.shape != (blocks * rows,):
         raise DimensionError(f"w has shape {w.shape}, expected ({blocks * rows},)")
-    return _power(kron_identity_apply(block.conj().T, w, blocks), hermitian_evd(r_ss))
+    u = kron_identity_apply(block.conj().T, w, blocks)
+    evd = hermitian_evd(r_ss)
+    return _power(u, evd.eigenvectors.conj().T, evd.clipped_eigenvalues())
 
 
 def power_noise(w: np.ndarray, sigma_r2: float) -> float:
@@ -113,7 +121,8 @@ def power_breakdown(beams: BeamProducts, r_ss: np.ndarray, sigma_r2: float,
     ``evd`` is the eigendecomposition of ``r_ss`` (``hermitian_evd``).
     """
     snr = comm_snr(beams.gram, r_ss, m_r, beams.n_samples, sigma_c2)   # checks r_ss
-    p_pi, p_sense, p_obs = (_power(v, evd) for v in (beams.u, beams.a, beams.o))
+    vh, lam = evd.eigenvectors.conj().T, evd.clipped_eigenvalues()
+    p_pi, p_sense, p_obs = (_power(u, vh, lam) for u in (beams.u, beams.a, beams.o))
     p_noise = power_noise(beams.w, sigma_r2)
     return PowerBreakdown(
         p_pi=p_pi,

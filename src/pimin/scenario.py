@@ -9,7 +9,8 @@ stream into one :class:`ChannelSet` realization with Rayleigh small-scale
 fading and complex path gains. Every path gain, direct, RIS-reflected or
 echoed, comes from the one list of paths :func:`_path_gains` through the one
 link budget :func:`_link_gain`; a config evaluates that list when it is
-built, so a gain out of float range is rejected there. The RIS element's
+built and keeps it, so a gain out of float range is rejected there and a draw
+reads the list rather than recomputing it. The RIS element's
 cross-section ``ScenarioConfig.sigma_ris_m2`` follows the far-field model of
 Tang et al., "Wireless Communications With Reconfigurable Intelligent
 Surface: Path Loss Modeling and Experimental Measurement", IEEE TWC 2021.
@@ -25,6 +26,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -148,12 +150,14 @@ class ScenarioConfig:
         for name in ("M_t", "M_r", "M", "N_x", "N_y", "L"):
             check_count(name, getattr(self, name), 1)
         check_count("seed", self.seed, 0)
+        # a float field holds a Python float, so that equal configs print alike
         for f in fields(self):
             if f.type == "float":
                 value = getattr(self, f.name)
                 check_real(f.name, value)
                 if not math.isfinite(value):
                     raise DomainError(f"{f.name} must be finite, got {value}")
+                object.__setattr__(self, f.name, float(value))
         for name in ("d_k", "d_Rk", "d_cR", "d_DPI", "d_rR", "d_Bt", "d_tPR", "d_tR",
                      "f_c_Hz", "d_x_m", "d_y_m", "sigma_t_m2"):
             if not getattr(self, name) > 0.0:
@@ -164,14 +168,16 @@ class ScenarioConfig:
             raise DomainError(f"unknown radiation pattern {self.radiation_pattern!r}")
         if not self.pattern_q >= 0.0:
             raise DomainError(f"pattern_q must be >= 0, got {self.pattern_q}")
-        object.__setattr__(self, "obstacles", tuple(tuple(ob) for ob in self.obstacles))
-        for ob in self.obstacles:
+        obstacles = tuple(tuple(ob) for ob in self.obstacles)
+        for ob in obstacles:
             if len(ob) != 3:
                 raise DimensionError(f"obstacle entries are (d_B_ob, d_ob_PR, rcs_m2), got {ob}")
             for v in ob:
                 check_real("obstacle parameters", v)
             if not all(0 < v < math.inf for v in ob):
                 raise DomainError(f"obstacle parameters must be finite and > 0, got {ob}")
+        object.__setattr__(self, "obstacles",
+                           tuple(tuple(float(v) for v in ob) for ob in obstacles))
         # the link-budget factors, noise powers and targets that a dB field or
         # the element size can take out of float range
         try:
@@ -186,13 +192,19 @@ class ScenarioConfig:
                 raise DomainError(f"{name} must be > 0, got {value}")
         # a distance power or a product of cross-sections can still leave float range
         try:
-            magnitudes = _path_gains(self)
+            magnitudes = self.path_gains
         except (OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"a path gain is out of float range: {exc}") from exc
         if not all(0.0 < g < math.inf for g in magnitudes):
-            raise DomainError(f"a path gain is out of float range: {magnitudes}")
+            raise DomainError(f"a path gain is out of float range: {list(magnitudes)}")
 
     # derived quantities -----------------------------------------------------
+
+    @cached_property
+    def path_gains(self) -> tuple[float, ...]:
+        """The path-gain magnitudes of ``_path_gains``, evaluated once, when the
+        config is built; every channel draw reads them from here."""
+        return tuple(_path_gains(self))
 
     @property
     def N(self) -> int:
@@ -391,7 +403,7 @@ def generate_channels(config: ScenarioConfig, rng: np.random.Generator) -> Chann
         phase = stream.uniform(0.0, 2.0 * math.pi)
         return magnitude * complex(math.cos(phase), math.sin(phase))
 
-    magnitudes = _path_gains(config)
+    magnitudes = config.path_gains
     # the eight phases are drawn from one stream in path order, the
     # obstacles' from another
     (gamma_c_d, gamma_c_r, gamma_dpi, gamma_rpi,

@@ -32,7 +32,10 @@ evidence at that tolerance:
   duality any ``g(mu)`` above ``P * lambda_max(C)`` certifies infeasibility.
 
 The public contract stays complex Hermitian; problems are scaled internally
-to unit trace and unit-norm coefficient matrices for conditioning.
+to unit trace and unit-norm coefficient matrices for conditioning. An
+``SdpProblem`` built by its constructor is checked and stores the Hermitian
+part of each matrix; ``assemble_p2`` builds those parts itself and skips the
+checks.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import check_hermitian, eigh, eigvalsh, solve
+from .linalg import _frobenius, _hermitian_part, check_hermitian, eigh, eigvalsh, solve
 from .scenario import ScenarioConfig
 from .sysmodel import BeamProducts
 
@@ -78,6 +81,17 @@ class SdpProblem:
                 raise DimensionError(f"{name} has shape {mat.shape}, expected "
                                      f"({self.dim}, {self.dim})")
             object.__setattr__(self, name, check_hermitian(mat, rel_tol=1e-10, name=name))
+
+    @classmethod
+    def _unchecked(cls, **fields) -> "SdpProblem":
+        """The problem with ``fields`` as they stand, without ``__post_init__``.
+
+        For fields that it would store unchanged: a positive ``dim`` and trace
+        budget, and exactly Hermitian complex128 ``(dim, dim)`` matrices.
+        """
+        problem = object.__new__(cls)
+        problem.__dict__.update(fields)
+        return problem
 
 
 @dataclass(frozen=True)
@@ -119,23 +133,28 @@ def assemble_p2(beams: BeamProducts, cfg: ScenarioConfig) -> SdpProblem:
 
     The interference and echo trace coefficients are rank-one Gram matrices of
     the stacked adjoint channel-beamformer products; the communication
-    coefficient is block diagonal in the per-sample channel Gram.
+    coefficient is block diagonal in the per-sample channel Gram. Each matrix
+    is stored as its Hermitian part, the one that ``SdpProblem`` would store;
+    products round asymmetrically, so they are not Hermitian before that.
+    Built Hermitian, the problem skips ``SdpProblem``'s checks.
     """
     u, a, o, n_samples = beams.u, beams.a, beams.o, beams.n_samples
     obj = np.outer(u, u.conj())
     m_t = beams.gram.shape[0]
     comm_mat = np.zeros((n_samples * m_t, n_samples * m_t), dtype=np.complex128)
     block = np.arange(n_samples)
-    comm_mat.reshape(n_samples, m_t, n_samples, m_t)[block, :, block] = beams.gram
+    # the Hermitian part of a block diagonal is that of each block
+    comm_mat.reshape(n_samples, m_t, n_samples, m_t)[block, :, block] = \
+        _hermitian_part(beams.gram)
     gamma_s = cfg.gamma_sense
     sense_mat = np.outer(a, a.conj()) - gamma_s * (obj + np.outer(o, o.conj()))
 
-    return SdpProblem(
+    return SdpProblem._unchecked(
         dim=len(u),
-        obj=obj,
+        obj=_hermitian_part(obj),
         comm_mat=comm_mat,
         comm_rhs=cfg.gamma_comm * cfg.M_r * n_samples * cfg.sigma_c2_W,
-        sense_mat=sense_mat,
+        sense_mat=_hermitian_part(sense_mat),
         sense_rhs=gamma_s * cfg.sigma_r2_W * len(beams.w),
         trace_budget=cfg.P_B,
     )
@@ -144,12 +163,6 @@ def assemble_p2(beams: BeamProducts, cfg: ScenarioConfig) -> SdpProblem:
 # ---------------------------------------------------------------------------
 # Solver (scaled units: trace 1, unit-norm coefficient matrices)
 # ---------------------------------------------------------------------------
-
-def _shortfall(vals: np.ndarray, b: np.ndarray) -> float:
-    """Worst violation of ``vals >= b``: relative where ``b_i > 0``, else absolute."""
-    short = np.maximum(b - vals, 0.0) / np.where(b > 0.0, b, 1.0)
-    return float(short.max(initial=0.0))
-
 
 def _max_margin(mats: np.ndarray, b: np.ndarray):
     """Trace-one PSD ``Y`` maximizing ``min_i <A_i, Y> - b_i``.
@@ -218,29 +231,38 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
             iterations=iterations,
         )
 
-    uniform = np.eye(n, dtype=np.complex128) / n
+    def infeasible(violation: float, iterations: int) -> SdpSolution:
+        """The uniform covariance, with a certified shortfall."""
+        return finish(np.eye(n, dtype=np.complex128) / n, "infeasible", np.inf, violation,
+                      iterations)
+
     # Scale: R = s * R_tilde with trace(R_tilde) = 1; unit-norm coefficients.
     mats: list[np.ndarray] = []
     rhs: list[float] = []
     for mat, b in ((problem.comm_mat, problem.comm_rhs),
                    (problem.sense_mat, problem.sense_rhs)):
-        f = float(np.linalg.norm(mat))
+        f = _frobenius(mat)
         if f == 0.0:
             if b > 0.0:
-                return finish(uniform, "infeasible", np.inf, 1.0, 0)
+                return infeasible(1.0, 0)
             continue    # vacuous constraint
-        mats.append(np.asarray(mat, dtype=np.complex128) / f)
+        mats.append(mat / f)
         rhs.append(b / (s * f))
     a = np.array(mats).reshape(len(mats), n, n)
     b = np.array(rhs)
-    f_obj = float(np.linalg.norm(problem.obj))
-    c = np.asarray(problem.obj, dtype=np.complex128) / f_obj if f_obj > 0.0 \
-        else np.zeros((n, n), dtype=np.complex128)
+    rel = np.where(b > 0.0, b, 1.0)
+
+    def shortfall(vals: np.ndarray) -> float:
+        """Worst violation of ``vals >= b``: relative where ``b_i > 0``, else absolute."""
+        return float((np.maximum(b - vals, 0.0) / rel).max(initial=0.0))
+
+    f_obj = _frobenius(problem.obj)
+    c = problem.obj / f_obj if f_obj > 0.0 else np.zeros((n, n), dtype=np.complex128)
 
     # Spectral certificate: every Y has <A_i, Y> <= lambda_max(A_i).
-    worst_gap = _shortfall(eigvalsh(a)[:, -1], b)
+    worst_gap = shortfall(eigvalsh(a)[:, -1])
     if worst_gap > tol:
-        return finish(uniform, "infeasible", np.inf, worst_gap, 0)
+        return infeasible(worst_gap, 0)
 
     # Iteration 1, mu = 0: any feasible point of the minimum eigenspace E of C
     # attains the lower bound g(0) = lambda_min(C).
@@ -250,23 +272,23 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
     x = np.eye(e.shape[1]) / e.shape[1]
     margin = np.einsum("mii->m", red).real / e.shape[1] - b
     step = np.zeros(len(b))
-    if np.any(margin < 0.0):
+    if (margin < 0.0).any():
         y_mat, step, _ = _max_margin(red, b)
         y_margin = np.einsum("mij,ji->m", red, y_mat).real - b
         beta = np.max(margin / np.minimum(margin - y_margin, -1e-300),
                       where=margin < 0.0, initial=0.0)
         x = (1.0 - min(beta, 1.0)) * x + min(beta, 1.0) * y_mat
     r = e @ x @ e.conj().T
-    violation = _shortfall(np.einsum("mij,ji->m", a, r).real, b)
+    violation = shortfall(np.einsum("mij,ji->m", a, r).real)
     if violation <= tol:
         return finish(r, "optimal", max(float(np.vdot(c, r).real) - lam_c[0], 0.0),
                       violation, 1)
 
     # Every Y has some margin <A_i, Y> - b_i <= h: a shortfall of -h / scale.
     _, _, h = _max_margin(a, b)
-    scale = float(np.where(b > 0.0, b, 1.0).max())
+    scale = float(rel.max())
     if h < -tol * scale:
-        return finish(uniform, "infeasible", np.inf, -h / scale, 1)
+        return infeasible(-h / scale, 1)
 
     # Projected Newton ascent on g from mu = 0 (each evaluation counts once).
     mu, g, gap = np.zeros(len(b)), float(lam_c[0]), np.inf
@@ -287,11 +309,11 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         y = v[:, 0]
         ay = a @ y
         vals = (ay @ y.conj()).real
-        violation = _shortfall(vals, b)
+        violation = shortfall(vals)
         # weak duality: every Y has sum_i mu_i (<A_i, Y> - b_i) <= -excess
         excess = g - lam_c[-1]
         if excess > 1e-14 * (1.0 + mu.sum()):    # g's round-off
-            return finish(uniform, "infeasible", np.inf, excess / (mu.sum() * scale), it)
+            return infeasible(excess / (mu.sum() * scale), it)
         r = np.outer(y, y.conj())
         primal = float(lam[0] + mu @ vals)
         gap = primal - g

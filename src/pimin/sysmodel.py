@@ -7,6 +7,9 @@ Hadamard products throughout. The blocks that ``build_effective_channels``
 returns are read-only. ``beam_products`` forms the products of radar weights
 with these blocks that both the covariance step and the figures of merit read,
 so one outer iteration forms them once and hands the same record to both.
+Each public builder checks the phase vector and then runs a private kernel on
+the raw arrays; ``build_effective_channels`` checks it once for all four
+blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import kron_identity_apply
+from .linalg import _kron_apply
 from .scenario import ChannelSet
 
 UNIT_MODULUS_TOL = 1e-9
@@ -31,7 +34,7 @@ def check_phases(phi: np.ndarray, n: int, validate: bool) -> np.ndarray:
     if phi.shape != (n,):
         raise DimensionError(f"phase vector has shape {phi.shape}, expected ({n},)")
     # written so that a NaN entry fails it and an empty vector passes it
-    if validate and not np.all((np.abs(np.abs(phi) - 1.0) <= UNIT_MODULUS_TOL) | (phi == 0)):
+    if validate and not ((np.abs(np.abs(phi) - 1.0) <= UNIT_MODULUS_TOL) | (phi == 0)).all():
         raise DomainError("phase vector entries must have unit modulus or be exactly 0")
     return phi
 
@@ -67,30 +70,23 @@ def beam_products(eff: EffectiveChannels, w: np.ndarray) -> BeamProducts:
     m = eff.Ac_block.shape[0]
     if w.ndim != 1 or len(w) % m != 0:
         raise DimensionError(f"w has shape {w.shape}, expected (L * {m},)")
-    u, a, o = (kron_identity_apply(b.conj().T, w, len(w) // m)
+    u, a, o = (_kron_apply(b.conj().T, w, len(w) // m)
                for b in (eff.Ac_block, eff.Ar_block, eff.Ao_block))
     return BeamProducts(w=w, u=u, a=a, o=o, gram=eff.Hc_block.conj().T @ eff.Hc_block)
 
 
-def build_comm_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
-    """User-side block: direct link plus the RIS-reflected link."""
-    n = ch.H_cR.shape[0]
-    phi = check_phases(phi, n, validate)
+# Block kernels: ``phi`` is a complex vector of length N, not checked.
+
+def _comm_block(ch: ChannelSet, phi: np.ndarray) -> np.ndarray:
     return ch.gamma_c_d * ch.H_k + ch.gamma_c_r * ((ch.H_Rk * phi[None, :]) @ ch.H_cR)
 
 
-def build_pi_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
-    """Path-interference block: direct leakage plus RIS-reflected leakage."""
-    n = ch.H_cR.shape[0]
-    phi = check_phases(phi, n, validate)
+def _pi_block(ch: ChannelSet, phi: np.ndarray) -> np.ndarray:
     return ch.gamma_DPI * ch.H_DPI \
         + ch.gamma_RPI * ((ch.G_rR.conj().T * phi[None, :]) @ ch.H_cR)
 
 
-def build_sensing_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
-    """Four-path target echo block; the double-bounce path is quadratic in phi."""
-    n = ch.H_cR.shape[0]
-    phi = check_phases(phi, n, validate)
+def _sensing_block(ch: ChannelSet, phi: np.ndarray) -> np.ndarray:
     ht_row = ch.h_t.conj()[None, :]
     ris_to_pr = ch.G_rR.conj().T @ (phi * ch.g_Rt)          # (M,)
     ris_from_bs = (ch.g_Rt.conj() * phi) @ ch.H_cR          # (M_t,)
@@ -100,6 +96,21 @@ def build_sensing_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True
         + ch.gamma_s3 * ch.g_t[:, None] @ ris_from_bs[None, :]
         + ch.gamma_s4 * ris_to_pr[:, None] @ ris_from_bs[None, :]
     )
+
+
+def build_comm_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
+    """User-side block: direct link plus the RIS-reflected link."""
+    return _comm_block(ch, check_phases(phi, ch.H_cR.shape[0], validate))
+
+
+def build_pi_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
+    """Path-interference block: direct leakage plus RIS-reflected leakage."""
+    return _pi_block(ch, check_phases(phi, ch.H_cR.shape[0], validate))
+
+
+def build_sensing_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
+    """Four-path target echo block; the double-bounce path is quadratic in phi."""
+    return _sensing_block(ch, check_phases(phi, ch.H_cR.shape[0], validate))
 
 
 def build_obstacle_channel(ch: ChannelSet) -> np.ndarray:
@@ -114,8 +125,8 @@ def build_obstacle_channel(ch: ChannelSet) -> np.ndarray:
 def build_effective_channels(ch: ChannelSet, phi: np.ndarray) -> EffectiveChannels:
     """The four blocks at ``phi``, each read-only; ``phi`` is checked once."""
     phi = check_phases(phi, ch.H_cR.shape[0], True)
-    blocks = (build_comm_channel(ch, phi, False), build_pi_channel(ch, phi, False),
-              build_sensing_channel(ch, phi, False), build_obstacle_channel(ch))
+    blocks = (_comm_block(ch, phi), _pi_block(ch, phi), _sensing_block(ch, phi),
+              build_obstacle_channel(ch))
     for block in blocks:
         block.flags.writeable = False
     return EffectiveChannels(*blocks)

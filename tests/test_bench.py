@@ -275,6 +275,16 @@ class TestSweep:
         with pytest.raises(DomainError, match=message):
             SweepSpec.from_json_dict(d)
 
+    def test_int_and_float_axis_values_give_equal_rows(self):
+        # 40 and 40.0 make the same scenario, hence the same seeds and rows
+        specs = [SweepSpec(base=desk_scenario(seed=6), axis="P_T_dBm", values=(v,),
+                           trials_per_point=2, methods=(Method.BENCH3_NO_RIS,), solver=FAST)
+                 for v in (40, 40.0)]
+        assert specs[0] == specs[1] and specs[0].values == (40.0,)
+        assert trial_seed(6, specs[0].values[0], 0) == trial_seed(6, 40.0, 0)
+        rows = [without_runtime(run_sweep(spec)[0]) for spec in specs]
+        assert rows[0] == rows[1]
+
     def test_spec_json_roundtrip(self):
         spec = SweepSpec(base=desk_scenario(seed=5), axis="N_x", values=(1, 2),
                          trials_per_point=3,

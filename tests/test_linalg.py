@@ -115,6 +115,13 @@ class TestLapackWrappers:
     def test_match_numpy_linalg_bit_for_bit(self, rng):
         assert lapack_error(rng, 200) == 0.0
 
+    def test_frobenius_is_numpy_norm_bit_for_bit(self, rng):
+        # the SDP solver scales by it, and its answers are those of numpy's norm
+        for n in range(1, 18):
+            a = cplx(rng, n, n) * 10.0 ** rng.uniform(-20.0, 20.0)
+            for m in (a, a.T, np.outer(a[0], a[0].conj())):
+                assert linalg._frobenius(m) == float(np.linalg.norm(m))
+
     def test_singular_system_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             linalg.solve(np.zeros((3, 3)), np.ones(3))

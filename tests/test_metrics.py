@@ -161,6 +161,12 @@ class TestPowerBreakdown:
                             scen.M_r, evd)
         for got, ref in zip((p.p_pi, p.p_sense, p.p_obs), expect):
             assert abs(got - ref) <= 1e-12 * ref
+        # one conjugate transpose serves all three paths: each power equals,
+        # bit for bit, the form that projects its vector alone
+        beams = beam_products(eff, w)
+        for got, u in zip((p.p_pi, p.p_sense, p.p_obs), (beams.u, beams.a, beams.o)):
+            proj = evd.eigenvectors.conj().T @ u
+            assert got == float(evd.clipped_eigenvalues() @ (proj.real**2 + proj.imag**2))
 
     def test_nulled_design_keeps_a_finite_dynamic_range(self, rng):
         # R spans only the null space of u u^H, so the interference is zero up

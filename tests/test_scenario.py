@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pimin import scenario
 from pimin.errors import DimensionError, DomainError
 from pimin.scenario import (ScenarioConfig, _link_gain, db_to_linear, dbm_to_watt,
                             desk_bench_scenario, desk_scenario, generate_channels,
@@ -107,6 +108,10 @@ class TestRisCrossSection:
         assert abs(tilted.sigma_ris_m2 - expect) <= 1e-12 * expect
 
 
+def no_call(*args):
+    raise AssertionError("the path gains were recomputed")
+
+
 GAMMAS = ("gamma_c_d", "gamma_c_r", "gamma_DPI", "gamma_RPI",
           "gamma_s1", "gamma_s2", "gamma_s3", "gamma_s4")
 
@@ -132,14 +137,17 @@ class TestGenerateChannels:
           "0x1.17e59ce522c3bp-20", "0x1.0c5b7b5b4529ep-14", "0x1.9ae3d1397cc12p-27",
           "0x1.11ed3626532b6p-29", "0x1.a36acb584db12p-42")),
     ], ids=["desk", "desk_bench", "desk_bench_d_rR_5", "default"])
-    def test_path_gains_pinned(self, scen, sigma_ris, gammas):
+    def test_path_gains_pinned(self, scen, sigma_ris, gammas, monkeypatch):
         assert scen.sigma_ris_m2 == float.fromhex(sigma_ris)
+        # the draw reads the gains that the config computed when it was built
+        monkeypatch.setattr(scenario, "_path_gains", no_call)
         ch = generate_channels(scen, np.random.default_rng(0))
         assert [abs(getattr(ch, name)) for name in GAMMAS] \
             == [float.fromhex(g) for g in gammas]
 
-    def test_obstacle_gains_pinned(self):
+    def test_obstacle_gains_pinned(self, monkeypatch):
         scen = desk_scenario(obstacles=((50.0, 30.0, 1.0), (80.0, 120.0, 2.5)))
+        monkeypatch.setattr(scenario, "_path_gains", no_call)
         ch = generate_channels(scen, np.random.default_rng(0))
         assert [abs(gamma_ob) for _, _, gamma_ob in ch.obstacles] \
             == [float.fromhex("0x1.50095bc14c55dp-13"), float.fromhex("0x1.4c134587dd415p-15")]
@@ -316,8 +324,12 @@ class TestConfigSerialization:
             ScenarioConfig(**fields)
 
     def test_int_and_numpy_float_fields_accepted(self):
-        scen = ScenarioConfig(d_k=500, P_T_dBm=np.float64(40.0))
+        scen = ScenarioConfig(d_k=500, P_T_dBm=np.float64(40.0), obstacles=[(50, 30, 1)])
         assert scen.P_T_W == ScenarioConfig().P_T_W and scen.d_k == 500.0
+        # stored as Python floats, so that the config prints as the float one does
+        assert type(scen.d_k) is float and type(scen.P_T_dBm) is float
+        assert all(type(v) is float for v in scen.obstacles[0])
+        assert repr(scen) == repr(ScenarioConfig(d_k=500.0, obstacles=((50.0, 30.0, 1.0),)))
 
     @pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
     def test_non_integer_size_rejected(self, value):

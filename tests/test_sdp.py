@@ -79,6 +79,26 @@ class TestAssembleP2:
             expect = p_sense - scen.gamma_sense * (p_pi + p_obs)
             assert abs(sense_lhs - expect) <= 1e-10 * max(abs(expect), 1e-300)
 
+    def test_matrices_are_what_the_checked_problem_stores(self, setup):
+        # assemble_p2 skips SdpProblem's checks, so it must store, bit for
+        # bit, what the checked constructor stores from the raw products
+        scen, w, eff = setup
+        beams = beam_products(eff, w)
+        prob = assemble_p2(beams, scen)
+        u, a, o, m_t = beams.u, beams.a, beams.o, beams.gram.shape[0]
+        obj = np.outer(u, u.conj())
+        comm = np.zeros((prob.dim, prob.dim), dtype=complex)
+        for ell in range(scen.L):
+            comm[ell * m_t:(ell + 1) * m_t, ell * m_t:(ell + 1) * m_t] = beams.gram
+        sense = np.outer(a, a.conj()) - scen.gamma_sense * (obj + np.outer(o, o.conj()))
+        checked = SdpProblem(dim=prob.dim, obj=obj, comm_mat=comm, comm_rhs=prob.comm_rhs,
+                             sense_mat=sense, sense_rhs=prob.sense_rhs,
+                             trace_budget=prob.trace_budget)
+        for name in ("obj", "comm_mat", "sense_mat"):
+            got = getattr(prob, name)
+            assert np.array_equal(got, got.conj().T), name
+            assert got.dtype == np.complex128 and got.tobytes() == getattr(checked, name).tobytes()
+
     def test_sense_rhs_is_noise_term(self, setup):
         scen, w, eff = setup
         prob = assemble_p2(beam_products(eff, w), scen)

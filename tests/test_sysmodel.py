@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pimin.errors import DimensionError, DomainError
+from pimin.linalg import kron_identity_apply
 from pimin.scenario import generate_channels
 from pimin.sysmodel import (beam_products, build_comm_channel,
                             build_effective_channels, build_obstacle_channel,
@@ -200,6 +201,8 @@ class TestBeamProducts:
                               (beams.u, beams.a, beams.o)):
             dense = dense_kron_block(block, scen.L)
             assert np.max(np.abs(got - dense.conj().T @ w)) <= 1e-12 * np.max(np.abs(got))
+            # the unchecked kernel gives what the checked product gives
+            assert got.tobytes() == kron_identity_apply(block.conj().T, w, scen.L).tobytes()
         assert np.allclose(beams.gram, eff.Hc_block.conj().T @ eff.Hc_block)
         assert beams.w is w and beams.n_samples == scen.L
 
