@@ -23,8 +23,7 @@ from .sdp import (SdpProblem, SdpSolution, TransmitCovariance, assemble_p2,
                   solve_sdp)
 from .selfcheck import CheckReport, self_check
 from .sysmodel import (BeamProducts, EffectiveChannels, beam_products,
-                       build_comm_channel, build_effective_channels,
-                       build_obstacle_channel, build_pi_channel, build_sensing_channel)
+                       build_effective_channels, build_pi_channel)
 
 __version__ = "0.1.0"
 

@@ -31,11 +31,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import EvdResult, hermitian_evd
+from .linalg import EvdResult, _frobenius, _hermitian_part, hermitian_evd
 from .metrics import PowerBreakdown, power_breakdown
 from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, precompute_forms,
                   random_state, rcg_solve)
@@ -52,7 +53,7 @@ STALL_FLOOR_REL_NOISE = 1e-3
 STALL_TOL = 1e-5
 STALL_WINDOW = 3
 # Round-off allowance of the idle-restart bound, in units of eps per entry of
-# the inner-product lengths summed along the way (see _restart_is_idle).
+# the inner-product lengths summed along the way (see _idle_rule).
 IDLE_ROUNDOFF = 8.0
 # The radar noise power (-80 dBm, the desk scenarios' floor) at which
 # bccd_solve reads RcgConfig.grad_tol as watts.
@@ -73,14 +74,10 @@ class BccdConfig:
 
 
 @dataclass(frozen=True)
-class BccdIteration:
-    """One outer iteration's figures of merit."""
+class BccdIteration(PowerBreakdown):
+    """One outer iteration's record: the ``power_breakdown`` of its operating
+    point and the status of its covariance step."""
 
-    p_pi: float
-    p_sense: float
-    sndr_db: float
-    comm_snr_db: float
-    dr_db: float
     sdp_status: str
 
 
@@ -91,11 +88,14 @@ class BccdResult:
     R_ss: TransmitCovariance
     history: tuple[BccdIteration, ...]
     converged: bool
-    final_powers: PowerBreakdown
 
     @property
     def outer_iterations(self) -> int:
         return len(self.history)
+
+    @property
+    def final_powers(self) -> BccdIteration:
+        return self.history[-1]
 
 
 def init_rss(dim: int, budget: float, rng: np.random.Generator) -> TransmitCovariance:
@@ -103,7 +103,7 @@ def init_rss(dim: int, budget: float, rng: np.random.Generator) -> TransmitCovar
     u = rng.random((dim, dim)) + 1j * rng.random((dim, dim))
     r = u.conj().T @ u
     r *= budget / float(np.trace(r).real)
-    return TransmitCovariance(matrix=0.5 * (r + r.conj().T), budget=budget)
+    return TransmitCovariance(matrix=_hermitian_part(r), budget=budget)
 
 
 def relative_change(new: float, old: float, floor: float) -> float:
@@ -136,9 +136,11 @@ def seeded_start(seed: int, scen: ScenarioConfig, ch: ChannelSet) -> BccdStart:
     return BccdStart(ch=ch, R_ss=r_cov, evd=evd, x=x, forms=forms)
 
 
-def _restart_is_idle(p_pi: float, ac_block: np.ndarray, ch: ChannelSet, scen: ScenarioConfig,
-                     optimize_phi: bool, grad_tol: float) -> bool:
-    """Whether the manifold solve after an optimal SDP provably takes no step.
+def _idle_rule(ch: ChannelSet, scen: ScenarioConfig, optimize_phi: bool,
+               grad_tol: float) -> Callable[[float, np.ndarray], bool]:
+    """``idle(p_pi, ac_block)``: whether the manifold solve after an optimal SDP
+    provably takes no step. A run builds the rule once, so the channel norms of
+    the bound are computed once per run.
 
     The restart would run from the current ``x`` on the forms of the new
     covariance, whose clipped eigenpairs ``(lam_i, v_i)`` have
@@ -169,20 +171,19 @@ def _restart_is_idle(p_pi: float, ac_block: np.ndarray, ch: ChannelSet, scen: Sc
     the gradient's own sums and of ``sum lam_i``. With ``grad_tol = 0`` the
     restart is never skipped.
     """
-    if grad_tol <= 0.0:
-        return False
-
-    def norm(a: np.ndarray) -> float:      # Frobenius, as one BLAS dot
-        return math.sqrt(np.vdot(a, a).real)
-
     lm = scen.L * scen.M
-    ris = abs(ch.gamma_RPI) * norm(ch.H_cR) * norm(ch.G_rR)
-    k = 2.0 * math.sqrt(scen.P_B) * (norm(ac_block)
-                                     + (ris * math.sqrt(lm) if optimize_phi else 0.0))
-    a = abs(ch.gamma_DPI) * norm(ch.H_DPI) + ris
+    ris = abs(ch.gamma_RPI) * _frobenius(ch.H_cR) * _frobenius(ch.G_rR)
+    phase_term = ris * math.sqrt(lm) if optimize_phi else 0.0
+    a = abs(ch.gamma_DPI) * _frobenius(ch.H_DPI) + ris
     c = IDLE_ROUNDOFF * (scen.L * scen.M_t + lm + scen.N)
     roundoff = c * sys.float_info.epsilon * math.sqrt(scen.P_B * lm) * a
-    return k * (math.sqrt(p_pi) + roundoff) <= 0.5 * grad_tol
+    scale = 2.0 * math.sqrt(scen.P_B)
+
+    def idle(p_pi: float, ac_block: np.ndarray) -> bool:
+        k = scale * (_frobenius(ac_block) + phase_term)
+        return grad_tol > 0.0 and k * (math.sqrt(p_pi) + roundoff) <= 0.5 * grad_tol
+
+    return idle
 
 
 def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
@@ -211,13 +212,14 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
     optimize_phi = frozen_phi is None
     phi = x.phi
     if not optimize_phi:
-        phi = check_phases(frozen_phi, n, True)
+        phi = check_phases(frozen_phi, n)
         x = BeamformerState(x=x.w, num_bf=lm)
         forms = forms.fold(phi)
 
     stall_floor = STALL_FLOOR_REL_NOISE * scen.sigma_r2_W * lm
     grad_tol = cfg.rcg.resolved_grad_tol(x.dim) * (scen.sigma_r2_W / REF_NOISE_W)
     rcg_cfg = RcgConfig(cfg.rcg.max_iters, grad_tol)
+    restart_is_idle = _idle_rule(ch, scen, optimize_phi, grad_tol)
     history: list[BccdIteration] = []
 
     def stalled() -> bool:
@@ -253,21 +255,14 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
 
         powers = power_breakdown(beams, r_cov.matrix, scen.sigma_r2_W,
                                  scen.sigma_c2_W, scen.M_r, evd)
-        history.append(BccdIteration(
-            p_pi=powers.p_pi,
-            p_sense=powers.p_sense,
-            sndr_db=powers.sndr_db,
-            comm_snr_db=powers.comm_snr_db,
-            dr_db=powers.dr_db,
-            sdp_status=sol.status,
-        ))
+        history.append(BccdIteration(**vars(powers), sdp_status=sol.status))
         # The next solve would take no step, so the loop is at the fixed point
         # above, in two cases. The covariance, hence the forms, are kept and
         # this solve stopped at grad_tol: the next would run the same kernels
         # on the same forms from the same x and stop at once. Or the SDP gave
-        # a new covariance and _restart_is_idle proves that the first gradient
-        # on its forms is below grad_tol; its docstring holds the proof.
-        idle = (_restart_is_idle(powers.p_pi, eff.Ac_block, ch, scen, optimize_phi, grad_tol)
+        # a new covariance and the rule of _idle_rule proves that the first
+        # gradient on its forms is below grad_tol; its docstring holds the proof.
+        idle = (restart_is_idle(powers.p_pi, eff.Ac_block)
                 if sol.status == "optimal" else rcg_out.stop_reason == "grad_tol")
         if idle or stalled():
             break
@@ -282,5 +277,4 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
         R_ss=r_cov,
         history=tuple(history),
         converged=stalled(),
-        final_powers=powers,
     )

@@ -46,11 +46,8 @@ class Method(str, Enum):
     BENCH3_NO_RIS = "bench3_no_ris"
 
     @classmethod
-    def parse(cls, name: str) -> "Method":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise DomainError(f"unknown method {name!r}; choose from "
+    def _missing_(cls, value):
+        raise DomainError(f"unknown method {value!r}; choose from "
                           f"{[m.value for m in cls]}")
 
 
@@ -80,8 +77,7 @@ class TrialRecord:
 
 
 TRIAL_FIELDS = [f.name for f in fields(TrialRecord)]
-_DB_FIELDS = {"P_PI_dB", "P_sense_dB", "P_obs_dB", "P_noise_dB",
-              "sndr_dB", "comm_snr_dB", "dr_dB"}
+_DB_FIELDS = {name for name in TRIAL_FIELDS if name.endswith("_dB")}
 
 
 @functools.lru_cache(maxsize=1)
@@ -128,7 +124,7 @@ def run_trial(scen: ScenarioConfig, method: Method, cfg: BccdConfig,
         comm_snr_dB=p.comm_snr_db,
         dr_dB=p.dr_db,
         outer_iterations=result.outer_iterations,
-        sdp_status_final=result.history[-1].sdp_status,
+        sdp_status_final=p.sdp_status,
         runtime_ms=runtime_ms,
         seed=seed,
     )
@@ -154,11 +150,12 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in ScenarioConfig.__dataclass_fields__:
             raise DomainError(f"axis {self.axis!r} is not a scenario field")
+        for name in ("values", "methods"):     # a string would be split into letters
+            if isinstance(getattr(self, name), str):
+                raise DomainError(f"{name} must be a list, got {getattr(self, name)!r}")
         # numpy scalars become Python ones, so that the sidecar is valid JSON;
         # no array cast, which would turn [1, 2.5] into floats
         values = tuple(v.item() if isinstance(v, np.generic) else v for v in self.values)
-        if not values:
-            raise DomainError("sweep needs at least one axis value")
         check_count("trials_per_point", self.trials_per_point, 1)
         points = []
         for value in values:
@@ -168,12 +165,18 @@ class SweepSpec:
                 raise DomainError(f"axis value {self.axis}={value!r} is invalid: {exc}") from exc
         object.__setattr__(self, "points", tuple(points))
         # each value as its scenario holds it (40 becomes 40.0 on a float
-        # field), so that equal points give equal trial seeds and the sidecar
-        # loads back the same values
+        # field), so that equal points give equal trial seeds and are found
+        # as repeats, and the sidecar loads back the same values
         object.__setattr__(self, "values", tuple(getattr(p, self.axis) for p in points))
-        object.__setattr__(self, "methods",
-                           tuple(Method.parse(m) if isinstance(m, str) else m
-                                 for m in self.methods))
+        object.__setattr__(self, "methods", tuple(Method(m) for m in self.methods))
+        # a sweep that would run nothing, or run the same work twice
+        for what, items in (("axis value", self.values),
+                            ("method", [m.value for m in self.methods])):
+            if not items:
+                raise DomainError(f"sweep needs at least one {what}")
+            repeats = [v for i, v in enumerate(items) if v in items[:i]]
+            if repeats:
+                raise DomainError(f"sweep lists {what} {repeats[0]!r} twice")
 
     def to_json_dict(self) -> dict:
         return {
@@ -219,14 +222,10 @@ def _sweep_task(args: tuple) -> TrialRecord:
     try:
         return run_trial(scen, method, cfg, seed, trial_id)
     except Exception as exc:     # partial failures become per-row diagnostics
-        nan = float("nan")
         return TrialRecord(
             trial_id=trial_id, method=method.value,
             M_t=scen.M_t, M_r=scen.M_r, M=scen.M, N_x=scen.N_x, N_y=scen.N_y,
-            L=scen.L,
-            P_PI_dB=nan, P_sense_dB=nan, P_obs_dB=nan, P_noise_dB=nan,
-            sndr_dB=nan, comm_snr_dB=nan, dr_dB=nan,
-            outer_iterations=0,
+            L=scen.L, **dict.fromkeys(_DB_FIELDS, math.nan), outer_iterations=0,
             sdp_status_final=f"error:{type(exc).__name__}",
             runtime_ms=0.0, seed=seed,
         )

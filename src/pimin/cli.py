@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
             # ValueError is the base of DomainError, DimensionError and JSONDecodeError
             try:
                 scen = load_config(args.config)
-                method = Method.parse(args.method)
+                method = Method(args.method)
             except (OSError, ValueError, TypeError) as exc:
                 print(f"pimin: config error: {exc}", file=sys.stderr)
                 return EXIT_USAGE

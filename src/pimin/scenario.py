@@ -56,7 +56,7 @@ def linear_to_db(x: float) -> float:
 
 
 def dbm_to_watt(x_dbm: float) -> float:
-    return 10.0 ** ((x_dbm - 30.0) / 10.0)
+    return db_to_linear(x_dbm - 30.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +127,7 @@ class ScenarioConfig:
     A_ris: float = 1.0
     d_x_m: float = 0.004283     # 0.4 wavelengths at 28 GHz
     d_y_m: float = 0.004283
-    radiation_pattern: str = "unity"    # "unity" or "cos_q"
-    pattern_q: float = 2.0
+    pattern_q: float = 0.0      # element power pattern cos^q; 0 is isotropic
     ris_elevation_r_rad: float = 0.0
     ris_elevation_t_rad: float = 0.0
 
@@ -164,8 +163,6 @@ class ScenarioConfig:
                 raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
         if not (0.0 < self.A_ris <= 1.0):
             raise DomainError(f"A_ris must lie in (0, 1], got {self.A_ris}")
-        if self.radiation_pattern not in ("unity", "cos_q"):
-            raise DomainError(f"unknown radiation pattern {self.radiation_pattern!r}")
         if not self.pattern_q >= 0.0:
             raise DomainError(f"pattern_q must be >= 0, got {self.pattern_q}")
         obstacles = tuple(tuple(ob) for ob in self.obstacles)
@@ -262,14 +259,12 @@ class ScenarioConfig:
     def sigma_ris_m2(self) -> float:
         """Far-field radar cross-section of one RIS element (m^2), after Tang et al.
 
-        The element's power pattern is 1 (``unity``) or ``max(cos(elevation), 0)**q``
-        (``cos_q``), taken at the incidence and at the reflection elevation.
+        The element's power pattern is ``max(cos(elevation), 0)**pattern_q`` at the
+        incidence and at the reflection elevation; at the default ``pattern_q = 0``
+        it is 1 everywhere (``0.0**0.0 == 1.0``), the isotropic element.
         """
-        if self.radiation_pattern == "unity":
-            pattern_r = pattern_t = 1.0
-        else:
-            pattern_r, pattern_t = (max(math.cos(e), 0.0) ** self.pattern_q
-                                    for e in (self.ris_elevation_r_rad, self.ris_elevation_t_rad))
+        pattern_r, pattern_t = (max(math.cos(e), 0.0) ** self.pattern_q
+                                for e in (self.ris_elevation_r_rad, self.ris_elevation_t_rad))
         s_sub = self.d_x_m * self.d_y_m
         return FOUR_PI * self.A_ris**2 * s_sub**2 / self.wavelength**2 * pattern_r * pattern_t
 

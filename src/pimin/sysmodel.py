@@ -7,9 +7,9 @@ Hadamard products throughout. The blocks that ``build_effective_channels``
 returns are read-only. ``beam_products`` forms the products of radar weights
 with these blocks that both the covariance step and the figures of merit read,
 so one outer iteration forms them once and hands the same record to both.
-Each public builder checks the phase vector and then runs a private kernel on
-the raw arrays; ``build_effective_channels`` checks it once for all four
-blocks.
+``build_effective_channels`` checks the phase vector once and runs the four
+private block kernels on the raw arrays. ``build_pi_channel`` checks it and
+runs the path-interference kernel alone: the reduced objective's oracle.
 """
 
 from __future__ import annotations
@@ -25,16 +25,14 @@ from .scenario import ChannelSet
 UNIT_MODULUS_TOL = 1e-9
 
 
-def check_phases(phi: np.ndarray, n: int, validate: bool) -> np.ndarray:
-    """``phi`` as a complex vector of ``n`` reflection coefficients.
-
-    With ``validate``, each has unit modulus, or is exactly 0 for an RIS element that is off.
-    """
+def check_phases(phi: np.ndarray, n: int) -> np.ndarray:
+    """``phi`` as a complex vector of ``n`` reflection coefficients, each of unit
+    modulus or exactly 0, an RIS element that is off; anything else raises."""
     phi = np.asarray(phi, dtype=np.complex128)
     if phi.shape != (n,):
         raise DimensionError(f"phase vector has shape {phi.shape}, expected ({n},)")
     # written so that a NaN entry fails it and an empty vector passes it
-    if validate and not ((np.abs(np.abs(phi) - 1.0) <= UNIT_MODULUS_TOL) | (phi == 0)).all():
+    if not ((np.abs(np.abs(phi) - 1.0) <= UNIT_MODULUS_TOL) | (phi == 0)).all():
         raise DomainError("phase vector entries must have unit modulus or be exactly 0")
     return phi
 
@@ -98,22 +96,7 @@ def _sensing_block(ch: ChannelSet, phi: np.ndarray) -> np.ndarray:
     )
 
 
-def build_comm_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
-    """User-side block: direct link plus the RIS-reflected link."""
-    return _comm_block(ch, check_phases(phi, ch.H_cR.shape[0], validate))
-
-
-def build_pi_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
-    """Path-interference block: direct leakage plus RIS-reflected leakage."""
-    return _pi_block(ch, check_phases(phi, ch.H_cR.shape[0], validate))
-
-
-def build_sensing_channel(ch: ChannelSet, phi: np.ndarray, validate: bool = True) -> np.ndarray:
-    """Four-path target echo block; the double-bounce path is quadratic in phi."""
-    return _sensing_block(ch, check_phases(phi, ch.H_cR.shape[0], validate))
-
-
-def build_obstacle_channel(ch: ChannelSet) -> np.ndarray:
+def _obstacle_block(ch: ChannelSet) -> np.ndarray:
     """Sum of rank-one obstacle returns; a zero block when the scene is clear."""
     m, m_t = ch.H_DPI.shape
     out = np.zeros((m, m_t), dtype=np.complex128)
@@ -122,11 +105,16 @@ def build_obstacle_channel(ch: ChannelSet) -> np.ndarray:
     return out
 
 
+def build_pi_channel(ch: ChannelSet, phi: np.ndarray) -> np.ndarray:
+    """Path-interference block: direct leakage plus RIS-reflected leakage."""
+    return _pi_block(ch, check_phases(phi, ch.H_cR.shape[0]))
+
+
 def build_effective_channels(ch: ChannelSet, phi: np.ndarray) -> EffectiveChannels:
     """The four blocks at ``phi``, each read-only; ``phi`` is checked once."""
-    phi = check_phases(phi, ch.H_cR.shape[0], True)
+    phi = check_phases(phi, ch.H_cR.shape[0])
     blocks = (_comm_block(ch, phi), _pi_block(ch, phi), _sensing_block(ch, phi),
-              build_obstacle_channel(ch))
+              _obstacle_block(ch))
     for block in blocks:
         block.flags.writeable = False
     return EffectiveChannels(*blocks)

@@ -235,7 +235,6 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, frozen_phi=None):
     rcg_cfg = RcgConfig(cfg.rcg.max_iters, cfg.rcg.resolved_grad_tol(x.dim)
                         * (scen.sigma_r2_W / REF_NOISE_W))
     history = []
-    powers = None
     pi_trace = []
     converged = False
 
@@ -261,14 +260,7 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, frozen_phi=None):
 
         powers = power_breakdown(beams, r_cov.matrix, scen.sigma_r2_W,
                                  scen.sigma_c2_W, scen.M_r, evd=evd)
-        history.append(BccdIteration(
-            p_pi=powers.p_pi,
-            p_sense=powers.p_sense,
-            sndr_db=powers.sndr_db,
-            comm_snr_db=powers.comm_snr_db,
-            dr_db=powers.dr_db,
-            sdp_status=sol.status,
-        ))
+        history.append(BccdIteration(**vars(powers), sdp_status=sol.status))
         pi_trace.append(powers.p_pi)
 
         if len(pi_trace) > STALL_WINDOW:
@@ -280,12 +272,11 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, frozen_phi=None):
                 converged = True
                 break
 
-    assert powers is not None
+    assert history
     return BccdResult(
         w=x.w.copy(),
         phi=phi.copy(),
         R_ss=r_cov,
         history=tuple(history),
         converged=converged,
-        final_powers=powers,
     )

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pimin.bccd import (STALL_TOL, STALL_WINDOW, BccdConfig, _restart_is_idle,
-                        bccd_solve, init_rss, relative_change, seeded_start)
+from pimin.bccd import (STALL_TOL, STALL_WINDOW, BccdConfig, _idle_rule, bccd_solve,
+                        init_rss, relative_change, seeded_start)
 from pimin.errors import DimensionError, DomainError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_quadratic
@@ -77,6 +77,30 @@ class TestBccdSolve:
         x0 = random_state(scen.L * scen.M, scen.N, gen)
         p_start = power_quadratic(build_pi_channel(ch, x0.phi), x0.w, r0.matrix)
         assert out.final_powers.p_pi <= p_start
+
+    @pytest.mark.parametrize("setup", ["joint", "no_ris"])
+    def test_history_records_are_the_power_breakdowns(self, monkeypatch, setup):
+        # each record is what power_breakdown gave at its iteration, obstacle
+        # and noise powers included; the tail repeats the last record, and the
+        # final powers are that record itself
+        import pimin.bccd
+        scen = desk_scenario(seed=2, obstacles=((40.0, 60.0, 1.0),))
+        start, kwargs = method_setup(setup, scen, desk_channels(scen, 2), 2)
+        seen = []
+        breakdown = pimin.bccd.power_breakdown
+
+        def spy(*args, **kw):
+            seen.append(breakdown(*args, **kw))
+            return seen[-1]
+
+        monkeypatch.setattr(pimin.bccd, "power_breakdown", spy)
+        out = bccd_solve(BccdConfig(n_iter=8), scen, start, **kwargs)
+        assert out.final_powers is out.history[-1]
+        assert 1 <= len(seen) <= len(out.history)
+        for rec, powers in zip(out.history, seen):
+            assert rec.p_obs > 0.0 and rec.p_noise > 0.0
+            assert vars(rec) == dict(vars(powers), sdp_status=rec.sdp_status)
+        assert all(rec is out.history[len(seen) - 1] for rec in out.history[len(seen):])
 
     def test_stall_criterion_on_history(self):
         scen = desk_scenario(seed=7)
@@ -388,12 +412,12 @@ class TestIdleRestartSkips:
     def least_skipping_tol(p_pi, ac, ch, scen, optimize_phi):
         """The least ``grad_tol`` at which the rule skips, by bisection."""
         lo, hi = 0.0, 1.0
-        while not _restart_is_idle(p_pi, ac, ch, scen, optimize_phi, hi):
+        while not _idle_rule(ch, scen, optimize_phi, hi)(p_pi, ac):
             lo, hi = hi, 2.0 * hi
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if _restart_is_idle(p_pi, ac, ch, scen, optimize_phi,
-                                                   mid) else (mid, hi)
+            lo, hi = (lo, mid) if _idle_rule(ch, scen, optimize_phi, mid)(p_pi, ac) \
+                else (mid, hi)
         return hi
 
     @pytest.mark.parametrize("make_scen", [desk_scenario, desk_bench_scenario])

@@ -31,13 +31,14 @@ def four_method_spec(seed: int) -> SweepSpec:
 
 
 class TestMethod:
-    def test_parse_roundtrip(self):
+    def test_lookup_roundtrip(self):
         for m in Method:
-            assert Method.parse(m.value) is m
+            assert Method(m.value) is m
+            assert Method(m) is m
 
-    def test_parse_unknown(self):
-        with pytest.raises(DomainError):
-            Method.parse("bench9")
+    def test_lookup_unknown(self):
+        with pytest.raises(DomainError, match="unknown method 'bench9'; choose from"):
+            Method("bench9")
 
 
 class TestRunTrial:
@@ -210,7 +211,7 @@ class TestSweep:
         fresh = []
         for r in records:
             bench_mod._trial_start.cache_clear()
-            fresh.append(run_trial(replace(spec.base, M=r.M), Method.parse(r.method),
+            fresh.append(run_trial(replace(spec.base, M=r.M), Method(r.method),
                                    FAST, r.seed, r.trial_id))
         assert len(calls) == 6 + 24
         assert without_runtime(records) == without_runtime(fresh)

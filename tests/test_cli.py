@@ -169,6 +169,28 @@ class TestSweep:
         assert "spec error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"methods": []}, "sweep needs at least one method"),
+        ({"values": []}, "sweep needs at least one axis value"),
+        ({"methods": ["proposed", "proposed"]}, "sweep lists method 'proposed' twice"),
+        ({"axis": "P_T_dBm", "values": [40, 40.0]}, "sweep lists axis value 40.0 twice"),
+        ({"methods": "proposed"}, "methods must be a list, got 'proposed'"),
+        ({"values": "24"}, "values must be a list, got '24'"),
+    ], ids=["no_methods", "no_values", "repeated_method", "repeated_value",
+            "methods_string", "values_string"])
+    def test_spec_that_runs_nothing_or_twice_is_spec_error(self, tmp_path, capsys, fields,
+                                                           message):
+        spec = dict({"base": desk_scenario(seed=1).to_json_dict(), "axis": "M",
+                     "values": [2], "trials_per_point": 2, "methods": ["proposed"],
+                     "solver": {"n_iter": 2}}, **fields)
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "spec error" in err and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["d_k", "sigma_r2_dBm"])
     def test_nan_scenario_field_is_spec_error(self, tmp_path, capsys, field):
         base = dict(desk_scenario(seed=1).to_json_dict(), **{field: float("nan")})
@@ -186,12 +208,15 @@ class TestSweep:
         ({"obstacles": [[50.0, 30.0]]}, "M", [2], "obstacle entries"),
         ({"sigma_t_m2": -1.0}, "M", [2], "sigma_t_m2 must be > 0"),
         ({}, "sigma_t_m2", [5.0, -1.0], "sigma_t_m2 must be > 0"),
-        ({"radiation_pattern": "cos_q", "pattern_q": -1.0}, "M", [2], "pattern_q must be >= 0"),
-        ({"radiation_pattern": "cos_q"}, "pattern_q", [2.0, -1.0], "pattern_q must be >= 0"),
-        ({"radiation_pattern": "cos_q", "ris_elevation_t_rad": math.pi}, "M", [2],
+        ({"pattern_q": -1.0}, "M", [2], "pattern_q must be >= 0"),
+        ({}, "pattern_q", [2.0, -1.0], "pattern_q must be >= 0"),
+        ({"pattern_q": 2.0, "ris_elevation_t_rad": math.pi}, "M", [2],
          "sigma_ris_m2 must be > 0"),
-        ({"radiation_pattern": "cos_q"}, "ris_elevation_t_rad", [0.0, math.pi],
+        ({"pattern_q": 2.0}, "ris_elevation_t_rad", [0.0, math.pi],
          "sigma_ris_m2 must be > 0"),
+        # the element pattern is cos^pattern_q alone; the old selector is unknown
+        ({"radiation_pattern": "unity"}, "M", [2],
+         "unknown scenario fields: ['radiation_pattern']"),
         ({}, "d_k", [500.0, 1e200], "path gain is out of float range"),
         ({}, "sigma_r2_dBm", [-80.0, 4000.0], "link-budget factor overflows"),
         ({"seed": "x"}, "M", [2], "seed must be an integer"),
@@ -199,6 +224,7 @@ class TestSweep:
         ({"seed": True}, "M", [2], "seed must be an integer"),
     ], ids=["base_obstacle_two_values", "base_sigma_t", "axis_sigma_t", "base_pattern_q",
             "axis_pattern_q", "base_zero_ris_rcs", "axis_zero_ris_rcs",
+            "base_radiation_pattern",
             "axis_overflowing_path_gain", "axis_overflowing_noise", "base_seed_string",
             "base_seed_float", "base_seed_bool"])
     def test_invalid_link_budget_is_spec_error(self, tmp_path, capsys, base, axis, values,

@@ -102,10 +102,22 @@ class TestRisCrossSection:
 
     def test_cos_q_pattern_scales_both_directions(self):
         unity = desk_scenario().sigma_ris_m2
-        tilted = desk_scenario(radiation_pattern="cos_q", pattern_q=2.0,
+        tilted = desk_scenario(pattern_q=2.0,
                                ris_elevation_r_rad=math.pi / 3, ris_elevation_t_rad=math.pi / 4)
         expect = unity * math.cos(math.pi / 3) ** 2 * math.cos(math.pi / 4) ** 2
         assert abs(tilted.sigma_ris_m2 - expect) <= 1e-12 * expect
+
+    @pytest.mark.parametrize("elevation", [0.0, 0.3, math.pi / 2, 2.0, math.pi, -math.pi])
+    def test_zero_q_is_isotropic_bit_for_bit(self, elevation):
+        # cos^0 is 1 at every elevation, behind the panel too (0.0 ** 0.0 == 1.0),
+        # so the default element is the isotropic one
+        scen = desk_scenario()
+        isotropic = (FOUR_PI * scen.A_ris**2 * (scen.d_x_m * scen.d_y_m)**2
+                     / scen.wavelength**2 * 1.0 * 1.0)
+        assert scen.pattern_q == 0.0 and scen.sigma_ris_m2 == isotropic
+        tilted = desk_scenario(pattern_q=0.0, ris_elevation_r_rad=elevation,
+                               ris_elevation_t_rad=elevation)
+        assert tilted.sigma_ris_m2 == scen.sigma_ris_m2
 
 
 def no_call(*args):
@@ -265,14 +277,13 @@ class TestConfigSerialization:
         ({"sigma_t_m2": -1.0}, DomainError, "sigma_t_m2 must be > 0"),
         ({"sigma_t_m2": 0.0}, DomainError, "sigma_t_m2 must be > 0"),
         ({"d_tR": 0.0}, DomainError, "d_tR must be > 0"),
-        ({"radiation_pattern": "cos_q", "pattern_q": -1.0}, DomainError,
+        ({"pattern_q": -1.0, "ris_elevation_r_rad": math.pi / 3}, DomainError,
          "pattern_q must be >= 0"),
         ({"pattern_q": -0.5}, DomainError, "pattern_q must be >= 0"),
-        ({"radiation_pattern": "cos_q", "ris_elevation_t_rad": math.pi}, DomainError,
+        ({"pattern_q": 2.0, "ris_elevation_t_rad": math.pi}, DomainError,
          "sigma_ris_m2 must be > 0"),
-        ({"radiation_pattern": "cos_q", "ris_elevation_r_rad": -math.pi}, DomainError,
+        ({"pattern_q": 2.0, "ris_elevation_r_rad": -math.pi}, DomainError,
          "sigma_ris_m2 must be > 0"),
-        ({"radiation_pattern": "cosine"}, DomainError, "unknown radiation pattern"),
         ({"P_T_dBm": -4000.0}, DomainError, "P_T_W must be > 0"),
         ({"G_R_PR_dBi": -4000.0}, DomainError, "g_r_pr_lin must be > 0"),
         ({"P_T_dBm": 4000.0}, DomainError, "link-budget factor overflows"),
@@ -297,9 +308,9 @@ class TestConfigSerialization:
         ({"seed": 1.5}, DomainError, "seed must be an integer"),
         ({"seed": True}, DomainError, "seed must be an integer"),
         ({"seed": -1}, DomainError, "seed must be >= 0"),
-    ], ids=["sigma_t_negative", "sigma_t_zero", "distance_zero", "cos_q_negative_q",
-            "unity_negative_q", "reflection_behind_panel", "incidence_behind_panel",
-            "unknown_pattern", "power_underflow", "gain_underflow", "power_overflow",
+    ], ids=["sigma_t_negative", "sigma_t_zero", "distance_zero", "tilted_negative_q",
+            "negative_q", "reflection_behind_panel", "incidence_behind_panel",
+            "power_underflow", "gain_underflow", "power_overflow",
             "radar_noise_underflow", "comm_noise_underflow", "budget_underflow",
             "comm_target_underflow", "radar_noise_overflow", "budget_overflow",
             "sense_target_overflow", "lna_overflow",

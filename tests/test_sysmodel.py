@@ -6,9 +6,8 @@ import pytest
 from pimin.errors import DimensionError, DomainError
 from pimin.linalg import kron_identity_apply
 from pimin.scenario import generate_channels
-from pimin.sysmodel import (beam_products, build_comm_channel,
-                            build_effective_channels, build_obstacle_channel,
-                            build_pi_channel, build_sensing_channel, check_phases)
+from pimin.sysmodel import (_comm_block, _pi_block, _sensing_block, beam_products,
+                            build_effective_channels, build_pi_channel, check_phases)
 
 from pimin.selfcheck import dense_kron_block
 
@@ -29,6 +28,18 @@ def dense_pi(ch, phi):
     return ch.gamma_DPI * ch.H_DPI + ch.gamma_RPI * ch.G_rR.conj().T @ np.diag(phi) @ ch.H_cR
 
 
+def comm_block(ch, phi):
+    return build_effective_channels(ch, phi).Hc_block
+
+
+def sensing_block(ch, phi):
+    return build_effective_channels(ch, phi).Ar_block
+
+
+def obstacle_block(ch):
+    return build_effective_channels(ch, np.ones(ch.H_cR.shape[0])).Ao_block
+
+
 def dense_sensing(ch, phi):
     Phi = np.diag(phi)
     ht = ch.h_t.conj()[None, :]
@@ -43,21 +54,21 @@ class TestCommChannel:
     def test_no_ris_path(self, channels, rng):
         ch = dataclasses.replace(channels, gamma_c_r=0j)
         phi = random_unit_modulus(rng, ch.H_cR.shape[0])
-        assert np.array_equal(build_comm_channel(ch, phi), ch.gamma_c_d * ch.H_k)
+        assert np.array_equal(comm_block(ch, phi), ch.gamma_c_d * ch.H_k)
 
     def test_blocked_ris_user_link(self, channels, rng):
         ch = dataclasses.replace(channels, H_Rk=np.zeros_like(channels.H_Rk))
         phi = random_unit_modulus(rng, ch.H_cR.shape[0])
-        assert np.allclose(build_comm_channel(ch, phi), ch.gamma_c_d * ch.H_k)
+        assert np.allclose(comm_block(ch, phi), ch.gamma_c_d * ch.H_k)
 
     def test_dense_oracle(self, channels, rng):
         phi = random_unit_modulus(rng, channels.H_cR.shape[0])
-        out = build_comm_channel(channels, phi)
+        out = comm_block(channels, phi)
         assert np.max(np.abs(out - dense_comm(channels, phi))) <= 1e-12
 
     def test_rejects_non_unit_phases(self, channels):
         with pytest.raises(DomainError):
-            build_comm_channel(channels, 2.0 * np.ones(channels.H_cR.shape[0]))
+            comm_block(channels, 2.0 * np.ones(channels.H_cR.shape[0]))
 
 
 class TestPiChannel:
@@ -83,7 +94,7 @@ class TestSensingChannel:
     def test_direct_echo_only_is_rank_one(self, channels, rng):
         ch = dataclasses.replace(channels, gamma_s2=0j, gamma_s3=0j, gamma_s4=0j)
         phi = random_unit_modulus(rng, ch.H_cR.shape[0])
-        out = build_sensing_channel(ch, phi)
+        out = sensing_block(ch, phi)
         assert np.allclose(out, ch.gamma_s1 * np.outer(ch.g_t, ch.h_t.conj()))
         assert np.linalg.matrix_rank(out) <= 1
 
@@ -91,31 +102,31 @@ class TestSensingChannel:
         ch = dataclasses.replace(channels, gamma_s1=0j, gamma_s2=0j, gamma_s3=0j)
         phi = random_unit_modulus(rng, ch.H_cR.shape[0])
         theta = 0.7331
-        a = build_sensing_channel(ch, phi)
-        b = build_sensing_channel(ch, np.exp(1j * theta) * phi)
+        a = sensing_block(ch, phi)
+        b = sensing_block(ch, np.exp(1j * theta) * phi)
         assert np.max(np.abs(b - np.exp(2j * theta) * a)) <= 1e-12 * np.max(np.abs(a))
 
     def test_dense_oracle(self, channels, rng):
         phi = random_unit_modulus(rng, channels.H_cR.shape[0])
-        out = build_sensing_channel(channels, phi)
+        out = sensing_block(channels, phi)
         assert np.max(np.abs(out - dense_sensing(channels, phi))) <= 1e-12
 
 
 class TestObstacleChannel:
     def test_clear_scene(self, rng):
         ch = generate_channels(tiny_scenario(), np.random.default_rng(0))
-        assert np.array_equal(build_obstacle_channel(ch),
+        assert np.array_equal(obstacle_block(ch),
                               np.zeros((3, 2), dtype=complex))
 
     def test_single_obstacle_rank(self, rng):
         ch = generate_channels(tiny_scenario(obstacles=((40.0, 60.0, 1.0),)),
                                np.random.default_rng(0))
-        assert np.linalg.matrix_rank(build_obstacle_channel(ch)) <= 1
+        assert np.linalg.matrix_rank(obstacle_block(ch)) <= 1
 
     def test_three_obstacles_sum(self, channels):
         expect = sum(g * go[:, None] @ ho.conj()[None, :]
                      for go, ho, g in channels.obstacles)
-        assert np.max(np.abs(build_obstacle_channel(channels) - expect)) <= 1e-12
+        assert np.max(np.abs(obstacle_block(channels) - expect)) <= 1e-12
 
 
 class TestEffectiveChannels:
@@ -126,30 +137,31 @@ class TestEffectiveChannels:
             build_effective_channels(channels, phi)
 
     def test_empty_phase_vector_accepted(self):
-        assert check_phases(np.empty(0), 0, True).shape == (0,)
+        assert check_phases(np.empty(0), 0).shape == (0,)
 
     @pytest.mark.parametrize("phi", [np.zeros(4), np.array([1.0, 0.0, -1j, 0.0])],
                              ids=["all_off", "mixed"])
     def test_elements_off_accepted(self, phi):
-        assert np.array_equal(check_phases(phi, 4, True), phi)
+        assert np.array_equal(check_phases(phi, 4), phi)
 
     @pytest.mark.parametrize("modulus", [0.5, 2.0, np.nan])
     def test_other_moduli_rejected(self, modulus):
         phi = np.array([1.0, 0.0, modulus, 1j])
         with pytest.raises(DomainError, match="unit modulus"):
-            check_phases(phi, 4, True)
+            check_phases(phi, 4)
 
 
 class TestElementsOff:
     """Zero coefficients give exactly the channels whose RIS path gains are zero."""
 
-    @pytest.mark.parametrize("build", [build_comm_channel, build_pi_channel,
-                                       build_sensing_channel])
-    def test_zero_coefficients_are_zero_ris_gains(self, channels, build):
+    @pytest.mark.parametrize("block", ["Hc_block", "Ac_block", "Ar_block"])
+    def test_zero_coefficients_are_zero_ris_gains(self, channels, block):
         n = channels.H_cR.shape[0]
         bare = dataclasses.replace(channels, gamma_c_r=0j, gamma_RPI=0j, gamma_s2=0j,
                                    gamma_s3=0j, gamma_s4=0j)
-        assert build(channels, np.zeros(n)).tobytes() == build(bare, np.ones(n)).tobytes()
+        off = getattr(build_effective_channels(channels, np.zeros(n)), block)
+        assert off.tobytes() == getattr(build_effective_channels(bare, np.ones(n)),
+                                        block).tobytes()
 
 
 class TestBlockStructure:
@@ -167,26 +179,26 @@ class TestBlockStructure:
 
     def test_polynomial_degree_in_phi(self, channels, rng):
         # third differences along a ray vanish for the quadratic sensing
-        # builder, second differences for the affine ones
+        # kernel, second differences for the affine ones; the rays leave the
+        # unit circle, so the kernels run on unchecked coefficients
         n = channels.H_cR.shape[0]
         phi0 = random_unit_modulus(rng, n)
         step = (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
-        def sample(builder, t):
-            return builder(channels, phi0 + t * step, validate=False)
+        def sample(kernel, t):
+            return kernel(channels, phi0 + t * step)
 
-        for builder in (build_comm_channel, build_pi_channel):
-            d2 = sample(builder, 0.0) - 2.0 * sample(builder, 1.0) + sample(builder, 2.0)
+        for kernel in (_comm_block, _pi_block):
+            d2 = sample(kernel, 0.0) - 2.0 * sample(kernel, 1.0) + sample(kernel, 2.0)
             assert np.max(np.abs(d2)) <= 1e-10
-        vals = [sample(build_sensing_channel, t) for t in (0.0, 1.0, 2.0, 3.0)]
+        vals = [sample(_sensing_block, t) for t in (0.0, 1.0, 2.0, 3.0)]
         d3 = vals[3] - 3.0 * vals[2] + 3.0 * vals[1] - vals[0]
         scale = np.max(np.abs(vals[0])) + 1e-30
         assert np.max(np.abs(d3)) <= 1e-9 * scale
         # with the double-bounce gain set to unit scale the second difference
-        # must be visibly nonzero (the builder is genuinely quadratic)
+        # must be visibly nonzero (the kernel is genuinely quadratic)
         boosted = dataclasses.replace(channels, gamma_s4=1.0 + 0j)
-        vals = [build_sensing_channel(boosted, phi0 + t * step, validate=False)
-                for t in (0.0, 1.0, 2.0)]
+        vals = [_sensing_block(boosted, phi0 + t * step) for t in (0.0, 1.0, 2.0)]
         d2 = vals[2] - 2.0 * vals[1] + vals[0]
         assert np.max(np.abs(d2)) > 1e-6 * np.max(np.abs(vals[0]))
 
