@@ -213,7 +213,7 @@ def load_sweep_spec(path: str) -> SweepSpec:
 def trial_seed(base_seed: int, axis_value, trial_id: int) -> int:
     """Deterministic per-trial seed shared by all methods at one sweep point."""
     tag = zlib.crc32(repr(axis_value).encode())
-    ss = np.random.SeedSequence([base_seed & 0xFFFFFFFF, tag, trial_id])
+    ss = np.random.SeedSequence([base_seed, tag, trial_id])
     return int(ss.generate_state(1)[0])
 
 

@@ -2,9 +2,9 @@
 
 The oracles that `pimin check` also runs, and the random instances they
 draw, live in :mod:`pimin.selfcheck`. What stays here is used by the tests
-alone: dense rebuilds of the forms and of the power quadratic, a grid oracle
-for the 2x2 covariance subproblem, plain reference loops for the manifold
-solver and the outer iteration, and small generators.
+alone: dense rebuilds of the forms and of the power quadratic, an exact
+oracle for the 2x2 covariance subproblem, plain reference loops for the
+manifold solver and the outer iteration, and small generators.
 """
 
 import math
@@ -66,72 +66,51 @@ def tiny_scenario(**overrides) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive grid oracle for the 2x2 covariance subproblem
+# Exact oracle for the 2x2 covariance subproblem
 # ---------------------------------------------------------------------------
 
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def sdp2_grid_oracle(prob, per_axis: int = 100, stages: int = 4,
-                     extra_centers: list | None = None):
-    """Brute-force optimum of a 2x2 covariance subproblem.
+def sdp2_exact_oracle(prob):
+    """Exact optimum of a 2x2 covariance subproblem; ``None`` when it is infeasible.
 
-    Every trace-``P_B`` Hermitian PSD matrix is ``P_B/2 (I + r . sigma)``
-    with ``|r| <= 1``; the objective and constraints are affine in ``r``, so
-    a dense grid over the unit ball (eigenbasis angles plus eigenvalue
-    split), refined around the best candidates, bounds the optimum. Returns
-    ``None`` when no grid point is feasible.
+    A trace-``P_B`` PSD matrix is ``P_B/2 (I + r . sigma)`` with ``|r| <= 1``
+    (the Bloch ball): minimize ``c . r + o`` over the ball cut by two
+    half-spaces. Two planes share a line, so no point inside the ball is
+    extreme, and a minimizer lies on the sphere: at ``-c/|c|``, at the least
+    point ``p_i - rho_i c_perp/|c_perp|`` of a circle that an active plane
+    cuts (if ``c_perp = 0``, any point of it or an end of its feasible arc),
+    or where the line of both planes meets it. Only feasible candidates
+    count, so those five suffice, and extra ones do no harm.
     """
+    assert prob.dim == 2
     half = prob.trace_budget / 2.0
 
     def affine(mat):
-        coeffs = np.array([np.trace(mat @ s).real for s in _PAULI]) * half
-        return coeffs, float(np.trace(mat).real) * half
+        # trace(mat @ sigma_k) for each k, and trace(mat)
+        return np.einsum("ij,kji->k", mat, _PAULI).real * half, float(np.trace(mat).real) * half
 
-    c_obj, o_obj = affine(prob.obj)
-    c_1, o_1 = affine(prob.comm_mat)
-    c_2, o_2 = affine(prob.sense_mat)
-
-    def scan(lo, hi):
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-        keep = (pts**2).sum(axis=1) <= 1.0 + 1e-15
-        keep &= pts @ c_1 + o_1 >= prob.comm_rhs - 1e-12
-        keep &= pts @ c_2 + o_2 >= prob.sense_rhs - 1e-12
-        if not keep.any():
-            return []
-        kept = pts[keep]
-        vals = kept @ c_obj + o_obj
-        order = np.argsort(vals)[:3]
-        return [(float(vals[i]), kept[i]) for i in order]
-
-    candidates = scan(np.full(3, -1.0), np.full(3, 1.0))
-    if not candidates:
-        return None
-    for center in extra_centers or []:
-        candidates.append((np.inf, np.asarray(center, dtype=float)))
-    span = 2.0 / (per_axis - 1) * 4.0
-    for _ in range(stages - 1):
-        nxt = list(candidates)
-        for _, pt in candidates:
-            lo = np.maximum(pt - span, -1.0)
-            hi = np.minimum(pt + span, 1.0)
-            nxt += scan(lo, hi)
-        nxt.sort(key=lambda t: t[0])
-        candidates = nxt[:3]
-        span *= 4.0 / (per_axis - 1)
-    return candidates[0][0]
-
-
-def pauli_coords(r: np.ndarray, budget: float) -> np.ndarray:
-    """Ball coordinates of a 2x2 trace-``budget`` Hermitian matrix."""
-    half = budget / 2.0
-    return np.array([np.trace(r @ s).real for s in _PAULI]) / (2.0 * half)
+    c, o = affine(prob.obj)
+    assert c.any(), "the objective is a multiple of the identity"
+    planes = [(n, rhs - off, rhs) for (n, off), rhs in (
+        (affine(prob.comm_mat), prob.comm_rhs), (affine(prob.sense_mat), prob.sense_rhs))]
+    candidates = [-c / np.linalg.norm(c)]
+    for n, d, _ in planes:      # plane n . r = d; n = 0 yields the centre or -c/|c|
+        nn = max(n @ n, 1e-300)
+        perp = c - (c @ n) / nn * n
+        if not perp.any():
+            perp = np.cross(n, np.eye(3)[np.argmin(np.abs(n))])
+        rho = np.sqrt(max(1.0 - d * d / nn, 0.0))
+        candidates.append(d * n / nn - rho * perp / np.linalg.norm(perp))
+    (n1, d1, _), (n2, d2, _) = planes
+    p0 = np.linalg.lstsq(np.array([n1, n2]), np.array([d1, d2]), rcond=None)[0]
+    u = np.cross(n1, n2)
+    u *= np.sqrt(max(1.0 - p0 @ p0, 0.0) / max(u @ u, 1e-300))
+    candidates += [p0 + u, p0 - u]
+    values = [c @ r + o for r in candidates if r @ r <= 1.0 + 1e-12
+              and all(n @ r - d >= -1e-12 * max(1.0, abs(rhs)) for n, d, rhs in planes)]
+    return float(min(values)) if values else None
 
 
 # ---------------------------------------------------------------------------

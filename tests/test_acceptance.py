@@ -24,7 +24,7 @@ from pimin.sysmodel import build_pi_channel
 
 from pimin.selfcheck import cplx, random_forms, random_psd, sample_feasible_points
 
-from helpers import pauli_coords, random_unit_modulus, sdp2_grid_oracle
+from helpers import random_unit_modulus, sdp2_exact_oracle
 
 # Deep solver settings for the statistical trend criteria: the interference
 # floor of the joint design sits orders of magnitude below the default
@@ -211,9 +211,9 @@ def test_criterion_6_sdp_correctness():
             >= prob.comm_rhs - 1e-6 * max(abs(prob.comm_rhs), 1.0)
         assert np.trace(prob.sense_mat @ r).real \
             >= prob.sense_rhs - 1e-6 * max(abs(prob.sense_rhs), 1.0)
-        grid = sdp2_grid_oracle(prob, extra_centers=[pauli_coords(r, budget)])
-        assert grid is not None
-        rel = abs(sol.objective_value - grid) / abs(grid)
+        exact = sdp2_exact_oracle(prob)
+        assert exact is not None
+        rel = abs(sol.objective_value - exact) / abs(exact)
         assert rel <= 1e-4
         worst_rel = max(worst_rel, rel)
         if k < 3:   # dominance over 1000 random feasible points
@@ -222,7 +222,7 @@ def test_criterion_6_sdp_correctness():
             vals = [float(np.trace(prob.obj @ q).real) for q in pts]
             assert sol.objective_value <= min(vals) + 1e-6 * abs(min(vals))
             dominance_checked += 1
-    report("criterion 6 (covariance SDP vs grid oracle)",
+    report("criterion 6 (covariance SDP vs exact oracle)",
            f"20 problems, worst relative gap {worst_rel:.2e}, "
            f"{dominance_checked}x1000-point dominance",
            time.perf_counter() - start, 300.0)

@@ -243,6 +243,15 @@ class TestSweep:
              trial_seed(1, 2, 0)}
         assert len(s) == 4
 
+    def test_trial_seed_keeps_every_bit_of_the_base_seed(self):
+        assert len({trial_seed(base, 8, 3) for base in (0, 2**32, 2**64 + 5)}) == 3
+
+    @pytest.mark.parametrize("base, axis_value, trial_id, seed", [
+        (0, 8, 3, 3079365837), (1, 4, 0, 138486006), (7, "x", 2, 3154862321),
+        (2**32 - 1, 8, 3, 2186226597), (123, 1.5, 9, 2491269951)])
+    def test_trial_seed_below_two_to_the_32_is_pinned(self, base, axis_value, trial_id, seed):
+        assert trial_seed(base, axis_value, trial_id) == seed
+
     def test_axis_validation(self):
         with pytest.raises(DomainError):
             SweepSpec(base=desk_scenario(), axis="bogus", values=(1,))

@@ -147,6 +147,10 @@ class TestRcgSolve:
         assert rise <= 1e-12
         assert grad_ratio <= 1e-8     # measured 4.4e-9
 
+    def test_invariants_are_nan_when_no_step_is_taken(self, rng):
+        # zero forms have a zero gradient: the solve stops before its first step
+        assert np.isnan(manifold_errors(zero_forms(4, 4, 3), random_state(4, 3, rng), 80)).all()
+
     def test_single_term_grid_oracle(self):
         # scalar instance: the optimum aligns the phase product against the
         # direct term; a full phase grid bounds the attainable minimum

@@ -1,0 +1,74 @@
+"""Malformed arguments to the public functions are rejected with their own
+error type and a message that names what is wrong."""
+
+import re
+
+import numpy as np
+import pytest
+
+from pimin.errors import DegenerateInputError, DimensionError, DomainError
+from pimin.linalg import hermitian_evd, kron_identity_apply
+from pimin.metrics import adc_snr, comm_snr, power_quadratic
+from pimin.rcg import (BeamformerState, PrecomputedForms, objective, precompute_forms,
+                       random_state, riem_grad)
+from pimin.scenario import generate_channels, linear_to_db
+from pimin.sdp import SdpProblem
+
+from helpers import tiny_scenario
+
+
+def sdp_problem(**overrides):
+    fields = dict(dim=2, obj=np.eye(2), comm_mat=np.eye(2), comm_rhs=0.0,
+                  sense_mat=np.eye(2), sense_rhs=0.0, trace_budget=1.0)
+    fields.update(overrides)
+    return SdpProblem(**fields)
+
+
+def forms_for_a_mismatched_covariance():
+    scen = tiny_scenario()      # M_t = 2, L = 2: a 4x4 covariance
+    ch = generate_channels(scen, np.random.default_rng(0))
+    return precompute_forms(hermitian_evd(np.eye(3)), ch, scen.L)
+
+
+CASES = {
+    "kron_h_not_2d": (lambda: kron_identity_apply(np.ones(3), np.ones(3), 1),
+                      DimensionError, "h must be 2-D, got shape (3,)"),
+    "kron_v_not_1d": (lambda: kron_identity_apply(np.eye(2), np.ones((2, 1)), 1),
+                      DimensionError, "v must be 1-D, got shape (2, 1)"),
+    "kron_no_blocks": (lambda: kron_identity_apply(np.eye(2), np.ones(2), 0),
+                       DimensionError, "blocks must be >= 1, got 0"),
+    "power_cov_dim": (lambda: power_quadratic(np.ones((2, 3)), np.ones(2), np.eye(4)),
+                      DimensionError, "covariance dim 4 not a multiple of block cols 3"),
+    "power_w_shape": (lambda: power_quadratic(np.ones((2, 2)), np.ones(3), np.eye(4)),
+                      DimensionError, "w has shape (3,), expected (4,)"),
+    "comm_snr_cov_shape": (lambda: comm_snr(np.eye(2), np.eye(3), 1, 2, 1.0),
+                           DimensionError, "covariance has shape (3, 3), expected (4,)^2"),
+    "comm_snr_noise": (lambda: comm_snr(np.eye(2), np.eye(4), 1, 2, 0.0),
+                       DegenerateInputError, "sigma_c2 must be positive"),
+    "adc_negative_bits": (lambda: adc_snr(-1.0),
+                          DegenerateInputError, "effective bit count must be >= 0"),
+    "state_split": (lambda: BeamformerState(x=np.ones(3), num_bf=4),
+                    DimensionError, "state of length (3,) cannot split at 4"),
+    "forms_cov_dim": (forms_for_a_mismatched_covariance,
+                      DimensionError, "covariance dim 3 does not match n_samples*M_t = 4"),
+    "forms_do_not_stack": (
+        lambda: objective(random_state(2, 1, np.random.default_rng(0)),
+                          PrecomputedForms(b=np.ones((1, 2)), c=np.ones((1, 2)))),
+        DimensionError, "forms b (1, 2) and c (1, 2) do not stack"),
+    "gradient_shape": (
+        lambda: riem_grad(random_state(2, 1, np.random.default_rng(0)), np.ones(4)),
+        DimensionError, "gradient shape (4,) != state shape (3,)"),
+    "db_of_negative_power": (lambda: linear_to_db(-1.0),
+                             DomainError, "cannot express negative power -1.0 in dB"),
+    "sdp_dim": (lambda: sdp_problem(dim=0), DimensionError, "dim must be >= 1, got 0"),
+    "sdp_budget": (lambda: sdp_problem(trace_budget=0.0),
+                   DomainError, "trace budget must be > 0, got 0.0"),
+    "sdp_matrix_shape": (lambda: sdp_problem(obj=np.eye(3)),
+                         DimensionError, "obj has shape (3, 3), expected (2, 2)"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", CASES.values(), ids=CASES.keys())
+def test_rejects_with_type_and_message(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

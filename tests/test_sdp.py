@@ -12,8 +12,7 @@ from pimin.sysmodel import beam_products, build_effective_channels
 
 from pimin.selfcheck import cplx, random_psd, random_sdp_problem, sample_feasible_points
 
-from helpers import (pauli_coords, random_hermitian, random_unit_modulus, sdp2_grid_oracle,
-                     tiny_scenario)
+from helpers import random_hermitian, random_unit_modulus, sdp2_exact_oracle, tiny_scenario
 
 
 def feasible_2x2_problem(rng, full_rank_obj=True):
@@ -200,30 +199,24 @@ class TestSolveSdp:
         assert sol.constraint_violation <= 1e-6
         sol.R_ss.validate()
 
-    def test_matches_grid_oracle(self, rng):
-        # full-rank objectives keep the optimum away from zero, where the
-        # grid's own resolution would dominate a relative comparison; the
-        # rank-deficient regime is covered by the exact-null test below
+    def test_matches_exact_oracle(self, rng):
         for _ in range(6):
             prob = feasible_2x2_problem(rng, full_rank_obj=True)
             sol = solve_sdp(prob)
             assert sol.status == "optimal"
-            grid = sdp2_grid_oracle(
-                prob, extra_centers=[pauli_coords(sol.R_ss.matrix, prob.trace_budget)])
-            assert grid is not None
-            obj_scale = float(np.linalg.eigvalsh(prob.obj).max()) * prob.trace_budget
-            assert sol.objective_value <= grid + 1e-5 * obj_scale
-            assert abs(sol.objective_value - grid) <= 1e-4 * abs(grid)
+            exact = sdp2_exact_oracle(prob)
+            assert exact is not None
+            assert abs(sol.objective_value - exact) <= 1e-6 * abs(exact)
 
-    def test_never_beaten_by_grid_rank_one(self, rng):
+    def test_matches_exact_oracle_rank_one(self, rng):
+        # a rank-one optimum is often zero, so the gap is read on the objective's scale
         for _ in range(3):
             prob = feasible_2x2_problem(rng, full_rank_obj=False)
             sol = solve_sdp(prob)
             assert sol.status == "optimal"
-            grid = sdp2_grid_oracle(
-                prob, extra_centers=[pauli_coords(sol.R_ss.matrix, prob.trace_budget)])
+            exact = sdp2_exact_oracle(prob)
             obj_scale = float(np.linalg.eigvalsh(prob.obj).max()) * prob.trace_budget
-            assert -1e-12 * obj_scale <= sol.objective_value <= grid + 1e-9 * obj_scale
+            assert abs(sol.objective_value - exact) <= 1e-9 * obj_scale
 
     def test_solution_invariants(self, rng):
         for _ in range(5):
@@ -358,6 +351,11 @@ class TestDualCertificates:
                               sense_rhs=0.0, trace_budget=1.0)
         sol = solve_sdp(spectral)
         assert sol.status == "infeasible" and sol.iterations == 0
+        # a zero constraint matrix misses a positive right-hand side by all of it
+        zero = replace(spectral, comm_mat=np.zeros((2, 2), dtype=complex), comm_rhs=0.5)
+        sol = solve_sdp(zero)
+        assert sol.status == "infeasible" and sol.iterations == 0
+        assert sol.constraint_violation == 1.0
         assert solve_sdp(feasible_2x2_problem(rng)).iterations >= 1
 
     def test_dual_value_certifies_infeasibility(self):
@@ -418,6 +416,36 @@ class TestDualCertificates:
                                  sense_rhs=f * prob.sense_rhs)
                 assert solve_sdp(scaled).status == status
         assert statuses == {"optimal", "infeasible"}
+
+    def test_status_and_value_agree_with_exact_oracle(self):
+        # indefinite forms and right-hand sides of either sign: about 60% of
+        # the draws are feasible; a draw whose feasibility flips within
+        # 1e-5 of its right-hand sides is too close to the boundary to judge
+        gen = np.random.default_rng(7)
+        counts = {"optimal": 0, "infeasible": 0, "skipped": 0}
+        for k in range(400):
+            h = cplx(gen, 2, 2)
+            obj = h.conj().T @ h if k % 2 else np.outer(h[0], h[0].conj())
+            budget = float(gen.uniform(0.5, 3.0))
+            b1, b2 = gen.standard_normal(2) * budget
+            prob = SdpProblem(dim=2, obj=obj, comm_mat=random_hermitian(gen, 2), comm_rhs=b1,
+                              sense_mat=random_hermitian(gen, 2), sense_rhs=b2,
+                              trace_budget=budget)
+            looser, tighter = (sdp2_exact_oracle(replace(
+                prob, comm_rhs=b1 + t * 1e-5 * max(1.0, abs(b1)),
+                sense_rhs=b2 + t * 1e-5 * max(1.0, abs(b2)))) is None for t in (-1.0, 1.0))
+            if looser != tighter:
+                counts["skipped"] += 1
+                continue
+            exact = sdp2_exact_oracle(prob)
+            sol = solve_sdp(prob)
+            assert sol.status == ("infeasible" if exact is None else "optimal")
+            counts[sol.status] += 1
+            if exact is not None:
+                assert abs(sol.objective_value - exact) \
+                    <= 1e-5 * np.linalg.norm(prob.obj) * budget
+        assert min(counts["optimal"], counts["infeasible"]) >= 100
+        assert counts["skipped"] <= 4
 
 
 class TestTransmitCovariance:
