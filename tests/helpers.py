@@ -69,7 +69,11 @@ def tiny_scenario(**overrides) -> ScenarioConfig:
 # Exact oracle for the 2x2 covariance subproblem
 # ---------------------------------------------------------------------------
 
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI = np.array([
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, -1.0j], [1.0j, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+])
 
 
 def sdp2_exact_oracle(prob):
@@ -80,36 +84,50 @@ def sdp2_exact_oracle(prob):
     half-spaces. Two planes share a line, so no point inside the ball is
     extreme, and a minimizer lies on the sphere: at ``-c/|c|``, at the least
     point ``p_i - rho_i c_perp/|c_perp|`` of a circle that an active plane
-    cuts (if ``c_perp = 0``, any point of it or an end of its feasible arc),
-    or where the line of both planes meets it. Only feasible candidates
-    count, so those five suffice, and extra ones do no harm.
+    cuts, or where the line of both planes meets it. If ``c_perp`` is zero
+    or rounding noise, the objective is constant on the plane, and that
+    circle point may be any point of it: the circle's centre ``p_i`` stands
+    in for it when the whole circle is feasible, and an end of its feasible
+    arc (a line point) otherwise. Only feasible candidates count, so these
+    seven suffice, and extra ones do no harm.
     """
     assert prob.dim == 2
     half = prob.trace_budget / 2.0
 
     def affine(mat):
         # trace(mat @ sigma_k) for each k, and trace(mat)
-        return np.einsum("ij,kji->k", mat, _PAULI).real * half, float(np.trace(mat).real) * half
+        coeffs = np.einsum("ij,kji->k", mat, _PAULI).real * half
+        return coeffs, float(np.trace(mat).real) * half
 
     c, o = affine(prob.obj)
     assert c.any(), "the objective is a multiple of the identity"
-    planes = [(n, rhs - off, rhs) for (n, off), rhs in (
-        (affine(prob.comm_mat), prob.comm_rhs), (affine(prob.sense_mat), prob.sense_rhs))]
+    n1, off1 = affine(prob.comm_mat)
+    n2, off2 = affine(prob.sense_mat)
+    d1, d2 = prob.comm_rhs - off1, prob.sense_rhs - off2
+    # each plane n . r = d, with the right-hand side that scales its tolerance
+    planes = [(n1, d1, prob.comm_rhs), (n2, d2, prob.sense_rhs)]
+
+    def on_ball_and_feasible(r):
+        if r @ r > 1.0 + 1e-12:
+            return False
+        for n, d, rhs in planes:
+            if n @ r - d < -1e-12 * max(1.0, abs(rhs)):
+                return False
+        return True
+
     candidates = [-c / np.linalg.norm(c)]
-    for n, d, _ in planes:      # plane n . r = d; n = 0 yields the centre or -c/|c|
+    for n, d, _ in planes:      # n = 0 yields the centre or -c/|c|
         nn = max(n @ n, 1e-300)
+        centre = d * n / nn
         perp = c - (c @ n) / nn * n
-        if not perp.any():
-            perp = np.cross(n, np.eye(3)[np.argmin(np.abs(n))])
+        perp -= (perp @ n) / nn * n     # a second pass keeps rounding noise in the plane
         rho = np.sqrt(max(1.0 - d * d / nn, 0.0))
-        candidates.append(d * n / nn - rho * perp / np.linalg.norm(perp))
-    (n1, d1, _), (n2, d2, _) = planes
+        candidates += [centre, centre - rho * perp / max(np.linalg.norm(perp), 1e-300)]
     p0 = np.linalg.lstsq(np.array([n1, n2]), np.array([d1, d2]), rcond=None)[0]
     u = np.cross(n1, n2)
     u *= np.sqrt(max(1.0 - p0 @ p0, 0.0) / max(u @ u, 1e-300))
     candidates += [p0 + u, p0 - u]
-    values = [c @ r + o for r in candidates if r @ r <= 1.0 + 1e-12
-              and all(n @ r - d >= -1e-12 * max(1.0, abs(rhs)) for n, d, rhs in planes)]
+    values = [c @ r + o for r in candidates if on_ball_and_feasible(r)]
     return float(min(values)) if values else None
 
 

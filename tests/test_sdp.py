@@ -200,6 +200,9 @@ class TestSolveSdp:
         sol.R_ss.validate()
 
     def test_matches_exact_oracle(self, rng):
+        # full-rank objectives keep the optimum away from zero, so the relative
+        # bound means something; the rank-one regime is tested below on the
+        # objective's scale
         for _ in range(6):
             prob = feasible_2x2_problem(rng, full_rank_obj=True)
             sol = solve_sdp(prob)
@@ -216,7 +219,26 @@ class TestSolveSdp:
             assert sol.status == "optimal"
             exact = sdp2_exact_oracle(prob)
             obj_scale = float(np.linalg.eigvalsh(prob.obj).max()) * prob.trace_budget
+            assert -1e-12 * obj_scale <= sol.objective_value
             assert abs(sol.objective_value - exact) <= 1e-9 * obj_scale
+
+    def test_exact_oracle_with_objective_parallel_to_a_constraint(self):
+        # obj = comm_mat + 3I is constant on the communication plane, and a
+        # witness on that plane meets the sensing constraint, so the optimum
+        # is comm_rhs + 3 P_B; the oracle's circle point is then any point
+        # of its circle and may miss the feasible arc
+        gen = np.random.default_rng(3)
+        for _ in range(100):
+            budget = float(gen.uniform(0.5, 3.0))
+            c1, c2 = random_hermitian(gen, 2), random_hermitian(gen, 2)
+            witness = random_psd(gen, 2, trace=budget)
+            b1 = float(np.trace(c1 @ witness).real)
+            prob = SdpProblem(dim=2, obj=c1 + 3.0 * np.eye(2), comm_mat=c1, comm_rhs=b1,
+                              sense_mat=c2, sense_rhs=float(np.trace(c2 @ witness).real) - 0.1,
+                              trace_budget=budget)
+            exact = sdp2_exact_oracle(prob)
+            assert exact is not None
+            assert abs(exact - (b1 + 3.0 * budget)) <= 1e-9 * max(1.0, abs(b1 + 3.0 * budget))
 
     def test_solution_invariants(self, rng):
         for _ in range(5):
