@@ -19,8 +19,7 @@ from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, RcgResult,
 from .scenario import (ChannelSet, ScenarioConfig, db_to_linear, dbm_to_watt,
                        desk_bench_scenario, desk_scenario, generate_channels,
                        linear_to_db, load_config, save_config)
-from .sdp import (SdpProblem, SdpSolution, TransmitCovariance, assemble_p2,
-                  solve_sdp)
+from .sdp import SdpProblem, SdpSolution, assemble_p2, solve_sdp
 from .selfcheck import CheckReport, self_check
 from .sysmodel import (BeamProducts, EffectiveChannels, beam_products,
                        build_effective_channels, build_pi_channel)

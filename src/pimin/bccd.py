@@ -41,7 +41,7 @@ from .metrics import PowerBreakdown, power_breakdown
 from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, precompute_forms,
                   random_state, rcg_solve)
 from .scenario import ChannelSet, ScenarioConfig, check_count, dbm_to_watt
-from .sdp import TransmitCovariance, assemble_p2, solve_sdp
+from .sdp import assemble_p2, solve_sdp
 from .sysmodel import beam_products, build_effective_channels, check_phases
 
 # Interference below this fraction of the noise power counts as fully
@@ -66,7 +66,7 @@ class BccdConfig:
 
     n_iter: int = 20
     rcg: RcgConfig = field(default_factory=RcgConfig)
-    sdp_max_iters: int = 50_000  # SDP dual evaluations before it gives up
+    sdp_max_iters: int = 100     # SDP dual evaluations before it returns max_iters
 
     def __post_init__(self) -> None:
         check_count("n_iter", self.n_iter, 1)
@@ -85,7 +85,7 @@ class BccdIteration(PowerBreakdown):
 class BccdResult:
     w: np.ndarray
     phi: np.ndarray
-    R_ss: TransmitCovariance
+    R_ss: np.ndarray            # (L M_t, L M_t) transmit covariance
     history: tuple[BccdIteration, ...]
     converged: bool
 
@@ -98,12 +98,12 @@ class BccdResult:
         return self.history[-1]
 
 
-def init_rss(dim: int, budget: float, rng: np.random.Generator) -> TransmitCovariance:
+def init_rss(dim: int, budget: float, rng: np.random.Generator) -> np.ndarray:
     """Random PSD start: a uniform-entry Gram matrix rescaled to the budget."""
     u = rng.random((dim, dim)) + 1j * rng.random((dim, dim))
     r = u.conj().T @ u
     r *= budget / float(np.trace(r).real)
-    return TransmitCovariance(matrix=_hermitian_part(r), budget=budget)
+    return _hermitian_part(r)
 
 
 def relative_change(new: float, old: float, floor: float) -> float:
@@ -116,7 +116,7 @@ class BccdStart:
     """The point every method of a trial runs from; every array is read-only."""
 
     ch: ChannelSet
-    R_ss: TransmitCovariance
+    R_ss: np.ndarray
     evd: EvdResult              # eigendecomposition of R_ss
     x: BeamformerState
     forms: PrecomputedForms     # forms of evd on ch
@@ -127,9 +127,9 @@ def seeded_start(seed: int, scen: ScenarioConfig, ch: ChannelSet) -> BccdStart:
     rng = np.random.default_rng(seed)
     r_cov = init_rss(scen.L * scen.M_t, scen.P_B, rng)
     x = random_state(scen.L * scen.M, scen.N, rng)
-    r_cov.matrix.flags.writeable = False
+    r_cov.flags.writeable = False
     x.x.flags.writeable = False
-    evd = hermitian_evd(r_cov.matrix)
+    evd = hermitian_evd(r_cov)
     forms = precompute_forms(evd, ch, scen.L)
     forms.b.flags.writeable = False
     forms.c.flags.writeable = False
@@ -250,10 +250,10 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
         sol = solve_sdp(assemble_p2(beams, scen), max_iters=cfg.sdp_max_iters)
         if sol.status == "optimal":
             r_cov = sol.R_ss
-            evd = hermitian_evd(r_cov.matrix)
+            evd = hermitian_evd(r_cov)
             forms = None
 
-        powers = power_breakdown(beams, r_cov.matrix, scen.sigma_r2_W,
+        powers = power_breakdown(beams, r_cov, scen.sigma_r2_W,
                                  scen.sigma_c2_W, scen.M_r, evd)
         history.append(BccdIteration(**vars(powers), sdp_status=sol.status))
         # The next solve would take no step, so the loop is at the fixed point

@@ -95,28 +95,8 @@ class SdpProblem:
 
 
 @dataclass(frozen=True)
-class TransmitCovariance:
-    """Hermitian PSD transmit covariance with a fixed trace budget."""
-
-    matrix: np.ndarray
-    budget: float
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def validate(self) -> None:
-        eigs = eigvalsh(check_hermitian(self.matrix, rel_tol=1e-10, name="covariance"))
-        if eigs.min() < -1e-8 * self.budget:
-            raise DomainError(f"covariance not PSD: min eigenvalue {eigs.min():.3e}")
-        if abs(self.trace - self.budget) > 1e-6 * self.budget:
-            raise DomainError(
-                f"trace {self.trace:.9e} deviates from budget {self.budget:.9e}")
-
-
-@dataclass(frozen=True)
 class SdpSolution:
-    R_ss: TransmitCovariance
+    R_ss: np.ndarray            # Hermitian PSD covariance of trace ``trace_budget``
     objective_value: float
     kkt_residual: float         # duality gap over ||obj||_F * trace budget
     status: str                 # "optimal", "infeasible" (certified) or "max_iters"
@@ -205,7 +185,7 @@ def _max_margin(mats: np.ndarray, b: np.ndarray):
 
 
 def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
-              max_iters: int = 50_000) -> SdpSolution:
+              max_iters: int = 100) -> SdpSolution:
     """Solve the covariance subproblem through its two-multiplier dual.
 
     ``optimal``: each inequality holds within ``tol`` (relative to a positive
@@ -223,7 +203,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
                iterations: int) -> SdpSolution:
         r = s * r_scaled
         return SdpSolution(
-            R_ss=TransmitCovariance(matrix=r, budget=s),
+            R_ss=r,
             objective_value=float(np.vdot(problem.obj, r).real),
             kkt_residual=kkt,
             status=status,

@@ -4,7 +4,8 @@ The oracles that `pimin check` also runs, and the random instances they
 draw, live in :mod:`pimin.selfcheck`. What stays here is used by the tests
 alone: dense rebuilds of the forms and of the power quadratic, an exact
 oracle for the 2x2 covariance subproblem, plain reference loops for the
-manifold solver and the outer iteration, and small generators.
+manifold solver and the outer iteration, the transmit-covariance check, and
+small generators.
 """
 
 import math
@@ -28,6 +29,17 @@ from pimin.sysmodel import beam_products, build_effective_channels
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     a = cplx(rng, n, n)
     return 0.5 * (a + a.conj().T)
+
+
+def assert_covariance(r: np.ndarray, budget: float) -> None:
+    """``r`` is a transmit covariance of trace ``budget``: Hermitian within 1e-10
+    relative (Frobenius), PSD within 1e-8 budget, trace within 1e-6 budget."""
+    asym = np.linalg.norm(r - r.conj().T)
+    assert asym <= 1e-10 * max(np.linalg.norm(r), 1e-300), f"not Hermitian: {asym:.3e}"
+    eig_min = np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min()
+    assert eig_min >= -1e-8 * budget, f"not PSD: min eigenvalue {eig_min:.3e}"
+    trace = np.trace(r).real
+    assert abs(trace - budget) <= 1e-6 * budget, f"trace {trace:.9e} vs budget {budget:.9e}"
 
 
 def random_unit_modulus(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -235,7 +247,7 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, frozen_phi=None):
     pi_trace = []
     converged = False
 
-    evd = hermitian_evd(r_cov.matrix)
+    evd = hermitian_evd(r_cov)
     forms = None
     for _ in range(cfg.n_iter):
         if forms is None:
@@ -252,10 +264,10 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, frozen_phi=None):
         sol = solve_sdp(assemble_p2(beams, scen), max_iters=cfg.sdp_max_iters)
         if sol.status == "optimal":
             r_cov = sol.R_ss
-            evd = hermitian_evd(r_cov.matrix)
+            evd = hermitian_evd(r_cov)
             forms = None
 
-        powers = power_breakdown(beams, r_cov.matrix, scen.sigma_r2_W,
+        powers = power_breakdown(beams, r_cov, scen.sigma_r2_W,
                                  scen.sigma_c2_W, scen.M_r, evd=evd)
         history.append(BccdIteration(**vars(powers), sdp_status=sol.status))
         pi_trace.append(powers.p_pi)

@@ -204,7 +204,7 @@ def test_criterion_6_sdp_correctness():
             trace_budget=budget)
         sol = solve_sdp(prob)
         assert sol.status == "optimal"
-        r = sol.R_ss.matrix
+        r = sol.R_ss
         assert abs(np.trace(r).real - budget) <= 1e-6 * budget
         assert np.linalg.eigvalsh(r).min() >= -1e-8 * budget
         assert np.trace(prob.comm_mat @ r).real \

@@ -14,7 +14,7 @@ from pimin.rcg import (BeamformerState, RcgConfig, precompute_forms, random_stat
 from pimin.scenario import desk_bench_scenario, desk_scenario, generate_channels
 from pimin.sysmodel import build_pi_channel
 
-from helpers import reference_bccd_solve, tiny_scenario
+from helpers import assert_covariance, reference_bccd_solve, tiny_scenario
 
 
 def desk_channels(scen, seed=3):
@@ -24,20 +24,20 @@ def desk_channels(scen, seed=3):
 class TestInitRss:
     def test_scalar_dimension(self, rng):
         r = init_rss(1, 2.5, rng)
-        assert abs(r.matrix[0, 0].real - 2.5) <= 1e-12
-        r.validate()
+        assert abs(r[0, 0].real - 2.5) <= 1e-12
+        assert_covariance(r, 2.5)
 
     def test_trace_and_psd(self, rng):
         for dim in (2, 5, 8):
             r = init_rss(dim, 3.0, rng)
-            assert abs(r.trace - 3.0) <= 1e-12 * 3.0
-            assert np.linalg.eigvalsh(r.matrix).min() >= -1e-12
-            r.validate()
+            assert abs(np.trace(r).real - 3.0) <= 1e-12 * 3.0
+            assert np.linalg.eigvalsh(r).min() >= -1e-12
+            assert_covariance(r, 3.0)
 
     def test_different_seeds_differ(self):
         a = init_rss(4, 1.0, np.random.default_rng(1))
         b = init_rss(4, 1.0, np.random.default_rng(2))
-        assert np.linalg.norm(a.matrix - b.matrix) > 1e-3
+        assert np.linalg.norm(a - b) > 1e-3
 
 
 class TestRelativeChange:
@@ -75,7 +75,7 @@ class TestBccdSolve:
         gen = np.random.default_rng(6)
         r0 = init_rss(scen.L * scen.M_t, scen.P_B, gen)
         x0 = random_state(scen.L * scen.M, scen.N, gen)
-        p_start = power_quadratic(build_pi_channel(ch, x0.phi), x0.w, r0.matrix)
+        p_start = power_quadratic(build_pi_channel(ch, x0.phi), x0.w, r0)
         assert out.final_powers.p_pi <= p_start
 
     @pytest.mark.parametrize("setup", ["joint", "no_ris"])
@@ -129,15 +129,14 @@ class TestBccdSolve:
         b = bccd_solve(cfg, scen, seeded_start(9, scen, ch))
         assert np.max(np.abs(a.w - b.w)) <= 1e-12
         assert np.max(np.abs(a.phi - b.phi)) <= 1e-12
-        assert np.max(np.abs(a.R_ss.matrix - b.R_ss.matrix)) <= 1e-12
+        assert np.max(np.abs(a.R_ss - b.R_ss)) <= 1e-12
         assert [h.p_pi for h in a.history] == [h.p_pi for h in b.history]
 
     def test_final_covariance_invariants(self):
         scen = desk_scenario(seed=10)
         cfg = BccdConfig(n_iter=8)
         out = bccd_solve(cfg, scen, seeded_start(10, scen, desk_channels(scen)))
-        out.R_ss.validate()
-        assert abs(out.R_ss.trace - scen.P_B) <= 1e-6 * scen.P_B
+        assert_covariance(out.R_ss, scen.P_B)
 
     def test_unit_modulus_outputs(self):
         scen = desk_scenario(seed=11)
@@ -156,7 +155,7 @@ class TestBccdSolve:
         assert all(h.sdp_status == "infeasible" for h in out.history)
         gen = np.random.default_rng(12)
         r0 = init_rss(scen.L * scen.M_t, scen.P_B, gen)
-        assert np.max(np.abs(out.R_ss.matrix - r0.matrix)) <= 1e-15
+        assert np.max(np.abs(out.R_ss - r0)) <= 1e-15
 
     def test_kept_covariance_is_decomposed_once(self, monkeypatch):
         # both SDP calls are certified infeasible, so the covariance, its
@@ -306,7 +305,7 @@ def assert_same_result(out, ref):
     """Bit-identical outputs, records, convergence flag and final powers."""
     assert np.array_equal(out.w, ref.w)
     assert np.array_equal(out.phi, ref.phi)
-    assert np.array_equal(out.R_ss.matrix, ref.R_ss.matrix)
+    assert np.array_equal(out.R_ss, ref.R_ss)
     assert out.history == ref.history
     assert out.converged == ref.converged
     assert out.final_powers == ref.final_powers
@@ -434,8 +433,8 @@ class TestIdleRestartSkips:
             r = init_rss(scen.L * scen.M_t, scen.P_B, rng)
             phi = np.zeros(scen.N) if phases == "off" else x.phi
             ac = build_pi_channel(ch, phi)
-            p_pi = power_quadratic(ac, x.w, r.matrix)
-            forms = precompute_forms(hermitian_evd(r.matrix), ch, scen.L)
+            p_pi = power_quadratic(ac, x.w, r)
+            forms = precompute_forms(hermitian_evd(r), ch, scen.L)
             if not optimize_phi:
                 forms, x = forms.fold(phi), BeamformerState(x=x.w, num_bf=x.num_bf)
             g = rcg_solve(forms, x, RcgConfig(max_iters=0)).grad_norm
@@ -463,7 +462,7 @@ class TestIdleRestartSkips:
         start = seeded_start(1, scen, desk_channels(scen, 1))
         bccd_solve(BccdConfig(n_iter=2), scen, start)
         bccd_solve(BccdConfig(n_iter=2), scen, start, frozen_phi=np.zeros(scen.N))
-        for arr in (start.R_ss.matrix, start.evd.eigenvalues, start.evd.eigenvectors,
+        for arr in (start.R_ss, start.evd.eigenvalues, start.evd.eigenvectors,
                     start.evd.clipped_eigenvalues(), start.x.x, start.forms.b, start.forms.c):
             with pytest.raises(ValueError):
                 arr[...] = 0

@@ -125,3 +125,9 @@ class TestLapackWrappers:
     def test_singular_system_raises(self):
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             linalg.solve(np.zeros((3, 3)), np.ones(3))
+
+    @pytest.mark.parametrize("name", ["eigh", "eigvalsh"])
+    def test_nan_matrix_fails_to_converge(self, name):
+        # numpy.linalg raises the same error
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            getattr(linalg, name)(np.full((3, 3), np.nan, dtype=complex))

@@ -445,7 +445,7 @@ def test_desk_bench_solves_stop_at_the_gradient_tolerance(seed):
     ch = generate_channels(scen, np.random.default_rng(seed))
     gen = np.random.default_rng(seed)
     r = init_rss(scen.L * scen.M_t, scen.P_B, gen)
-    forms = precompute_forms(hermitian_evd(r.matrix), ch, scen.L)
+    forms = precompute_forms(hermitian_evd(r), ch, scen.L)
     lm, n = scen.L * scen.M, scen.N
     x0 = random_state(lm, n, gen)
     for kind in ("none", "phases_frozen"):
