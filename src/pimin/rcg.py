@@ -190,20 +190,20 @@ def _kernels(forms: PrecomputedForms):
     ``evaluate(x)`` returns the objective and the terms ``(t, e, conj(w))``
     with ``t[i] = b_i + c_i phi`` and ``e[i] = w^H t[i]``: the terms are one
     ``(terms*LM, N)`` gemv, and the objective is one real dot of ``e`` viewed
-    as float64. The other two kernels read the terms of the same point and
+    as float64. ``linearize(x, terms)`` reads the terms of the same point and
     ``v[k, i] = -(w^H c_i)_k``, one ``(N*terms, LM)`` gemv with ``conj(w)``.
-    ``egrad(x, terms)`` returns the Euclidean gradient
-    ``[2 sum_i conj(e_i) t_i; -2 sum_i e_i conj(v[:, i])]``.
-    ``linearize(x, terms)`` writes ``j`` times the Jacobian of ``e`` in phase
-    coordinates, transposed, into the first ``LM + N`` rows of the complex
-    buffer ``jac`` (row ``k`` of the radar block is ``conj(w_k) t[:, k]``,
-    row ``k`` of the phase block ``phi_k v[k]``) and the scaled residual
-    ``-j e`` into its last row. Viewed as float64, ``jac`` is the real
-    Jacobian ``A`` of ``[Re e; Im e]``, one row of ``2*terms`` per
-    coordinate, over the residual ``r``: ``A A^T = Re(J^H J)``, and
-    ``A r = -grad_theta(f) / 2`` is the right-hand side of the step. With no
-    phase block (folded forms) the terms are ``b`` itself and the kernels
-    skip the empty phase products.
+    It writes ``j`` times the Jacobian of ``e`` in phase coordinates,
+    transposed, into the first ``LM + N`` rows of the complex buffer ``jac``
+    (row ``k`` of the radar block is ``conj(w_k) t[:, k]``, of the phase
+    block ``phi_k v[k]``) and the scaled residual ``-j e`` into its last row.
+    Viewed as float64, ``jac`` is the real Jacobian ``A`` of ``[Re e; Im e]``,
+    one row of ``2*terms`` per coordinate, over the residual ``r``:
+    ``A A^T = Re(J^H J)``, and ``A r = -grad_theta(f) / 2`` is the step's
+    right-hand side. ``egrad(x, terms)`` reads the Euclidean gradient off the
+    rows ``linearize`` wrote at the same unit-modulus ``x``: with
+    ``z = jac[:-1] conj(e)``, it is ``2 w z`` on the radar block and
+    ``-2 phi conj(z)`` on the phase block. With no phase block (folded forms)
+    the terms are ``b`` itself and the kernels skip the empty phase products.
     """
     b = np.asarray(forms.b, dtype=np.complex128)
     c = np.asarray(forms.c, dtype=np.complex128)
@@ -226,14 +226,6 @@ def _kernels(forms: PrecomputedForms):
         v = e.view(np.float64)
         return float(v.dot(v)), (t, e, xw)
 
-    def egrad(x, terms):
-        t, e, xw = terms
-        grad = 2.0 * e.conj().dot(t)
-        if n:
-            v = c_phase.dot(xw).reshape(n, n_terms)
-            grad = np.concatenate([grad, -2.0 * v.conj().dot(e)])
-        return grad
-
     def linearize(x, terms):
         t, e, xw = terms
         np.multiply(t, xw, out=jac_w)
@@ -241,6 +233,11 @@ def _kernels(forms: PrecomputedForms):
             c_phase.dot(xw, out=jac_p_flat)
             np.multiply(jac_p_cols, x[nb:], out=jac_p_cols)
         np.multiply(e, -1j, out=res)
+
+    def egrad(x, terms):
+        z = jac[:-1].dot(terms[1].conj())
+        z[nb:] = -z[nb:].conj()
+        return 2.0 * x * z
 
     return evaluate, egrad, linearize, jac.view(np.float64)
 
@@ -265,11 +262,14 @@ def euclid_grad(x: BeamformerState, forms: PrecomputedForms) -> np.ndarray:
 
     Uses the standard real-inner-product convention for complex variables:
     the directional derivative of the objective along a perturbation ``delta``
-    equals ``Re(grad^H delta)``.
+    equals ``Re(grad^H delta)``. It is read off the Jacobian the solver steps
+    with, so ``x`` must have unit modulus, as every iterate of the solver has.
     """
     _check_state(x, forms)
-    evaluate, egrad = _kernels(forms)[:2]
-    return egrad(x.x, evaluate(x.x)[1])
+    evaluate, egrad, linearize = _kernels(forms)[:3]
+    terms = evaluate(x.x)[1]
+    linearize(x.x, terms)
+    return egrad(x.x, terms)
 
 
 def riem_grad(x: BeamformerState, egrad: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ two inequality multipliers (Vandenberghe & Boyd, SIAM Review 1996)::
 Three trace constraints admit a rank-one optimum (Huang & Palomar, IEEE TSP
 2010), so a minimum eigenvector ``v`` of the dual matrix gives the primal
 answer ``P v v^H``. A point is feasible when each inequality holds within
-``tol``, relative to a positive right-hand side, and every answer carries its
+``TOL``, relative to a positive right-hand side, and every answer carries its
 evidence at that tolerance:
 
 * a spectral certificate declares infeasibility at once when even the best
@@ -24,7 +24,7 @@ evidence at that tolerance:
   interference-nulling one. The uniform covariance on the eigenspace is kept
   when it is feasible, and otherwise mixed with the fewest weight toward the
   max-margin point of the eigenspace;
-* a max-margin point of the whole space that misses by more than ``tol``
+* a max-margin point of the whole space that misses by more than ``TOL``
   proves the two constraints jointly out of reach;
 * otherwise a projected Newton ascent climbs ``g``. Its gradient is
   ``b_i - v^H A_i v`` and its Hessian follows from eigenvalue perturbation.
@@ -52,6 +52,10 @@ from .sysmodel import BeamProducts
 # Eigenvalues of the unit-norm objective within this distance of the smallest
 # span the minimum eigenspace searched at zero multipliers.
 EIG_CLUSTER = 1e-10
+
+# The feasibility tolerance, relative to each positive right-hand side, and
+# the duality gap that certifies an optimum, relative to the objective.
+TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +102,8 @@ class SdpProblem:
 class SdpSolution:
     R_ss: np.ndarray            # Hermitian PSD covariance of trace ``trace_budget``
     objective_value: float
-    kkt_residual: float         # duality gap over ||obj||_F * trace budget
+    kkt_residual: float         # duality gap over ||obj||_F * trace budget, >= 0; inf when
+                                # R_ss misses a constraint by more than TOL
     status: str                 # "optimal", "infeasible" (certified) or "max_iters"
     constraint_violation: float  # worst shortfall, relative to each rhs > 0 (infeasible: proven)
     iterations: int             # dual evaluations; 0 for a spectral or zero-matrix certificate
@@ -184,12 +189,11 @@ def _max_margin(mats: np.ndarray, b: np.ndarray):
     return y_mat, best[1], best[0]
 
 
-def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
-              max_iters: int = 100) -> SdpSolution:
+def solve_sdp(problem: SdpProblem, max_iters: int = 100) -> SdpSolution:
     """Solve the covariance subproblem through its two-multiplier dual.
 
-    ``optimal``: each inequality holds within ``tol`` (relative to a positive
-    right-hand side) and the duality gap is at most ``tol`` relative to the
+    ``optimal``: each inequality holds within ``TOL`` (relative to a positive
+    right-hand side) and the duality gap is at most ``TOL`` relative to the
     objective. ``infeasible``: a certificate proves that every point falls
     short by at least ``constraint_violation``. ``max_iters``: the last primal
     point, after ``max_iters`` dual evaluations or an ascent stalled at
@@ -199,13 +203,14 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
     n, s = problem.dim, problem.trace_budget
 
-    def finish(r_scaled: np.ndarray, status: str, kkt: float, violation: float,
+    def finish(r_scaled: np.ndarray, status: str, gap: float, violation: float,
                iterations: int) -> SdpSolution:
         r = s * r_scaled
         return SdpSolution(
             R_ss=r,
             objective_value=float(np.vdot(problem.obj, r).real),
-            kkt_residual=kkt,
+            # a gap at a point that misses a constraint bounds nothing
+            kkt_residual=max(gap, 0.0) if violation <= TOL else np.inf,
             status=status,
             constraint_violation=violation,
             iterations=iterations,
@@ -241,7 +246,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
 
     # Spectral certificate: every Y has <A_i, Y> <= lambda_max(A_i).
     worst_gap = shortfall(eigvalsh(a)[:, -1])
-    if worst_gap > tol:
+    if worst_gap > TOL:
         return infeasible(worst_gap, 0)
 
     # Iteration 1, mu = 0: any feasible point of the minimum eigenspace E of C
@@ -260,14 +265,13 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         x = (1.0 - min(beta, 1.0)) * x + min(beta, 1.0) * y_mat
     r = e @ x @ e.conj().T
     violation = shortfall(np.einsum("mij,ji->m", a, r).real)
-    if violation <= tol:
-        return finish(r, "optimal", max(float(np.vdot(c, r).real) - lam_c[0], 0.0),
-                      violation, 1)
+    if violation <= TOL:
+        return finish(r, "optimal", float(np.vdot(c, r).real) - lam_c[0], violation, 1)
 
     # Every Y has some margin <A_i, Y> - b_i <= h: a shortfall of -h / scale.
     _, _, h = _max_margin(a, b)
     scale = float(rel.max())
-    if h < -tol * scale:
+    if h < -TOL * scale:
         return infeasible(-h / scale, 1)
 
     # Projected Newton ascent on g from mu = 0 (each evaluation counts once).
@@ -297,7 +301,7 @@ def solve_sdp(problem: SdpProblem, tol: float = 1e-7,
         r = np.outer(y, y.conj())
         primal = float(lam[0] + mu @ vals)
         gap = primal - g
-        if violation <= tol and gap <= tol * abs(primal):
+        if violation <= TOL and gap <= TOL * abs(primal):
             return finish(r, "optimal", gap, violation, it)
 
         # Hessian by eigenvalue perturbation: negative semidefinite.

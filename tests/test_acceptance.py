@@ -9,20 +9,19 @@ orderings instead.
 import time
 
 import numpy as np
-import pytest
 
 from pimin.bccd import BccdConfig, bccd_solve, relative_change, seeded_start
 from pimin.bench import Method, SweepSpec, run_sweep, run_trial
-from pimin.linalg import hermitian_evd, kron_identity_apply
-from pimin.metrics import adc_snr, power_noise, power_quadratic
-from pimin.rcg import (PrecomputedForms, RcgConfig, euclid_grad, objective,
-                       precompute_forms, random_state, rcg_solve, riem_grad)
+from pimin.linalg import hermitian_evd
+from pimin.metrics import adc_snr, power_noise
+from pimin.rcg import PrecomputedForms, RcgConfig, precompute_forms, random_state, rcg_solve
 from pimin.scenario import (ScenarioConfig, desk_bench_scenario,
                             desk_scenario, dbm_to_watt, generate_channels)
 from pimin.sdp import SdpProblem, solve_sdp
-from pimin.sysmodel import build_pi_channel
 
-from pimin.selfcheck import cplx, random_forms, random_psd, sample_feasible_points
+from pimin.selfcheck import (gradient_error, kron_error, manifold_errors, random_forms,
+                             random_psd, random_sdp_problem, reduced_objective_error,
+                             sample_feasible_points)
 
 from helpers import random_unit_modulus, sdp2_exact_oracle
 
@@ -57,12 +56,7 @@ def test_criterion_1_reduced_objective_equivalence():
             scen = desk_scenario(M_t=scen.M_t, M=scen.M, M_r=scen.M_r,
                                  L=scen.L, N_x=2, N_y=2, seed=scen.seed)
         ch = generate_channels(scen, np.random.default_rng(scen.seed))
-        r = random_psd(gen, scen.L * scen.M_t, trace=scen.P_B)
-        forms = precompute_forms(hermitian_evd(r), ch, scen.L)
-        x = random_state(scen.L * scen.M, scen.N, gen)
-        reduced = objective(x, forms)
-        direct = power_quadratic(build_pi_channel(ch, x.phi), x.w, r)
-        worst = max(worst, abs(reduced - direct) / max(direct, 1e-300))
+        worst = max(worst, reduced_objective_error(scen, ch, gen))
     assert worst <= 1e-10
     report("criterion 1 (reduced-objective equivalence)",
            f"100 instances, worst relative error {worst:.2e}",
@@ -71,15 +65,8 @@ def test_criterion_1_reduced_objective_equivalence():
 
 def test_criterion_2_kron_structure_oracle():
     start = time.perf_counter()
-    worst = 0.0
     gen = np.random.default_rng(202)
-    for _ in range(100):
-        a, b, blocks = (int(v) for v in gen.integers(1, 7, size=3))
-        h = cplx(gen, a, b)
-        v = cplx(gen, blocks * b)
-        dense = np.kron(np.eye(blocks), h) @ v
-        worst = max(worst, float(np.max(np.abs(
-            kron_identity_apply(h, v, blocks) - dense))))
+    worst = max(kron_error(gen) for _ in range(5))     # 20 instances each
     assert worst <= 1e-12
     report("criterion 2 (identity-Kronecker product oracle)",
            f"100 instances, worst entry error {worst:.2e}",
@@ -88,25 +75,7 @@ def test_criterion_2_kron_structure_oracle():
 
 def test_criterion_3_gradient_correctness():
     start = time.perf_counter()
-    worst = 0.0
-    gen = np.random.default_rng(303)
-    checked = 0
-    while checked < 50:
-        lm, n = int(gen.integers(1, 7)), int(gen.integers(1, 7))
-        forms = random_forms(gen, int(gen.integers(1, 7)), lm, n)
-        x = random_state(lm, n, gen)
-        delta = cplx(gen, lm + n)
-        g = euclid_grad(x, forms)
-        h = 1e-6
-        from pimin.rcg import BeamformerState
-        f_p = objective(BeamformerState(x=x.x + h * delta, num_bf=lm), forms)
-        f_m = objective(BeamformerState(x=x.x - h * delta, num_bf=lm), forms)
-        fd = (f_p - f_m) / (2.0 * h)
-        analytic = float(np.real(np.vdot(g, delta)))
-        if abs(fd) < 1e-3:      # keep the relative comparison well posed
-            continue
-        worst = max(worst, abs(fd - analytic) / abs(fd))
-        checked += 1
+    worst = gradient_error(np.random.default_rng(303), 50)
     assert worst <= 1e-6
     report("criterion 3 (gradient vs finite differences)",
            f"50 instances, worst relative error {worst:.2e}",
@@ -115,8 +84,8 @@ def test_criterion_3_gradient_correctness():
 
 def test_criterion_4_manifold_invariants():
     start = time.perf_counter()
-    worst_mod, worst_tan, worst_rise = 0.0, 0.0, -np.inf
     gen = np.random.default_rng(404)
+    runs = []
     for run in range(10):
         if run % 2 == 0:
             forms = random_forms(gen, int(gen.integers(2, 6)),
@@ -128,21 +97,10 @@ def test_criterion_4_manifold_invariants():
             r = random_psd(gen, scen.L * scen.M_t, trace=scen.P_B)
             forms = precompute_forms(hermitian_evd(r), ch, scen.L)
             lm, n = scen.L * scen.M, scen.N
-        x0 = random_state(lm, n, gen)
-        stats = []
-
-        def watch(x, g, d):
-            stats.append((
-                x.max_modulus_error(),
-                float(np.max(np.abs(np.real(g * x.x.conj())))),
-                float(np.max(np.abs(np.real(d * x.x.conj())))),
-            ))
-
-        out = rcg_solve(forms, x0, RcgConfig(max_iters=200), callback=watch)
-        assert stats, "solver made no accepted steps"
-        worst_mod = max(worst_mod, max(s[0] for s in stats))
-        worst_tan = max(worst_tan, max(max(s[1], s[2]) for s in stats))
-        worst_rise = max(worst_rise, float(np.max(np.diff(out.history))))
+        runs.append(manifold_errors(forms, random_state(lm, n, gen), 200)[:4])
+    # a run that takes no step reads NaN, which fails every bound
+    worst_mod, grad_tan, step_tan, worst_rise = np.max(runs, axis=0)
+    worst_tan = max(grad_tan, step_tan)
     assert worst_mod <= 1e-12
     assert worst_tan <= 1e-10
     assert worst_rise <= 1e-12
@@ -187,21 +145,8 @@ def test_criterion_6_sdp_correctness():
 
     worst_rel, dominance_checked = 0.0, 0
     for k in range(20):
-        h = cplx(gen, 2, 2)
-        obj = h.conj().T @ h          # full rank keeps the optimum off zero
-        c1 = cplx(gen, 2, 2)
-        c1 = c1.conj().T @ c1 + 0.5 * np.eye(2)
-        c2 = cplx(gen, 2, 2)
-        c2 = 0.5 * (c2 + c2.conj().T)
-        budget = float(gen.uniform(0.5, 3.0))
-        witness = random_psd(gen, 2, trace=budget)
-        prob = SdpProblem(
-            dim=2, obj=obj, comm_mat=c1,
-            comm_rhs=0.7 * float(np.trace(c1 @ witness).real),
-            sense_mat=c2,
-            sense_rhs=float(np.trace(c2 @ witness).real)
-            - 0.3 * abs(float(np.trace(c2 @ witness).real)) - 0.1,
-            trace_budget=budget)
+        prob = random_sdp_problem(gen, 2)    # full-rank objective: optimum off zero
+        budget = prob.trace_budget
         sol = solve_sdp(prob)
         assert sol.status == "optimal"
         r = sol.R_ss

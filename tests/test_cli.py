@@ -267,8 +267,8 @@ class TestCheck:
         assert failed == ["FAIL euclidean_gradient_matches_finite_difference"]
 
     def test_wrong_jacobian_fails_the_manifold_check(self, capsys, monkeypatch):
-        # the LM steps with the Jacobian that linearize writes, not with
-        # euclid_grad: a flipped residual leaves the gradient check passing
+        # the gradient is read off the Jacobian rows, not off the residual row
+        # the LM also steps with: a flipped residual leaves the gradient check passing
         from pimin import rcg
         kernels = rcg._kernels
 
@@ -285,6 +285,28 @@ class TestCheck:
         failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
                   if line.startswith("FAIL")]
         assert failed == ["FAIL manifold_iterates_and_descent"]
+
+    def test_phase_rows_without_phi_fail_both_gradient_checks(self, capsys, monkeypatch):
+        # linearize writes phi_k v[k] on the phase rows; without the phi factor
+        # both the LM's steps and the gradient read off those rows are wrong
+        from pimin import rcg
+        kernels = rcg._kernels
+
+        def no_phi_factor(forms):
+            evaluate, egrad, linearize, a_res = kernels(forms)
+            phase_rows = a_res.view(np.complex128)[forms.num_bf:-1]
+
+            def linearize_without_phi(x, terms):
+                linearize(x, terms)
+                phase_rows[:] = phase_rows * x[forms.num_bf:, None].conj()
+            return evaluate, egrad, linearize_without_phi, a_res
+
+        monkeypatch.setattr(rcg, "_kernels", no_phi_factor)
+        assert main(["check"]) == 3
+        failed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed == ["FAIL euclidean_gradient_matches_finite_difference",
+                          "FAIL manifold_iterates_and_descent"]
 
     def test_wrong_triangle_fails_the_lapack_check(self, capsys, monkeypatch):
         # eigenvectors read from the upper triangle are as valid, so only the

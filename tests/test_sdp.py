@@ -7,7 +7,7 @@ import pytest
 from pimin.errors import DomainError, HermitianError
 from pimin.metrics import comm_snr, power_quadratic
 from pimin.scenario import generate_channels
-from pimin.sdp import SdpProblem, assemble_p2, solve_sdp
+from pimin.sdp import TOL, SdpProblem, assemble_p2, solve_sdp
 from pimin.sysmodel import beam_products, build_effective_channels
 
 from pimin.selfcheck import cplx, random_psd, random_sdp_problem, sample_feasible_points
@@ -41,6 +41,14 @@ def dependent_constraints_problem():
     e2 = np.diag([0.0, 1.0]).astype(complex)
     return SdpProblem(dim=2, obj=np.eye(2, dtype=complex), comm_mat=e1,
                       comm_rhs=0.9, sense_mat=e2, sense_rhs=0.9, trace_budget=1.0)
+
+
+def diagonal_problem(obj_diag):
+    """A diagonal objective under ``diag(1, 0)`` and ``I``: the dual's minimum
+    eigenvalue repeats, where the ascent can stall."""
+    return SdpProblem(dim=2, obj=np.diag(obj_diag).astype(complex),
+                      comm_mat=np.diag([1.0, 0.0]).astype(complex), comm_rhs=0.3,
+                      sense_mat=np.eye(2, dtype=complex), sense_rhs=0.5, trace_budget=1.0)
 
 
 def contradictory_problem():
@@ -289,31 +297,20 @@ class TestSolveSdp:
                        comm_rhs=0.8, sense_mat=e1, sense_rhs=0.9, trace_budget=1.0)
         assert solve_sdp(p).status == "infeasible"
 
-    @staticmethod
-    def capped_problem(rng):
-        """A feasible 3x3 instance that a tolerance of 1e-12 keeps iterating."""
-        h = cplx(rng, 3, 3)
-        c1 = cplx(rng, 3, 3)
-        c1 = c1.conj().T @ c1 + 0.5 * np.eye(3)
-        witness = random_psd(rng, 3, trace=1.0)
-        return SdpProblem(dim=3, obj=h.conj().T @ h, comm_mat=c1,
-                          comm_rhs=0.7 * float(np.trace(c1 @ witness).real),
-                          sense_mat=np.zeros((3, 3), dtype=complex), sense_rhs=0.0,
-                          trace_budget=1.0)
-
-    def test_exhausted_budget_returns_best_iterate(self, rng):
-        sol = solve_sdp(self.capped_problem(rng), tol=1e-12, max_iters=5)
+    def test_exhausted_budget_returns_best_iterate(self):
+        sol = solve_sdp(diagonal_problem([2.0, 1.0]), max_iters=5)
         assert sol.status == "max_iters"
         assert sol.iterations == 5
         assert_covariance(sol.R_ss, 1.0)    # the best iterate still honors trace and cone
+        assert sol.constraint_violation > 0.0 and sol.kkt_residual == np.inf
 
     @pytest.mark.parametrize("cap", [0, -5])
-    def test_cap_below_one_rejected(self, rng, cap):
+    def test_cap_below_one_rejected(self, cap):
         with pytest.raises(DomainError, match="max_iters"):
-            solve_sdp(self.capped_problem(rng), max_iters=cap)
+            solve_sdp(diagonal_problem([2.0, 1.0]), max_iters=cap)
 
-    def test_cap_of_one_reports_the_first_evaluation(self, rng):
-        sol = solve_sdp(self.capped_problem(rng), tol=1e-12, max_iters=1)
+    def test_cap_of_one_reports_the_first_evaluation(self):
+        sol = solve_sdp(diagonal_problem([2.0, 1.0]), max_iters=1)
         assert sol.status == "max_iters"
         assert sol.iterations == 1
 
@@ -473,7 +470,8 @@ class TestDualCertificates:
     def test_stalled_ascent_is_honest_and_short(self):
         # an objective parallel to a constraint, or a diagonal problem, gives
         # the dual a repeated minimum eigenvalue, where the ascent can stall:
-        # it must then say max_iters, and within the default cap
+        # it must then say max_iters, and within the default cap; a stalled
+        # point that misses a constraint has no duality gap to report
         gen = np.random.default_rng(5)
         problems = []
         for _ in range(30):
@@ -482,11 +480,7 @@ class TestDualCertificates:
             b1, b2 = gen.standard_normal(2)
             problems.append(SdpProblem(dim=2, obj=c1 + 3.0 * np.eye(2), comm_mat=c1, comm_rhs=b1,
                                        sense_mat=c2, sense_rhs=b2, trace_budget=1.0))
-        for obj in (np.diag([1.0, 0.0]), np.diag([2.0, 1.0])):
-            problems.append(SdpProblem(dim=2, obj=obj.astype(complex),
-                                       comm_mat=np.diag([1.0, 0.0]).astype(complex), comm_rhs=0.3,
-                                       sense_mat=np.eye(2, dtype=complex), sense_rhs=0.5,
-                                       trace_budget=1.0))
+        problems += [diagonal_problem([1.0, 0.0]), diagonal_problem([2.0, 1.0])]
         start = time.perf_counter()
         for prob in problems:
             exact = sdp2_exact_oracle(prob)
@@ -497,6 +491,8 @@ class TestDualCertificates:
                 assert abs(sol.objective_value - exact) <= 1e-6 * max(1.0, abs(exact))
             else:
                 assert sol.status == "max_iters" and sol.iterations <= 100
+            missed = sol.status == "infeasible" or sol.constraint_violation > TOL
+            assert sol.kkt_residual >= 0.0 and np.isinf(sol.kkt_residual) == missed
         assert time.perf_counter() - start < 5.0
 
 
