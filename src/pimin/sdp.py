@@ -10,32 +10,22 @@ two inequality multipliers (Vandenberghe & Boyd, SIAM Review 1996)::
 
     max_{mu >= 0}  g(mu) = P * lambda_min(C - mu_1 A_1 - mu_2 A_2) + mu . b
 
-Three trace constraints admit a rank-one optimum (Huang & Palomar, IEEE TSP
-2010), so a minimum eigenvector ``v`` of the dual matrix gives the primal
-answer ``P v v^H``. A point is feasible when each inequality holds within
-``TOL``, relative to a positive right-hand side, and every answer carries its
-evidence at that tolerance:
+Its minimum eigenvectors give the primal points, mixed where the eigenvalue
+repeats (a kink of ``g``). Each inequality must hold within ``TOL``, relative
+to a positive right-hand side, and every answer carries its evidence:
 
-* a spectral certificate declares infeasibility at once when even the best
-  rank-one covariance cannot reach a right-hand side;
-* the dual is first read at ``mu = 0``: any feasible point in the minimum
-  eigenspace of ``C`` is optimal. The objective that ``assemble_p2`` builds is
-  rank one, so this eigenspace is its null space and the answer is the
-  interference-nulling one. The uniform covariance on the eigenspace is kept
-  when it is feasible, and otherwise mixed with the fewest weight toward the
-  max-margin point of the eigenspace;
+* a spectral certificate proves infeasibility when even the best rank-one
+  covariance cannot reach a right-hand side;
+* at ``mu = 0`` any feasible point of the minimum eigenspace of ``C`` (for
+  ``assemble_p2``'s rank-one objective, its null space) is optimal: the
+  uniform one, or else its least mix toward the eigenspace's max-margin point;
 * a max-margin point of the whole space that misses by more than ``TOL``
-  proves the two constraints jointly out of reach;
-* otherwise a projected Newton ascent climbs ``g``. Its gradient is
-  ``b_i - v^H A_i v`` and its Hessian follows from eigenvalue perturbation.
-  The duality gap ``<C, P v v^H> - g(mu)`` certifies optimality, and by weak
-  duality any ``g(mu)`` above ``P * lambda_max(C)`` certifies infeasibility.
+  proves the constraints jointly infeasible; else its margin bounds ``mu``;
+* otherwise nested line searches over the two multipliers maximize ``g``, and
+  the duality gap certifies the optimum. ``_line_max`` runs every search.
 
-The public contract stays complex Hermitian; problems are scaled internally
-to unit trace and unit-norm coefficient matrices for conditioning. An
-``SdpProblem`` built by its constructor is checked and stores the Hermitian
-part of each matrix; ``assemble_p2`` builds those parts itself and skips the
-checks.
+Problems are scaled internally to unit trace and unit-norm coefficients. The
+constructor checks an ``SdpProblem``; ``assemble_p2`` builds one unchecked.
 """
 
 from __future__ import annotations
@@ -45,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .linalg import _frobenius, _hermitian_part, check_hermitian, eigh, eigvalsh, solve
+from .linalg import _frobenius, _hermitian_part, check_hermitian, eigh, eigvalsh
 from .scenario import ScenarioConfig
 from .sysmodel import BeamProducts
 
@@ -100,7 +90,7 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    R_ss: np.ndarray            # Hermitian PSD covariance of trace ``trace_budget``
+    R_ss: np.ndarray            # PSD, trace trace_budget; rank 1, up to 4 at kinks, any at mu = 0
     objective_value: float
     kkt_residual: float         # duality gap over ||obj||_F * trace budget, >= 0; inf when
                                 # R_ss misses a constraint by more than TOL
@@ -149,44 +139,60 @@ def assemble_p2(beams: BeamProducts, cfg: ScenarioConfig) -> SdpProblem:
 # Solver (scaled units: trace 1, unit-norm coefficient matrices)
 # ---------------------------------------------------------------------------
 
-def _max_margin(mats: np.ndarray, b: np.ndarray):
-    """Trace-one PSD ``Y`` maximizing ``min_i <A_i, Y> - b_i``.
+def _line_max(evaluate, t: float, hi: float, tol: float, feas: float = np.inf):
+    """Maximize a concave ``phi`` over ``[0, hi]`` from ``t``, kinks included.
 
-    The maximum equals the minimum over ``d = (theta, 1 - theta)`` of the
-    convex ``h(d) = lambda_max(d . A) - d . b``, searched by safeguarded
-    Newton steps on ``h'``; the top eigenvectors at the bracket's ends are
-    then mixed so that both margins agree. Returns ``Y``, the weights ``d``
-    of the least ``h`` met, and that ``h``: ``h < 0`` proves that no point of
-    the space meets both constraints.
+    ``evaluate(t)`` gives ``(low, p, s, curv, y)``, or None past its budget:
+    ``low <= phi(t)``, a primal point ``y`` whose line ``p + s u`` is ``low`` at
+    ``t`` and bounds ``phi`` above, and ``phi''(t)`` or 0. As ``s`` is linear in
+    ``y``, the bracket's ends mix into a point of slope 0: the answer at a kink.
+    A point with ``s <= feas`` is accepted when its line, plus ``hi`` times a
+    positive ``s`` (the box's exact penalty), is within ``tol * |p|`` of the best
+    ``low``. Steps are Newton's unless they leave the bracket or the last did not
+    halve the slope; else the meeting point of the ends' lines, superlinear at a
+    kink, or the far end. Returns the last pick (None if none) and the best ``low``.
     """
-    theta, lo, hi, best = 1.0, None, None, (np.inf, b)
-    for _ in range(64):
+    lo = up = pick = None   # bracket ends (t, p, s, y) with s > 0 and with s < 0
+    best, newton, s = -np.inf, False, 0.0
+    while (out := evaluate(t)) is not None:
+        last, (low, p, s, curv, y) = s, out
+        best = max(best, low)
+        if s != 0.0:
+            lo, up = ((t, p, s, y), up) if s > 0.0 else (lo, (t, p, s, y))
+        picks = [(p, s, y)]
+        if lo and up:
+            w = lo[2] / (lo[2] - up[2])
+            picks.append(((1.0 - w) * lo[1] + w * up[1], 0.0, (1.0 - w) * lo[3] + w * up[3]))
+        gaps = [max(q - best, 0.0) + hi * max(r, 0.0) - tol * abs(q) if r <= feas else np.inf
+                for q, r, _ in picks]
+        a, z = lo[0] if lo else 0.0, up[0] if up else hi
+        newton = curv < 0.0 and not (newton and abs(s) > 0.5 * abs(last))
+        nxt = t - s / curv if newton else np.nan
+        if not a < nxt < z and lo and up:   # exact lines meet inside; clip round-off
+            nxt = min(max((up[1] - lo[1]) / (lo[2] - up[2]), a), z)
+        elif not a < nxt < z:
+            nxt = z if s > 0.0 else a
+        pick = picks[0 if gaps[0] <= 0.0 else int(np.argmin(gaps))][2]  # rank one first
+        if min(gaps) <= 0.0 or nxt == t:
+            break
+        t = nxt
+    return pick, best
+
+
+def _max_margin(mats: np.ndarray, b: np.ndarray):
+    """Trace-one PSD ``Y`` maximizing ``min_i <A_i, Y> - b_i``, and ``miss``: minus
+    the least ``h(d) = lambda_max(d . A) - d . b`` met over ``d = (theta, 1 - theta)``
+    from ``theta = 1``. Every point misses some constraint by at least ``miss``."""
+    def evaluate(theta: float):
         d = np.array([theta, 1.0 - theta])[:len(b)]
         lam, v = eigh(np.tensordot(d, mats, axes=1))
-        y = v[:, -1]
-        ay = mats @ y
-        margins = (ay @ y.conj()).real - b
-        h, slope = float(lam[-1] - d @ b), float(margins[0] - margins[-1])
-        best = min(best, (h, d), key=lambda t: t[0])
-        if h < 0.0 or (theta == 1.0 and slope <= 0.0) or (theta == 0.0 and slope >= 0.0):
-            return np.outer(y, y.conj()), d, h
-        if slope < 0.0:
-            lo = (theta, slope, y)
-        else:
-            hi = (theta, slope, y)
-        if lo is None:
-            theta = 0.0
-            continue
-        if hi[0] - lo[0] <= 1e-15 or abs(slope) <= 1e-15:
-            break
-        dy = v[:, :-1].conj().T @ (ay[0] - ay[1])
-        curv = 2.0 * np.sum(np.abs(dy) ** 2 / np.maximum(lam[-1] - lam[:-1], 1e-300))
-        theta = theta - slope / curv if curv > 0.0 else -1.0
-        if not lo[0] < theta < hi[0]:
-            theta = 0.5 * (lo[0] + hi[0])
-    mix = hi[1] / (hi[1] - lo[1])
-    y_mat = mix * np.outer(lo[2], lo[2].conj()) + (1.0 - mix) * np.outer(hi[2], hi[2].conj())
-    return y_mat, best[1], best[0]
+        ay = mats @ v[:, -1]
+        m = (ay @ v[:, -1].conj()).real - b
+        dy = v[:, :-1].conj().T @ (ay[0] - ay[-1])
+        curv = -2.0 * np.sum(np.abs(dy) ** 2 / np.maximum(lam[-1] - lam[:-1], 1e-150))
+        return d @ b - lam[-1], -m[-1], m[-1] - m[0], curv, np.outer(v[:, -1], v[:, -1].conj())
+
+    return _line_max(evaluate, 1.0, 1.0, 1e-12)
 
 
 def solve_sdp(problem: SdpProblem, max_iters: int = 100) -> SdpSolution:
@@ -195,9 +201,8 @@ def solve_sdp(problem: SdpProblem, max_iters: int = 100) -> SdpSolution:
     ``optimal``: each inequality holds within ``TOL`` (relative to a positive
     right-hand side) and the duality gap is at most ``TOL`` relative to the
     objective. ``infeasible``: a certificate proves that every point falls
-    short by at least ``constraint_violation``. ``max_iters``: the last primal
-    point, after ``max_iters`` dual evaluations or an ascent stalled at
-    round-off.
+    short by at least ``constraint_violation``. ``max_iters``: the search's
+    best point after ``max_iters`` dual evaluations, or once it has no step.
     """
     if max_iters < 1:
         raise DomainError(f"max_iters must be >= 1, got {max_iters}")
@@ -206,15 +211,10 @@ def solve_sdp(problem: SdpProblem, max_iters: int = 100) -> SdpSolution:
     def finish(r_scaled: np.ndarray, status: str, gap: float, violation: float,
                iterations: int) -> SdpSolution:
         r = s * r_scaled
-        return SdpSolution(
-            R_ss=r,
-            objective_value=float(np.vdot(problem.obj, r).real),
-            # a gap at a point that misses a constraint bounds nothing
-            kkt_residual=max(gap, 0.0) if violation <= TOL else np.inf,
-            status=status,
-            constraint_violation=violation,
-            iterations=iterations,
-        )
+        return SdpSolution(R_ss=r, objective_value=float(np.vdot(problem.obj, r).real),
+                           # a gap at a point that misses a constraint bounds nothing
+                           kkt_residual=max(gap, 0.0) if violation <= TOL else np.inf,
+                           status=status, constraint_violation=violation, iterations=iterations)
 
     def infeasible(violation: float, iterations: int) -> SdpSolution:
         """The uniform covariance, with a certified shortfall."""
@@ -222,10 +222,8 @@ def solve_sdp(problem: SdpProblem, max_iters: int = 100) -> SdpSolution:
                       iterations)
 
     # Scale: R = s * R_tilde with trace(R_tilde) = 1; unit-norm coefficients.
-    mats: list[np.ndarray] = []
-    rhs: list[float] = []
-    for mat, b in ((problem.comm_mat, problem.comm_rhs),
-                   (problem.sense_mat, problem.sense_rhs)):
+    mats, rhs = [], []
+    for mat, b in ((problem.comm_mat, problem.comm_rhs), (problem.sense_mat, problem.sense_rhs)):
         f = _frobenius(mat)
         if f == 0.0:
             if b > 0.0:
@@ -256,9 +254,8 @@ def solve_sdp(problem: SdpProblem, max_iters: int = 100) -> SdpSolution:
     red = e.conj().T @ a @ e
     x = np.eye(e.shape[1]) / e.shape[1]
     margin = np.einsum("mii->m", red).real / e.shape[1] - b
-    step = np.zeros(len(b))
     if (margin < 0.0).any():
-        y_mat, step, _ = _max_margin(red, b)
+        y_mat, _ = _max_margin(red, b)
         y_margin = np.einsum("mij,ji->m", red, y_mat).real - b
         beta = np.max(margin / np.minimum(margin - y_margin, -1e-300),
                       where=margin < 0.0, initial=0.0)
@@ -268,49 +265,52 @@ def solve_sdp(problem: SdpProblem, max_iters: int = 100) -> SdpSolution:
     if violation <= TOL:
         return finish(r, "optimal", float(np.vdot(c, r).real) - lam_c[0], violation, 1)
 
-    # Every Y has some margin <A_i, Y> - b_i <= h: a shortfall of -h / scale.
-    _, _, h = _max_margin(a, b)
+    # Every Y has some margin <A_i, Y> - b_i <= -miss: a shortfall of miss / scale.
+    y0, miss = _max_margin(a, b)
     scale = float(rel.max())
-    if h < -TOL * scale:
-        return infeasible(-h / scale, 1)
+    if miss > TOL * scale:
+        return infeasible(float(miss) / scale, 1)
 
-    # Projected Newton ascent on g from mu = 0 (each evaluation counts once).
-    mu, g, gap = np.zeros(len(b)), float(lam_c[0]), np.inf
-    for it in range(2, max_iters + 1):
-        t = 1.0
-        for _ in range(60):
-            trial = np.maximum(mu + t * step, 0.0)
-            lam, v = eigh(c - np.tensordot(trial, a, axes=1))
-            g_trial = float(lam[0] + trial @ b)
-            if g_trial >= g - 1e-14 * (1.0 + trial.sum()):    # g's round-off
-                break
-            t *= 0.5
-        else:
-            trial = mu
-        if np.array_equal(trial, mu):
-            return finish(r, "max_iters", gap, violation, it - 1)
-        mu, g = trial, g_trial
-        y = v[:, 0]
-        ay = a @ y
-        vals = (ay @ y.conj()).real
-        violation = shortfall(vals)
-        # weak duality: every Y has sum_i mu_i (<A_i, Y> - b_i) <= -excess
-        excess = g - lam_c[-1]
-        if excess > 1e-14 * (1.0 + mu.sum()):    # g's round-off
-            return infeasible(excess / (mu.sum() * scale), it)
-        r = np.outer(y, y.conj())
-        primal = float(lam[0] + mu @ vals)
-        gap = primal - g
-        if violation <= TOL and gap <= TOL * abs(primal):
-            return finish(r, "optimal", gap, violation, it)
+    # Weak duality at y0, whose margins are at least m0 > 0: g(mu) <= lambda_max(C)
+    # - m0 sum(mu), and g >= lambda_min(C) at the optimum, so no optimal multiplier
+    # exceeds `bound`. Where no point clears the constraints by TOL * scale they
+    # can be unbounded: m0 is then TOL * scale, and an answer cut short reads max_iters.
+    m0 = max(float((np.einsum("mij,ji->m", a, y0).real - b).min()), TOL * scale)
+    bound = (lam_c[-1] - lam_c[0]) / m0
 
-        # Hessian by eigenvalue perturbation: negative semidefinite.
-        grad = b - vals
-        w = v[:, 1:].conj().T @ ay.T
-        hess = 2.0 * (w.conj().T @ (w / np.minimum(lam[0] - lam[1:], -1e-300)[:, None])).real
-        free = (mu > 0.0) | (grad > 0.0)
-        neg = -hess[np.ix_(free, free)]
-        step = np.zeros(len(b))
-        reg = 1e-12 * np.trace(neg) + 1e-15
-        step[free] = solve(neg + reg * np.eye(len(neg)), grad[free])
-    return finish(r, "max_iters", gap, violation, max_iters)
+    # Nested line searches, over mu_1 at each mu_0: psi(mu_0) = max_{mu_1} g is concave with
+    # slope b_0 - <A_0, Y> at the inner answer Y (envelope theorem). They aim 1e-14 inside each
+    # constraint, past <A_i, Y>'s round-off, so a tight one holds relative to a tiny b_i.
+    mu, hess, evals, g_best = np.zeros(len(b)), np.zeros((len(b), len(b))), 0, float(lam_c[0])
+    bs = b + 1e-14
+
+    def dual(t: float):
+        """g's line in the last multiplier at ``t``, None past the cap; its Hessian."""
+        nonlocal evals, hess, g_best
+        if evals == max_iters:
+            return None
+        mu[-1], evals = t, evals + 1    # the first, at mu = 0, is the read above
+        lam, v = eigh(c - np.tensordot(mu, a, axes=1)) if evals > 1 else (lam_c, vec_c)
+        ay = a @ v[:, 0]
+        grad = bs - (ay @ v[:, 0].conj()).real
+        w = v[:, 1:].conj().T @ ay.T     # eigenvalue perturbation
+        hess = 2.0 * (w.conj().T @ (w / np.minimum(lam[0] - lam[1:], -1e-150)[:, None])).real
+        g, g_best = float(lam[0] + mu @ bs), max(g_best, float(lam[0] + mu @ b))
+        return g, g - t * grad[-1], grad[-1], hess[-1, -1], np.outer(v[:, 0], v[:, 0].conj())
+
+    def psi(t: float):
+        """The inner search at mu_0 = t, from its optimum's predicted move."""
+        start = mu[1] - (hess[0, 1] / hess[1, 1] * (t - mu[0]) if hess[1, 1] < 0.0 else 0.0)
+        mu[0] = t
+        y, low = _line_max(dual, min(max(start, 0.0), bound), bound, TOL / 4, TOL / 4 * rel[1])
+        if y is None:
+            return None
+        h = hess    # psi'' is the Schur complement of the Hessian where mu_1 > 0
+        curv = h[0, 0] - (h[0, 1] * (h[0, 1] / h[1, 1]) if mu[1] > 0.0 and h[1, 1] < 0.0 else 0.0)
+        grad = bs - np.einsum("mij,ji->m", a, y).real    # the line adds mu_1's exact penalty
+        return low, float(np.vdot(c, y).real) + bound * max(grad[1], 0.0), grad[0], curv, y
+
+    r, _ = _line_max(psi if len(b) == 2 else dual, 0.0, bound, TOL, TOL * rel[0])
+    violation, primal = shortfall(np.einsum("mij,ji->m", a, r).real), float(np.vdot(c, r).real)
+    optimal = violation <= TOL and primal - g_best <= TOL * abs(primal)
+    return finish(r, "optimal" if optimal else "max_iters", primal - g_best, violation, evals)

@@ -85,6 +85,15 @@ def random_sdp_problem(gen: np.random.Generator, n: int) -> SdpProblem:
         trace_budget=budget)
 
 
+def diagonal_problem(obj_diag) -> SdpProblem:
+    """A diagonal objective under ``diag(1, 0) >= 0.3`` and ``I >= 0.5`` at unit
+    trace: the dual's minimum eigenvalue repeats at the optimum, a kink of the
+    dual. The exact optimum of ``diag(1, 0)`` is 0.3, that of ``diag(2, 1)`` 1.3."""
+    return SdpProblem(dim=2, obj=np.diag(obj_diag).astype(complex),
+                      comm_mat=np.diag([1.0, 0.0]).astype(complex), comm_rhs=0.3,
+                      sense_mat=np.eye(2, dtype=complex), sense_rhs=0.5, trace_budget=1.0)
+
+
 def sample_feasible_points(prob: SdpProblem, rng: np.random.Generator,
                            count: int) -> list[np.ndarray]:
     """Rejection-sample up to ``count`` PSD trace-budget matrices satisfying both
@@ -223,6 +232,12 @@ def _check_sdp(rng: np.random.Generator) -> CheckResult:
     sol1 = solve_sdp(p1)
     scalar_ok = sol1.status == "optimal" and abs(sol1.objective_value - 6.0) <= 1e-8
 
+    # at a kink of the dual the answer mixes eigenvectors and is still exact
+    kinks = [(solve_sdp(diagonal_problem(d)), exact) for d, exact in (([1.0, 0.0], 0.3),
+                                                                       ([2.0, 1.0], 1.3))]
+    kinks_ok = all(sol.status == "optimal" and abs(sol.objective_value - exact) <= 1e-9 * exact
+                   for sol, exact in kinks)
+
     # no feasible sample may beat the solver's optimum
     prob = random_sdp_problem(rng, 3)
     sol = solve_sdp(prob)
@@ -230,8 +245,8 @@ def _check_sdp(rng: np.random.Generator) -> CheckResult:
     dominated = (bool(values) and sol.status == "optimal"
                  and sol.objective_value <= min(values) + 1e-6 * abs(min(values)))
     return CheckResult(
-        "sdp_scalar_exact_and_dominates_samples", scalar_ok and dominated,
-        f"scalar={scalar_ok}, status={sol.status}, "
+        "sdp_scalar_and_kinks_exact_and_dominates_samples", scalar_ok and kinks_ok and dominated,
+        f"scalar={scalar_ok}, kinks={kinks_ok}, status={sol.status}, "
         f"dominates {len(values)} samples={dominated}")
 
 

@@ -409,5 +409,6 @@ class TestSelfCheck:
         assert [r.name for r in report.results] == [
             "kron_identity_apply_matches_dense", "hermitian_evd_reconstruction",
             "euclidean_gradient_matches_finite_difference", "manifold_iterates_and_descent",
-            "sdp_scalar_exact_and_dominates_samples", "reduced_objective_matches_power[2x4x4]",
+            "sdp_scalar_and_kinks_exact_and_dominates_samples",
+            "reduced_objective_matches_power[2x4x4]",
             "lapack_wrappers_match_numpy_linalg"]

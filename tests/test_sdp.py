@@ -10,29 +10,11 @@ from pimin.scenario import generate_channels
 from pimin.sdp import TOL, SdpProblem, assemble_p2, solve_sdp
 from pimin.sysmodel import beam_products, build_effective_channels
 
-from pimin.selfcheck import cplx, random_psd, random_sdp_problem, sample_feasible_points
+from pimin.selfcheck import (cplx, diagonal_problem, random_psd, random_sdp_problem,
+                             sample_feasible_points)
 
 from helpers import (assert_covariance, random_hermitian, random_unit_modulus, sdp2_exact_oracle,
                      tiny_scenario)
-
-
-def feasible_2x2_problem(rng, full_rank_obj=True):
-    """Random 2x2 instance with a strictly feasible witness baked in."""
-    h = cplx(rng, 2, 2)
-    obj = h.conj().T @ h if full_rank_obj else np.outer(h[0], h[0].conj())
-    c1 = random_hermitian(rng, 2)
-    c1 = c1 + (2.0 * abs(np.linalg.eigvalsh(c1)).max() + 0.5) * np.eye(2)
-    c2 = random_hermitian(rng, 2)
-    budget = float(rng.uniform(0.5, 3.0))
-    witness = random_psd(rng, 2, trace=budget)
-    return SdpProblem(
-        dim=2, obj=obj,
-        comm_mat=c1, comm_rhs=0.7 * float(np.trace(c1 @ witness).real),
-        sense_mat=c2,
-        sense_rhs=float(np.trace(c2 @ witness).real)
-        - 0.3 * abs(float(np.trace(c2 @ witness).real)) - 0.1,
-        trace_budget=budget,
-    )
 
 
 def dependent_constraints_problem():
@@ -43,12 +25,10 @@ def dependent_constraints_problem():
                       comm_rhs=0.9, sense_mat=e2, sense_rhs=0.9, trace_budget=1.0)
 
 
-def diagonal_problem(obj_diag):
-    """A diagonal objective under ``diag(1, 0)`` and ``I``: the dual's minimum
-    eigenvalue repeats, where the ascent can stall."""
-    return SdpProblem(dim=2, obj=np.diag(obj_diag).astype(complex),
-                      comm_mat=np.diag([1.0, 0.0]).astype(complex), comm_rhs=0.3,
-                      sense_mat=np.eye(2, dtype=complex), sense_rhs=0.5, trace_budget=1.0)
+def slow_problem():
+    """A 2x2 draw whose exact solve takes 25 dual evaluations; after 5 its
+    point misses a constraint by more than a third of the right-hand side."""
+    return random_sdp_problem(np.random.default_rng(57), 2)
 
 
 def contradictory_problem():
@@ -213,7 +193,7 @@ class TestSolveSdp:
         # bound means something; the rank-one regime is tested below on the
         # objective's scale
         for _ in range(6):
-            prob = feasible_2x2_problem(rng, full_rank_obj=True)
+            prob = random_sdp_problem(rng, 2)
             sol = solve_sdp(prob)
             assert sol.status == "optimal"
             exact = sdp2_exact_oracle(prob)
@@ -223,7 +203,8 @@ class TestSolveSdp:
     def test_matches_exact_oracle_rank_one(self, rng):
         # a rank-one optimum is often zero, so the gap is read on the objective's scale
         for _ in range(3):
-            prob = feasible_2x2_problem(rng, full_rank_obj=False)
+            h = cplx(rng, 2)
+            prob = replace(random_sdp_problem(rng, 2), obj=np.outer(h, h.conj()))
             sol = solve_sdp(prob)
             assert sol.status == "optimal"
             exact = sdp2_exact_oracle(prob)
@@ -251,7 +232,7 @@ class TestSolveSdp:
 
     def test_solution_invariants(self, rng):
         for _ in range(5):
-            prob = feasible_2x2_problem(rng)
+            prob = random_sdp_problem(rng, 2)
             sol = solve_sdp(prob)
             assert sol.status == "optimal"
             r = sol.R_ss
@@ -265,7 +246,7 @@ class TestSolveSdp:
             assert sol.kkt_residual <= 1e-7
 
     def test_dominates_random_feasible_points(self, rng):
-        prob = feasible_2x2_problem(rng)
+        prob = random_sdp_problem(rng, 2)
         sol = solve_sdp(prob)
         pts = sample_feasible_points(prob, rng, 300)
         assert len(pts) >= 100
@@ -273,7 +254,7 @@ class TestSolveSdp:
         assert sol.objective_value <= min(vals) + 1e-6 * max(abs(min(vals)), 1.0)
 
     def test_objective_scaling_invariance(self, rng):
-        prob = feasible_2x2_problem(rng)
+        prob = random_sdp_problem(rng, 2)
         sol1 = solve_sdp(prob)
         scaled = SdpProblem(dim=2, obj=5.0 * prob.obj, comm_mat=prob.comm_mat,
                             comm_rhs=prob.comm_rhs, sense_mat=prob.sense_mat,
@@ -298,10 +279,11 @@ class TestSolveSdp:
         assert solve_sdp(p).status == "infeasible"
 
     def test_exhausted_budget_returns_best_iterate(self):
-        sol = solve_sdp(diagonal_problem([2.0, 1.0]), max_iters=5)
+        prob = slow_problem()
+        sol = solve_sdp(prob, max_iters=5)
         assert sol.status == "max_iters"
         assert sol.iterations == 5
-        assert_covariance(sol.R_ss, 1.0)    # the best iterate still honors trace and cone
+        assert_covariance(sol.R_ss, prob.trace_budget)  # the best iterate honors trace and cone
         assert sol.constraint_violation > 0.0 and sol.kkt_residual == np.inf
 
     @pytest.mark.parametrize("cap", [0, -5])
@@ -310,7 +292,7 @@ class TestSolveSdp:
             solve_sdp(diagonal_problem([2.0, 1.0]), max_iters=cap)
 
     def test_cap_of_one_reports_the_first_evaluation(self):
-        sol = solve_sdp(diagonal_problem([2.0, 1.0]), max_iters=1)
+        sol = solve_sdp(slow_problem(), max_iters=1)
         assert sol.status == "max_iters"
         assert sol.iterations == 1
 
@@ -376,7 +358,7 @@ class TestDualCertificates:
         sol = solve_sdp(zero)
         assert sol.status == "infeasible" and sol.iterations == 0
         assert sol.constraint_violation == 1.0
-        assert solve_sdp(feasible_2x2_problem(rng)).iterations >= 1
+        assert solve_sdp(random_sdp_problem(rng, 2)).iterations >= 1
 
     def test_dual_value_certifies_infeasibility(self):
         # each constraint alone is reachable, both together are not: only the
@@ -467,11 +449,11 @@ class TestDualCertificates:
         assert min(counts["optimal"], counts["infeasible"]) >= 100
         assert counts["skipped"] <= 4
 
-    def test_stalled_ascent_is_honest_and_short(self):
+    def test_kinked_duals_are_solved_exactly(self):
         # an objective parallel to a constraint, or a diagonal problem, gives
-        # the dual a repeated minimum eigenvalue, where the ascent can stall:
-        # it must then say max_iters, and within the default cap; a stalled
-        # point that misses a constraint has no duality gap to report
+        # the dual a repeated minimum eigenvalue at the optimum, a kink: the
+        # search mixes eigenvectors there, and each answer is exact within the
+        # default cap; an infeasible answer has no duality gap to report
         gen = np.random.default_rng(5)
         problems = []
         for _ in range(30):
@@ -485,15 +467,35 @@ class TestDualCertificates:
         for prob in problems:
             exact = sdp2_exact_oracle(prob)
             sol = solve_sdp(prob)
+            assert sol.iterations <= 100
             if exact is None:
-                assert sol.status == "infeasible"
-            elif sol.status == "optimal":
-                assert abs(sol.objective_value - exact) <= 1e-6 * max(1.0, abs(exact))
+                assert sol.status == "infeasible" and np.isinf(sol.kkt_residual)
             else:
-                assert sol.status == "max_iters" and sol.iterations <= 100
-            missed = sol.status == "infeasible" or sol.constraint_violation > TOL
-            assert sol.kkt_residual >= 0.0 and np.isinf(sol.kkt_residual) == missed
+                assert sol.status == "optimal"
+                assert abs(sol.objective_value - exact) <= 1e-6 * max(1.0, abs(exact))
+                assert sol.constraint_violation <= TOL and 0.0 <= sol.kkt_residual <= TOL
         assert time.perf_counter() - start < 5.0
+
+
+    def test_tight_constraints_with_tiny_rhs_are_met(self):
+        # right-hand sides of 1e-10 to 1e-2 of the matrix scale: a constraint
+        # tight at the optimum still holds relative to its own right-hand
+        # side, which round-off allows only from the feasible side
+        gen = np.random.default_rng(4)
+        for _ in range(60):
+            n = int(gen.integers(2, 5))
+            h = cplx(gen, n, n)
+            b1, b2 = 10.0 ** -gen.uniform(2, 10, size=2)
+            prob = SdpProblem(dim=n, obj=h.conj().T @ h, comm_mat=random_hermitian(gen, n),
+                              comm_rhs=b1, sense_mat=random_hermitian(gen, n), sense_rhs=b2,
+                              trace_budget=float(gen.uniform(0.5, 3.0)))
+            sol = solve_sdp(prob)
+            assert sol.status in ("optimal", "infeasible")
+            if n == 2:
+                exact = sdp2_exact_oracle(prob)
+                assert sol.status == ("infeasible" if exact is None else "optimal")
+                if exact is not None:
+                    assert abs(sol.objective_value - exact) <= 1e-6 * abs(exact)
 
 
 class TestAssertCovariance:
