@@ -10,19 +10,19 @@ from .bccd import (BccdConfig, BccdIteration, BccdResult, BccdStart, bccd_solve,
                    seeded_start)
 from .bench import (Method, SweepSpec, TrialRecord, run_sweep, run_trial,
                     trial_seed, write_records_csv)
-from .linalg import EvdResult, hermitian_evd, kron_identity_apply
+from .linalg import EvdResult, hermitian_evd
 from .metrics import (PowerBreakdown, adc_snr, comm_snr, dynamic_range,
-                      power_breakdown, power_noise, power_quadratic, sndr)
+                      power_breakdown, power_noise, sndr)
 from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, RcgResult,
                   euclid_grad, objective, precompute_forms, random_state,
-                  rcg_solve, riem_grad)
+                  rcg_solve)
 from .scenario import (ChannelSet, ScenarioConfig, db_to_linear, dbm_to_watt,
                        desk_bench_scenario, desk_scenario, generate_channels,
                        linear_to_db, load_config, save_config)
 from .sdp import SdpProblem, SdpSolution, assemble_p2, solve_sdp
 from .selfcheck import CheckReport, self_check
 from .sysmodel import (BeamProducts, EffectiveChannels, beam_products,
-                       build_effective_channels, build_pi_channel)
+                       build_effective_channels)
 
 __version__ = "0.1.0"
 

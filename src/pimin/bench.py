@@ -257,18 +257,21 @@ def write_records_csv(records: list[TrialRecord], path: str) -> None:
 
 
 def _aggregate(values: list[float]) -> dict:
+    """Statistics of the finite cells; minus infinity (below noise) and NaN
+    (a failed row) are counted apart."""
     finite = [v for v in values if math.isfinite(v)]
+    counts = {"count": len(finite),
+              "below_noise": sum(v == -math.inf for v in values),
+              "failed": sum(math.isnan(v) for v in values)}
     if not finite:
-        return {"mean": None, "median": None, "p10": None, "p90": None,
-                "count": 0, "suppressed": len(values)}
+        return {"mean": None, "median": None, "p10": None, "p90": None, **counts}
     arr = np.asarray(finite)
     return {
         "mean": float(arr.mean()),
         "median": float(np.median(arr)),
         "p10": float(np.percentile(arr, 10)),
         "p90": float(np.percentile(arr, 90)),
-        "count": len(finite),
-        "suppressed": len(values) - len(finite),
+        **counts,
     }
 
 

@@ -21,11 +21,10 @@ uses. There is no fallback: if a numpy release drops these names, importing
 the package fails, and ``pimin check`` compares the wrappers with
 ``numpy.linalg`` bit for bit.
 
-``check_hermitian``, ``hermitian_evd`` and ``kron_identity_apply`` validate
-their arguments and then run a private kernel on the raw arrays
-(``_hermitian_part``, ``_kron_apply``); the other modules call those kernels,
-and ``_frobenius``, on arrays that they built themselves and that the checks
-would pass unchanged.
+``check_hermitian`` and ``hermitian_evd`` validate their arguments and then
+run the private kernel ``_hermitian_part`` on the raw arrays. The other
+modules call that kernel, ``_frobenius`` and the identity-Kronecker product
+``_kron_apply`` on arrays that they built themselves.
 
 All functions are pure and operate on immutable inputs, so they are safe to
 call concurrently.
@@ -90,13 +89,6 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
 EIG_ZERO_REL = 1e-12
 
 
-def _as_complex_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
-    return a
-
-
 def _frobenius(a: np.ndarray) -> float:
     """The Frobenius norm of complex128 ``a``, bit for bit that of
     ``numpy.linalg.norm``: one real dot of the real parts plus one of the
@@ -118,7 +110,9 @@ def check_hermitian(a: np.ndarray, rel_tol: float = 1e-8, name: str = "matrix") 
     Symmetrizing drops the round-off asymmetry the check allows, so it cannot
     leak into complex eigenvalues downstream.
     """
-    a = _as_complex_matrix(a, name)
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2:
+        raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     scale, asym = _frobenius(a), _frobenius(a - a.conj().T)
@@ -147,10 +141,7 @@ class EvdResult:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
+    @cached_property
     def clipped_eigenvalues(self) -> np.ndarray:
         """Eigenvalues with near-zero entries snapped to exactly zero, read-only.
 
@@ -158,12 +149,8 @@ class EvdResult:
         round-off from the factorization. Computed once per decomposition:
         the forms and every power form of one covariance read the same array.
         """
-        return self._clipped
-
-    @cached_property
-    def _clipped(self) -> np.ndarray:
         lam = self.eigenvalues.copy()
-        cutoff = EIG_ZERO_REL * max(float(np.abs(lam).max()), 0.0) if lam.size else 0.0
+        cutoff = EIG_ZERO_REL * float(np.abs(lam).max()) if lam.size else 0.0
         lam[np.abs(lam) < cutoff] = 0.0
         lam[lam < 0.0] = 0.0
         lam.flags.writeable = False
@@ -190,28 +177,9 @@ def hermitian_evd(a: np.ndarray) -> EvdResult:
     return EvdResult(eigenvalues=lam, eigenvectors=v)
 
 
-def kron_identity_apply(h: np.ndarray, v: np.ndarray, blocks: int) -> np.ndarray:
-    """Apply ``(I_blocks kron h)`` to ``v`` without forming the Kronecker product.
-
-    ``h`` is (a, b); ``v`` has length ``blocks * b``; the result has length
-    ``blocks * a`` with block ``l`` equal to ``h @ v_block_l``.
-    """
-    h = _as_complex_matrix(h, "h")
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1:
-        raise DimensionError(f"v must be 1-D, got shape {v.shape}")
-    if blocks < 1:
-        raise DimensionError(f"blocks must be >= 1, got {blocks}")
-    b = h.shape[1]
-    if v.shape[0] != blocks * b:
-        raise DimensionError(
-            f"v has length {v.shape[0]}, expected blocks*cols = {blocks}*{b} = {blocks * b}"
-        )
-    return _kron_apply(h, v, blocks)
-
-
 def _kron_apply(h: np.ndarray, v: np.ndarray, blocks: int) -> np.ndarray:
-    """``kron_identity_apply`` on arguments it would accept unchanged: complex128
-    ``h`` (a, b) and ``v`` (blocks * b,)."""
+    """``(I_blocks kron h) v`` without forming the Kronecker product: complex128
+    ``h`` (a, b) and ``v`` (blocks * b,); block ``l`` of the result is
+    ``h @ v_block_l``."""
     a, b = h.shape
     return (v.reshape(blocks, b) @ h.T).reshape(blocks * a)

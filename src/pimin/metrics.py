@@ -13,8 +13,8 @@ the ``BeamProducts`` record that ``sdp.assemble_p2`` also reads. The public
 functions check their arguments (``power_breakdown`` through ``comm_snr``);
 the unchecked kernel ``_power`` reads one path, and ``power_breakdown`` runs
 it for all three on one conjugate transpose of the eigenvectors. Dense
-Kronecker matrices are never formed here (``selfcheck.dense_kron_block`` is
-the oracle).
+Kronecker matrices are never formed here: ``selfcheck.dense_power_quadratic``
+forms them as the reference.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-from .linalg import EvdResult, hermitian_evd, kron_identity_apply
+from .linalg import EvdResult
 from .scenario import linear_to_db
 from .sysmodel import BeamProducts
 
@@ -48,27 +48,6 @@ def _power(u: np.ndarray, vh: np.ndarray, lam: np.ndarray) -> float:
     eigenvalues."""
     proj = vh @ u
     return float(lam @ (proj.real**2 + proj.imag**2))
-
-
-def power_quadratic(block: np.ndarray, w: np.ndarray, r_ss: np.ndarray) -> float:
-    """``w^H (I_L kron block) R_ss (I_L kron block)^H w`` evaluated blockwise.
-
-    ``L`` is inferred from the covariance dimension; the result is a sum of
-    non-negative eigen-terms, so it is never below zero.
-    """
-    block = np.asarray(block, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    r_ss = np.asarray(r_ss, dtype=np.complex128)
-    rows, cols = block.shape
-    dim = r_ss.shape[0]
-    if dim % cols != 0:
-        raise DimensionError(f"covariance dim {dim} not a multiple of block cols {cols}")
-    blocks = dim // cols
-    if w.shape != (blocks * rows,):
-        raise DimensionError(f"w has shape {w.shape}, expected ({blocks * rows},)")
-    u = kron_identity_apply(block.conj().T, w, blocks)
-    evd = hermitian_evd(r_ss)
-    return _power(u, evd.eigenvectors.conj().T, evd.clipped_eigenvalues())
 
 
 def power_noise(w: np.ndarray, sigma_r2: float) -> float:
@@ -121,7 +100,7 @@ def power_breakdown(beams: BeamProducts, r_ss: np.ndarray, sigma_r2: float,
     ``evd`` is the eigendecomposition of ``r_ss`` (``hermitian_evd``).
     """
     snr = comm_snr(beams.gram, r_ss, m_r, beams.n_samples, sigma_c2)   # checks r_ss
-    vh, lam = evd.eigenvectors.conj().T, evd.clipped_eigenvalues()
+    vh, lam = evd.eigenvectors.conj().T, evd.clipped_eigenvalues
     p_pi, p_sense, p_obs = (_power(u, vh, lam) for u in (beams.u, beams.a, beams.o))
     p_noise = power_noise(beams.w, sigma_r2)
     return PowerBreakdown(

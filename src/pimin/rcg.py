@@ -33,8 +33,10 @@ evaluation also returns the terms ``t[i] = b_i + c_i phi`` and
 ``e[i] = w^H t[i]``, and the Jacobian at an accepted trial point reuses them.
 The Jacobian, the Gauss–Newton matrix and its right-hand side live in
 buffers allocated once per solve; each trial adds ``mu`` to the saved
-diagonal in place. The public functions below are validating wrappers over
-the same private kernels.
+diagonal in place. ``objective`` and ``euclid_grad`` validate their
+arguments and run the same private kernels at one point; the oracles in
+``pimin.selfcheck`` call them, and the tangent projection ``_project``, which
+the loop applies to every gradient it reports.
 """
 
 from __future__ import annotations
@@ -82,9 +84,6 @@ class BeamformerState:
     @property
     def dim(self) -> int:
         return self.x.shape[0]
-
-    def max_modulus_error(self) -> float:
-        return float(np.max(np.abs(np.abs(self.x) - 1.0)))
 
 
 def random_state(num_bf: int, num_phases: int, rng: np.random.Generator) -> BeamformerState:
@@ -146,7 +145,7 @@ def precompute_forms(evd: EvdResult, ch: ChannelSet, n_samples: int) -> Precompu
             f"covariance dim {dim} does not match n_samples*M_t = {n_samples * m_t}")
     # Row i of V is eigenvector i split into its L per-sample blocks.
     v = evd.eigenvectors.T.reshape(dim, n_samples, m_t)
-    root = np.sqrt(evd.clipped_eigenvalues())
+    root = np.sqrt(evd.clipped_eigenvalues)
     b = (root * ch.gamma_DPI)[:, None] * (v @ ch.H_DPI.T).reshape(dim, n_samples * m)
     # A stacked matvec per block keeps the sums of H_cR @ v_block in order; a
     # gemm over all blocks reorders them, and the solver amplifies that drift.
@@ -159,8 +158,8 @@ def precompute_forms(evd: EvdResult, ch: ChannelSet, n_samples: int) -> Precompu
 # ---------------------------------------------------------------------------
 # Kernels on raw arrays
 #
-# ``x`` is the stacked vector and ``nb`` the length of its radar block. The
-# public functions further down validate their arguments and call these;
+# ``x`` is the stacked vector and ``nb`` the length of its radar block.
+# ``objective`` and ``euclid_grad`` validate their arguments and call these;
 # ``rcg_solve`` validates once at entry and then calls them directly. At these
 # sizes a numpy call costs more than its arithmetic, so products use
 # ``ndarray.dot``, which dispatches faster than ``@``, and gemvs write into
@@ -175,13 +174,6 @@ def _check_state(x: BeamformerState, forms: PrecomputedForms) -> None:
         raise DimensionError(
             f"state split ({x.num_bf}, {x.dim - x.num_bf}) does not match forms "
             f"({forms.num_bf}, {forms.num_phases})")
-
-
-def _as_vector(v, x: BeamformerState, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != x.x.shape:
-        raise DimensionError(f"{what} shape {v.shape} != state shape {x.x.shape}")
-    return v
 
 
 def _kernels(forms: PrecomputedForms):
@@ -248,7 +240,7 @@ def _project(x: np.ndarray, xc: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Objective and gradients
+# Objective and gradient
 # ---------------------------------------------------------------------------
 
 def objective(x: BeamformerState, forms: PrecomputedForms) -> float:
@@ -270,11 +262,6 @@ def euclid_grad(x: BeamformerState, forms: PrecomputedForms) -> np.ndarray:
     terms = evaluate(x.x)[1]
     linearize(x.x, terms)
     return egrad(x.x, terms)
-
-
-def riem_grad(x: BeamformerState, egrad: np.ndarray) -> np.ndarray:
-    """Project a Euclidean gradient onto the tangent space at ``x``."""
-    return _project(x.x, x.x.conj(), _as_vector(egrad, x, "gradient"))
 
 
 # ---------------------------------------------------------------------------

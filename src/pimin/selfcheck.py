@@ -4,7 +4,12 @@
 Each oracle returns the worst error it measured over draws from the given
 generator, without judging it. :func:`self_check` (the `pimin check` command)
 runs each once on one seeded stream and compares each figure with its bound;
-the tests run the same functions at their own sizes and bounds.
+the tests run the same functions at their own sizes and bounds. The oracles
+call the kernels the solver runs (``linalg._kron_apply``, ``rcg._project``,
+the blocks of ``build_effective_channels``) and compare them with references
+that do not run through them: dense Kronecker products and power forms,
+finite differences, the matrix an eigendecomposition must rebuild,
+``numpy.linalg``.
 """
 
 from __future__ import annotations
@@ -15,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, rcg
-from .linalg import hermitian_evd, kron_identity_apply
-from .metrics import power_quadratic
+from .linalg import hermitian_evd
 from .rcg import BeamformerState, PrecomputedForms, RcgConfig, random_state
 from .scenario import ChannelSet, ScenarioConfig, desk_scenario, generate_channels
 from .sdp import SdpProblem, solve_sdp
-from .sysmodel import build_pi_channel
+from .sysmodel import build_effective_channels
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,13 @@ def random_forms(rng: np.random.Generator, terms: int, lm: int, n: int) -> Preco
 def dense_kron_block(block: np.ndarray, blocks: int) -> np.ndarray:
     """The full ``I_blocks kron block`` matrix, the reference for the blockwise paths."""
     return np.kron(np.eye(blocks), block)
+
+
+def dense_power_quadratic(block: np.ndarray, w: np.ndarray, r_ss: np.ndarray) -> float:
+    """``w^H (I_L kron block) R_ss (I_L kron block)^H w`` through the dense
+    Kronecker matrix, with no eigendecomposition: the power forms' reference."""
+    a = dense_kron_block(block, r_ss.shape[0] // block.shape[1])
+    return float(np.real(w.conj() @ a @ r_ss @ a.conj().T @ w))
 
 
 def random_sdp_problem(gen: np.random.Generator, n: int) -> SdpProblem:
@@ -113,7 +124,7 @@ def sample_feasible_points(prob: SdpProblem, rng: np.random.Generator,
 
 
 def kron_error(rng: np.random.Generator) -> float:
-    """Largest entry error of ``kron_identity_apply`` against the dense product,
+    """Largest entry error of ``linalg._kron_apply`` against the dense product,
     over 20 draws."""
     worst = 0.0
     for _ in range(20):
@@ -121,7 +132,7 @@ def kron_error(rng: np.random.Generator) -> float:
         h = cplx(rng, a, b)
         v = cplx(rng, blocks * b)
         dense = dense_kron_block(h, blocks) @ v
-        worst = max(worst, float(np.max(np.abs(kron_identity_apply(h, v, blocks) - dense))))
+        worst = max(worst, float(np.max(np.abs(linalg._kron_apply(h, v, blocks) - dense))))
     return worst
 
 
@@ -133,8 +144,9 @@ def evd_error(rng: np.random.Generator) -> float:
         n = int(rng.integers(2, 8))
         a = random_psd(rng, n)
         evd = hermitian_evd(a)
-        rel = np.linalg.norm(a - evd.reconstruct()) / np.linalg.norm(a)
-        ortho = np.max(np.abs(evd.eigenvectors.conj().T @ evd.eigenvectors - np.eye(n)))
+        v = evd.eigenvectors
+        rel = np.linalg.norm(a - (v * evd.eigenvalues) @ v.conj().T) / np.linalg.norm(a)
+        ortho = np.max(np.abs(v.conj().T @ v - np.eye(n)))
         worst = max(worst, float(rel), float(ortho))
     return worst
 
@@ -189,7 +201,7 @@ def _tangency(v: np.ndarray, x: BeamformerState) -> float:
 
 
 def _riem_grad_norm(x: BeamformerState, forms: PrecomputedForms) -> float:
-    return float(np.linalg.norm(rcg.riem_grad(x, rcg.euclid_grad(x, forms))))
+    return float(np.linalg.norm(rcg._project(x.x, x.x.conj(), rcg.euclid_grad(x, forms))))
 
 
 def manifold_errors(forms: PrecomputedForms, x0: BeamformerState,
@@ -202,7 +214,7 @@ def manifold_errors(forms: PrecomputedForms, x0: BeamformerState,
     seen = []
 
     def watch(x, g, d):
-        seen.append((x.max_modulus_error(), _tangency(g, x), _tangency(d, x)))
+        seen.append((np.max(np.abs(np.abs(x.x) - 1.0)), _tangency(g, x), _tangency(d, x)))
 
     out = rcg.rcg_solve(forms, x0, RcgConfig(max_iters=max_iters), callback=watch)
     if not seen:
@@ -214,12 +226,13 @@ def manifold_errors(forms: PrecomputedForms, x0: BeamformerState,
 
 def reduced_objective_error(scen: ScenarioConfig, ch: ChannelSet,
                             rng: np.random.Generator) -> float:
-    """Relative error of the reduced objective against the direct power quadratic."""
+    """Relative error of the reduced objective against the dense power quadratic
+    of the path-interference block, at a random covariance and state."""
     r_ss = random_psd(rng, scen.L * scen.M_t, trace=scen.P_B)
     forms = rcg.precompute_forms(hermitian_evd(r_ss), ch, scen.L)
     x = random_state(scen.L * scen.M, scen.N, rng)
     reduced = rcg.objective(x, forms)
-    direct = power_quadratic(build_pi_channel(ch, x.phi), x.w, r_ss)
+    direct = dense_power_quadratic(build_effective_channels(ch, x.phi).Ac_block, x.w, r_ss)
     return abs(reduced - direct) / max(direct, 1e-300)
 
 
@@ -264,7 +277,7 @@ def self_check() -> CheckReport:
     rel = reduced_objective_error(scen, generate_channels(scen, rng), rng)
     lapack = lapack_error(rng, 20)
     return CheckReport(results=(
-        CheckResult("kron_identity_apply_matches_dense", kron <= 1e-12,
+        CheckResult("kron_apply_matches_dense", kron <= 1e-12,
                     f"max entry error {kron:.2e}"),
         CheckResult("hermitian_evd_reconstruction", evd <= 1e-10,
                     f"max residual {evd:.2e}"),

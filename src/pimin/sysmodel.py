@@ -8,8 +8,7 @@ returns are read-only. ``beam_products`` forms the products of radar weights
 with these blocks that both the covariance step and the figures of merit read,
 so one outer iteration forms them once and hands the same record to both.
 ``build_effective_channels`` checks the phase vector once and runs the four
-private block kernels on the raw arrays. ``build_pi_channel`` checks it and
-runs the path-interference kernel alone: the reduced objective's oracle.
+private block kernels on the raw arrays.
 """
 
 from __future__ import annotations
@@ -103,11 +102,6 @@ def _obstacle_block(ch: ChannelSet) -> np.ndarray:
     for g_ob, h_ob, gamma_ob in ch.obstacles:
         out += gamma_ob * g_ob[:, None] @ h_ob.conj()[None, :]
     return out
-
-
-def build_pi_channel(ch: ChannelSet, phi: np.ndarray) -> np.ndarray:
-    """Path-interference block: direct leakage plus RIS-reflected leakage."""
-    return _pi_block(ch, check_phases(phi, ch.H_cR.shape[0]))
 
 
 def build_effective_channels(ch: ChannelSet, phi: np.ndarray) -> EffectiveChannels:

@@ -2,10 +2,9 @@
 
 The oracles that `pimin check` also runs, and the random instances they
 draw, live in :mod:`pimin.selfcheck`. What stays here is used by the tests
-alone: dense rebuilds of the forms and of the power quadratic, an exact
-oracle for the 2x2 covariance subproblem, plain reference loops for the
-manifold solver and the outer iteration, the transmit-covariance check, and
-small generators.
+alone: a dense rebuild of the forms, an exact oracle for the 2x2 covariance
+subproblem, plain reference loops for the manifold solver and the outer
+iteration, the transmit-covariance check, and small generators.
 """
 
 import math
@@ -46,11 +45,6 @@ def random_unit_modulus(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
 
 
-def dense_power_quadratic(block: np.ndarray, w: np.ndarray, r_ss: np.ndarray) -> float:
-    a = dense_kron_block(block, r_ss.shape[0] // block.shape[1])
-    return float(np.real(w.conj() @ a @ r_ss @ a.conj().T @ w))
-
-
 def dense_forms(evd, ch, n_samples: int) -> PrecomputedForms:
     """Reduced-objective forms from dense Kronecker products, one eigenpair at a time.
 
@@ -64,7 +58,7 @@ def dense_forms(evd, ch, n_samples: int) -> PrecomputedForms:
     h_cr = dense_kron_block(ch.H_cR, n_samples)
     fold = np.kron(np.ones((n_samples, 1)), np.eye(n))
     b, c = [], []
-    for lam, v in zip(evd.clipped_eigenvalues(), evd.eigenvectors.T):
+    for lam, v in zip(evd.clipped_eigenvalues, evd.eigenvectors.T):
         b.append(np.sqrt(lam) * ch.gamma_DPI * (h_dpi @ v))
         c.append(np.sqrt(lam) * ch.gamma_RPI * (g_rr_h @ np.diag(h_cr @ v) @ fold))
     return PrecomputedForms(b=np.array(b), c=np.array(c))

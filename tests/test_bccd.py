@@ -8,17 +8,25 @@ from pimin.bccd import (STALL_TOL, STALL_WINDOW, BccdConfig, _idle_rule, bccd_so
                         init_rss, relative_change, seeded_start)
 from pimin.errors import DimensionError, DomainError
 from pimin.linalg import hermitian_evd
-from pimin.metrics import power_quadratic
+from pimin.metrics import power_breakdown
 from pimin.rcg import (BeamformerState, RcgConfig, precompute_forms, random_state,
                        rcg_solve)
 from pimin.scenario import desk_bench_scenario, desk_scenario, generate_channels
-from pimin.sysmodel import build_pi_channel
+from pimin.sysmodel import beam_products, build_effective_channels
 
 from helpers import assert_covariance, reference_bccd_solve, tiny_scenario
 
 
 def desk_channels(scen, seed=3):
     return generate_channels(scen, np.random.default_rng(seed))
+
+
+def pi_power(ch, scen, phi, w, r):
+    """The interference power and block at one point, read as ``bccd_solve`` reads them."""
+    eff = build_effective_channels(ch, phi)
+    powers = power_breakdown(beam_products(eff, w), r, scen.sigma_r2_W, scen.sigma_c2_W,
+                             scen.M_r, hermitian_evd(r))
+    return powers.p_pi, eff.Ac_block
 
 
 class TestInitRss:
@@ -75,7 +83,7 @@ class TestBccdSolve:
         gen = np.random.default_rng(6)
         r0 = init_rss(scen.L * scen.M_t, scen.P_B, gen)
         x0 = random_state(scen.L * scen.M, scen.N, gen)
-        p_start = power_quadratic(build_pi_channel(ch, x0.phi), x0.w, r0)
+        p_start = pi_power(ch, scen, x0.phi, x0.w, r0)[0]
         assert out.final_powers.p_pi <= p_start
 
     @pytest.mark.parametrize("setup", ["joint", "no_ris"])
@@ -432,8 +440,7 @@ class TestIdleRestartSkips:
             x = random_state(scen.L * scen.M, scen.N, rng)
             r = init_rss(scen.L * scen.M_t, scen.P_B, rng)
             phi = np.zeros(scen.N) if phases == "off" else x.phi
-            ac = build_pi_channel(ch, phi)
-            p_pi = power_quadratic(ac, x.w, r)
+            p_pi, ac = pi_power(ch, scen, phi, x.w, r)
             forms = precompute_forms(hermitian_evd(r), ch, scen.L)
             if not optimize_phi:
                 forms, x = forms.fold(phi), BeamformerState(x=x.w, num_bf=x.num_bf)
@@ -450,8 +457,7 @@ class TestIdleRestartSkips:
         ch = dataclasses.replace(desk_channels(scen), gamma_DPI=0j, G_rR=ones, H_cR=ones)
         x = BeamformerState(x=np.array([1.0, np.exp(1e-3j), -1.0]), num_bf=1)
         r = np.full((1, 1), scen.P_B, dtype=np.complex128)
-        ac = build_pi_channel(ch, x.phi)
-        p_pi = power_quadratic(ac, x.w, r)
+        p_pi, ac = pi_power(ch, scen, x.phi, x.w, r)
         g = rcg_solve(precompute_forms(hermitian_evd(r), ch, 1), x,
                       RcgConfig(max_iters=0)).grad_norm
         assert g > 1e2 * 2.0 * math.sqrt(scen.P_B * p_pi) * np.linalg.norm(ac)
@@ -463,7 +469,7 @@ class TestIdleRestartSkips:
         bccd_solve(BccdConfig(n_iter=2), scen, start)
         bccd_solve(BccdConfig(n_iter=2), scen, start, frozen_phi=np.zeros(scen.N))
         for arr in (start.R_ss, start.evd.eigenvalues, start.evd.eigenvectors,
-                    start.evd.clipped_eigenvalues(), start.x.x, start.forms.b, start.forms.c):
+                    start.evd.clipped_eigenvalues, start.x.x, start.forms.b, start.forms.c):
             with pytest.raises(ValueError):
                 arr[...] = 0
 

@@ -9,7 +9,7 @@ import pytest
 
 from pimin import rcg
 from pimin.bccd import BccdConfig, bccd_solve, seeded_start
-from pimin.bench import (BELOW_NOISE_SENTINEL, TRIAL_FIELDS, Method,
+from pimin.bench import (BELOW_NOISE_SENTINEL, TRIAL_FIELDS, Method, _aggregate,
                          SweepSpec, TrialRecord, run_sweep, run_trial,
                          trial_seed, write_records_csv)
 from pimin.errors import DomainError
@@ -399,7 +399,14 @@ class TestCsv:
         db_cells = [rows[0][name] for name in TRIAL_FIELDS if name.endswith("_dB")]
         assert db_cells == ["nan"] * 7
         meta = json.loads((tmp_path / "err.csv.meta.json").read_text())
-        assert meta["aggregates"][0]["P_PI_dB"]["suppressed"] == 1
+        counts = {k: meta["aggregates"][0]["P_PI_dB"][k] for k in ("count", "below_noise",
+                                                                   "failed")}
+        assert counts == {"count": 0, "below_noise": 0, "failed": 1}
+
+    def test_aggregate_counts_below_noise_and_failed_cells_apart(self):
+        stats = _aggregate([float("-inf"), float("nan"), 1.0, 2.0, float("-inf")])
+        assert (stats["count"], stats["below_noise"], stats["failed"]) == (2, 2, 1)
+        assert stats["mean"] == stats["median"] == 1.5
 
 
 class TestSelfCheck:
@@ -407,7 +414,7 @@ class TestSelfCheck:
         report = self_check()
         assert report.passed, report.lines()
         assert [r.name for r in report.results] == [
-            "kron_identity_apply_matches_dense", "hermitian_evd_reconstruction",
+            "kron_apply_matches_dense", "hermitian_evd_reconstruction",
             "euclidean_gradient_matches_finite_difference", "manifold_iterates_and_descent",
             "sdp_scalar_and_kinks_exact_and_dominates_samples",
             "reduced_objective_matches_power[2x4x4]",

@@ -6,13 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from pimin.errors import DegenerateInputError, DimensionError, DomainError
-from pimin.linalg import hermitian_evd, kron_identity_apply
-from pimin.metrics import adc_snr, comm_snr, power_quadratic
-from pimin.rcg import (BeamformerState, PrecomputedForms, objective, precompute_forms,
-                       random_state, riem_grad)
+from pimin.errors import DegenerateInputError, DimensionError, DomainError, HermitianError
+from pimin.linalg import hermitian_evd
+from pimin.metrics import adc_snr, comm_snr
+from pimin.rcg import BeamformerState, PrecomputedForms, objective, precompute_forms, random_state
 from pimin.scenario import generate_channels, linear_to_db
 from pimin.sdp import SdpProblem
+from pimin.sysmodel import beam_products, build_effective_channels, check_phases
 
 from helpers import tiny_scenario
 
@@ -30,17 +30,26 @@ def forms_for_a_mismatched_covariance():
     return precompute_forms(hermitian_evd(np.eye(3)), ch, scen.L)
 
 
+def beams_of(w):
+    scen = tiny_scenario()      # M = 3 radar antennas, N = 2 RIS elements
+    ch = generate_channels(scen, np.random.default_rng(0))
+    return beam_products(build_effective_channels(ch, np.ones(scen.N, dtype=complex)), w)
+
+
 CASES = {
-    "kron_h_not_2d": (lambda: kron_identity_apply(np.ones(3), np.ones(3), 1),
-                      DimensionError, "h must be 2-D, got shape (3,)"),
-    "kron_v_not_1d": (lambda: kron_identity_apply(np.eye(2), np.ones((2, 1)), 1),
-                      DimensionError, "v must be 1-D, got shape (2, 1)"),
-    "kron_no_blocks": (lambda: kron_identity_apply(np.eye(2), np.ones(2), 0),
-                       DimensionError, "blocks must be >= 1, got 0"),
-    "power_cov_dim": (lambda: power_quadratic(np.ones((2, 3)), np.ones(2), np.eye(4)),
-                      DimensionError, "covariance dim 4 not a multiple of block cols 3"),
-    "power_w_shape": (lambda: power_quadratic(np.ones((2, 2)), np.ones(3), np.eye(4)),
-                      DimensionError, "w has shape (3,), expected (4,)"),
+    "evd_not_2d": (lambda: hermitian_evd(np.ones(3)),
+                   DimensionError, "matrix must be 2-D, got shape (3,)"),
+    "evd_not_square": (lambda: hermitian_evd(np.ones((2, 3))),
+                       DimensionError, "matrix must be square, got shape (2, 3)"),
+    "evd_not_hermitian": (lambda: hermitian_evd(np.array([[0.0, 1.0], [0.0, 0.0]])),
+                          HermitianError,
+                          "matrix is not Hermitian: ||A - A^H|| = 1.414e+00 vs ||A|| = 1.000e+00"),
+    "beam_w_length": (lambda: beams_of(np.ones(4)),
+                      DimensionError, "w has shape (4,), expected (L * 3,)"),
+    "beam_w_not_1d": (lambda: beams_of(np.ones((2, 3))),
+                      DimensionError, "w has shape (2, 3), expected (L * 3,)"),
+    "phases_shape": (lambda: check_phases(np.ones(3), 2),
+                     DimensionError, "phase vector has shape (3,), expected (2,)"),
     "comm_snr_cov_shape": (lambda: comm_snr(np.eye(2), np.eye(3), 1, 2, 1.0),
                            DimensionError, "covariance has shape (3, 3), expected (4,)^2"),
     "comm_snr_noise": (lambda: comm_snr(np.eye(2), np.eye(4), 1, 2, 0.0),
@@ -55,9 +64,10 @@ CASES = {
         lambda: objective(random_state(2, 1, np.random.default_rng(0)),
                           PrecomputedForms(b=np.ones((1, 2)), c=np.ones((1, 2)))),
         DimensionError, "forms b (1, 2) and c (1, 2) do not stack"),
-    "gradient_shape": (
-        lambda: riem_grad(random_state(2, 1, np.random.default_rng(0)), np.ones(4)),
-        DimensionError, "gradient shape (4,) != state shape (3,)"),
+    "state_does_not_match_forms": (
+        lambda: objective(random_state(2, 2, np.random.default_rng(0)),
+                          PrecomputedForms(b=np.zeros((2, 3)), c=np.zeros((2, 3, 2)))),
+        DimensionError, "state split (2, 2) does not match forms (3, 2)"),
     "db_of_negative_power": (lambda: linear_to_db(-1.0),
                              DomainError, "cannot express negative power -1.0 in dB"),
     "sdp_dim": (lambda: sdp_problem(dim=0), DimensionError, "dim must be >= 1, got 0"),

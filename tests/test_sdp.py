@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from pimin.errors import DomainError, HermitianError
-from pimin.metrics import comm_snr, power_quadratic
+from pimin.metrics import comm_snr
 from pimin.scenario import generate_channels
 from pimin.sdp import TOL, SdpProblem, assemble_p2, solve_sdp
 from pimin.sysmodel import beam_products, build_effective_channels
 
-from pimin.selfcheck import (cplx, diagonal_problem, random_psd, random_sdp_problem,
-                             sample_feasible_points)
+from pimin.selfcheck import (cplx, dense_power_quadratic, diagonal_problem, random_psd,
+                             random_sdp_problem, sample_feasible_points)
 
 from helpers import (assert_covariance, random_hermitian, random_unit_modulus, sdp2_exact_oracle,
                      tiny_scenario)
@@ -54,9 +54,9 @@ class TestAssembleP2:
         prob = assemble_p2(beam_products(eff, w), scen)
         for _ in range(20):
             r = random_psd(rng, prob.dim, trace=scen.P_B)
-            p_pi = power_quadratic(eff.Ac_block, w, r)
-            p_sense = power_quadratic(eff.Ar_block, w, r)
-            p_obs = power_quadratic(eff.Ao_block, w, r)
+            p_pi = dense_power_quadratic(eff.Ac_block, w, r)
+            p_sense = dense_power_quadratic(eff.Ar_block, w, r)
+            p_obs = dense_power_quadratic(eff.Ao_block, w, r)
             assert abs(np.trace(prob.obj @ r).real - p_pi) <= 1e-10 * max(p_pi, 1e-300)
             snr = comm_snr(eff.Hc_block.conj().T @ eff.Hc_block, r, scen.M_r, scen.L,
                            scen.sigma_c2_W)
