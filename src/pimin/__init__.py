@@ -18,9 +18,9 @@ from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, RcgResult,
                   rcg_solve)
 from .scenario import (ChannelSet, ScenarioConfig, db_to_linear, dbm_to_watt,
                        desk_bench_scenario, desk_scenario, generate_channels,
-                       linear_to_db, load_config, save_config)
+                       linear_to_db, load_config)
 from .sdp import SdpProblem, SdpSolution, assemble_p2, solve_sdp
-from .selfcheck import CheckReport, self_check
+from .selfcheck import self_check
 from .sysmodel import (BeamProducts, EffectiveChannels, beam_products,
                        build_effective_channels)
 

@@ -41,7 +41,7 @@ from .metrics import PowerBreakdown, power_breakdown
 from .rcg import (BeamformerState, PrecomputedForms, RcgConfig, precompute_forms,
                   random_state, rcg_solve)
 from .scenario import ChannelSet, ScenarioConfig, check_count, dbm_to_watt
-from .sdp import assemble_p2, solve_sdp
+from .sdp import MAX_ITERS, assemble_p2, solve_sdp
 from .sysmodel import beam_products, build_effective_channels, check_phases
 
 # Interference below this fraction of the noise power counts as fully
@@ -66,7 +66,7 @@ class BccdConfig:
 
     n_iter: int = 20
     rcg: RcgConfig = field(default_factory=RcgConfig)
-    sdp_max_iters: int = 100     # SDP dual evaluations before it returns max_iters
+    sdp_max_iters: int = MAX_ITERS   # SDP dual evaluations before it returns max_iters
 
     def __post_init__(self) -> None:
         check_count("n_iter", self.n_iter, 1)

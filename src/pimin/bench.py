@@ -217,24 +217,23 @@ def trial_seed(base_seed: int, axis_value, trial_id: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _sweep_task(args: tuple) -> TrialRecord:
-    scen, method, cfg, seed, trial_id = args
-    try:
-        return run_trial(scen, method, cfg, seed, trial_id)
-    except Exception as exc:     # partial failures become per-row diagnostics
-        return TrialRecord(
-            trial_id=trial_id, method=method.value,
-            M_t=scen.M_t, M_r=scen.M_r, M=scen.M, N_x=scen.N_x, N_y=scen.N_y,
-            L=scen.L, **dict.fromkeys(_DB_FIELDS, math.nan), outer_iterations=0,
-            sdp_status_final=f"error:{type(exc).__name__}",
-            runtime_ms=0.0, seed=seed,
-        )
-
-
 def _trial_task(args: tuple) -> list[TrialRecord]:
-    """Every method of one trial, in order, one row each."""
+    """Every method of one trial, in order, one row each: an error row for a
+    method that raises."""
     scen, methods, cfg, seed, trial_id = args
-    return [_sweep_task((scen, method, cfg, seed, trial_id)) for method in methods]
+    records = []
+    for method in methods:
+        try:
+            records.append(run_trial(scen, method, cfg, seed, trial_id))
+        except Exception as exc:     # partial failures become per-row diagnostics
+            records.append(TrialRecord(
+                trial_id=trial_id, method=method.value,
+                M_t=scen.M_t, M_r=scen.M_r, M=scen.M, N_x=scen.N_x, N_y=scen.N_y,
+                L=scen.L, **dict.fromkeys(_DB_FIELDS, math.nan), outer_iterations=0,
+                sdp_status_final=f"error:{type(exc).__name__}",
+                runtime_ms=0.0, seed=seed,
+            ))
+    return records
 
 
 def _format_db(value: float) -> str:

@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[m.value for m in Method])
     run_p.add_argument("--seed", required=True, type=_int_at_least(0))
     run_p.add_argument("--out", required=True, help="output CSV path")
-    run_p.add_argument("--n-iter", type=_int_at_least(1), default=20,
-                       help="outer iterations (default 20)")
+    run_p.add_argument("--n-iter", type=_int_at_least(1), default=BccdConfig.n_iter,
+                       help="outer iterations (default %(default)s)")
 
     sweep_p = sub.add_parser("sweep", help="run a Monte Carlo parameter sweep")
     sweep_p.add_argument("--spec", required=True, help="sweep spec JSON path")
@@ -100,10 +100,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_SOLVER if failures else EXIT_OK
 
         # the parser accepts only run, sweep and check, so this is check
-        report = self_check()
-        for line in report.lines():
-            print(line)
-        return EXIT_OK if report.passed else EXIT_CHECK
+        results = self_check()
+        for result in results:
+            print(result)
+        return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK
     except Exception as exc:    # solver-level failure
         print(f"pimin: solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -11,7 +11,3 @@ class HermitianError(ValueError):
 
 class DomainError(ValueError):
     """A scalar argument lies outside its admissible range."""
-
-
-class DegenerateInputError(ValueError):
-    """An input makes the requested quantity undefined (e.g. zero denominator)."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError
+from .errors import DimensionError, DomainError
 from .linalg import EvdResult
 from .scenario import linear_to_db
 from .sysmodel import BeamProducts
@@ -59,7 +59,7 @@ def sndr(p_sense: float, p_pi: float, p_obs: float, p_noise: float) -> float:
     """Sensing power over interference-plus-noise power (linear ratio)."""
     denom = p_pi + p_obs + p_noise
     if denom <= 0.0:
-        raise DegenerateInputError("SNDR denominator must be positive")
+        raise DomainError("SNDR denominator must be positive")
     return p_sense / denom
 
 
@@ -73,7 +73,7 @@ def comm_snr(gram: np.ndarray, r_ss: np.ndarray, m_r: int, n_samples: int,
         raise DimensionError(
             f"covariance has shape {r_ss.shape}, expected ({n_samples * m_t},)^2")
     if sigma_c2 <= 0.0:
-        raise DegenerateInputError("sigma_c2 must be positive")
+        raise DomainError("sigma_c2 must be positive")
     blocks = r_ss.reshape(n_samples, m_t, n_samples, m_t)
     num = np.einsum("lilj,ji->", blocks, gram).real
     return float(num) / (m_r * n_samples * sigma_c2)
@@ -82,14 +82,14 @@ def comm_snr(gram: np.ndarray, r_ss: np.ndarray, m_r: int, n_samples: int,
 def dynamic_range(p_pi: float, p_noise: float) -> float:
     """Interference-to-noise ratio the ADC must span (linear)."""
     if p_noise <= 0.0:
-        raise DegenerateInputError("noise power must be positive")
+        raise DomainError("noise power must be positive")
     return p_pi / p_noise
 
 
 def adc_snr(n_enob: float) -> float:
     """Peak ADC SNR in dBFS for a given effective number of bits."""
     if n_enob < 0:
-        raise DegenerateInputError("effective bit count must be >= 0")
+        raise DomainError("effective bit count must be >= 0")
     return 6.02 * n_enob + 1.76
 
 

@@ -285,12 +285,6 @@ def load_config(path: str) -> ScenarioConfig:
         return ScenarioConfig.from_json_dict(json.load(fh))
 
 
-def save_config(cfg: ScenarioConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_json_dict(), fh, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Link budget
 # ---------------------------------------------------------------------------

@@ -47,6 +47,9 @@ EIG_CLUSTER = 1e-10
 # the duality gap that certifies an optimum, relative to the objective.
 TOL = 1e-7
 
+# The default cap on dual evaluations, for ``solve_sdp`` and ``BccdConfig``.
+MAX_ITERS = 100
+
 
 # ---------------------------------------------------------------------------
 # Problem and solution containers
@@ -54,9 +57,10 @@ TOL = 1e-7
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Trace-form covariance subproblem data, all matrices Hermitian."""
+    """Trace-form covariance subproblem data: Hermitian matrices of the
+    objective's size. The constructor checks the shapes, a positive budget and
+    each matrix Hermitian within 1e-10 relative, and stores its Hermitian part."""
 
-    dim: int
     obj: np.ndarray         # minimized: <obj, R>
     comm_mat: np.ndarray    # <comm_mat, R> >= comm_rhs
     comm_rhs: float
@@ -64,24 +68,28 @@ class SdpProblem:
     sense_rhs: float
     trace_budget: float
 
+    @property
+    def dim(self) -> int:
+        return self.obj.shape[0]
+
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise DimensionError(f"dim must be >= 1, got {self.dim}")
+        shape = np.shape(self.obj)
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+            raise DimensionError(f"obj must be a non-empty square matrix, got shape {shape}")
         if self.trace_budget <= 0.0:
             raise DomainError(f"trace budget must be > 0, got {self.trace_budget}")
         for name in ("obj", "comm_mat", "sense_mat"):
             mat = np.asarray(getattr(self, name), dtype=np.complex128)
-            if mat.shape != (self.dim, self.dim):
-                raise DimensionError(f"{name} has shape {mat.shape}, expected "
-                                     f"({self.dim}, {self.dim})")
+            if mat.shape != shape:
+                raise DimensionError(f"{name} has shape {mat.shape}, expected {shape}")
             object.__setattr__(self, name, check_hermitian(mat, rel_tol=1e-10, name=name))
 
     @classmethod
     def _unchecked(cls, **fields) -> "SdpProblem":
         """The problem with ``fields`` as they stand, without ``__post_init__``.
 
-        For fields that it would store unchanged: a positive ``dim`` and trace
-        budget, and exactly Hermitian complex128 ``(dim, dim)`` matrices.
+        For fields that it would store unchanged: a positive trace budget and
+        exactly Hermitian complex128 matrices of one non-empty square shape.
         """
         problem = object.__new__(cls)
         problem.__dict__.update(fields)
@@ -125,7 +133,6 @@ def assemble_p2(beams: BeamProducts, cfg: ScenarioConfig) -> SdpProblem:
     sense_mat = np.outer(a, a.conj()) - gamma_s * (obj + np.outer(o, o.conj()))
 
     return SdpProblem._unchecked(
-        dim=len(u),
         obj=_hermitian_part(obj),
         comm_mat=comm_mat,
         comm_rhs=cfg.gamma_comm * cfg.M_r * n_samples * cfg.sigma_c2_W,
@@ -195,7 +202,7 @@ def _max_margin(mats: np.ndarray, b: np.ndarray):
     return _line_max(evaluate, 1.0, 1.0, 1e-12)
 
 
-def solve_sdp(problem: SdpProblem, max_iters: int = 100) -> SdpSolution:
+def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
     """Solve the covariance subproblem through its two-multiplier dual.
 
     ``optimal``: each inequality holds within ``TOL`` (relative to a positive

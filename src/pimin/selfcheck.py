@@ -33,18 +33,8 @@ class CheckResult:
     passed: bool
     detail: str
 
-
-@dataclass(frozen=True)
-class CheckReport:
-    results: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def lines(self) -> list[str]:
-        return [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}"
-                for r in self.results]
+    def __str__(self) -> str:
+        return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
 def cplx(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -89,7 +79,7 @@ def random_sdp_problem(gen: np.random.Generator, n: int) -> SdpProblem:
     witness = random_psd(gen, n, trace=budget)
     sense_at_witness = float(np.trace(c2 @ witness).real)
     return SdpProblem(
-        dim=n, obj=obj, comm_mat=c1,
+        obj=obj, comm_mat=c1,
         comm_rhs=0.7 * float(np.trace(c1 @ witness).real),
         sense_mat=c2,
         sense_rhs=sense_at_witness - 0.3 * abs(sense_at_witness) - 0.1,
@@ -100,27 +90,27 @@ def diagonal_problem(obj_diag) -> SdpProblem:
     """A diagonal objective under ``diag(1, 0) >= 0.3`` and ``I >= 0.5`` at unit
     trace: the dual's minimum eigenvalue repeats at the optimum, a kink of the
     dual. The exact optimum of ``diag(1, 0)`` is 0.3, that of ``diag(2, 1)`` 1.3."""
-    return SdpProblem(dim=2, obj=np.diag(obj_diag).astype(complex),
+    return SdpProblem(obj=np.diag(obj_diag).astype(complex),
                       comm_mat=np.diag([1.0, 0.0]).astype(complex), comm_rhs=0.3,
                       sense_mat=np.eye(2, dtype=complex), sense_rhs=0.5, trace_budget=1.0)
 
 
 def sample_feasible_points(prob: SdpProblem, rng: np.random.Generator,
                            count: int) -> list[np.ndarray]:
-    """Rejection-sample up to ``count`` PSD trace-budget matrices satisfying both
-    inequalities, in at most 200 000 draws."""
-    n = prob.dim
-    out = []
-    tries = 0
-    while len(out) < count and tries < 200_000:
-        tries += 1
-        q, _ = np.linalg.qr(cplx(rng, n, n))
-        lam = rng.dirichlet(np.ones(n)) * prob.trace_budget
-        r = (q * lam) @ q.conj().T
-        if (np.trace(prob.comm_mat @ r).real >= prob.comm_rhs
-                and np.trace(prob.sense_mat @ r).real >= prob.sense_rhs):
-            out.append(r)
-    return out
+    """The first ``count`` PSD trace-budget matrices, or fewer, that satisfy both
+    inequalities among at most 200 batches of 1000 Haar-rotated Dirichlet
+    spectra, each batch drawn at once."""
+    n, out = prob.dim, []
+    for _ in range(200):
+        q, _ = np.linalg.qr(cplx(rng, 1000, n, n))
+        lam = rng.dirichlet(np.ones(n), size=1000) * prob.trace_budget
+        r = (q * lam[:, None, :]) @ q.conj().transpose(0, 2, 1)
+        comm = np.einsum("ij,kji->k", prob.comm_mat, r).real
+        sense = np.einsum("ij,kji->k", prob.sense_mat, r).real
+        out.extend(r[(comm >= prob.comm_rhs) & (sense >= prob.sense_rhs)])
+        if len(out) >= count:
+            break
+    return out[:count]
 
 
 def kron_error(rng: np.random.Generator) -> float:
@@ -209,8 +199,8 @@ def manifold_errors(forms: PrecomputedForms, x0: BeamformerState,
     """The largest modulus error, gradient and step tangency over the accepted
     steps of one ``rcg_solve`` run, the largest rise of its history, and the
     Riemannian gradient norm at its last iterate over that at ``x0``, both
-    from ``rcg.euclid_grad``; all NaN, failing any bound, when the run takes
-    no step."""
+    from ``rcg.euclid_grad`` (so a wrong Levenberg–Marquardt Jacobian fails
+    the ratio); all NaN, failing any bound, when the run takes no step."""
     seen = []
 
     def watch(x, g, d):
@@ -238,7 +228,7 @@ def reduced_objective_error(scen: ScenarioConfig, ch: ChannelSet,
 
 def _check_sdp(rng: np.random.Generator) -> CheckResult:
     # scalar case is analytic
-    p1 = SdpProblem(dim=1, obj=np.array([[2.0 + 0j]]),
+    p1 = SdpProblem(obj=np.array([[2.0 + 0j]]),
                     comm_mat=np.array([[1.0 + 0j]]), comm_rhs=0.5,
                     sense_mat=np.array([[1.0 + 0j]]), sense_rhs=0.0,
                     trace_budget=3.0)
@@ -263,7 +253,7 @@ def _check_sdp(rng: np.random.Generator) -> CheckResult:
         f"dominates {len(values)} samples={dominated}")
 
 
-def self_check() -> CheckReport:
+def self_check() -> tuple[CheckResult, ...]:
     """Run every oracle once on draws from ``default_rng(2024)`` and judge each figure."""
     rng = np.random.default_rng(2024)
     kron = kron_error(rng)
@@ -276,7 +266,7 @@ def self_check() -> CheckReport:
     scen = desk_scenario()
     rel = reduced_objective_error(scen, generate_channels(scen, rng), rng)
     lapack = lapack_error(rng, 20)
-    return CheckReport(results=(
+    return (
         CheckResult("kron_apply_matches_dense", kron <= 1e-12,
                     f"max entry error {kron:.2e}"),
         CheckResult("hermitian_evd_reconstruction", evd <= 1e-10,
@@ -293,4 +283,4 @@ def self_check() -> CheckReport:
                     rel <= 1e-10, f"relative error {rel:.2e}"),
         CheckResult("lapack_wrappers_match_numpy_linalg", lapack == 0.0,
                     f"max entry difference {lapack:.2e}"),
-    ))
+    )

@@ -136,7 +136,7 @@ def test_criterion_6_sdp_correctness():
     gen = np.random.default_rng(606)
 
     # analytic scalar case is exact
-    p1 = SdpProblem(dim=1, obj=np.array([[3.0 + 0j]]),
+    p1 = SdpProblem(obj=np.array([[3.0 + 0j]]),
                     comm_mat=np.array([[2.0 + 0j]]), comm_rhs=1.0,
                     sense_mat=np.array([[1.0 + 0j]]), sense_rhs=0.5,
                     trace_budget=4.0)

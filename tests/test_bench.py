@@ -223,7 +223,7 @@ class TestSweep:
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(bench_mod, "_sweep_task", no_trial)
+        monkeypatch.setattr(bench_mod, "_trial_task", no_trial)
         spec = SweepSpec(base=desk_scenario(seed=3), axis="M", values=(2,),
                          trials_per_point=1, methods=(Method.PROPOSED,),
                          solver=FAST)
@@ -411,9 +411,9 @@ class TestCsv:
 
 class TestSelfCheck:
     def test_fresh_build_passes(self):
-        report = self_check()
-        assert report.passed, report.lines()
-        assert [r.name for r in report.results] == [
+        results = self_check()
+        assert all(r.passed for r in results), [str(r) for r in results]
+        assert [r.name for r in results] == [
             "kron_apply_matches_dense", "hermitian_evd_reconstruction",
             "euclidean_gradient_matches_finite_difference", "manifold_iterates_and_descent",
             "sdp_scalar_and_kinks_exact_and_dominates_samples",

@@ -7,13 +7,13 @@ import pytest
 
 from pimin.bench import TRIAL_FIELDS
 from pimin.cli import main
-from pimin.scenario import desk_scenario, save_config
+from pimin.scenario import desk_scenario
 
 
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "scen.json"
-    save_config(desk_scenario(seed=3), str(path))
+    path.write_text(json.dumps(desk_scenario(seed=3).to_json_dict()))
     return str(path)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pimin.errors import DegenerateInputError
+from pimin.errors import DomainError
 from pimin.linalg import _kron_apply, hermitian_evd
 from pimin.metrics import (_power, adc_snr, comm_snr, dynamic_range, power_breakdown,
                            power_noise, sndr)
@@ -79,7 +79,7 @@ class TestSndr:
         assert abs(sndr(ps, pi, po, pn) - ps / (pi + po + pn)) <= 1e-15
 
     def test_zero_denominator(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError):
             sndr(1.0, 0.0, 0.0, 0.0)
 
 
@@ -124,7 +124,7 @@ class TestDynamicRange:
         assert dynamic_range(0.0, 1e-11) == 0.0
 
     def test_zero_noise_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DomainError):
             dynamic_range(1.0, 0.0)
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pimin.errors import DegenerateInputError, DimensionError, DomainError, HermitianError
+from pimin.errors import DimensionError, DomainError, HermitianError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import adc_snr, comm_snr
 from pimin.rcg import BeamformerState, PrecomputedForms, objective, precompute_forms, random_state
@@ -18,7 +18,7 @@ from helpers import tiny_scenario
 
 
 def sdp_problem(**overrides):
-    fields = dict(dim=2, obj=np.eye(2), comm_mat=np.eye(2), comm_rhs=0.0,
+    fields = dict(obj=np.eye(2), comm_mat=np.eye(2), comm_rhs=0.0,
                   sense_mat=np.eye(2), sense_rhs=0.0, trace_budget=1.0)
     fields.update(overrides)
     return SdpProblem(**fields)
@@ -53,9 +53,9 @@ CASES = {
     "comm_snr_cov_shape": (lambda: comm_snr(np.eye(2), np.eye(3), 1, 2, 1.0),
                            DimensionError, "covariance has shape (3, 3), expected (4,)^2"),
     "comm_snr_noise": (lambda: comm_snr(np.eye(2), np.eye(4), 1, 2, 0.0),
-                       DegenerateInputError, "sigma_c2 must be positive"),
+                       DomainError, "sigma_c2 must be positive"),
     "adc_negative_bits": (lambda: adc_snr(-1.0),
-                          DegenerateInputError, "effective bit count must be >= 0"),
+                          DomainError, "effective bit count must be >= 0"),
     "state_split": (lambda: BeamformerState(x=np.ones(3), num_bf=4),
                     DimensionError, "state of length (3,) cannot split at 4"),
     "forms_cov_dim": (forms_for_a_mismatched_covariance,
@@ -70,11 +70,14 @@ CASES = {
         DimensionError, "state split (2, 2) does not match forms (3, 2)"),
     "db_of_negative_power": (lambda: linear_to_db(-1.0),
                              DomainError, "cannot express negative power -1.0 in dB"),
-    "sdp_dim": (lambda: sdp_problem(dim=0), DimensionError, "dim must be >= 1, got 0"),
+    "sdp_obj_empty": (lambda: sdp_problem(obj=np.zeros((0, 0))), DimensionError,
+                      "obj must be a non-empty square matrix, got shape (0, 0)"),
+    "sdp_obj_not_square": (lambda: sdp_problem(obj=np.ones((2, 3))), DimensionError,
+                           "obj must be a non-empty square matrix, got shape (2, 3)"),
     "sdp_budget": (lambda: sdp_problem(trace_budget=0.0),
                    DomainError, "trace budget must be > 0, got 0.0"),
-    "sdp_matrix_shape": (lambda: sdp_problem(obj=np.eye(3)),
-                         DimensionError, "obj has shape (3, 3), expected (2, 2)"),
+    "sdp_matrix_shape": (lambda: sdp_problem(comm_mat=np.eye(3)),
+                         DimensionError, "comm_mat has shape (3, 3), expected (2, 2)"),
 }
 
 

@@ -21,7 +21,7 @@ def dependent_constraints_problem():
     """Each constraint alone is reachable, but they need more than the budget."""
     e1 = np.diag([1.0, 0.0]).astype(complex)
     e2 = np.diag([0.0, 1.0]).astype(complex)
-    return SdpProblem(dim=2, obj=np.eye(2, dtype=complex), comm_mat=e1,
+    return SdpProblem(obj=np.eye(2, dtype=complex), comm_mat=e1,
                       comm_rhs=0.9, sense_mat=e2, sense_rhs=0.9, trace_budget=1.0)
 
 
@@ -34,7 +34,7 @@ def slow_problem():
 def contradictory_problem():
     """``comm_mat + sense_mat = 0``: no point has both margins positive, however
     small the right-hand sides are against the matrix scale."""
-    return SdpProblem(dim=2, obj=np.array([[2.0, 0.3], [0.3, 1.0]], dtype=complex),
+    return SdpProblem(obj=np.array([[2.0, 0.3], [0.3, 1.0]], dtype=complex),
                       comm_mat=np.diag([1.0, -1.0]).astype(complex), comm_rhs=5e-10,
                       sense_mat=np.diag([-1.0, 1.0]).astype(complex), sense_rhs=5e-10,
                       trace_budget=1.0)
@@ -79,7 +79,7 @@ class TestAssembleP2:
         for ell in range(scen.L):
             comm[ell * m_t:(ell + 1) * m_t, ell * m_t:(ell + 1) * m_t] = beams.gram
         sense = np.outer(a, a.conj()) - scen.gamma_sense * (obj + np.outer(o, o.conj()))
-        checked = SdpProblem(dim=prob.dim, obj=obj, comm_mat=comm, comm_rhs=prob.comm_rhs,
+        checked = SdpProblem(obj=obj, comm_mat=comm, comm_rhs=prob.comm_rhs,
                              sense_mat=sense, sense_rhs=prob.sense_rhs,
                              trace_budget=prob.trace_budget)
         for name in ("obj", "comm_mat", "sense_mat"):
@@ -122,7 +122,7 @@ class TestAssembleP2:
 
     def test_hermitian_validation(self, rng):
         with pytest.raises(HermitianError):
-            SdpProblem(dim=2, obj=cplx(rng, 2, 2), comm_mat=np.eye(2),
+            SdpProblem(obj=cplx(rng, 2, 2), comm_mat=np.eye(2),
                        comm_rhs=0.0, sense_mat=np.eye(2), sense_rhs=0.0,
                        trace_budget=1.0)
 
@@ -137,7 +137,7 @@ class TestAssembleP2:
         a = h + 0.5 * s * k
 
         def problem():
-            return SdpProblem(dim=4, obj=a, comm_mat=np.eye(4), comm_rhs=0.0,
+            return SdpProblem(obj=a, comm_mat=np.eye(4), comm_rhs=0.0,
                               sense_mat=np.eye(4), sense_rhs=0.0, trace_budget=1.0)
 
         if not hermitian:
@@ -153,7 +153,7 @@ class TestAssembleP2:
         # exactly Hermitian part
         u = cplx(rng, 6)
         outer = np.outer(u, u.conj())
-        prob = SdpProblem(dim=6, obj=outer, comm_mat=np.eye(6), comm_rhs=0.0,
+        prob = SdpProblem(obj=outer, comm_mat=np.eye(6), comm_rhs=0.0,
                           sense_mat=outer, sense_rhs=0.0, trace_budget=1.0)
         for mat in (prob.obj, prob.sense_mat):
             assert np.array_equal(mat, mat.conj().T)
@@ -162,7 +162,7 @@ class TestAssembleP2:
 
 class TestSolveSdp:
     def test_scalar_analytic(self):
-        p = SdpProblem(dim=1, obj=np.array([[2.0 + 0j]]),
+        p = SdpProblem(obj=np.array([[2.0 + 0j]]),
                        comm_mat=np.array([[1.0 + 0j]]), comm_rhs=1.0,
                        sense_mat=np.array([[1.0 + 0j]]), sense_rhs=0.0,
                        trace_budget=3.0)
@@ -172,14 +172,14 @@ class TestSolveSdp:
         assert abs(sol.R_ss[0, 0].real - 3.0) <= 1e-9
 
     def test_scalar_infeasible(self):
-        p = SdpProblem(dim=1, obj=np.array([[1.0 + 0j]]),
+        p = SdpProblem(obj=np.array([[1.0 + 0j]]),
                        comm_mat=np.array([[1.0 + 0j]]), comm_rhs=10.0,
                        sense_mat=np.array([[0.0 + 0j]]), sense_rhs=0.0,
                        trace_budget=3.0)
         assert solve_sdp(p).status == "infeasible"
 
     def test_flat_objective_returns_feasible(self, rng):
-        p = SdpProblem(dim=3, obj=np.zeros((3, 3), dtype=complex),
+        p = SdpProblem(obj=np.zeros((3, 3), dtype=complex),
                        comm_mat=np.eye(3, dtype=complex), comm_rhs=0.5,
                        sense_mat=random_hermitian(rng, 3), sense_rhs=-5.0,
                        trace_budget=1.0)
@@ -223,7 +223,7 @@ class TestSolveSdp:
             c1, c2 = random_hermitian(gen, 2), random_hermitian(gen, 2)
             witness = random_psd(gen, 2, trace=budget)
             b1 = float(np.trace(c1 @ witness).real)
-            prob = SdpProblem(dim=2, obj=c1 + 3.0 * np.eye(2), comm_mat=c1, comm_rhs=b1,
+            prob = SdpProblem(obj=c1 + 3.0 * np.eye(2), comm_mat=c1, comm_rhs=b1,
                               sense_mat=c2, sense_rhs=float(np.trace(c2 @ witness).real) - 0.1,
                               trace_budget=budget)
             exact = sdp2_exact_oracle(prob)
@@ -256,7 +256,7 @@ class TestSolveSdp:
     def test_objective_scaling_invariance(self, rng):
         prob = random_sdp_problem(rng, 2)
         sol1 = solve_sdp(prob)
-        scaled = SdpProblem(dim=2, obj=5.0 * prob.obj, comm_mat=prob.comm_mat,
+        scaled = SdpProblem(obj=5.0 * prob.obj, comm_mat=prob.comm_mat,
                             comm_rhs=prob.comm_rhs, sense_mat=prob.sense_mat,
                             sense_rhs=prob.sense_rhs,
                             trace_budget=prob.trace_budget)
@@ -274,7 +274,7 @@ class TestSolveSdp:
     def test_cone_only_infeasible(self):
         offd = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         e1 = np.diag([1.0, 0.0]).astype(complex)
-        p = SdpProblem(dim=2, obj=np.eye(2, dtype=complex), comm_mat=offd,
+        p = SdpProblem(obj=np.eye(2, dtype=complex), comm_mat=offd,
                        comm_rhs=0.8, sense_mat=e1, sense_rhs=0.9, trace_budget=1.0)
         assert solve_sdp(p).status == "infeasible"
 
@@ -299,7 +299,7 @@ class TestSolveSdp:
     def test_null_space_shortcut_nulls_objective(self, rng):
         # rank-one objective with a roomy feasible set: optimum is exactly zero
         u = cplx(rng, 3)
-        p = SdpProblem(dim=3, obj=np.outer(u, u.conj()),
+        p = SdpProblem(obj=np.outer(u, u.conj()),
                        comm_mat=np.eye(3, dtype=complex), comm_rhs=0.2,
                        sense_mat=np.zeros((3, 3), dtype=complex), sense_rhs=0.0,
                        trace_budget=1.0)
@@ -335,7 +335,7 @@ class TestDualCertificates:
     def test_tiny_rhs_met_relative_to_itself(self):
         # the null space of obj holds feasible points, but its uniform
         # covariance misses a right-hand side far below the matrix scale
-        p = SdpProblem(dim=3, obj=np.diag([1.0, 0.0, 0.0]).astype(complex),
+        p = SdpProblem(obj=np.diag([1.0, 0.0, 0.0]).astype(complex),
                        comm_mat=np.eye(3, dtype=complex), comm_rhs=0.1,
                        sense_mat=np.diag([0.0, 1.0, -1.0]).astype(complex),
                        sense_rhs=1e-9, trace_budget=1.0)
@@ -347,7 +347,7 @@ class TestDualCertificates:
         assert sol.constraint_violation <= 1e-6
 
     def test_iterations_zero_only_for_certificates(self, rng):
-        spectral = SdpProblem(dim=2, obj=np.eye(2, dtype=complex),
+        spectral = SdpProblem(obj=np.eye(2, dtype=complex),
                               comm_mat=np.eye(2, dtype=complex), comm_rhs=2.0,
                               sense_mat=np.zeros((2, 2), dtype=complex),
                               sense_rhs=0.0, trace_budget=1.0)
@@ -366,7 +366,7 @@ class TestDualCertificates:
         e1 = np.diag([1.0, 0.0]).astype(complex)
         e2 = np.diag([0.0, 1.0]).astype(complex)
         u = np.array([1.0, 1j]) / np.sqrt(2.0)
-        p = SdpProblem(dim=2, obj=np.outer(u, u.conj()), comm_mat=e1,
+        p = SdpProblem(obj=np.outer(u, u.conj()), comm_mat=e1,
                        comm_rhs=0.6, sense_mat=e2, sense_rhs=0.6, trace_budget=1.0)
         sol = solve_sdp(p)
         assert sol.status == "infeasible" and sol.iterations == 1
@@ -387,7 +387,7 @@ class TestDualCertificates:
     @pytest.mark.parametrize("excess,status", [(5e-8, "optimal"), (5e-7, "infeasible")])
     def test_scalar_shortfall_judged_at_tol(self, excess, status):
         # the only point misses a right-hand side of 1 + excess by excess
-        p = SdpProblem(dim=1, obj=np.ones((1, 1), dtype=complex),
+        p = SdpProblem(obj=np.ones((1, 1), dtype=complex),
                        comm_mat=np.ones((1, 1), dtype=complex), comm_rhs=1.0 + excess,
                        sense_mat=np.zeros((1, 1), dtype=complex), sense_rhs=0.0,
                        trace_budget=1.0)
@@ -430,7 +430,7 @@ class TestDualCertificates:
             obj = h.conj().T @ h if k % 2 else np.outer(h[0], h[0].conj())
             budget = float(gen.uniform(0.5, 3.0))
             b1, b2 = gen.standard_normal(2) * budget
-            prob = SdpProblem(dim=2, obj=obj, comm_mat=random_hermitian(gen, 2), comm_rhs=b1,
+            prob = SdpProblem(obj=obj, comm_mat=random_hermitian(gen, 2), comm_rhs=b1,
                               sense_mat=random_hermitian(gen, 2), sense_rhs=b2,
                               trace_budget=budget)
             looser, tighter = (sdp2_exact_oracle(replace(
@@ -460,7 +460,7 @@ class TestDualCertificates:
             c1 = random_hermitian(gen, 2)
             c2 = random_hermitian(gen, 2)
             b1, b2 = gen.standard_normal(2)
-            problems.append(SdpProblem(dim=2, obj=c1 + 3.0 * np.eye(2), comm_mat=c1, comm_rhs=b1,
+            problems.append(SdpProblem(obj=c1 + 3.0 * np.eye(2), comm_mat=c1, comm_rhs=b1,
                                        sense_mat=c2, sense_rhs=b2, trace_budget=1.0))
         problems += [diagonal_problem([1.0, 0.0]), diagonal_problem([2.0, 1.0])]
         start = time.perf_counter()
@@ -486,7 +486,7 @@ class TestDualCertificates:
             n = int(gen.integers(2, 5))
             h = cplx(gen, n, n)
             b1, b2 = 10.0 ** -gen.uniform(2, 10, size=2)
-            prob = SdpProblem(dim=n, obj=h.conj().T @ h, comm_mat=random_hermitian(gen, n),
+            prob = SdpProblem(obj=h.conj().T @ h, comm_mat=random_hermitian(gen, n),
                               comm_rhs=b1, sense_mat=random_hermitian(gen, n), sense_rhs=b2,
                               trace_budget=float(gen.uniform(0.5, 3.0)))
             sol = solve_sdp(prob)
@@ -496,6 +496,23 @@ class TestDualCertificates:
                 assert sol.status == ("infeasible" if exact is None else "optimal")
                 if exact is not None:
                     assert abs(sol.objective_value - exact) <= 1e-6 * abs(exact)
+
+
+class TestSampleFeasiblePoints:
+    def test_points_are_feasible_covariances_and_count_caps_them(self, rng):
+        # about a quarter of the draws are feasible: far more than 50 in a batch
+        prob = random_sdp_problem(rng, 3)
+        pts = sample_feasible_points(prob, rng, 50)
+        assert len(pts) == 50
+        for r in pts:
+            assert_covariance(r, prob.trace_budget)
+            for mat, rhs in ((prob.comm_mat, prob.comm_rhs), (prob.sense_mat, prob.sense_rhs)):
+                assert np.trace(mat @ r).real >= rhs - 1e-12 * np.linalg.norm(mat)
+
+    def test_contradictory_constraints_give_nothing_once_the_cap_is_spent(self, rng):
+        start = time.perf_counter()
+        assert sample_feasible_points(contradictory_problem(), rng, 1) == []
+        assert time.perf_counter() - start < 1.0
 
 
 class TestAssertCovariance:
