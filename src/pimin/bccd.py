@@ -18,12 +18,14 @@ of forms is folded at them once, and the manifold block moves only the radar
 weights. Every RIS-coupled path is linear in the coefficients, so frozen
 zeros are the system without an RIS, on the same start.
 
-The loop ends at an exact fixed point: once a later manifold solve takes no
-step, or right after a record whose restart solve provably takes none (the
-covariance is kept after a ``grad_tol`` stop, or after an optimal SDP a bound
-on the restart's first gradient is below the tolerance). Every later
-iteration would repeat the last record, so a tail repeats it, without calling
-any block, until the stall rule or ``n_iter`` ends the run.
+The loop ends at an exact fixed point right after a record whose restart
+solve provably takes no step: the covariance is kept after a ``grad_tol``
+stop, or after an optimal SDP a bound on the restart's first gradient is below
+the tolerance. Every later iteration would repeat the last record, so a tail
+repeats it, without calling any block, until the stall rule or ``n_iter`` ends
+the run. At a fixed point that is not proved in advance, each later solve
+takes no step and the blocks repeat the record until the stall rule ends the
+run.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def seeded_start(seed: int, scen: ScenarioConfig, ch: ChannelSet) -> BccdStart:
     r_cov.flags.writeable = False
     x.x.flags.writeable = False
     evd = hermitian_evd(r_cov)
-    forms = precompute_forms(evd, ch, scen.L)
+    forms = precompute_forms(evd, ch)
     forms.b.flags.writeable = False
     forms.c.flags.writeable = False
     return BccdStart(ch=ch, R_ss=r_cov, evd=evd, x=x, forms=forms)
@@ -232,16 +234,10 @@ def bccd_solve(cfg: BccdConfig, scen: ScenarioConfig, start: BccdStart, *,
     # eigendecomposition and forms carry over an infeasible or stalled call.
     for _ in range(cfg.n_iter):
         if forms is None:
-            forms = precompute_forms(evd, ch, scen.L)
+            forms = precompute_forms(evd, ch)
             if not optimize_phi:
                 forms = forms.fold(phi)
         rcg_out = rcg_solve(forms, x, rcg_cfg)
-        # A 0-step solve returns x itself, where the last SDP was solved. The
-        # SDP reads only (w, phi), so it would give the same covariance, forms
-        # and record, and the next solve would take 0 steps again: by
-        # induction every later iteration repeats the last record.
-        if history and rcg_out.iterations == 0:
-            break
         x = rcg_out.x
         if optimize_phi:
             phi = x.phi

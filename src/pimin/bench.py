@@ -286,8 +286,7 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1,
     and a JSON sidecar ``<out_path>.meta.json`` carries the spec and per-point
     aggregate statistics.
     """
-    if parallelism < 1:
-        raise DomainError(f"parallelism must be >= 1, got {parallelism}")
+    check_count("parallelism", parallelism, 1)
     tasks = []
     for value, scen in zip(spec.values, spec.points):
         for trial_id in range(spec.trials_per_point):

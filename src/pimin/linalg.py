@@ -177,9 +177,8 @@ def hermitian_evd(a: np.ndarray) -> EvdResult:
     return EvdResult(eigenvalues=lam, eigenvectors=v)
 
 
-def _kron_apply(h: np.ndarray, v: np.ndarray, blocks: int) -> np.ndarray:
-    """``(I_blocks kron h) v`` without forming the Kronecker product: complex128
-    ``h`` (a, b) and ``v`` (blocks * b,); block ``l`` of the result is
-    ``h @ v_block_l``."""
-    a, b = h.shape
-    return (v.reshape(blocks, b) @ h.T).reshape(blocks * a)
+def _kron_apply(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``(I_L kron h) v`` without forming the Kronecker product: complex128
+    ``h`` (a, b) and ``v`` (L * b,), so ``L`` is read off ``v``; block ``l`` of
+    the result is ``h @ v_block_l``."""
+    return (v.reshape(-1, h.shape[1]) @ h.T).reshape(-1)

@@ -58,21 +58,23 @@ def power_noise(w: np.ndarray, sigma_r2: float) -> float:
 def sndr(p_sense: float, p_pi: float, p_obs: float, p_noise: float) -> float:
     """Sensing power over interference-plus-noise power (linear ratio)."""
     denom = p_pi + p_obs + p_noise
-    if denom <= 0.0:
+    if not denom > 0.0:
         raise DomainError("SNDR denominator must be positive")
     return p_sense / denom
 
 
-def comm_snr(gram: np.ndarray, r_ss: np.ndarray, m_r: int, n_samples: int,
-             sigma_c2: float) -> float:
-    """Communication SNR: trace form of ``R_ss`` with ``I_L kron gram``, ``gram = Hc^H Hc``."""
+def comm_snr(gram: np.ndarray, r_ss: np.ndarray, m_r: int, sigma_c2: float) -> float:
+    """Communication SNR: trace form of ``R_ss`` with ``I_L kron gram``, ``gram = Hc^H Hc``;
+    ``L`` is the size of ``R_ss`` over ``M_t``, the size of ``gram``."""
     gram = np.asarray(gram, dtype=np.complex128)
     r_ss = np.asarray(r_ss, dtype=np.complex128)
     m_t = gram.shape[0]
-    if r_ss.shape != (n_samples * m_t, n_samples * m_t):
-        raise DimensionError(
-            f"covariance has shape {r_ss.shape}, expected ({n_samples * m_t},)^2")
-    if sigma_c2 <= 0.0:
+    dim = r_ss.shape[0] if r_ss.ndim == 2 else 0
+    n_samples, rest = divmod(dim, m_t)
+    if rest or not n_samples or r_ss.shape != (dim, dim):
+        raise DimensionError(f"covariance has shape {r_ss.shape}, expected a square "
+                             f"matrix of a positive multiple of M_t = {m_t}")
+    if not sigma_c2 > 0.0:
         raise DomainError("sigma_c2 must be positive")
     blocks = r_ss.reshape(n_samples, m_t, n_samples, m_t)
     num = np.einsum("lilj,ji->", blocks, gram).real
@@ -81,14 +83,14 @@ def comm_snr(gram: np.ndarray, r_ss: np.ndarray, m_r: int, n_samples: int,
 
 def dynamic_range(p_pi: float, p_noise: float) -> float:
     """Interference-to-noise ratio the ADC must span (linear)."""
-    if p_noise <= 0.0:
+    if not p_noise > 0.0:
         raise DomainError("noise power must be positive")
     return p_pi / p_noise
 
 
 def adc_snr(n_enob: float) -> float:
     """Peak ADC SNR in dBFS for a given effective number of bits."""
-    if n_enob < 0:
+    if not n_enob >= 0:
         raise DomainError("effective bit count must be >= 0")
     return 6.02 * n_enob + 1.76
 
@@ -99,7 +101,7 @@ def power_breakdown(beams: BeamProducts, r_ss: np.ndarray, sigma_r2: float,
 
     ``evd`` is the eigendecomposition of ``r_ss`` (``hermitian_evd``).
     """
-    snr = comm_snr(beams.gram, r_ss, m_r, beams.n_samples, sigma_c2)   # checks r_ss
+    snr = comm_snr(beams.gram, r_ss, m_r, sigma_c2)   # checks r_ss
     vh, lam = evd.eigenvectors.conj().T, evd.clipped_eigenvalues
     p_pi, p_sense, p_obs = (_power(u, vh, lam) for u in (beams.u, beams.a, beams.o))
     p_noise = power_noise(beams.w, sigma_r2)

@@ -128,10 +128,11 @@ class PrecomputedForms:
             c=np.empty((self.num_terms, self.num_bf, 0), dtype=np.complex128))
 
 
-def precompute_forms(evd: EvdResult, ch: ChannelSet, n_samples: int) -> PrecomputedForms:
+def precompute_forms(evd: EvdResult, ch: ChannelSet) -> PrecomputedForms:
     """Reduce the covariance quadratic form to per-eigenpair coefficients.
 
-    For eigenpair ``(lam_i, v_i)`` of the transmit covariance:
+    The sample count ``L`` is the covariance dimension over ``M_t``, which
+    must divide it. For eigenpair ``(lam_i, v_i)`` of the transmit covariance:
     ``b_i = sqrt(lam_i) gamma_DPI (I_L kron H_DPI) v_i`` and ``c_i`` stacks the
     per-sample blocks ``sqrt(lam_i) gamma_RPI G_rR^H diag(H_cR v_i_block)``
     vertically into an (LM, N) matrix, which is the unique shape that makes
@@ -140,9 +141,10 @@ def precompute_forms(evd: EvdResult, ch: ChannelSet, n_samples: int) -> Precompu
     m, m_t = ch.H_DPI.shape
     n = ch.H_cR.shape[0]
     dim = evd.dim
-    if dim != n_samples * m_t:
+    n_samples, rest = divmod(dim, m_t)
+    if rest or not n_samples:
         raise DimensionError(
-            f"covariance dim {dim} does not match n_samples*M_t = {n_samples * m_t}")
+            f"covariance dim {dim} is not a positive multiple of M_t = {m_t}")
     # Row i of V is eigenvector i split into its L per-sample blocks.
     v = evd.eigenvectors.T.reshape(dim, n_samples, m_t)
     root = np.sqrt(evd.clipped_eigenvalues)
@@ -291,11 +293,17 @@ class RcgResult:
     x: BeamformerState
     history: np.ndarray     # objective value at x0 and after each iteration
     grad_norm: float        # Riemannian gradient norm at x
-    iterations: int
     stop_reason: str        # "grad_tol", "max_iters" or "stalled" (a rejected trial equal
                             # to x or not finite)
-    objective_evals: int    # the start point, every accepted step and every rejected trial
     backtracks: int         # trial points rejected because they did not lower the objective
+
+    @property
+    def iterations(self) -> int:        # accepted steps, one per history entry after x0
+        return len(self.history) - 1
+
+    @property
+    def objective_evals(self) -> int:   # the start point, every step and every backtrack
+        return len(self.history) + self.backtracks
 
 
 def _dual_side(dim: int, n_terms: int) -> bool:
@@ -339,7 +347,7 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
 
     f, terms = evaluate(x)
     history = [f]
-    evaluations, iterations, backtracks = 1, 0, 0
+    iterations, backtracks = 0, 0
     mu, nu = None, 2.0
     accepted = True
     while True:
@@ -367,7 +375,6 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
             delta = a.dot(delta)
         trial = x * np.exp(1j * delta)
         f_new, terms_new = evaluate(trial)
-        evaluations += 1
         accepted = f_new < f
         if accepted:
             # Gain ratio: the actual decrease over the model's,
@@ -389,7 +396,5 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
 
     stop = ("grad_tol" if g_norm <= grad_tol
             else "max_iters" if iterations == cfg.max_iters else "stalled")
-    x_out = x0 if iterations == 0 else BeamformerState(x=x, num_bf=nb)
-    return RcgResult(x=x_out, history=np.asarray(history), grad_norm=g_norm,
-                     iterations=iterations, stop_reason=stop,
-                     objective_evals=evaluations, backtracks=backtracks)
+    return RcgResult(x=BeamformerState(x=x, num_bf=nb), history=np.asarray(history),
+                     grad_norm=g_norm, stop_reason=stop, backtracks=backtracks)

@@ -48,7 +48,7 @@ def db_to_linear(x_db: float) -> float:
 
 def linear_to_db(x: float) -> float:
     """dB from a positive power ratio; ``-inf`` for zero."""
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"cannot express negative power {x} in dB")
     if x == 0.0:
         return float("-inf")
@@ -433,18 +433,10 @@ def desk_scenario(**overrides) -> ScenarioConfig:
     interference path is within a few dB of the direct one, which is the
     regime where phase optimization has leverage. The target sits close
     enough that the sensing constraint at 0 dB is satisfiable with margin.
+    Every field it does not set keeps its ``ScenarioConfig`` default.
     """
-    lam = SPEED_OF_LIGHT / 28e9
-    base = dict(
-        M_t=2, M_r=2, M=4, N_x=2, N_y=2, L=2,
-        d_x_m=16 * lam, d_y_m=16 * lam,
-        d_k=500.0, d_Rk=40.0, d_cR=140.0, d_DPI=145.0, d_rR=10.0,
-        d_Bt=140.0, d_tPR=60.0, d_tR=55.0,
-        sigma_t_m2=5.0,
-        sigma_c2_dBm=-80.0, sigma_r2_dBm=-80.0,
-        P_B_dB=0.0, gamma_comm_dB=0.0, gamma_sense_dB=0.0,
-        seed=0,
-    )
+    lam = SPEED_OF_LIGHT / ScenarioConfig.f_c_Hz
+    base = dict(M_t=2, M=4, N_x=2, N_y=2, d_x_m=16 * lam, d_y_m=16 * lam)
     base.update(overrides)
     return ScenarioConfig(**base)
 
@@ -460,7 +452,7 @@ def desk_bench_scenario(**overrides) -> ScenarioConfig:
     required sensing ratio.
     """
     base = dict(
-        M_t=4, M_r=2, M=8, N_x=4, N_y=4, L=2,
+        M_t=4, M=8, N_x=4, N_y=4,
         d_Bt=450.0, d_tPR=420.0, d_tR=415.0,
         sigma_t_m2=1.0,
         gamma_sense_dB=10.0,

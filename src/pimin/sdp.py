@@ -30,13 +30,14 @@ constructor checks an ``SdpProblem``; ``assemble_p2`` builds one unchecked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 from .linalg import _frobenius, _hermitian_part, check_hermitian, eigh, eigvalsh
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, check_count
 from .sysmodel import BeamProducts
 
 # Eigenvalues of the unit-norm objective within this distance of the smallest
@@ -58,8 +59,9 @@ MAX_ITERS = 100
 @dataclass(frozen=True)
 class SdpProblem:
     """Trace-form covariance subproblem data: Hermitian matrices of the
-    objective's size. The constructor checks the shapes, a positive budget and
-    each matrix Hermitian within 1e-10 relative, and stores its Hermitian part."""
+    objective's size. The constructor checks the shapes, a positive finite
+    budget, finite right-hand sides and each matrix Hermitian within 1e-10
+    relative, and stores its Hermitian part."""
 
     obj: np.ndarray         # minimized: <obj, R>
     comm_mat: np.ndarray    # <comm_mat, R> >= comm_rhs
@@ -76,8 +78,11 @@ class SdpProblem:
         shape = np.shape(self.obj)
         if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
             raise DimensionError(f"obj must be a non-empty square matrix, got shape {shape}")
-        if self.trace_budget <= 0.0:
+        if not self.trace_budget > 0.0:
             raise DomainError(f"trace budget must be > 0, got {self.trace_budget}")
+        for name in ("trace_budget", "comm_rhs", "sense_rhs"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("obj", "comm_mat", "sense_mat"):
             mat = np.asarray(getattr(self, name), dtype=np.complex128)
             if mat.shape != shape:
@@ -88,8 +93,9 @@ class SdpProblem:
     def _unchecked(cls, **fields) -> "SdpProblem":
         """The problem with ``fields`` as they stand, without ``__post_init__``.
 
-        For fields that it would store unchanged: a positive trace budget and
-        exactly Hermitian complex128 matrices of one non-empty square shape.
+        For fields that it would store unchanged: a positive finite trace
+        budget, finite right-hand sides and exactly Hermitian complex128
+        matrices of one non-empty square shape.
         """
         problem = object.__new__(cls)
         problem.__dict__.update(fields)
@@ -211,8 +217,7 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
     short by at least ``constraint_violation``. ``max_iters``: the search's
     best point after ``max_iters`` dual evaluations, or once it has no step.
     """
-    if max_iters < 1:
-        raise DomainError(f"max_iters must be >= 1, got {max_iters}")
+    check_count("max_iters", max_iters, 1)
     n, s = problem.dim, problem.trace_budget
 
     def finish(r_scaled: np.ndarray, status: str, gap: float, violation: float,

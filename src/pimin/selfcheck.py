@@ -122,7 +122,7 @@ def kron_error(rng: np.random.Generator) -> float:
         h = cplx(rng, a, b)
         v = cplx(rng, blocks * b)
         dense = dense_kron_block(h, blocks) @ v
-        worst = max(worst, float(np.max(np.abs(linalg._kron_apply(h, v, blocks) - dense))))
+        worst = max(worst, float(np.max(np.abs(linalg._kron_apply(h, v) - dense))))
     return worst
 
 
@@ -219,7 +219,7 @@ def reduced_objective_error(scen: ScenarioConfig, ch: ChannelSet,
     """Relative error of the reduced objective against the dense power quadratic
     of the path-interference block, at a random covariance and state."""
     r_ss = random_psd(rng, scen.L * scen.M_t, trace=scen.P_B)
-    forms = rcg.precompute_forms(hermitian_evd(r_ss), ch, scen.L)
+    forms = rcg.precompute_forms(hermitian_evd(r_ss), ch)
     x = random_state(scen.L * scen.M, scen.N, rng)
     reduced = rcg.objective(x, forms)
     direct = dense_power_quadratic(build_effective_channels(ch, x.phi).Ac_block, x.w, r_ss)

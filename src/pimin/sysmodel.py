@@ -67,8 +67,7 @@ def beam_products(eff: EffectiveChannels, w: np.ndarray) -> BeamProducts:
     m = eff.Ac_block.shape[0]
     if w.ndim != 1 or len(w) % m != 0:
         raise DimensionError(f"w has shape {w.shape}, expected (L * {m},)")
-    u, a, o = (_kron_apply(b.conj().T, w, len(w) // m)
-               for b in (eff.Ac_block, eff.Ar_block, eff.Ao_block))
+    u, a, o = (_kron_apply(b.conj().T, w) for b in (eff.Ac_block, eff.Ar_block, eff.Ao_block))
     return BeamProducts(w=w, u=u, a=a, o=o, gram=eff.Hc_block.conj().T @ eff.Hc_block)
 
 

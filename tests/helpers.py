@@ -245,7 +245,7 @@ def reference_bccd_solve(cfg, scen, ch, seed, *, frozen_phi=None):
     forms = None
     for _ in range(cfg.n_iter):
         if forms is None:
-            forms = precompute_forms(evd, ch, scen.L)
+            forms = precompute_forms(evd, ch)
             if frozen_phi is not None:
                 forms = PrecomputedForms(b=forms.b + forms.c @ phi,
                                          c=np.empty((forms.num_terms, lm, 0), dtype=np.complex128))

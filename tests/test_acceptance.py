@@ -95,7 +95,7 @@ def test_criterion_4_manifold_invariants():
             scen = desk_scenario(seed=run)
             ch = generate_channels(scen, np.random.default_rng(run))
             r = random_psd(gen, scen.L * scen.M_t, trace=scen.P_B)
-            forms = precompute_forms(hermitian_evd(r), ch, scen.L)
+            forms = precompute_forms(hermitian_evd(r), ch)
             lm, n = scen.L * scen.M, scen.N
         runs.append(manifold_errors(forms, random_state(lm, n, gen), 200)[:4])
     # a run that takes no step reads NaN, which fails every bound

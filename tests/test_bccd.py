@@ -441,7 +441,7 @@ class TestIdleRestartSkips:
             r = init_rss(scen.L * scen.M_t, scen.P_B, rng)
             phi = np.zeros(scen.N) if phases == "off" else x.phi
             p_pi, ac = pi_power(ch, scen, phi, x.w, r)
-            forms = precompute_forms(hermitian_evd(r), ch, scen.L)
+            forms = precompute_forms(hermitian_evd(r), ch)
             if not optimize_phi:
                 forms, x = forms.fold(phi), BeamformerState(x=x.w, num_bf=x.num_bf)
             g = rcg_solve(forms, x, RcgConfig(max_iters=0)).grad_norm
@@ -458,7 +458,7 @@ class TestIdleRestartSkips:
         x = BeamformerState(x=np.array([1.0, np.exp(1e-3j), -1.0]), num_bf=1)
         r = np.full((1, 1), scen.P_B, dtype=np.complex128)
         p_pi, ac = pi_power(ch, scen, x.phi, x.w, r)
-        g = rcg_solve(precompute_forms(hermitian_evd(r), ch, 1), x,
+        g = rcg_solve(precompute_forms(hermitian_evd(r), ch), x,
                       RcgConfig(max_iters=0)).grad_norm
         assert g > 1e2 * 2.0 * math.sqrt(scen.P_B * p_pi) * np.linalg.norm(ac)
         assert g <= 0.5 * self.least_skipping_tol(p_pi, ac, ch, scen, True)

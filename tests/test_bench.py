@@ -216,7 +216,7 @@ class TestSweep:
         assert len(calls) == 6 + 24
         assert without_runtime(records) == without_runtime(fresh)
 
-    @pytest.mark.parametrize("parallelism", [0, -2])
+    @pytest.mark.parametrize("parallelism", [0, -2, 1.5])
     def test_parallelism_below_one_rejected_before_any_trial(self, parallelism, monkeypatch):
         import pimin.bench as bench_mod
 

@@ -82,19 +82,19 @@ class TestHermitianEvd:
 class TestKronIdentityApply:
     def test_identity_blocks(self, rng):
         v = cplx(rng, 6)
-        out = _kron_apply(np.eye(2, dtype=complex), v, 3)
+        out = _kron_apply(np.eye(2, dtype=complex), v)
         assert np.array_equal(out, v)
 
     def test_swap_within_blocks(self):
         h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         v = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-        assert np.allclose(_kron_apply(h, v, 2), [2.0, 1.0, 4.0, 3.0])
+        assert np.allclose(_kron_apply(h, v), [2.0, 1.0, 4.0, 3.0])
 
     def test_rectangular_vs_dense(self, rng):
         h = cplx(rng, 3, 2)
         v = cplx(rng, 8)
         dense = dense_kron_block(h, 4) @ v
-        assert np.max(np.abs(_kron_apply(h, v, 4) - dense)) <= 1e-12
+        assert np.max(np.abs(_kron_apply(h, v) - dense)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.integers(1, 6), b=st.integers(1, 6), blocks=st.integers(1, 6),
@@ -104,7 +104,7 @@ class TestKronIdentityApply:
         h = cplx(gen, a, b)
         v = cplx(gen, blocks * b)
         dense = dense_kron_block(h, blocks) @ v
-        assert np.max(np.abs(_kron_apply(h, v, blocks) - dense)) <= 1e-12
+        assert np.max(np.abs(_kron_apply(h, v) - dense)) <= 1e-12
 
 
 class TestLapackWrappers:

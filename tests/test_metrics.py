@@ -16,7 +16,7 @@ from helpers import random_unit_modulus, tiny_scenario
 def path_power(block, w, r):
     """One path's power as ``power_breakdown`` reads it, for any block shape."""
     evd = hermitian_evd(r)
-    u = _kron_apply(block.conj().T, w, r.shape[0] // block.shape[1])
+    u = _kron_apply(block.conj().T, w)
     return _power(u, evd.eigenvectors.conj().T, evd.clipped_eigenvalues)
 
 
@@ -90,19 +90,19 @@ def gram(h):
 class TestCommSnr:
     def test_zero_covariance(self, rng):
         hc = cplx(rng, 2, 3)
-        assert comm_snr(gram(hc), np.zeros((6, 6), dtype=complex), 2, 2, 1.0) == 0.0
+        assert comm_snr(gram(hc), np.zeros((6, 6), dtype=complex), 2, 1.0) == 0.0
 
     def test_quadratic_homogeneity(self, rng):
         hc = cplx(rng, 2, 3)
         r = random_psd(rng, 6)
         c = 2.7 - 1.1j
-        base = comm_snr(gram(hc), r, 2, 2, 1e-3)
-        assert abs(comm_snr(gram(c * hc), r, 2, 2, 1e-3) - abs(c) ** 2 * base) <= 1e-9 * base
+        base = comm_snr(gram(hc), r, 2, 1e-3)
+        assert abs(comm_snr(gram(c * hc), r, 2, 1e-3) - abs(c) ** 2 * base) <= 1e-9 * base
 
     def test_dense_trace_oracle(self, rng):
         hc = cplx(rng, 3, 2)
         r = random_psd(rng, 6)
-        got = comm_snr(gram(hc), r, m_r=3, n_samples=3, sigma_c2=2e-4)
+        got = comm_snr(gram(hc), r, m_r=3, sigma_c2=2e-4)
         dense_h = dense_kron_block(hc, 3)
         expect = np.trace(r @ dense_h.conj().T @ dense_h).real / (3 * 3 * 2e-4)
         assert abs(got - expect) <= 1e-10 * abs(expect)
@@ -111,8 +111,8 @@ class TestCommSnr:
         g = gram(cplx(rng, 2, 2))
         r1, r2 = random_psd(rng, 4), random_psd(rng, 4)
         a, b = 0.3, 1.9
-        lhs = comm_snr(g, a * r1 + b * r2, 2, 2, 1.0)
-        rhs = a * comm_snr(g, r1, 2, 2, 1.0) + b * comm_snr(g, r2, 2, 2, 1.0)
+        lhs = comm_snr(g, a * r1 + b * r2, 2, 1.0)
+        rhs = a * comm_snr(g, r1, 2, 1.0) + b * comm_snr(g, r2, 2, 1.0)
         assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
 

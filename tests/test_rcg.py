@@ -29,8 +29,7 @@ class TestPrecomputeForms:
         scen = tiny_scenario()
         ch = generate_channels(scen, np.random.default_rng(1))
         dim = scen.L * scen.M_t
-        forms = precompute_forms(hermitian_evd(np.zeros((dim, dim), dtype=complex)),
-                                 ch, scen.L)
+        forms = precompute_forms(hermitian_evd(np.zeros((dim, dim), dtype=complex)), ch)
         assert forms.num_terms == dim
         assert not np.any(forms.b) and not np.any(forms.c)
 
@@ -40,7 +39,7 @@ class TestPrecomputeForms:
         ch = generate_channels(scen, np.random.default_rng(2))
         evd = EvdResult(eigenvalues=np.array([1.0] + [0.0] * (scen.M_t - 1)),
                         eigenvectors=np.eye(scen.M_t, dtype=complex))
-        forms = precompute_forms(evd, ch, 1)
+        forms = precompute_forms(evd, ch)
         assert np.allclose(forms.b[0], ch.gamma_DPI * ch.H_DPI[:, 0])
         expect_c = ch.gamma_RPI * (ch.G_rR.conj().T * (ch.H_cR[:, 0])[None, :])
         assert np.max(np.abs(forms.c[0] - expect_c)) <= 1e-12
@@ -52,7 +51,7 @@ class TestPrecomputeForms:
         dim = n_samples * scen.M_t
         basis = cplx(rng, dim, 2)
         evd = hermitian_evd(basis @ basis.conj().T)     # rank 2 of dim >= 3
-        forms = precompute_forms(evd, ch, n_samples)
+        forms = precompute_forms(evd, ch)
         expect = dense_forms(evd, ch, n_samples)
         clipped = evd.clipped_eigenvalues == 0.0
         assert clipped.sum() == dim - 2
@@ -65,7 +64,7 @@ class TestPrecomputeForms:
         scen = tiny_scenario(L=3)
         ch = generate_channels(scen, np.random.default_rng(3))
         r = random_psd(rng, 3 * scen.M_t)
-        forms = precompute_forms(hermitian_evd(r), ch, 3)
+        forms = precompute_forms(hermitian_evd(r), ch)
         assert forms.num_terms == 3 * scen.M_t
         assert forms.c.shape == (3 * scen.M_t, 3 * scen.M, scen.N)
 
@@ -252,15 +251,30 @@ class TestRcgCounters:
         assert out.stop_reason == "stalled"
         assert out.iterations < cfg.max_iters and out.grad_norm > 0.0
 
-    def test_every_evaluation_is_the_start_a_step_or_a_backtrack(self, rng):
+    def test_every_evaluation_is_the_start_a_step_or_a_backtrack(self, rng, monkeypatch):
+        # every call of the solver's objective kernel is counted where it runs
+        evaluations = []
+        kernels = rcg._kernels
+
+        def counted_kernels(forms):
+            evaluate, *rest = kernels(forms)
+
+            def counted(x):
+                evaluations.append(x)
+                return evaluate(x)
+
+            return (counted, *rest)
+
+        monkeypatch.setattr(rcg, "_kernels", counted_kernels)
         total_backtracks = 0
         for max_iters in (0, 1, 7, 60):
             for kind in ("none", "phases_frozen"):
                 forms = random_forms(rng, 3, 3, 2)
+                evaluations.clear()
                 out = solve(forms, random_state(3, 2, rng), RcgConfig(max_iters=max_iters),
                             kind)
+                assert out.objective_evals == len(evaluations)
                 assert out.objective_evals == out.iterations + out.backtracks + 1
-                assert len(out.history) == out.iterations + 1
                 total_backtracks += out.backtracks
         assert total_backtracks > 0
 
@@ -467,7 +481,7 @@ def test_desk_bench_solves_stop_at_the_gradient_tolerance(seed):
     ch = generate_channels(scen, np.random.default_rng(seed))
     gen = np.random.default_rng(seed)
     r = init_rss(scen.L * scen.M_t, scen.P_B, gen)
-    forms = precompute_forms(hermitian_evd(r), ch, scen.L)
+    forms = precompute_forms(hermitian_evd(r), ch)
     lm, n = scen.L * scen.M, scen.N
     x0 = random_state(lm, n, gen)
     for kind in ("none", "phases_frozen"):

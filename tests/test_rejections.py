@@ -1,6 +1,7 @@
 """Malformed arguments to the public functions are rejected with their own
 error type and a message that names what is wrong."""
 
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from pimin.errors import DimensionError, DomainError, HermitianError
 from pimin.linalg import hermitian_evd
-from pimin.metrics import adc_snr, comm_snr
+from pimin.metrics import adc_snr, comm_snr, dynamic_range, sndr
 from pimin.rcg import BeamformerState, PrecomputedForms, objective, precompute_forms, random_state
 from pimin.scenario import generate_channels, linear_to_db
 from pimin.sdp import SdpProblem
@@ -27,7 +28,7 @@ def sdp_problem(**overrides):
 def forms_for_a_mismatched_covariance():
     scen = tiny_scenario()      # M_t = 2, L = 2: a 4x4 covariance
     ch = generate_channels(scen, np.random.default_rng(0))
-    return precompute_forms(hermitian_evd(np.eye(3)), ch, scen.L)
+    return precompute_forms(hermitian_evd(np.eye(3)), ch)
 
 
 def beams_of(w):
@@ -50,16 +51,28 @@ CASES = {
                       DimensionError, "w has shape (2, 3), expected (L * 3,)"),
     "phases_shape": (lambda: check_phases(np.ones(3), 2),
                      DimensionError, "phase vector has shape (3,), expected (2,)"),
-    "comm_snr_cov_shape": (lambda: comm_snr(np.eye(2), np.eye(3), 1, 2, 1.0),
-                           DimensionError, "covariance has shape (3, 3), expected (4,)^2"),
-    "comm_snr_noise": (lambda: comm_snr(np.eye(2), np.eye(4), 1, 2, 0.0),
+    "comm_snr_cov_shape": (lambda: comm_snr(np.eye(2), np.eye(3), 1, 1.0),
+                           DimensionError, "covariance has shape (3, 3), expected a square "
+                           "matrix of a positive multiple of M_t = 2"),
+    "comm_snr_cov_not_2d": (lambda: comm_snr(np.eye(2), np.ones(4), 1, 1.0),
+                            DimensionError, "covariance has shape (4,), expected a square "
+                            "matrix of a positive multiple of M_t = 2"),
+    "comm_snr_noise": (lambda: comm_snr(np.eye(2), np.eye(4), 1, 0.0),
                        DomainError, "sigma_c2 must be positive"),
+    "comm_snr_noise_nan": (lambda: comm_snr(np.eye(2), np.eye(4), 1, math.nan),
+                           DomainError, "sigma_c2 must be positive"),
+    "dynamic_range_noise_nan": (lambda: dynamic_range(1.0, math.nan),
+                                DomainError, "noise power must be positive"),
+    "sndr_nan": (lambda: sndr(1.0, math.nan, 0.0, 1.0),
+                 DomainError, "SNDR denominator must be positive"),
     "adc_negative_bits": (lambda: adc_snr(-1.0),
                           DomainError, "effective bit count must be >= 0"),
+    "adc_nan_bits": (lambda: adc_snr(math.nan),
+                     DomainError, "effective bit count must be >= 0"),
     "state_split": (lambda: BeamformerState(x=np.ones(3), num_bf=4),
                     DimensionError, "state of length (3,) cannot split at 4"),
     "forms_cov_dim": (forms_for_a_mismatched_covariance,
-                      DimensionError, "covariance dim 3 does not match n_samples*M_t = 4"),
+                      DimensionError, "covariance dim 3 is not a positive multiple of M_t = 2"),
     "forms_do_not_stack": (
         lambda: objective(random_state(2, 1, np.random.default_rng(0)),
                           PrecomputedForms(b=np.ones((1, 2)), c=np.ones((1, 2)))),
@@ -70,12 +83,22 @@ CASES = {
         DimensionError, "state split (2, 2) does not match forms (3, 2)"),
     "db_of_negative_power": (lambda: linear_to_db(-1.0),
                              DomainError, "cannot express negative power -1.0 in dB"),
+    "db_of_nan": (lambda: linear_to_db(math.nan),
+                  DomainError, "cannot express negative power nan in dB"),
     "sdp_obj_empty": (lambda: sdp_problem(obj=np.zeros((0, 0))), DimensionError,
                       "obj must be a non-empty square matrix, got shape (0, 0)"),
     "sdp_obj_not_square": (lambda: sdp_problem(obj=np.ones((2, 3))), DimensionError,
                            "obj must be a non-empty square matrix, got shape (2, 3)"),
     "sdp_budget": (lambda: sdp_problem(trace_budget=0.0),
                    DomainError, "trace budget must be > 0, got 0.0"),
+    "sdp_budget_nan": (lambda: sdp_problem(trace_budget=math.nan),
+                       DomainError, "trace budget must be > 0, got nan"),
+    "sdp_budget_inf": (lambda: sdp_problem(trace_budget=math.inf),
+                       DomainError, "trace_budget must be finite, got inf"),
+    "sdp_comm_rhs_nan": (lambda: sdp_problem(comm_rhs=math.nan),
+                         DomainError, "comm_rhs must be finite, got nan"),
+    "sdp_sense_rhs_inf": (lambda: sdp_problem(sense_rhs=math.inf),
+                          DomainError, "sense_rhs must be finite, got inf"),
     "sdp_matrix_shape": (lambda: sdp_problem(comm_mat=np.eye(3)),
                          DimensionError, "comm_mat has shape (3, 3), expected (2, 2)"),
 }

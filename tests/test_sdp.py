@@ -1,3 +1,4 @@
+import math
 import time
 from dataclasses import replace
 
@@ -58,7 +59,7 @@ class TestAssembleP2:
             p_sense = dense_power_quadratic(eff.Ar_block, w, r)
             p_obs = dense_power_quadratic(eff.Ao_block, w, r)
             assert abs(np.trace(prob.obj @ r).real - p_pi) <= 1e-10 * max(p_pi, 1e-300)
-            snr = comm_snr(eff.Hc_block.conj().T @ eff.Hc_block, r, scen.M_r, scen.L,
+            snr = comm_snr(eff.Hc_block.conj().T @ eff.Hc_block, r, scen.M_r,
                            scen.sigma_c2_W)
             comm_lhs = np.trace(prob.comm_mat @ r).real
             assert abs(comm_lhs - snr * scen.M_r * scen.L * scen.sigma_c2_W) \
@@ -286,7 +287,7 @@ class TestSolveSdp:
         assert_covariance(sol.R_ss, prob.trace_budget)  # the best iterate honors trace and cone
         assert sol.constraint_violation > 0.0 and sol.kkt_residual == np.inf
 
-    @pytest.mark.parametrize("cap", [0, -5])
+    @pytest.mark.parametrize("cap", [0, -5, 5.5, math.inf, True])
     def test_cap_below_one_rejected(self, cap):
         with pytest.raises(DomainError, match="max_iters"):
             solve_sdp(diagonal_problem([2.0, 1.0]), max_iters=cap)
