@@ -19,13 +19,14 @@ forms them as the reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
 from .linalg import EvdResult
-from .scenario import linear_to_db
+from .scenario import check_count, linear_to_db
 from .sysmodel import BeamProducts
 
 
@@ -50,13 +51,22 @@ def _power(u: np.ndarray, vh: np.ndarray, lam: np.ndarray) -> float:
     return float(lam @ (proj.real**2 + proj.imag**2))
 
 
+def _reject_nan(**values: float) -> None:
+    """Raise ``DomainError`` naming the first of ``values`` that is NaN."""
+    for name, value in values.items():
+        if math.isnan(value):
+            raise DomainError(f"{name} is NaN")
+
+
 def power_noise(w: np.ndarray, sigma_r2: float) -> float:
     """Noise power after unit-modulus beamforming: exactly ``sigma_r2 * len(w)``."""
+    _reject_nan(sigma_r2=sigma_r2)
     return float(sigma_r2) * len(w)
 
 
 def sndr(p_sense: float, p_pi: float, p_obs: float, p_noise: float) -> float:
     """Sensing power over interference-plus-noise power (linear ratio)."""
+    _reject_nan(p_sense=p_sense, p_pi=p_pi, p_obs=p_obs, p_noise=p_noise)
     denom = p_pi + p_obs + p_noise
     if not denom > 0.0:
         raise DomainError("SNDR denominator must be positive")
@@ -68,12 +78,16 @@ def comm_snr(gram: np.ndarray, r_ss: np.ndarray, m_r: int, sigma_c2: float) -> f
     ``L`` is the size of ``R_ss`` over ``M_t``, the size of ``gram``."""
     gram = np.asarray(gram, dtype=np.complex128)
     r_ss = np.asarray(r_ss, dtype=np.complex128)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or not gram.size:
+        raise DimensionError(f"gram must be a non-empty square matrix, got shape {gram.shape}")
     m_t = gram.shape[0]
     dim = r_ss.shape[0] if r_ss.ndim == 2 else 0
     n_samples, rest = divmod(dim, m_t)
     if rest or not n_samples or r_ss.shape != (dim, dim):
         raise DimensionError(f"covariance has shape {r_ss.shape}, expected a square "
                              f"matrix of a positive multiple of M_t = {m_t}")
+    check_count("m_r", m_r, 1)
+    _reject_nan(sigma_c2=sigma_c2)
     if not sigma_c2 > 0.0:
         raise DomainError("sigma_c2 must be positive")
     blocks = r_ss.reshape(n_samples, m_t, n_samples, m_t)
@@ -83,6 +97,7 @@ def comm_snr(gram: np.ndarray, r_ss: np.ndarray, m_r: int, sigma_c2: float) -> f
 
 def dynamic_range(p_pi: float, p_noise: float) -> float:
     """Interference-to-noise ratio the ADC must span (linear)."""
+    _reject_nan(p_pi=p_pi, p_noise=p_noise)
     if not p_noise > 0.0:
         raise DomainError("noise power must be positive")
     return p_pi / p_noise
@@ -90,6 +105,7 @@ def dynamic_range(p_pi: float, p_noise: float) -> float:
 
 def adc_snr(n_enob: float) -> float:
     """Peak ADC SNR in dBFS for a given effective number of bits."""
+    _reject_nan(n_enob=n_enob)
     if not n_enob >= 0:
         raise DomainError("effective bit count must be >= 0")
     return 6.02 * n_enob + 1.76

@@ -49,7 +49,8 @@ def db_to_linear(x_db: float) -> float:
 def linear_to_db(x: float) -> float:
     """dB from a positive power ratio; ``-inf`` for zero."""
     if not x >= 0.0:
-        raise DomainError(f"cannot express negative power {x} in dB")
+        raise DomainError("cannot express a NaN power in dB" if math.isnan(x)
+                          else f"cannot express negative power {x} in dB")
     if x == 0.0:
         return float("-inf")
     return 10.0 * math.log10(x)

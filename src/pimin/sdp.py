@@ -110,7 +110,8 @@ class SdpSolution:
                                 # R_ss misses a constraint by more than TOL
     status: str                 # "optimal", "infeasible" (certified) or "max_iters"
     constraint_violation: float  # worst shortfall, relative to each rhs > 0 (infeasible: proven)
-    iterations: int             # dual evaluations; 0 for a spectral or zero-matrix certificate
+    iterations: int             # dual evaluations; 0 for a spectral or zero-matrix certificate,
+                                # max_iters for a max-margin search cut at that cap
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +193,33 @@ def _line_max(evaluate, t: float, hi: float, tol: float, feas: float = np.inf):
     return pick, best
 
 
-def _max_margin(mats: np.ndarray, b: np.ndarray):
-    """Trace-one PSD ``Y`` maximizing ``min_i <A_i, Y> - b_i``, and ``miss``: minus
-    the least ``h(d) = lambda_max(d . A) - d . b`` met over ``d = (theta, 1 - theta)``
-    from ``theta = 1``. Every point misses some constraint by at least ``miss``."""
-    def evaluate(theta: float):
-        d = np.array([theta, 1.0 - theta])[:len(b)]
-        lam, v = eigh(np.tensordot(d, mats, axes=1))
-        ay = mats @ v[:, -1]
-        m = (ay @ v[:, -1].conj()).real - b
-        dy = v[:, :-1].conj().T @ (ay[0] - ay[-1])
-        curv = -2.0 * np.sum(np.abs(dy) ** 2 / np.maximum(lam[-1] - lam[:-1], 1e-150))
-        return d @ b - lam[-1], -m[-1], m[-1] - m[0], curv, np.outer(v[:, -1], v[:, -1].conj())
+def _margin_line(mats: np.ndarray, b: np.ndarray, theta: float):
+    """``_line_max``'s ``(low, p, s, curv, y)`` for ``-h`` at ``d = (theta, 1 - theta)``,
+    ``h(d) = lambda_max(d . A) - d . b``, with ``y`` the top eigenvector's projector."""
+    d = np.array([theta, 1.0 - theta])[:len(b)]
+    lam, v = eigh(np.tensordot(d, mats, axes=1))
+    ay = mats @ v[:, -1]
+    m = (ay @ v[:, -1].conj()).real - b
+    dy = v[:, :-1].conj().T @ (ay[0] - ay[-1])
+    curv = -2.0 * np.sum(np.abs(dy) ** 2 / np.maximum(lam[-1] - lam[:-1], 1e-150))
+    return d @ b - lam[-1], -m[-1], m[-1] - m[0], curv, np.outer(v[:, -1], v[:, -1].conj())
 
-    return _line_max(evaluate, 1.0, 1.0, 1e-12)
+
+def _max_margin(mats: np.ndarray, b: np.ndarray, max_iters: int):
+    """Trace-one PSD ``Y`` maximizing ``min_i <A_i, Y> - b_i``; ``miss``, minus the
+    least ``h`` met over ``d = (theta, 1 - theta)`` from ``theta = 1``; and whether
+    the search was cut at ``max_iters`` evaluations, its ``Y`` then its last pick.
+    Every point misses some constraint by at least ``miss``."""
+    evals, capped = 0, False
+
+    def evaluate(theta: float):
+        nonlocal evals, capped
+        capped = evals == max_iters
+        evals += 1
+        return None if capped else _margin_line(mats, b, theta)
+
+    y, miss = _line_max(evaluate, 1.0, 1.0, 1e-12)
+    return y, miss, capped
 
 
 def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
@@ -215,7 +229,8 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
     right-hand side) and the duality gap is at most ``TOL`` relative to the
     objective. ``infeasible``: a certificate proves that every point falls
     short by at least ``constraint_violation``. ``max_iters``: the search's
-    best point after ``max_iters`` dual evaluations, or once it has no step.
+    best point after ``max_iters`` dual evaluations, or once it has no step; or
+    the last pick of a max-margin search that reached ``max_iters`` evaluations.
     """
     check_count("max_iters", max_iters, 1)
     n, s = problem.dim, problem.trace_budget
@@ -266,8 +281,9 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
     red = e.conj().T @ a @ e
     x = np.eye(e.shape[1]) / e.shape[1]
     margin = np.einsum("mii->m", red).real / e.shape[1] - b
+    capped = False
     if (margin < 0.0).any():
-        y_mat, _ = _max_margin(red, b)
+        y_mat, _, capped = _max_margin(red, b, max_iters)
         y_margin = np.einsum("mij,ji->m", red, y_mat).real - b
         beta = np.max(margin / np.minimum(margin - y_margin, -1e-300),
                       where=margin < 0.0, initial=0.0)
@@ -277,11 +293,21 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
     if violation <= TOL:
         return finish(r, "optimal", float(np.vdot(c, r).real) - lam_c[0], violation, 1)
 
+    def cut_short(y: np.ndarray) -> SdpSolution:
+        """The last pick of a max-margin search stopped at the cap."""
+        return finish(y, "max_iters", float(np.vdot(c, y).real) - lam_c[0],
+                      shortfall(np.einsum("mij,ji->m", a, y).real), max_iters)
+
+    if capped:
+        return cut_short(r)
+
     # Every Y has some margin <A_i, Y> - b_i <= -miss: a shortfall of miss / scale.
-    y0, miss = _max_margin(a, b)
+    y0, miss, capped = _max_margin(a, b, max_iters)
     scale = float(rel.max())
     if miss > TOL * scale:
         return infeasible(float(miss) / scale, 1)
+    if capped:
+        return cut_short(y0)
 
     # Weak duality at y0, whose margins are at least m0 > 0: g(mu) <= lambda_max(C)
     # - m0 sum(mu), and g >= lambda_min(C) at the optimum, so no optimal multiplier

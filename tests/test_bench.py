@@ -1,12 +1,18 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pimin
 from pimin import rcg
 from pimin.bccd import BccdConfig, bccd_solve, seeded_start
 from pimin.bench import (BELOW_NOISE_SENTINEL, TRIAL_FIELDS, Method, _aggregate,
@@ -22,6 +28,27 @@ FAST = BccdConfig(n_iter=4)
 
 def without_runtime(records):
     return [replace(r, runtime_ms=0.0) for r in records]
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """``[max_workers, submissions]`` of each pool a sweep makes, counted in
+    this process, so the count holds under every start method."""
+    import pimin.bench as bench_mod
+
+    log = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            log.append([max_workers, 0])
+            super().__init__(max_workers=max_workers, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            log[-1][1] += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", Recording)
+    return log
 
 
 def four_method_spec(seed: int) -> SweepSpec:
@@ -164,32 +191,54 @@ class TestSweep:
                 if name != "runtime_ms":
                     assert getattr(ra, name) == getattr(rb, name)
 
-    def test_parallel_matches_serial(self):
+    @pytest.mark.parametrize("parallelism", [2, 4])
+    def test_parallel_matches_serial(self, parallelism, pool_log):
+        # six trials: at parallelism 4, shares of 2, 2, 1 and 1 trials to reassemble
         spec = four_method_spec(seed=3)
         serial, _ = run_sweep(spec, parallelism=1)
-        parallel, _ = run_sweep(spec, parallelism=2)
+        parallel, _ = run_sweep(spec, parallelism=parallelism)
         assert len(serial) == 2 * 3 * 4
         assert without_runtime(parallel) == without_runtime(serial)
+        assert pool_log == [[parallelism, parallelism]]
 
     @pytest.mark.parametrize("trials, parallelism, workers",
                              [(1, 4, 1), (3, 2, 2)])
-    def test_pool_capped_at_task_count(self, trials, parallelism, workers, monkeypatch):
-        import pimin.bench as bench_mod
-
-        seen = []
-
-        class Recording(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                seen.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", Recording)
+    def test_pool_capped_at_task_count(self, trials, parallelism, workers, pool_log):
         spec = SweepSpec(base=desk_scenario(seed=3), axis="M", values=(2,),
                          trials_per_point=trials, methods=(Method.PROPOSED,),
                          solver=FAST)
         records, _ = run_sweep(spec, parallelism=parallelism)
-        assert seen == [workers]
+        assert pool_log == [[workers, workers]]
         assert len(records) == trials
+
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+    def test_workers_started_without_fork_give_the_serial_rows(self, start_method, tmp_path):
+        # workers that import pimin afresh must find the share function by name
+        script = tmp_path / "sweep.py"
+        script.write_text(textwrap.dedent("""
+            import multiprocessing
+            import sys
+            from dataclasses import replace
+
+            from pimin.bccd import BccdConfig
+            from pimin.bench import Method, SweepSpec, run_sweep
+            from pimin.scenario import desk_scenario
+
+            if __name__ == "__main__":
+                multiprocessing.set_start_method(sys.argv[1])
+                spec = SweepSpec(base=desk_scenario(seed=3), axis="M", values=(2, 4),
+                                 trials_per_point=3, methods=tuple(Method),
+                                 solver=BccdConfig(n_iter=4))
+                serial, parallel = ([replace(r, runtime_ms=0.0) for r in run_sweep(spec, p)[0]]
+                                    for p in (1, 4))
+                sys.exit(0 if parallel == serial else 1)
+        """))
+        src = str(Path(pimin.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, str(script), start_method], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_one_channel_draw_per_trial(self, monkeypatch):
         import pimin.bench as bench_mod

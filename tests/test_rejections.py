@@ -9,7 +9,7 @@ import pytest
 
 from pimin.errors import DimensionError, DomainError, HermitianError
 from pimin.linalg import hermitian_evd
-from pimin.metrics import adc_snr, comm_snr, dynamic_range, sndr
+from pimin.metrics import adc_snr, comm_snr, dynamic_range, power_noise, sndr
 from pimin.rcg import BeamformerState, PrecomputedForms, objective, precompute_forms, random_state
 from pimin.scenario import generate_channels, linear_to_db
 from pimin.sdp import SdpProblem
@@ -60,15 +60,29 @@ CASES = {
     "comm_snr_noise": (lambda: comm_snr(np.eye(2), np.eye(4), 1, 0.0),
                        DomainError, "sigma_c2 must be positive"),
     "comm_snr_noise_nan": (lambda: comm_snr(np.eye(2), np.eye(4), 1, math.nan),
-                           DomainError, "sigma_c2 must be positive"),
+                           DomainError, "sigma_c2 is NaN"),
+    "comm_snr_receivers_nan": (lambda: comm_snr(np.eye(2), np.eye(4), math.nan, 1.0),
+                               DomainError, "m_r must be an integer, got nan"),
+    "comm_snr_gram_empty": (lambda: comm_snr(np.zeros((0, 0)), np.eye(4), 1, 1.0),
+                            DimensionError,
+                            "gram must be a non-empty square matrix, got shape (0, 0)"),
+    "comm_snr_gram_not_square": (lambda: comm_snr(np.ones((2, 3)), np.eye(4), 1, 1.0),
+                                 DimensionError,
+                                 "gram must be a non-empty square matrix, got shape (2, 3)"),
     "dynamic_range_noise_nan": (lambda: dynamic_range(1.0, math.nan),
-                                DomainError, "noise power must be positive"),
+                                DomainError, "p_noise is NaN"),
+    "dynamic_range_interference_nan": (lambda: dynamic_range(math.nan, 1.0),
+                                       DomainError, "p_pi is NaN"),
     "sndr_nan": (lambda: sndr(1.0, math.nan, 0.0, 1.0),
-                 DomainError, "SNDR denominator must be positive"),
+                 DomainError, "p_pi is NaN"),
+    "sndr_sense_nan": (lambda: sndr(math.nan, 1.0, 0.0, 1.0),
+                       DomainError, "p_sense is NaN"),
+    "noise_power_nan": (lambda: power_noise(np.ones(3, dtype=complex), math.nan),
+                        DomainError, "sigma_r2 is NaN"),
     "adc_negative_bits": (lambda: adc_snr(-1.0),
                           DomainError, "effective bit count must be >= 0"),
     "adc_nan_bits": (lambda: adc_snr(math.nan),
-                     DomainError, "effective bit count must be >= 0"),
+                     DomainError, "n_enob is NaN"),
     "state_split": (lambda: BeamformerState(x=np.ones(3), num_bf=4),
                     DimensionError, "state of length (3,) cannot split at 4"),
     "forms_cov_dim": (forms_for_a_mismatched_covariance,
@@ -84,7 +98,7 @@ CASES = {
     "db_of_negative_power": (lambda: linear_to_db(-1.0),
                              DomainError, "cannot express negative power -1.0 in dB"),
     "db_of_nan": (lambda: linear_to_db(math.nan),
-                  DomainError, "cannot express negative power nan in dB"),
+                  DomainError, "cannot express a NaN power in dB"),
     "sdp_obj_empty": (lambda: sdp_problem(obj=np.zeros((0, 0))), DimensionError,
                       "obj must be a non-empty square matrix, got shape (0, 0)"),
     "sdp_obj_not_square": (lambda: sdp_problem(obj=np.ones((2, 3))), DimensionError,

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pimin import sdp
 from pimin.errors import DomainError, HermitianError
 from pimin.metrics import comm_snr
 from pimin.scenario import generate_channels
@@ -27,9 +28,19 @@ def dependent_constraints_problem():
 
 
 def slow_problem():
-    """A 2x2 draw whose exact solve takes 25 dual evaluations; after 5 its
-    point misses a constraint by more than a third of the right-hand side."""
+    """A 2x2 draw whose exact solve takes 25 dual evaluations, after a 6-step
+    max-margin search; after 6 its point misses a constraint by more than a
+    third of the right-hand side."""
     return random_sdp_problem(np.random.default_rng(57), 2)
+
+
+def tiny_rhs_problem():
+    """The null space of obj holds feasible points, but its uniform covariance
+    misses a right-hand side far below the matrix scale."""
+    return SdpProblem(obj=np.diag([1.0, 0.0, 0.0]).astype(complex),
+                      comm_mat=np.eye(3, dtype=complex), comm_rhs=0.1,
+                      sense_mat=np.diag([0.0, 1.0, -1.0]).astype(complex),
+                      sense_rhs=1e-9, trace_budget=1.0)
 
 
 def contradictory_problem():
@@ -281,9 +292,9 @@ class TestSolveSdp:
 
     def test_exhausted_budget_returns_best_iterate(self):
         prob = slow_problem()
-        sol = solve_sdp(prob, max_iters=5)
+        sol = solve_sdp(prob, max_iters=6)
         assert sol.status == "max_iters"
-        assert sol.iterations == 5
+        assert sol.iterations == 6
         assert_covariance(sol.R_ss, prob.trace_budget)  # the best iterate honors trace and cone
         assert sol.constraint_violation > 0.0 and sol.kkt_residual == np.inf
 
@@ -296,6 +307,27 @@ class TestSolveSdp:
         sol = solve_sdp(slow_problem(), max_iters=1)
         assert sol.status == "max_iters"
         assert sol.iterations == 1
+
+    @pytest.mark.parametrize("problem", [tiny_rhs_problem, slow_problem],
+                             ids=["null_space", "whole_space"])
+    def test_max_margin_search_stops_at_the_cap(self, problem, monkeypatch):
+        # on 2x2 searches h's slope stays positive while each Newton step only
+        # halves theta, which uncapped takes 1076 evaluations to underflow; the
+        # null space of tiny_rhs_problem is 2-D, that of slow_problem 1-D
+        real, calls = sdp._margin_line, []
+
+        def stalled(mats, b, theta):
+            if mats.shape[-1] != 2:
+                return real(mats, b, theta)
+            calls.append(theta)
+            return -1.0, 0.0, -theta, -2.0, np.eye(2) / 2
+
+        monkeypatch.setattr(sdp, "_margin_line", stalled)
+        prob = problem()
+        sol = solve_sdp(prob, max_iters=7)
+        assert calls == [0.5 ** k for k in range(7)]
+        assert (sol.status, sol.iterations) == ("max_iters", 7)
+        assert_covariance(sol.R_ss, prob.trace_budget)
 
     def test_null_space_shortcut_nulls_objective(self, rng):
         # rank-one objective with a roomy feasible set: optimum is exactly zero
@@ -334,12 +366,7 @@ class TestDualCertificates:
         assert abs(sol.objective_value - bound) <= 1e-9 * bound
 
     def test_tiny_rhs_met_relative_to_itself(self):
-        # the null space of obj holds feasible points, but its uniform
-        # covariance misses a right-hand side far below the matrix scale
-        p = SdpProblem(obj=np.diag([1.0, 0.0, 0.0]).astype(complex),
-                       comm_mat=np.eye(3, dtype=complex), comm_rhs=0.1,
-                       sense_mat=np.diag([0.0, 1.0, -1.0]).astype(complex),
-                       sense_rhs=1e-9, trace_budget=1.0)
+        p = tiny_rhs_problem()
         sol = solve_sdp(p)
         assert sol.status == "optimal"
         assert abs(sol.objective_value) <= 1e-15

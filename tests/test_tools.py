@@ -32,6 +32,28 @@ class TestRowsDigest:
             [("cg_deep", str(s), "8") for s in range(1, 6)]
             + [("nulling", str(s), "16") for s in range(1, 6)])
 
+    def test_parallel_rows_that_differ_fail_the_run(self, monkeypatch, capsys):
+        import pimin.bench
+
+        tool = load_tool("rows_digest")
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        real = pimin.bench.run_sweep
+
+        def skewed(spec, parallelism):
+            records, aggregates = real(spec, 1)
+            if parallelism == 2 and spec.base.seed == 3:
+                records = [replace(records[0], outer_iterations=records[0].outer_iterations + 1),
+                           *records[1:]]
+            return records, aggregates
+
+        monkeypatch.setattr(pimin.bench, "run_sweep", skewed)
+        assert tool.main([]) == 1
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 10
+        assert err.splitlines() == [
+            f"{w} seed 3: parallelism-2 rows differ from parallelism-1 rows"
+            for w in ("cg_deep", "nulling")]
+
     def test_one_ulp_in_one_cell_changes_the_digest(self):
         tool = load_tool("rows_digest")
         records, _ = run_sweep(tool.load_workloads(ROOT).WORKLOADS["cg_deep"].spec(1, 3.2), 1)

@@ -5,6 +5,8 @@ runs ``run_sweep(WORKLOADS[w].spec(seed, 3.2), 1)`` and prints
 ``workload seed rows sha256``. The hash covers the ``repr`` of every column
 except ``runtime_ms``. Two checkouts whose solvers give the same rows print
 the same lines, so a change's digests can be compared with its parent's.
+Each spec also runs at parallelism 2; if those rows have another digest, the
+workload and seed go to stderr and the script exits 1.
 
 Usage::
 
@@ -57,11 +59,18 @@ def main(argv: list[str]) -> int:
         print(f"pimin resolves to {pimin.__file__}, not under {root}", file=sys.stderr)
         return 1
     workloads = load_workloads(root).WORKLOADS
+    status = 0
     for name, workload in workloads.items():
         for seed in SEEDS:
-            records, _ = run_sweep(workload.spec(seed, SECONDS), 1)
-            print(name, seed, len(records), digest(records))
-    return 0
+            spec = workload.spec(seed, SECONDS)
+            records, _ = run_sweep(spec, 1)
+            rows = digest(records)
+            print(name, seed, len(records), rows)
+            if digest(run_sweep(spec, 2)[0]) != rows:
+                print(f"{name} seed {seed}: parallelism-2 rows differ from parallelism-1 rows",
+                      file=sys.stderr)
+                status = 1
+    return status
 
 
 if __name__ == "__main__":
