@@ -13,9 +13,9 @@ A sweep's unit of work is one trial: every method runs from the trial's one
 state and their forms), which ``run_trial`` takes from a one-entry memo keyed
 by (scenario, seed). The first method's call pays for it; later calls at the
 same (scenario, seed) reuse it. Every array of a start is read-only, so no
-method can change what another method sees. A pool task is one worker's share
-of the trials, dealt round-robin, so each worker costs the pool one round trip
-rather than one per trial.
+method can change what another method sees. A pool task is a run of
+consecutive trials, at most one per worker, so a worker costs the pool one
+round trip rather than one per trial.
 """
 
 from __future__ import annotations
@@ -238,11 +238,6 @@ def _trial_task(args: tuple) -> list[TrialRecord]:
     return records
 
 
-def _trial_share(tasks: list) -> list[list[TrialRecord]]:
-    """The rows of each trial task in ``tasks``, in order: one worker's share."""
-    return [_trial_task(t) for t in tasks]
-
-
 def _format_db(value: float) -> str:
     """A dB cell: the sentinel for minus infinity, else ``repr`` (``nan`` included)."""
     if value == -math.inf:
@@ -288,11 +283,10 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1,
     A trial runs every method on the trial's one channel draw, and each method
     gives its own row, an error row if it raised. Rows are ordered by (axis
     point, trial, method). ``parallelism`` is the number of worker processes,
-    at least 1; the pool never has more workers than there are trials. Worker
-    ``k`` of ``n`` runs trials ``k, k + n, ...`` as one pool task, so a cost
-    that grows along the axis is split evenly. When ``out_path`` is given the
-    records go to that CSV and a JSON sidecar ``<out_path>.meta.json`` carries
-    the spec and per-point aggregate statistics.
+    at least 1; the pool never has more workers than there are trials, and
+    each pool task is a run of ``ceil(trials / workers)`` consecutive trials.
+    When ``out_path`` is given the records go to that CSV and a JSON sidecar
+    ``<out_path>.meta.json`` carries the spec and per-point aggregate statistics.
     """
     check_count("parallelism", parallelism, 1)
     tasks = []
@@ -303,13 +297,10 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1,
 
     if parallelism > 1:
         workers = min(parallelism, len(tasks))
-        trials = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shares = pool.map(_trial_share, [tasks[k::workers] for k in range(workers)])
-            for k, share in enumerate(shares):
-                trials[k::workers] = share
+            trials = list(pool.map(_trial_task, tasks, chunksize=-(-len(tasks) // workers)))
     else:
-        trials = _trial_share(tasks)
+        trials = [_trial_task(t) for t in tasks]
     records = [rec for trial in trials for rec in trial]
 
     aggregates = []

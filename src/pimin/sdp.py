@@ -111,7 +111,7 @@ class SdpSolution:
     status: str                 # "optimal", "infeasible" (certified) or "max_iters"
     constraint_violation: float  # worst shortfall, relative to each rhs > 0 (infeasible: proven)
     iterations: int             # dual evaluations; 0 for a spectral or zero-matrix certificate,
-                                # max_iters for a max-margin search cut at that cap
+                                # max_iters for a whole-space max-margin search cut at that cap
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
     objective. ``infeasible``: a certificate proves that every point falls
     short by at least ``constraint_violation``. ``max_iters``: the search's
     best point after ``max_iters`` dual evaluations, or once it has no step; or
-    the last pick of a max-margin search that reached ``max_iters`` evaluations.
+    the last pick of a whole-space max-margin search cut at ``max_iters`` evaluations.
     """
     check_count("max_iters", max_iters, 1)
     n, s = problem.dim, problem.trace_budget
@@ -281,9 +281,8 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
     red = e.conj().T @ a @ e
     x = np.eye(e.shape[1]) / e.shape[1]
     margin = np.einsum("mii->m", red).real / e.shape[1] - b
-    capped = False
     if (margin < 0.0).any():
-        y_mat, _, capped = _max_margin(red, b, max_iters)
+        y_mat, _, _ = _max_margin(red, b, max_iters)
         y_margin = np.einsum("mij,ji->m", red, y_mat).real - b
         beta = np.max(margin / np.minimum(margin - y_margin, -1e-300),
                       where=margin < 0.0, initial=0.0)
@@ -293,21 +292,14 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
     if violation <= TOL:
         return finish(r, "optimal", float(np.vdot(c, r).real) - lam_c[0], violation, 1)
 
-    def cut_short(y: np.ndarray) -> SdpSolution:
-        """The last pick of a max-margin search stopped at the cap."""
-        return finish(y, "max_iters", float(np.vdot(c, y).real) - lam_c[0],
-                      shortfall(np.einsum("mij,ji->m", a, y).real), max_iters)
-
-    if capped:
-        return cut_short(r)
-
     # Every Y has some margin <A_i, Y> - b_i <= -miss: a shortfall of miss / scale.
     y0, miss, capped = _max_margin(a, b, max_iters)
     scale = float(rel.max())
     if miss > TOL * scale:
         return infeasible(float(miss) / scale, 1)
     if capped:
-        return cut_short(y0)
+        return finish(y0, "max_iters", float(np.vdot(c, y0).real) - lam_c[0],
+                      shortfall(np.einsum("mij,ji->m", a, y0).real), max_iters)
 
     # Weak duality at y0, whose margins are at least m0 > 0: g(mu) <= lambda_max(C)
     # - m0 sum(mu), and g >= lambda_min(C) at the optimum, so no optimal multiplier

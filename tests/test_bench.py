@@ -191,15 +191,15 @@ class TestSweep:
                 if name != "runtime_ms":
                     assert getattr(ra, name) == getattr(rb, name)
 
-    @pytest.mark.parametrize("parallelism", [2, 4])
-    def test_parallel_matches_serial(self, parallelism, pool_log):
-        # six trials: at parallelism 4, shares of 2, 2, 1 and 1 trials to reassemble
+    @pytest.mark.parametrize("parallelism, submissions", [(2, 2), (4, 3)])
+    def test_parallel_matches_serial(self, parallelism, submissions, pool_log):
+        # six trials in runs of ceil(6 / workers): 2 runs of 3, or 3 runs of 2
         spec = four_method_spec(seed=3)
         serial, _ = run_sweep(spec, parallelism=1)
         parallel, _ = run_sweep(spec, parallelism=parallelism)
         assert len(serial) == 2 * 3 * 4
         assert without_runtime(parallel) == without_runtime(serial)
-        assert pool_log == [[parallelism, parallelism]]
+        assert pool_log == [[parallelism, submissions]]
 
     @pytest.mark.parametrize("trials, parallelism, workers",
                              [(1, 4, 1), (3, 2, 2)])
@@ -213,7 +213,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
     def test_workers_started_without_fork_give_the_serial_rows(self, start_method, tmp_path):
-        # workers that import pimin afresh must find the share function by name
+        # under these start methods (forkserver is Linux's default from Python
+        # 3.14) workers import pimin afresh and find the task function by name
         script = tmp_path / "sweep.py"
         script.write_text(textwrap.dedent("""
             import multiprocessing

@@ -308,12 +308,17 @@ class TestSolveSdp:
         assert sol.status == "max_iters"
         assert sol.iterations == 1
 
-    @pytest.mark.parametrize("problem", [tiny_rhs_problem, slow_problem],
+    @pytest.mark.parametrize("problem, status, iterations",
+                             [(tiny_rhs_problem, "optimal", 1), (slow_problem, "max_iters", 7)],
                              ids=["null_space", "whole_space"])
-    def test_max_margin_search_stops_at_the_cap(self, problem, monkeypatch):
+    def test_max_margin_search_stops_at_the_cap(self, problem, status, iterations,
+                                                monkeypatch):
         # on 2x2 searches h's slope stays positive while each Newton step only
         # halves theta, which uncapped takes 1076 evaluations to underflow; the
-        # null space of tiny_rhs_problem is 2-D, that of slow_problem 1-D
+        # null space of tiny_rhs_problem is 2-D, so its capped pick goes on to
+        # the whole space and the dual, whose first read is optimal; the null
+        # space of slow_problem is 1-D, and its capped whole-space search ends
+        # the solve
         real, calls = sdp._margin_line, []
 
         def stalled(mats, b, theta):
@@ -326,7 +331,7 @@ class TestSolveSdp:
         prob = problem()
         sol = solve_sdp(prob, max_iters=7)
         assert calls == [0.5 ** k for k in range(7)]
-        assert (sol.status, sol.iterations) == ("max_iters", 7)
+        assert (sol.status, sol.iterations) == (status, iterations)
         assert_covariance(sol.R_ss, prob.trace_budget)
 
     def test_null_space_shortcut_nulls_objective(self, rng):
