@@ -1,11 +1,13 @@
 """Command-line interface: single trials, sweeps, and the self-check suite.
 
-Exit codes: 0 success, 1 usage error, 2 solver failure, 3 self-check failure.
+Exit codes: 0 success, 1 usage or output error, 2 solver failure, 3 self-check
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bccd import BccdConfig
@@ -32,6 +34,14 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """An output path whose directory exists, checked before any trial runs."""
+    parent = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"directory {parent} of {text!r} does not exist")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):     # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
@@ -50,14 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--method", required=True,
                        choices=[m.value for m in Method])
     run_p.add_argument("--seed", required=True, type=_int_at_least(0))
-    run_p.add_argument("--out", required=True, help="output CSV path")
+    run_p.add_argument("--out", required=True, type=_out_path, help="output CSV path")
     run_p.add_argument("--n-iter", type=_int_at_least(1), default=BccdConfig.n_iter,
                        help="outer iterations (default %(default)s)")
 
     sweep_p = sub.add_parser("sweep", help="run a Monte Carlo parameter sweep")
     sweep_p.add_argument("--spec", required=True, help="sweep spec JSON path")
     sweep_p.add_argument("--parallelism", type=_int_at_least(1), default=1)
-    sweep_p.add_argument("--out", required=True, help="output CSV path")
+    sweep_p.add_argument("--out", required=True, type=_out_path, help="output CSV path")
 
     sub.add_parser("check", help="run the built-in invariant suite")
     return parser
@@ -104,6 +114,9 @@ def main(argv: list[str] | None = None) -> int:
         for result in results:
             print(result)
         return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK
+    except OSError as exc:      # the solvers do no I/O: the outputs, or a pool that cannot start
+        print(f"pimin: output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:    # solver-level failure
         print(f"pimin: solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER

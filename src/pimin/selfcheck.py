@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, rcg
-from .linalg import hermitian_evd
+from .linalg import _hermitian_part, hermitian_evd
 from .rcg import BeamformerState, PrecomputedForms, RcgConfig, random_state
 from .scenario import ChannelSet, ScenarioConfig, desk_scenario, generate_channels
 from .sdp import SdpProblem, solve_sdp
@@ -39,6 +39,10 @@ class CheckResult:
 
 def cplx(rng: np.random.Generator, *shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    return _hermitian_part(cplx(rng, n, n))
 
 
 def random_psd(rng: np.random.Generator, n: int, trace: float | None = None) -> np.ndarray:
@@ -73,8 +77,7 @@ def random_sdp_problem(gen: np.random.Generator, n: int) -> SdpProblem:
     obj = h.conj().T @ h
     c1 = cplx(gen, n, n)
     c1 = c1.conj().T @ c1 + 0.5 * np.eye(n)
-    c2 = cplx(gen, n, n)
-    c2 = 0.5 * (c2 + c2.conj().T)
+    c2 = random_hermitian(gen, n)
     budget = float(gen.uniform(0.5, 3.0))
     witness = random_psd(gen, n, trace=budget)
     sense_at_witness = float(np.trace(c2 @ witness).real)

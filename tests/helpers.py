@@ -21,13 +21,8 @@ from pimin.metrics import power_breakdown
 from pimin.rcg import (DAMPING_INIT, BeamformerState, PrecomputedForms, RcgConfig,
                        precompute_forms, random_state, rcg_solve)
 from pimin.sdp import assemble_p2, solve_sdp
-from pimin.selfcheck import cplx, dense_kron_block
+from pimin.selfcheck import dense_kron_block
 from pimin.sysmodel import beam_products, build_effective_channels
-
-
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = cplx(rng, n, n)
-    return 0.5 * (a + a.conj().T)
 
 
 def assert_covariance(r: np.ndarray, budget: float) -> None:

@@ -201,6 +201,10 @@ class TestSweep:
         assert without_runtime(parallel) == without_runtime(serial)
         assert pool_log == [[parallelism, submissions]]
 
+    def test_default_parallelism_builds_no_pool(self, pool_log):
+        records, _ = run_sweep(four_method_spec(seed=3))
+        assert len(records) == 2 * 3 * 4 and pool_log == []
+
     @pytest.mark.parametrize("trials, parallelism, workers",
                              [(1, 4, 1), (3, 2, 2)])
     def test_pool_capped_at_task_count(self, trials, parallelism, workers, pool_log):

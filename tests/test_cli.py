@@ -333,3 +333,42 @@ class TestSolverFailureExit:
                      "--seed", "1", "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
+
+
+class TestOutputErrors:
+    @pytest.fixture(params=["run", "sweep"])
+    def args(self, request, config_path, tmp_path):
+        """The command line of one trial, or of a one-trial sweep, without ``--out``."""
+        if request.param == "run":
+            return ["run", "--config", config_path, "--method", "proposed", "--seed", "1",
+                    "--n-iter", "2"]
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps({"base": desk_scenario(seed=3).to_json_dict(),
+                                         "axis": "M", "values": [4], "trials_per_point": 1,
+                                         "solver": {"n_iter": 2}}))
+        return ["sweep", "--spec", str(spec_path)]
+
+    def test_out_in_a_missing_directory_is_usage_error(self, args, tmp_path, capsys,
+                                                       monkeypatch):
+        import pimin.cli as cli_mod
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a rejected --out must not start a trial")
+
+        monkeypatch.setattr(cli_mod, "run_trial", must_not_run)
+        monkeypatch.setattr(cli_mod, "run_sweep", must_not_run)
+        out = str(tmp_path / "missing" / "o.csv")
+        assert main(args + ["--out", out]) == 1
+        assert out in capsys.readouterr().err
+
+    def test_failed_write_is_output_error(self, args, tmp_path, capsys, monkeypatch):
+        import pimin.bench
+        import pimin.cli as cli_mod
+
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli_mod, "write_records_csv", disk_full)
+        monkeypatch.setattr(pimin.bench, "write_records_csv", disk_full)
+        assert main(args + ["--out", str(tmp_path / "o.csv")]) == 1
+        assert "pimin: output error: [Errno 28] No space left on device" in capsys.readouterr().err

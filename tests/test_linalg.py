@@ -7,9 +7,8 @@ from pimin import linalg
 from pimin.errors import DimensionError, HermitianError
 from pimin.linalg import _kron_apply, hermitian_evd
 
-from pimin.selfcheck import cplx, dense_kron_block, evd_error, lapack_error
-
-from helpers import random_hermitian
+from pimin.selfcheck import (cplx, dense_kron_block, evd_error, lapack_error,
+                             random_hermitian)
 
 
 class TestHermitianEvd:

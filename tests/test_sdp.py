@@ -12,11 +12,10 @@ from pimin.scenario import generate_channels
 from pimin.sdp import TOL, SdpProblem, assemble_p2, solve_sdp
 from pimin.sysmodel import beam_products, build_effective_channels
 
-from pimin.selfcheck import (cplx, dense_power_quadratic, diagonal_problem, random_psd,
-                             random_sdp_problem, sample_feasible_points)
+from pimin.selfcheck import (cplx, dense_power_quadratic, diagonal_problem, random_hermitian,
+                             random_psd, random_sdp_problem, sample_feasible_points)
 
-from helpers import (assert_covariance, random_hermitian, random_unit_modulus, sdp2_exact_oracle,
-                     tiny_scenario)
+from helpers import assert_covariance, random_unit_modulus, sdp2_exact_oracle, tiny_scenario
 
 
 def dependent_constraints_problem():
@@ -342,7 +341,7 @@ class TestSolveSdp:
                        sense_mat=np.zeros((3, 3), dtype=complex), sense_rhs=0.0,
                        trace_budget=1.0)
         sol = solve_sdp(p)
-        assert sol.status == "optimal"
+        assert sol.status == "optimal" and sol.iterations == 1    # the mu = 0 exit
         assert sol.objective_value <= 1e-15 * np.linalg.norm(u) ** 2
         assert_covariance(sol.R_ss, 1.0)
 

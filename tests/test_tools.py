@@ -1,67 +1,51 @@
-"""The scripts under ``tools/``, loaded by path as they run from a checkout."""
+"""``tools/same_rows.py`` on two small sweeps, with this checkout as its own ``BASE``."""
 
-import importlib.util
-import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from pimin.bench import run_sweep
+import pimin.bench
+from pimin import BccdConfig, Method, RcgConfig, SweepSpec, desk_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
+SOLVER = BccdConfig(n_iter=2, rcg=RcgConfig(max_iters=15))
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.fixture
+def tool(monkeypatch):
+    monkeypatch.syspath_prepend(ROOT / "tools")    # main's own insertion is undone too
+    import same_rows
+    monkeypatch.setattr(same_rows, "families", lambda: [
+        ("small", s, SweepSpec(base=desk_scenario(seed=s), axis="M", values=(4,),
+                               trials_per_point=2, methods=tuple(Method), solver=SOLVER))
+        for s in (1, 2)])
+    return same_rows
 
 
-class TestRowsDigest:
-    def test_two_runs_print_the_same_lines(self, monkeypatch, capsys):
-        tool = load_tool("rows_digest")
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        assert tool.main([]) == 0
-        first = capsys.readouterr().out
-        assert tool.main([]) == 0
-        assert capsys.readouterr().out == first
-        lines = [line.split() for line in first.splitlines()]
-        assert [(w, s, n) for w, s, n, _ in lines] == (
-            [("cg_deep", str(s), "8") for s in range(1, 6)]
-            + [("nulling", str(s), "16") for s in range(1, 6)])
+def test_this_checkout_as_its_own_base_is_equal(tool, capsys):
+    assert tool.main([str(ROOT)]) == 0
+    assert capsys.readouterr().out == "small seed 1: 8 rows equal\nsmall seed 2: 8 rows equal\n"
+    assert tool.same(np.nan, np.nan) and not tool.same(np.nan, 0.0)
 
-    def test_parallel_rows_that_differ_fail_the_run(self, monkeypatch, capsys):
-        import pimin.bench
 
-        tool = load_tool("rows_digest")
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        real = pimin.bench.run_sweep
+def test_one_ulp_in_one_cell_is_reported_and_runtime_is_not(tool, monkeypatch, capsys):
+    real = pimin.bench.run_sweep
 
-        def skewed(spec, parallelism):
-            records, aggregates = real(spec, 1)
-            if parallelism == 2 and spec.base.seed == 3:
-                records = [replace(records[0], outer_iterations=records[0].outer_iterations + 1),
-                           *records[1:]]
-            return records, aggregates
+    def skewed(spec, parallelism):
+        rows = [replace(r, runtime_ms=r.runtime_ms + 1.0) for r in real(spec, parallelism)[0]]
+        if spec.base.seed == 2:
+            rows[5] = replace(rows[5], sndr_dB=float(np.nextafter(rows[5].sndr_dB, np.inf)))
+        return rows, []
 
-        monkeypatch.setattr(pimin.bench, "run_sweep", skewed)
-        assert tool.main([]) == 1
-        out, err = capsys.readouterr()
-        assert len(out.splitlines()) == 10
-        assert err.splitlines() == [
-            f"{w} seed 3: parallelism-2 rows differ from parallelism-1 rows"
-            for w in ("cg_deep", "nulling")]
+    monkeypatch.setattr(pimin.bench, "run_sweep", skewed)
+    assert tool.main([str(ROOT)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "small seed 1: 8 rows equal",
+        "small seed 2: 1 of 8 rows differ; first: trial 1 bench1_random_phase sndr_dB"]
 
-    def test_one_ulp_in_one_cell_changes_the_digest(self):
-        tool = load_tool("rows_digest")
-        records, _ = run_sweep(tool.load_workloads(ROOT).WORKLOADS["cg_deep"].spec(1, 3.2), 1)
-        base = tool.digest(records)
-        same = [replace(r, sndr_dB=float(r.sndr_dB), runtime_ms=r.runtime_ms + 1.0)
-                for r in records]
-        assert tool.digest(same) == base
-        bumped = list(records)
-        bumped[3] = replace(bumped[3], sndr_dB=float(np.nextafter(bumped[3].sndr_dB, np.inf)))
-        assert bumped[3].sndr_dB != records[3].sndr_dB
-        assert tool.digest(bumped) != base
+
+def test_a_base_without_src_pimin_exits_1(tool, tmp_path, capsys):
+    assert tool.main([str(tmp_path)]) == 1
+    assert str(tmp_path) in capsys.readouterr().err
