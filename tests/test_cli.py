@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 
 import numpy as np
 import pytest
@@ -30,19 +29,6 @@ class TestRun:
         assert rows[1][TRIAL_FIELDS.index("method")] == "proposed"
         assert rows[1][TRIAL_FIELDS.index("seed")] == "7"
 
-    def test_missing_config_is_usage_error(self, tmp_path):
-        code = main(["run", "--config", str(tmp_path / "nope.json"),
-                     "--method", "proposed", "--seed", "1",
-                     "--out", str(tmp_path / "o.csv")])
-        assert code == 1
-
-    def test_malformed_config_is_usage_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"M_t\": 2, \"bogus\": true}")
-        code = main(["run", "--config", str(bad), "--method", "proposed",
-                     "--seed", "1", "--out", str(tmp_path / "o.csv")])
-        assert code == 1
-
     def test_unknown_method_is_usage_error(self, config_path, tmp_path):
         code = main(["run", "--config", config_path, "--method", "bench9",
                      "--seed", "1", "--out", str(tmp_path / "o.csv")])
@@ -51,17 +37,6 @@ class TestRun:
     def test_missing_arguments_usage_error(self):
         assert main(["run", "--method", "proposed"]) == 1
         assert main([]) == 1
-
-    def test_obstacle_of_two_values_is_config_error(self, tmp_path, capsys):
-        path = tmp_path / "scen.json"
-        path.write_text(json.dumps(dict(desk_scenario(seed=3).to_json_dict(),
-                                        obstacles=[[50.0, 30.0]])))
-        out = tmp_path / "o.csv"
-        code = main(["run", "--config", str(path), "--method", "proposed",
-                     "--seed", "1", "--out", str(out)])
-        assert code == 1
-        assert "config error: obstacle entries" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_negative_seed_is_usage_error(self, config_path, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -79,6 +54,47 @@ class TestRun:
         assert code == 1
         assert "--n-iter" in capsys.readouterr().err
         assert not out.exists()
+
+
+def sweep_spec(**fields):
+    """A one-trial sweep of ``desk_scenario(seed=1)`` as JSON, with ``fields`` replaced."""
+    return {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M", "values": [2],
+            "trials_per_point": 1, "methods": ["proposed"], "solver": {"n_iter": 2}, **fields}
+
+
+# One case per way an input file is turned away: (command, file content or None
+# for no file, the message's start). The library tests pin each message in full.
+INPUT_ERRORS = {
+    "missing_file": ("run", None, "config error: [Errno 2] No such file or directory"),
+    "malformed_json": ("run", "{", "config error: Expecting property name"),
+    "unknown_field": ("run", {"M_t": 2, "bogus": True},
+                      "config error: unknown scenario fields: ['bogus']"),
+    "not_an_object": ("sweep", ["axis"], "spec error: sweep must be a JSON object, got list"),
+    "no_base": ("sweep", {"axis": "M"}, "spec error: 'base'"),
+    "bad_base_field": ("sweep", sweep_spec(base=dict(desk_scenario(seed=1).to_json_dict(),
+                                                     obstacles=[[50.0, 30.0]])),
+                       "spec error: obstacle entries"),
+    "bad_axis_value": ("sweep", sweep_spec(values=[2, 0]), "spec error: axis value M=0 is invalid"),
+    "bad_solver_field": ("sweep", sweep_spec(solver={"n_iter": 2, "seed": 0}),
+                         "spec error: unknown solver fields: ['seed']"),
+    "runs_nothing": ("sweep", sweep_spec(methods=[]),
+                     "spec error: sweep needs at least one method"),
+    "unknown_method": ("sweep", sweep_spec(methods=["bench9"]),
+                       "spec error: unknown method 'bench9'"),
+}
+
+
+@pytest.mark.parametrize("command, content, message", INPUT_ERRORS.values(),
+                         ids=INPUT_ERRORS.keys())
+def test_input_error_exits_1_and_writes_nothing(command, content, message, tmp_path, capsys):
+    path, out = tmp_path / "input.json", tmp_path / "o.csv"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    args = (["run", "--config", str(path), "--method", "proposed", "--seed", "1"]
+            if command == "run" else ["sweep", "--spec", str(path)])
+    assert main(args + ["--out", str(out)]) == 1
+    assert f"pimin: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSweep:
@@ -119,143 +135,16 @@ class TestSweep:
         assert code == 1
         assert "--parallelism" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fields, name", [
-        ({"solver": {"n_iter": 0}}, "n_iter must be >= 1"),
-        ({"solver": {"n_iter": 2.5}}, "n_iter must be an integer"),
-        ({"solver": {"sdp_max_iters": 7.5}}, "sdp_max_iters must be an integer"),
-        ({"solver": {"rcg": {"max_iters": True}}}, "max_iters must be an integer"),
-        ({"trials_per_point": 1.5}, "trials_per_point must be an integer"),
-    ], ids=["n_iter_zero", "n_iter_fraction", "sdp_cap_fraction", "rcg_cap_bool",
-            "trials_fraction"])
-    def test_spec_with_invalid_count_is_usage_error(self, tmp_path, capsys, fields, name):
-        spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M", "values": [2],
-                "trials_per_point": 1, "methods": ["proposed"], **fields}
-        spec_path = tmp_path / "sweep.json"
-        spec_path.write_text(json.dumps(spec))
-        out = tmp_path / "o.csv"
-        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
-        assert name in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_spec_with_zero_sdp_cap_is_usage_error(self, tmp_path, capsys):
-        spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M", "values": [2],
-                "trials_per_point": 1, "methods": ["proposed"],
-                "solver": {"sdp_max_iters": 0}}
-        spec_path = tmp_path / "sweep.json"
-        spec_path.write_text(json.dumps(spec))
-        assert main(["sweep", "--spec", str(spec_path), "--out", str(tmp_path / "o.csv")]) == 1
-        assert "sdp_max_iters" in capsys.readouterr().err
-
-    def test_unknown_solver_field_is_spec_error(self, tmp_path, capsys):
-        spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M", "values": [2],
-                "trials_per_point": 1, "methods": ["proposed"],
-                "solver": {"n_iter": 2, "seed": 0}}
-        spec_path = tmp_path / "sweep.json"
-        spec_path.write_text(json.dumps(spec))
-        out = tmp_path / "o.csv"
-        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
-        assert "unknown solver fields: ['seed']" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", [0, "x", 2.5])
-    def test_invalid_axis_value_is_spec_error(self, tmp_path, capsys, value):
-        spec = {"base": desk_scenario(seed=1).to_json_dict(), "axis": "M",
-                "values": [2, value], "trials_per_point": 1, "methods": ["proposed"],
-                "solver": {"n_iter": 2}}
-        spec_path = tmp_path / "sweep.json"
-        spec_path.write_text(json.dumps(spec))
-        out = tmp_path / "o.csv"
-        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
-        assert "spec error" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("fields, message", [
-        ({"methods": []}, "sweep needs at least one method"),
-        ({"values": []}, "sweep needs at least one axis value"),
-        ({"methods": ["proposed", "proposed"]}, "sweep lists method 'proposed' twice"),
-        ({"axis": "P_T_dBm", "values": [40, 40.0]}, "sweep lists axis value 40.0 twice"),
-        ({"methods": "proposed"}, "methods must be a list, got 'proposed'"),
-        ({"values": "24"}, "values must be a list, got '24'"),
-    ], ids=["no_methods", "no_values", "repeated_method", "repeated_value",
-            "methods_string", "values_string"])
-    def test_spec_that_runs_nothing_or_twice_is_spec_error(self, tmp_path, capsys, fields,
-                                                           message):
-        spec = dict({"base": desk_scenario(seed=1).to_json_dict(), "axis": "M",
-                     "values": [2], "trials_per_point": 2, "methods": ["proposed"],
-                     "solver": {"n_iter": 2}}, **fields)
-        spec_path = tmp_path / "sweep.json"
-        spec_path.write_text(json.dumps(spec))
-        out = tmp_path / "o.csv"
-        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "spec error" in err and message in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("field", ["d_k", "sigma_r2_dBm"])
-    def test_nan_scenario_field_is_spec_error(self, tmp_path, capsys, field):
-        base = dict(desk_scenario(seed=1).to_json_dict(), **{field: float("nan")})
-        spec = {"base": base, "axis": "M", "values": [2], "trials_per_point": 1,
-                "methods": ["proposed"], "solver": {"n_iter": 2}}
-        spec_path = tmp_path / "sweep.json"
-        spec_path.write_text(json.dumps(spec))     # writes the field as NaN
-        assert "NaN" in spec_path.read_text()
-        out = tmp_path / "o.csv"
-        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
-        assert f"{field} must be finite" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("base, axis, values, message", [
-        ({"obstacles": [[50.0, 30.0]]}, "M", [2], "obstacle entries"),
-        ({"sigma_t_m2": -1.0}, "M", [2], "sigma_t_m2 must be > 0"),
-        ({}, "sigma_t_m2", [5.0, -1.0], "sigma_t_m2 must be > 0"),
-        ({"pattern_q": -1.0}, "M", [2], "pattern_q must be >= 0"),
-        ({}, "pattern_q", [2.0, -1.0], "pattern_q must be >= 0"),
-        ({"pattern_q": 2.0, "ris_elevation_t_rad": math.pi}, "M", [2],
-         "sigma_ris_m2 must be > 0"),
-        ({"pattern_q": 2.0}, "ris_elevation_t_rad", [0.0, math.pi],
-         "sigma_ris_m2 must be > 0"),
-        # the element pattern is cos^pattern_q alone; the old selector is unknown
-        ({"radiation_pattern": "unity"}, "M", [2],
-         "unknown scenario fields: ['radiation_pattern']"),
-        ({}, "d_k", [500.0, 1e200], "path gain is out of float range"),
-        ({}, "sigma_r2_dBm", [-80.0, 4000.0], "link-budget factor overflows"),
-        ({"seed": "x"}, "M", [2], "seed must be an integer"),
-        ({"seed": 1.5}, "M", [2], "seed must be an integer"),
-        ({"seed": True}, "M", [2], "seed must be an integer"),
-    ], ids=["base_obstacle_two_values", "base_sigma_t", "axis_sigma_t", "base_pattern_q",
-            "axis_pattern_q", "base_zero_ris_rcs", "axis_zero_ris_rcs",
-            "base_radiation_pattern",
-            "axis_overflowing_path_gain", "axis_overflowing_noise", "base_seed_string",
-            "base_seed_float", "base_seed_bool"])
-    def test_invalid_link_budget_is_spec_error(self, tmp_path, capsys, base, axis, values,
-                                               message):
-        spec = {"base": dict(desk_scenario(seed=1).to_json_dict(), **base), "axis": axis,
-                "values": values, "trials_per_point": 1, "methods": ["proposed"],
-                "solver": {"n_iter": 2}}
-        spec_path = tmp_path / "sweep.json"
-        spec_path.write_text(json.dumps(spec))
-        out = tmp_path / "o.csv"
-        assert main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "spec error" in err and message in err
-        assert not out.exists()
-
-    def test_bad_spec_usage_error(self, tmp_path, capsys):
-        spec_path = tmp_path / "bad.json"
-        spec_path.write_text("{\"axis\": \"M\"}")
-        assert main(["sweep", "--spec", str(spec_path),
-                     "--out", str(tmp_path / "o.csv")]) == 1
-        spec_path.write_text("[\"axis\"]")
-        assert main(["sweep", "--spec", str(spec_path),
-                     "--out", str(tmp_path / "o.csv")]) == 1
-        assert "sweep must be a JSON object, got list" in capsys.readouterr().err
-
 
 class TestCheck:
     def test_check_passes(self, capsys):
         assert main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+            "PASS " + name for name in (
+                "kron_apply_matches_dense", "hermitian_evd_reconstruction",
+                "euclidean_gradient_matches_finite_difference", "manifold_iterates_and_descent",
+                "sdp_scalar_and_kinks_exact_and_dominates_samples",
+                "reduced_objective_matches_power[2x4x4]", "lapack_wrappers_match_numpy_linalg")]
 
     def test_failed_check_exits_3(self, capsys, monkeypatch):
         from pimin import rcg

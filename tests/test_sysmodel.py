@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pimin.errors import DimensionError, DomainError
+from pimin.errors import DomainError
 from pimin.scenario import generate_channels
 from pimin.sysmodel import (_comm_block, _pi_block, _sensing_block, beam_products,
                             build_effective_channels, check_phases)
@@ -69,10 +69,6 @@ class TestCommChannel:
         out = comm_block(channels, phi)
         assert np.max(np.abs(out - dense_comm(channels, phi))) <= 1e-12
 
-    def test_rejects_non_unit_phases(self, channels):
-        with pytest.raises(DomainError):
-            comm_block(channels, 2.0 * np.ones(channels.H_cR.shape[0]))
-
 
 class TestPiChannel:
     def test_pure_direct_leakage(self, channels, rng):
@@ -133,11 +129,6 @@ class TestObstacleChannel:
 
 
 class TestEffectiveChannels:
-    def test_nan_phase_rejected(self, channels):
-        phi = np.ones(channels.H_cR.shape[0], dtype=complex)
-        phi[0] = np.nan
-        with pytest.raises(DomainError, match="unit modulus"):
-            build_effective_channels(channels, phi)
 
     def test_empty_phase_vector_accepted(self):
         assert check_phases(np.empty(0), 0).shape == (0,)
@@ -218,14 +209,6 @@ class TestBeamProducts:
             assert np.max(np.abs(got - dense.conj().T @ w)) <= 1e-12 * np.max(np.abs(got))
         assert np.allclose(beams.gram, eff.Hc_block.conj().T @ eff.Hc_block)
         assert beams.w is w and beams.n_samples == scen.L
-
-    def test_w_of_wrong_shape_rejected(self, channels, rng):
-        scen = tiny_scenario()
-        eff = build_effective_channels(channels, random_unit_modulus(rng, scen.N))
-        for w in (random_unit_modulus(rng, scen.L * scen.M + 1),
-                  random_unit_modulus(rng, scen.L * scen.M).reshape(scen.L, scen.M)):
-            with pytest.raises(DimensionError, match="w has shape"):
-                beam_products(eff, w)
 
     def test_effective_blocks_read_only(self, channels, rng):
         eff = build_effective_channels(channels, random_unit_modulus(rng, 2))

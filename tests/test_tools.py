@@ -1,5 +1,7 @@
-"""``tools/same_rows.py`` on two small sweeps, with this checkout as its own ``BASE``."""
+"""``tools/same_rows.py`` on two small sweeps, with this checkout as its own ``BASE``;
+``tools/mutants.py`` on a checkout of two sites."""
 
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,3 +51,32 @@ def test_one_ulp_in_one_cell_is_reported_and_runtime_is_not(tool, monkeypatch, c
 def test_a_base_without_src_pimin_exits_1(tool, tmp_path, capsys):
     assert tool.main([str(tmp_path)]) == 1
     assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_mutants_of_a_two_site_checkout(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(ROOT / "tools")
+    import mutants
+    checkout = tmp_path / "checkout"
+    files = {"src/pimin/__init__.py": "",
+             "src/pimin/calc.py": "def add(a, b):\n    return a + b\n\n\n"
+                                  "def sub(a, b):\n    return a - b\n",
+             "tests/test_calc.py": "from pimin.calc import add\n\n\n"
+                                   "def test_add():\n    assert add(2, 3) == 5\n"}
+    for name, text in files.items():
+        (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+        (checkout / name).write_text(text)
+    monkeypatch.setattr(mutants, "ROOT", checkout)
+    monkeypatch.setattr(mutants, "COUNT", 2)
+    monkeypatch.setattr(mutants, "PYTEST_ARGS", [*mutants.PYTEST_ARGS, "tests/test_calc.py"])
+    report = tmp_path / "report.jsonl"
+    assert mutants.main([str(report)]) == 0
+    *entries, summary = map(json.loads, report.read_text().splitlines())
+    assert entries == [
+        {"module": "calc.py", "function": "add", "line": 2, "operator": "+ -> -",
+         "source": "return a + b", "status": "killed", "failed": ["tests/test_calc.py::test_add"]},
+        {"module": "calc.py", "function": "sub", "line": 6, "operator": "- -> +",
+         "source": "return a - b", "status": "survived", "failed": []}]
+    assert summary["summary"].startswith(
+        "2 mutants of 2 sites: 1 killed, 1 survived, 0 timeout, 0 equivalent; clean tier-1 ")
+    assert {str(p.relative_to(checkout)): p.read_text()
+            for p in checkout.rglob("*") if p.is_file()} == files

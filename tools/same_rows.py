@@ -11,7 +11,7 @@ one line per family and seed says ``equal`` or where cells other than
 import importlib.util
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,19 +29,27 @@ def load(name: str, path: Path, package: bool = False):
 
 def families():
     """``(family, seed, spec)``, seeds 1-5: the benchmark's workloads at its ``run_seconds``,
-    then a binding sensing target (nested multiplier and max-margin searches) and an obstacle."""
-    from pimin import Method, SweepSpec, desk_scenario
+    then 20 trials of every method on ``desk_scenario(seed)`` with a binding sensing target
+    (nested multiplier and max-margin searches), an obstacle, a zero gradient tolerance (LM
+    solves that stop ``stalled``), and the binding target at SDP caps of 1 (the capped
+    whole-space exit) and 4 (the nested search's own ``max_iters`` exit)."""
+    from pimin import BccdConfig, Method, RcgConfig, SweepSpec, desk_scenario
 
     workloads = load("perfbench_workloads", ROOT / "perfbench" / "workloads.py").WORKLOADS
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     for name, workload in workloads.items():
         yield from ((name, s, workload.spec(s, seconds)) for s in range(1, 6))
-    for name, extra in (("binding", {"gamma_sense_dB": 25.0}),
-                        ("obstacle", {"obstacles": ((40.0, 60.0, 1.0),)})):
+    nulling, binding = workloads["nulling"].solver, {"gamma_sense_dB": 25.0}
+    for name, extra, solver in (
+            ("binding", binding, nulling),
+            ("obstacle", {"obstacles": ((40.0, 60.0, 1.0),)}, nulling),
+            ("stalled", {}, BccdConfig(n_iter=4, rcg=RcgConfig(max_iters=300, grad_tol=0.0))),
+            ("capped", binding, replace(nulling, sdp_max_iters=1)),
+            ("sdp_cap_4", binding, replace(nulling, sdp_max_iters=4))):
         for s in range(1, 6):
             base = desk_scenario(seed=s, **extra)
             yield name, s, SweepSpec(base=base, axis="M", values=(base.M,), trials_per_point=20,
-                                     methods=tuple(Method), solver=workloads["nulling"].solver)
+                                     methods=tuple(Method), solver=solver)
 
 
 def same(a, b) -> bool:
