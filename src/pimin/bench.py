@@ -101,6 +101,7 @@ def run_trial(scen: ScenarioConfig, method: Method, cfg: BccdConfig,
     random phases, ones, or zeros (no RIS). Absolute received powers are
     reported after the radar's LNA gain; the ratio metrics are gain-invariant.
     """
+    method = Method(method)
     t0 = time.perf_counter()
     start = _trial_start(scen, seed)
     frozen_phi = {

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .errors import DimensionError, HermitianError
+from .errors import DimensionError, DomainError, HermitianError
 
 _solve1 = _umath_linalg.solve1
 _eigh_lo = _umath_linalg.eigh_lo
@@ -115,7 +115,10 @@ def check_hermitian(a: np.ndarray, rel_tol: float = 1e-8, name: str = "matrix") 
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    scale, asym = _frobenius(a), _frobenius(a - a.conj().T)
+    scale = _frobenius(a)
+    if not math.isfinite(scale):    # before the subtraction, which would warn
+        raise DomainError(f"{name} has a non-finite entry")
+    asym = _frobenius(a - a.conj().T)
     if asym > rel_tol * max(scale, 1e-300):
         raise HermitianError(
             f"{name} is not Hermitian: ||A - A^H|| = {asym:.3e} vs ||A|| = {scale:.3e}"
@@ -166,6 +169,8 @@ def hermitian_evd(a: np.ndarray) -> EvdResult:
     ------
     DimensionError
         If ``a`` is not square.
+    DomainError
+        If an entry of ``a`` is NaN or infinite, or its norm overflows.
     HermitianError
         If ``||a - a^H||_F > 1e-8 ||a||_F``.
     """

@@ -77,6 +77,16 @@ class TestRunTrial:
         assert rec.method == "proposed"
         assert rec.outer_iterations >= 1
 
+    def test_method_name_gives_the_member_row_and_an_unknown_one_solves_nothing(
+            self, monkeypatch):
+        scen = desk_scenario(seed=1)
+        by_member, by_name = (replace(run_trial(scen, m, FAST, seed=101), runtime_ms=0.0)
+                              for m in (Method.BENCH2_EQUAL_PHASE, "bench2_equal_phase"))
+        assert by_name == by_member
+        monkeypatch.setattr(pimin.bench, "bccd_solve", None)    # a solve raises TypeError
+        with pytest.raises(DomainError, match="^unknown method 'bench9'"):
+            run_trial(scen, "bench9", FAST, seed=101)
+
     def test_optimal_status_means_sensing_target_met(self):
         # a covariance whose SDP says "optimal" must meet the 10 dB SNDR
         # target; this trial's null-space covariance reaches only about 2 dB

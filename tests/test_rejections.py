@@ -52,6 +52,8 @@ CASES = {
     "evd_not_hermitian": (lambda: hermitian_evd(np.array([[0.0, 1.0], [0.0, 0.0]])),
                           HermitianError,
                           "matrix is not Hermitian: ||A - A^H|| = 1.414e+00 vs ||A|| = 1.000e+00"),
+    "evd_not_finite": (lambda: hermitian_evd(np.diag([math.nan, 1.0])),
+                       DomainError, "matrix has a non-finite entry"),
     "beam_w_length": (lambda: beams_of(np.ones(4)),
                       DimensionError, "w has shape (4,), expected (L * 3,)"),
     "beam_w_not_1d": (lambda: beams_of(np.ones((2, 3))),
@@ -128,6 +130,8 @@ CASES = {
                       "obj must be a non-empty square matrix, got shape (0, 0)"),
     "sdp_obj_not_square": (lambda: sdp_problem(obj=np.ones((2, 3))), DimensionError,
                            "obj must be a non-empty square matrix, got shape (2, 3)"),
+    "sdp_obj_not_finite": (lambda: sdp_problem(obj=np.diag([math.nan, 1.0])),
+                           DomainError, "obj has a non-finite entry"),
     "sdp_budget": (lambda: sdp_problem(trace_budget=0.0),
                    DomainError, "trace budget must be > 0, got 0.0"),
     "sdp_budget_nan": (lambda: sdp_problem(trace_budget=math.nan),
