@@ -21,6 +21,7 @@ from pimin.bench import (BELOW_NOISE_SENTINEL, TRIAL_FIELDS, Method, _aggregate,
 from pimin.errors import DomainError
 from pimin.rcg import RcgConfig
 from pimin.scenario import desk_bench_scenario, desk_scenario, generate_channels
+from pimin.selfcheck import self_check
 
 FAST = BccdConfig(n_iter=4)
 
@@ -470,3 +471,15 @@ class TestCsv:
         stats = _aggregate([float("-inf"), float("nan"), 1.0, 2.0, float("-inf")])
         assert (stats["count"], stats["below_noise"], stats["failed"]) == (2, 2, 1)
         assert stats["mean"] == stats["median"] == 1.5
+
+
+class TestSelfCheck:
+    def test_fresh_build_passes(self):
+        results = self_check()
+        assert all(r.passed for r in results), [str(r) for r in results]
+        assert [r.name for r in results] == [
+            "kron_apply_matches_dense", "hermitian_evd_reconstruction",
+            "euclidean_gradient_matches_finite_difference", "manifold_iterates_and_descent",
+            "sdp_scalar_and_kinks_exact_and_dominates_samples",
+            "reduced_objective_matches_power[2x4x4]",
+            "lapack_wrappers_match_numpy_linalg"]

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -62,8 +63,14 @@ def sweep_spec(**fields):
             "trials_per_point": 1, "methods": ["proposed"], "solver": {"n_iter": 2}, **fields}
 
 
-# One case per way an input file is turned away: (command, file content or None
-# for no file, the message's start). The library tests pin each message in full.
+def base_spec(**base):
+    """``sweep_spec()`` with ``base`` fields of its scenario replaced."""
+    return sweep_spec(base=dict(desk_scenario(seed=1).to_json_dict(), **base))
+
+
+# Input files the CLI turns away: (command, file content or None for no file, the
+# message's start). The first ten cases are one per exit path; the rest are the
+# other bad inputs each path turns away. The library tests pin each message in full.
 INPUT_ERRORS = {
     "missing_file": ("run", None, "config error: [Errno 2] No such file or directory"),
     "malformed_json": ("run", "{", "config error: Expecting property name"),
@@ -81,6 +88,61 @@ INPUT_ERRORS = {
                      "spec error: sweep needs at least one method"),
     "unknown_method": ("sweep", sweep_spec(methods=["bench9"]),
                        "spec error: unknown method 'bench9'"),
+    "run_obstacle_two_values": ("run", dict(desk_scenario(seed=3).to_json_dict(),
+                                            obstacles=[[50.0, 30.0]]),
+                                "config error: obstacle entries"),
+    "n_iter_zero": ("sweep", sweep_spec(solver={"n_iter": 0}),
+                    "spec error: n_iter must be >= 1"),
+    "n_iter_fraction": ("sweep", sweep_spec(solver={"n_iter": 2.5}),
+                        "spec error: n_iter must be an integer"),
+    "sdp_cap_zero": ("sweep", sweep_spec(solver={"sdp_max_iters": 0}),
+                     "spec error: sdp_max_iters must be >= 1"),
+    "sdp_cap_fraction": ("sweep", sweep_spec(solver={"sdp_max_iters": 7.5}),
+                         "spec error: sdp_max_iters must be an integer"),
+    "rcg_cap_bool": ("sweep", sweep_spec(solver={"rcg": {"max_iters": True}}),
+                     "spec error: max_iters must be an integer"),
+    "trials_fraction": ("sweep", sweep_spec(trials_per_point=1.5),
+                        "spec error: trials_per_point must be an integer"),
+    "axis_value_x": ("sweep", sweep_spec(values=[2, "x"]), "spec error: axis value M='x'"),
+    "axis_value_2.5": ("sweep", sweep_spec(values=[2, 2.5]), "spec error: axis value M=2.5"),
+    "no_values": ("sweep", sweep_spec(values=[]),
+                  "spec error: sweep needs at least one axis value"),
+    "repeated_method": ("sweep", sweep_spec(methods=["proposed", "proposed"]),
+                        "spec error: sweep lists method 'proposed' twice"),
+    "repeated_value": ("sweep", sweep_spec(axis="P_T_dBm", values=[40, 40.0]),
+                       "spec error: sweep lists axis value 40.0 twice"),
+    "methods_string": ("sweep", sweep_spec(methods="proposed"),
+                       "spec error: methods must be a list, got 'proposed'"),
+    "values_string": ("sweep", sweep_spec(values="24"),
+                      "spec error: values must be a list, got '24'"),
+    # json.dumps writes a NaN field as NaN
+    "nan_d_k": ("sweep", base_spec(d_k=math.nan), "spec error: d_k must be finite"),
+    "nan_sigma_r2_dBm": ("sweep", base_spec(sigma_r2_dBm=math.nan),
+                         "spec error: sigma_r2_dBm must be finite"),
+    "base_sigma_t": ("sweep", base_spec(sigma_t_m2=-1.0), "spec error: sigma_t_m2 must be > 0"),
+    "axis_sigma_t": ("sweep", sweep_spec(axis="sigma_t_m2", values=[5.0, -1.0]),
+                     "spec error: axis value sigma_t_m2=-1.0 is invalid: sigma_t_m2 must be > 0"),
+    "base_pattern_q": ("sweep", base_spec(pattern_q=-1.0), "spec error: pattern_q must be >= 0"),
+    "axis_pattern_q": ("sweep", sweep_spec(axis="pattern_q", values=[2.0, -1.0]),
+                       "spec error: axis value pattern_q=-1.0 is invalid: pattern_q must be >= 0"),
+    "base_zero_ris_rcs": ("sweep", base_spec(pattern_q=2.0, ris_elevation_t_rad=math.pi),
+                          "spec error: sigma_ris_m2 must be > 0"),
+    "axis_zero_ris_rcs": ("sweep", dict(base_spec(pattern_q=2.0), axis="ris_elevation_t_rad",
+                                        values=[0.0, math.pi]),
+                          f"spec error: axis value ris_elevation_t_rad={math.pi} is invalid: "
+                          "sigma_ris_m2 must be > 0"),
+    # the element pattern is cos^pattern_q alone; the old selector is unknown
+    "base_radiation_pattern": ("sweep", base_spec(radiation_pattern="unity"),
+                               "spec error: unknown scenario fields: ['radiation_pattern']"),
+    "axis_overflowing_path_gain": ("sweep", sweep_spec(axis="d_k", values=[500.0, 1e200]),
+                                   "spec error: axis value d_k=1e+200 is invalid: "
+                                   "a path gain is out of float range"),
+    "axis_overflowing_noise": ("sweep", sweep_spec(axis="sigma_r2_dBm", values=[-80.0, 4000.0]),
+                               "spec error: axis value sigma_r2_dBm=4000.0 is invalid: "
+                               "a link-budget factor overflows"),
+    "base_seed_string": ("sweep", base_spec(seed="x"), "spec error: seed must be an integer"),
+    "base_seed_float": ("sweep", base_spec(seed=1.5), "spec error: seed must be an integer"),
+    "base_seed_bool": ("sweep", base_spec(seed=True), "spec error: seed must be an integer"),
 }
 
 

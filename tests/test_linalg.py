@@ -6,13 +6,27 @@ from hypothesis import strategies as st
 from pimin import linalg
 from pimin.linalg import _kron_apply, hermitian_evd
 
-from pimin.selfcheck import cplx, dense_kron_block, evd_error, lapack_error
+from pimin.selfcheck import (cplx, dense_kron_block, evd_error, lapack_error,
+                             random_hermitian)
 
 
 class TestHermitianEvd:
+    def test_identity(self):
+        evd = hermitian_evd(np.eye(3, dtype=complex))
+        assert np.allclose(evd.eigenvalues, [1.0, 1.0, 1.0])
+
+    def test_diagonal(self):
+        evd = hermitian_evd(np.diag([2.0, 0.0]).astype(complex))
+        assert np.allclose(evd.eigenvalues, [2.0, 0.0])
+        # eigenvectors are the standard basis up to permutation/phase
+        assert np.allclose(np.abs(evd.eigenvectors), np.eye(2))
 
     def test_reconstruction_gram_input(self, rng):
         assert evd_error(rng) <= 1e-10
+
+    def test_descending_order(self, rng):
+        evd = hermitian_evd(random_hermitian(rng, 7))
+        assert np.all(np.diff(evd.eigenvalues) <= 0)
 
     def test_repeated_eigenvalues_keep_the_stable_sort_order(self, rng):
         # reversing eigh's ascending output orders ties as a stable argsort,
@@ -29,6 +43,19 @@ class TestHermitianEvd:
             order = np.argsort(ref_lam, kind="stable")[::-1]
             assert np.array_equal(evd.eigenvalues, ref_lam[order])
             assert np.array_equal(evd.eigenvectors, ref_v[:, order])
+
+    def test_eigenvalue_sum_equals_trace(self, rng):
+        for _ in range(20):
+            a = random_hermitian(rng, int(rng.integers(2, 9)))
+            evd = hermitian_evd(a)
+            tr = np.trace(a).real
+            assert abs(evd.eigenvalues.sum() - tr) <= 1e-9 * max(abs(tr), 1.0)
+
+    def test_psd_input_eigenvalues_nonnegative(self, rng):
+        for _ in range(10):
+            b = cplx(rng, 5, 5)
+            evd = hermitian_evd(b.conj().T @ b)
+            assert evd.eigenvalues.min() >= -1e-10 * max(evd.eigenvalues.max(), 1.0)
 
     def test_shared_arrays_read_only_and_clipped_once(self, rng):
         b = cplx(rng, 4, 2)

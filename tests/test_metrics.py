@@ -25,6 +25,11 @@ class TestPowerQuadratic:
         w = random_unit_modulus(rng, 6)
         assert path_power(np.zeros((3, 2), dtype=complex), w, r) == 0.0
 
+    def test_scalar_case(self):
+        out = path_power(np.array([[1.0 + 0j]]), np.array([1.0 + 0j]),
+                         np.array([[2.0 + 0j]]))
+        assert abs(out - 2.0) <= 1e-15
+
     def test_dense_oracle_random(self, rng):
         for _ in range(30):
             rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -36,6 +41,13 @@ class TestPowerQuadratic:
             expect = dense_power_quadratic(block, w, r)
             assert abs(got - expect) <= 1e-10 * max(expect, 1e-30)
             assert got >= 0.0
+
+    def test_specific_shape(self, rng):
+        block = cplx(rng, 3, 2)
+        r = random_psd(rng, 4)
+        w = random_unit_modulus(rng, 6)
+        got = path_power(block, w, r)
+        assert abs(got - dense_power_quadratic(block, w, r)) <= 1e-10 * got
 
 
 class TestPowerNoise:

@@ -119,6 +119,13 @@ class TestEuclidGrad:
         assert gradient_error(np.random.default_rng(11436), 1) <= 1e-6
         assert len(calls) == 4
 
+    def test_quadratic_scaling(self, rng):
+        forms = random_forms(rng, 3, 2, 2)
+        x = random_state(2, 2, rng)
+        g1 = euclid_grad(x, forms)
+        scaled = PrecomputedForms(b=3.0 * forms.b, c=3.0 * forms.c)
+        assert np.max(np.abs(euclid_grad(x, scaled) - 9.0 * g1)) <= 1e-12 * np.max(np.abs(g1))
+
 
 class TestTangentOps:
     def test_radial_gradient_projects_to_zero(self, rng):
@@ -138,6 +145,14 @@ class TestTangentOps:
 
 
 class TestRcgSolve:
+    def test_descent_and_monotone_history(self, rng):
+        for seed in range(5):
+            gen = np.random.default_rng(seed)
+            forms = random_forms(gen, 4, 4, 3)
+            x0 = random_state(4, 3, gen)
+            out = rcg_solve(forms, x0, RcgConfig(max_iters=150))
+            assert out.history[-1] <= out.history[0]
+            assert np.all(np.diff(out.history) <= 1e-12)
 
     def test_iterate_invariants_via_callback(self, rng):
         modulus, grad_tangency, step_tangency, rise, grad_ratio = manifold_errors(
@@ -150,6 +165,30 @@ class TestRcgSolve:
     def test_invariants_are_nan_when_no_step_is_taken(self, rng):
         # zero forms have a zero gradient: the solve stops before its first step
         assert np.isnan(manifold_errors(zero_forms(4, 4, 3), random_state(4, 3, rng), 80)).all()
+
+    def test_single_term_grid_oracle(self):
+        # scalar instance: the optimum aligns the phase product against the
+        # direct term; a full phase grid bounds the attainable minimum
+        for seed in range(3):
+            gen = np.random.default_rng(seed)
+            b = (gen.standard_normal() + 1j * gen.standard_normal())
+            c = (gen.standard_normal() + 1j * gen.standard_normal())
+            forms = PrecomputedForms(b=np.array([[b]]), c=np.array([[[c]]]))
+            x0 = random_state(1, 1, gen)
+            out = rcg_solve(forms, x0, RcgConfig(max_iters=200, grad_tol=1e-14))
+            angles = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
+            pw, pp = np.meshgrid(angles, angles, indexing="ij")
+            vals = np.abs(np.exp(-1j * pw) * (b + c * np.exp(1j * pp))) ** 2
+            assert out.history[-1] <= vals.min() + 1e-3
+
+    def test_folded_solve_moves_only_the_radar_weights(self, rng):
+        forms = random_forms(rng, 3, 3, 4)
+        x0 = random_state(3, 4, rng)
+        out = solve(forms, x0, RcgConfig(max_iters=60), "phases_frozen")
+        assert (out.x.num_bf, out.x.dim) == (3, 3) and out.iterations > 0
+        assert out.history[-1] < out.history[0]
+        final = objective(stacked(out.x, x0.phi), forms)
+        assert abs(final - out.history[-1]) <= 1e-12 * out.history[-1]
 
     def test_phase_gauge_when_reflected_terms_vanish(self, rng):
         # with no reflected coupling the objective ignores the phase block
@@ -257,6 +296,27 @@ class TestFrozenPhasePath:
         forms = random_forms(rng, 3, 4, 5)
         folded = forms.fold(np.zeros(5, dtype=complex))
         assert np.array_equal(folded.b, forms.b) and folded.c.shape == (3, 4, 0)
+
+    def test_history_is_the_objective_at_the_iterates(self, rng):
+        forms = random_forms(rng, 4, 4, 3)
+        x0 = random_state(4, 3, rng)
+        values = []
+        out = solve(forms, x0, RcgConfig(max_iters=30), "phases_frozen",
+                    callback=lambda x, g, d: values.append(objective(stacked(x, x0.phi), forms)))
+        assert len(values) == out.iterations > 0
+        assert np.allclose(out.history[1:], values, rtol=1e-12, atol=0.0)
+
+    def test_iterate_invariants_via_callback(self, rng):
+        # test_history_is_the_objective_at_the_iterates pins the iterates'
+        # length: their stacked state must have the forms' dimension
+        forms = random_forms(rng, 4, 4, 3)
+        x0 = random_state(4, 3, rng)
+        modulus, grad_tangency, step_tangency, rise, grad_ratio = manifold_errors(
+            forms.fold(x0.phi), radar_only(x0), 80)
+        assert modulus <= 1e-12
+        assert grad_tangency <= 1e-10 and step_tangency <= 1e-10
+        assert rise <= 1e-12
+        assert grad_ratio <= 1e-8     # measured 4.2e-9
 
 
 def radar_only(x):

@@ -166,6 +166,15 @@ class TestAssembleP2:
 
 
 class TestSolveSdp:
+    def test_scalar_analytic(self):
+        p = SdpProblem(obj=np.array([[2.0 + 0j]]),
+                       comm_mat=np.array([[1.0 + 0j]]), comm_rhs=1.0,
+                       sense_mat=np.array([[1.0 + 0j]]), sense_rhs=0.0,
+                       trace_budget=3.0)
+        sol = solve_sdp(p)
+        assert sol.status == "optimal"
+        assert abs(sol.objective_value - 6.0) <= 1e-9
+        assert abs(sol.R_ss[0, 0].real - 3.0) <= 1e-9
 
     def test_scalar_infeasible(self):
         p = SdpProblem(obj=np.array([[1.0 + 0j]]),
@@ -183,6 +192,18 @@ class TestSolveSdp:
         assert sol.status == "optimal"
         assert sol.constraint_violation <= 1e-6
         assert_covariance(sol.R_ss, 1.0)
+
+    def test_matches_exact_oracle(self, rng):
+        # full-rank objectives keep the optimum away from zero, so the relative
+        # bound means something; the rank-one regime is tested below on the
+        # objective's scale
+        for _ in range(6):
+            prob = random_sdp_problem(rng, 2)
+            sol = solve_sdp(prob)
+            assert sol.status == "optimal"
+            exact = sdp2_exact_oracle(prob)
+            assert exact is not None
+            assert abs(sol.objective_value - exact) <= 1e-6 * abs(exact)
 
     def test_matches_exact_oracle_rank_one(self, rng):
         # a rank-one optimum is often zero, so the gap is read on the objective's scale
@@ -213,6 +234,29 @@ class TestSolveSdp:
             exact = sdp2_exact_oracle(prob)
             assert exact is not None
             assert abs(exact - (b1 + 3.0 * budget)) <= 1e-9 * max(1.0, abs(b1 + 3.0 * budget))
+
+    def test_solution_invariants(self, rng):
+        for _ in range(5):
+            prob = random_sdp_problem(rng, 2)
+            sol = solve_sdp(prob)
+            assert sol.status == "optimal"
+            r = sol.R_ss
+            budget = prob.trace_budget
+            assert abs(np.trace(r).real - budget) <= 1e-6 * budget
+            assert np.linalg.eigvalsh(r).min() >= -1e-8 * budget
+            assert np.trace(prob.comm_mat @ r).real >= prob.comm_rhs \
+                - 1e-6 * max(abs(prob.comm_rhs), 1.0)
+            assert np.trace(prob.sense_mat @ r).real >= prob.sense_rhs \
+                - 1e-6 * max(abs(prob.sense_rhs), 1.0)
+            assert sol.kkt_residual <= 1e-7
+
+    def test_dominates_random_feasible_points(self, rng):
+        prob = random_sdp_problem(rng, 2)
+        sol = solve_sdp(prob)
+        pts = sample_feasible_points(prob, rng, 300)
+        assert len(pts) >= 100
+        vals = [float(np.trace(prob.obj @ r).real) for r in pts]
+        assert sol.objective_value <= min(vals) + 1e-6 * max(abs(min(vals)), 1.0)
 
     def test_objective_scaling_invariance(self, rng):
         prob = random_sdp_problem(rng, 2)
@@ -294,7 +338,6 @@ class TestSolveSdp:
         assert sol.status == "optimal" and sol.iterations == 1    # the mu = 0 exit
         assert sol.objective_value <= 1e-15 * np.linalg.norm(u) ** 2
         assert_covariance(sol.R_ss, 1.0)
-
 
     def test_face_step_meets_a_constraint_the_face_centre_misses(self, rng):
         # obj vanishes on a 2-D face whose centre has half the budget on the
