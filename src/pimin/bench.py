@@ -13,9 +13,10 @@ A sweep's unit of work is one trial: every method runs from the trial's one
 state and their forms), which ``run_trial`` takes from a one-entry memo keyed
 by (scenario, seed). The first method's call pays for it; later calls at the
 same (scenario, seed) reuse it. Every array of a start is read-only, so no
-method can change what another method sees. A pool task is a run of
-consecutive trials, at most one per worker, so a worker costs the pool one
-round trip rather than one per trial.
+method can change what another method sees. A parallel sweep splits its trials
+into contiguous shares, one per process: the calling process runs the first,
+and each other share goes to a worker process that sends its rows back as one
+message.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import csv
 import functools
 import json
 import math
+import multiprocessing
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
@@ -239,6 +240,11 @@ def _trial_task(args: tuple) -> list[TrialRecord]:
     return records
 
 
+def _run_share(conn, tasks: list[tuple]) -> None:
+    """A worker process's share of a sweep: its trials' rows, sent as one message."""
+    conn.send([_trial_task(t) for t in tasks])
+
+
 def _format_db(value: float) -> str:
     """A dB cell: the sentinel for minus infinity, else ``repr`` (``nan`` included)."""
     if value == -math.inf:
@@ -283,11 +289,16 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1,
 
     A trial runs every method on the trial's one channel draw, and each method
     gives its own row, an error row if it raised. Rows are ordered by (axis
-    point, trial, method). ``parallelism`` is the number of worker processes,
-    at least 1; the pool never has more workers than there are trials, and
-    each pool task is a run of ``ceil(trials / workers)`` consecutive trials.
-    When ``out_path`` is given the records go to that CSV and a JSON sidecar
-    ``<out_path>.meta.json`` carries the spec and per-point aggregate statistics.
+    point, trial, method). ``parallelism`` is the number of processes, at
+    least 1. The trials are split into shares of ``ceil(trials / workers)``
+    consecutive trials, with ``workers = min(parallelism, trials)``: this
+    process runs the first share, and a worker process, started by
+    ``multiprocessing``'s default start method, runs each other one. A worker
+    that exits without sending its rows raises ``RuntimeError``, and an
+    exception in this process's own share terminates the workers. No worker
+    outlives the call. When ``out_path`` is given and every share came back, the records go
+    to that CSV and a JSON sidecar ``<out_path>.meta.json`` carries the spec
+    and per-point aggregate statistics.
     """
     check_count("parallelism", parallelism, 1)
     tasks = []
@@ -296,12 +307,32 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1,
             seed = trial_seed(spec.base.seed, value, trial_id)
             tasks.append((scen, spec.methods, spec.solver, seed, trial_id))
 
-    if parallelism > 1:
-        workers = min(parallelism, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(_trial_task, tasks, chunksize=-(-len(tasks) // workers)))
-    else:
-        trials = [_trial_task(t) for t in tasks]
+    size = -(-len(tasks) // min(parallelism, len(tasks)))
+    shares = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    started = []
+    try:
+        for share in shares[1:]:
+            conn, child_conn = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_run_share, args=(child_conn, share))
+            proc.start()
+            child_conn.close()      # so that a worker that dies gives EOFError, not a hang
+            started.append((proc, conn))
+        trials = [_trial_task(t) for t in shares[0]]
+        for proc, conn in started:
+            try:
+                trials += conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a sweep worker exited with code {proc.exitcode} "
+                                   "before sending its rows") from None
+    except BaseException:
+        for proc, _ in started:
+            proc.terminate()
+        raise
+    finally:
+        for proc, conn in started:
+            conn.close()
+            proc.join()
     records = [rec for trial in trials for rec in trial]
 
     aggregates = []

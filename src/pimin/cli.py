@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         for result in results:
             print(result)
         return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK
-    except OSError as exc:      # the solvers do no I/O: the outputs, or a pool that cannot start
+    except OSError as exc:      # the solvers do no I/O: the outputs, or a worker that cannot start
         print(f"pimin: output error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:    # solver-level failure

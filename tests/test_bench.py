@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
-from concurrent.futures import ProcessPoolExecutor
+import time
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import pimin
 from pimin import rcg
 from pimin.bccd import BccdConfig, bccd_solve, seeded_start
 from pimin.bench import (BELOW_NOISE_SENTINEL, TRIAL_FIELDS, Method, _aggregate,
-                         SweepSpec, TrialRecord, run_sweep, run_trial,
+                         _run_share, SweepSpec, TrialRecord, run_sweep, run_trial,
                          trial_seed, write_records_csv)
 from pimin.errors import DomainError
 from pimin.rcg import RcgConfig
@@ -31,23 +34,17 @@ def without_runtime(records):
 
 
 @pytest.fixture
-def pool_log(monkeypatch):
-    """``[max_workers, submissions]`` of each pool a sweep makes, counted in
-    this process, so the count holds under every start method."""
-    import pimin.bench as bench_mod
-
+def started(monkeypatch):
+    """Every worker process a sweep starts, recorded in this process, so the
+    record holds under every start method."""
+    real = multiprocessing.process.BaseProcess.start
     log = []
 
-    class Recording(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            log.append([max_workers, 0])
-            super().__init__(max_workers=max_workers, **kwargs)
+    def start(self):
+        log.append(self)
+        real(self)
 
-        def submit(self, *args, **kwargs):
-            log[-1][1] += 1
-            return super().submit(*args, **kwargs)
-
-    monkeypatch.setattr(bench_mod, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
     return log
 
 
@@ -201,29 +198,41 @@ class TestSweep:
                 if name != "runtime_ms":
                     assert getattr(ra, name) == getattr(rb, name)
 
-    @pytest.mark.parametrize("parallelism, submissions", [(2, 2), (4, 3)])
-    def test_parallel_matches_serial(self, parallelism, submissions, pool_log):
-        # six trials in runs of ceil(6 / workers): 2 runs of 3, or 3 runs of 2
+    @pytest.mark.parametrize("parallelism, workers", [(2, 1), (4, 2)])
+    def test_parallel_matches_serial(self, parallelism, workers, started):
+        # six trials in shares of ceil(6 / parallelism): 2 shares of 3, or 3
+        # of 2; this process runs the first share and a worker each other one
         spec = four_method_spec(seed=3)
         serial, _ = run_sweep(spec, parallelism=1)
         parallel, _ = run_sweep(spec, parallelism=parallelism)
         assert len(serial) == 2 * 3 * 4
         assert without_runtime(parallel) == without_runtime(serial)
-        assert pool_log == [[parallelism, submissions]]
+        assert [p.exitcode for p in started] == [0] * workers
 
-    def test_default_parallelism_builds_no_pool(self, pool_log):
+    def test_default_parallelism_builds_no_pool(self, started):
         records, _ = run_sweep(four_method_spec(seed=3))
-        assert len(records) == 2 * 3 * 4 and pool_log == []
+        assert len(records) == 2 * 3 * 4 and started == []
 
     @pytest.mark.parametrize("trials, parallelism, workers",
-                             [(1, 4, 1), (3, 2, 2)])
-    def test_pool_capped_at_task_count(self, trials, parallelism, workers, pool_log):
+                             [(1, 4, 0), (3, 2, 1)])
+    def test_pool_capped_at_task_count(self, trials, parallelism, workers, started):
         spec = SweepSpec(base=desk_scenario(seed=3), axis="M", values=(2,),
                          trials_per_point=trials, methods=(Method.PROPOSED,),
                          solver=FAST)
         records, _ = run_sweep(spec, parallelism=parallelism)
-        assert pool_log == [[workers, workers]]
+        assert [p.exitcode for p in started] == [0] * workers
         assert len(records) == trials
+
+    def test_a_share_sends_its_rows_as_one_message(self):
+        spec = four_method_spec(seed=3)
+        serial, _ = run_sweep(spec, parallelism=1)
+        tasks = [(spec.points[1], spec.methods, spec.solver, r.seed, r.trial_id)
+                 for r in serial[12::4]]
+        sent = []
+        _run_share(types.SimpleNamespace(send=sent.append), tasks)
+        assert len(sent) == 1
+        assert without_runtime([r for trial in sent[0] for r in trial]) == \
+            without_runtime(serial[12:])
 
     @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
     def test_workers_started_without_fork_give_the_serial_rows(self, start_method, tmp_path):
@@ -426,6 +435,44 @@ class TestPartialFailure:
         keep = [i for i in range(len(records)) if i != bad[0]]
         assert without_runtime([records[i] for i in keep]) == \
             without_runtime([clean[i] for i in keep])
+
+    def test_a_worker_that_dies_raises_and_writes_nothing(self, monkeypatch, tmp_path):
+        import pimin.bench as bench_mod
+
+        real, caller = bench_mod.run_trial, os.getpid()
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(bench_mod, "run_trial", dying)
+        spec = SweepSpec(base=desk_scenario(seed=8), axis="M", values=(2,),
+                         trials_per_point=2, methods=(Method.PROPOSED,), solver=FAST)
+        out = tmp_path / "rows.csv"
+        with pytest.raises(RuntimeError, match="^a sweep worker exited with code 3 "):
+            run_sweep(spec, parallelism=2, out_path=str(out))
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupt_in_the_callers_share_terminates_the_workers(
+            self, monkeypatch, started):
+        import pimin.bench as bench_mod
+
+        caller = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)      # a worker still busy when the caller stops
+
+        monkeypatch.setattr(bench_mod, "run_trial", interrupted)
+        spec = SweepSpec(base=desk_scenario(seed=8), axis="M", values=(2,),
+                         trials_per_point=2, methods=(Method.PROPOSED,), solver=FAST)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(spec, parallelism=2)
+        assert [p.exitcode for p in started] == [-signal.SIGTERM]
+        assert multiprocessing.active_children() == []
 
 
 class TestCsv:

@@ -48,6 +48,23 @@ def test_one_ulp_in_one_cell_is_reported_and_runtime_is_not(tool, monkeypatch, c
         "small seed 2: 1 of 8 rows differ; first: trial 1 bench1_random_phase sndr_dB"]
 
 
+def test_parallelism_2_rows_that_differ_from_parallelism_1_exit_1(tool, monkeypatch, capsys):
+    real = pimin.bench.run_sweep
+
+    def skewed(spec, parallelism):
+        rows = real(spec, parallelism)[0]
+        if parallelism == 2 and spec.base.seed == 1:
+            rows[2] = replace(rows[2], P_PI_dB=rows[2].P_PI_dB + 1.0)
+        return rows, []
+
+    monkeypatch.setattr(pimin.bench, "run_sweep", skewed)
+    assert tool.main([str(ROOT)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "small seed 1: 8 rows equal; parallelism-2 rows differ: "
+        "1 of 8 rows differ; first: trial 0 bench2_equal_phase P_PI_dB",
+        "small seed 2: 8 rows equal"]
+
+
 def test_a_base_without_src_pimin_exits_1(tool, tmp_path, capsys):
     assert tool.main([str(tmp_path)]) == 1
     assert str(tmp_path) in capsys.readouterr().err

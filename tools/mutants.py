@@ -8,12 +8,13 @@ The checkout is copied, without ``.git`` and caches, to a temporary directory,
 and only the copy is mutated. A site is an operator or a number in a statement
 inside a function of ``src/pimin/*.py``. ``selfcheck.py`` is left out, because
 its oracles judge the rest, and so is ``bench.run_sweep``, so that no mutant
-sizes a process pool. Each site has one mutant: ``<``/``<=``, ``>``/``>=``,
-``==``/``!=``, ``+``/``-``, ``*``/``/`` and ``and``/``or`` swap, and a number
-goes 0 -> 1, 1 -> 0 or c -> 2c. ``COUNT`` mutants are drawn at ``SEED``. Each
-is written into its module by ``ast.unparse`` and runs all of tier-1 with a
-fixed Hypothesis seed, in its own process group, killed at 3 times the clean
-run's time. The clean run goes first and must pass.
+sets how many worker processes a sweep starts. Each site has one mutant:
+``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``*``/``/`` and
+``and``/``or`` swap, and a number goes 0 -> 1, 1 -> 0 or c -> 2c. ``COUNT``
+mutants are drawn at ``SEED``. Each is written into its module by
+``ast.unparse`` and runs all of tier-1 with a fixed Hypothesis seed, in its own
+process group, killed at 3 times the clean run's time. The clean run goes
+first and must pass.
 
 REPORT gets one JSON object per line: for each mutant its ``module``,
 ``function``, ``line``, ``operator``, ``source`` (the line as written),

@@ -3,7 +3,9 @@
 ``BASE/src/pimin`` imports only relatively, so it loads as ``pimin_base`` beside
 this checkout's ``pimin``. At parallelism 1 both run every spec of ``families``;
 one line per family and seed says ``equal`` or where cells other than
-``runtime_ms`` differ (NaN equals NaN)::
+``runtime_ms`` differ (NaN equals NaN). This checkout also runs each spec at
+parallelism 2, and the line says ``parallelism-2 rows differ`` and where, if
+those rows are not its parallelism-1 rows::
 
     git archive <rev> src/pimin | tar -x -C <dir> && python tools/same_rows.py <dir>
 """
@@ -92,6 +94,10 @@ def main(argv: list[str]) -> int:
         theirs = base.bench.run_sweep(base.SweepSpec.from_json_dict(spec.to_json_dict()), 1)[0]
         line = compare(ours, theirs)
         status |= not line.endswith(" equal")
+        par2 = compare(pimin.bench.run_sweep(spec, 2)[0], ours)
+        if not par2.endswith(" equal"):
+            line += f"; parallelism-2 rows differ: {par2}"
+            status = 1
         print(f"{family} seed {seed}: {line}", flush=True)
     return status
 
