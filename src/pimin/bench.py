@@ -245,23 +245,15 @@ def _run_share(conn, tasks: list[tuple]) -> None:
     conn.send([_trial_task(t) for t in tasks])
 
 
-def _format_db(value: float) -> str:
-    """A dB cell: the sentinel for minus infinity, else ``repr`` (``nan`` included)."""
-    if value == -math.inf:
-        return BELOW_NOISE_SENTINEL
-    return repr(value)
-
-
 def write_records_csv(records: list[TrialRecord], path: str) -> None:
+    """One row per record in field order; minus infinity, which only a dB cell
+    holds (below noise), is written as the sentinel."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_FIELDS)
         for rec in records:
-            row = []
-            for name in TRIAL_FIELDS:
-                value = getattr(rec, name)
-                row.append(_format_db(value) if name in _DB_FIELDS else value)
-            writer.writerow(row)
+            values = (getattr(rec, name) for name in TRIAL_FIELDS)
+            writer.writerow([BELOW_NOISE_SENTINEL if v == -math.inf else v for v in values])
 
 
 def _aggregate(values: list[float]) -> dict:

@@ -311,7 +311,7 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
     # Nested line searches, over mu_1 at each mu_0: psi(mu_0) = max_{mu_1} g is concave with
     # slope b_0 - <A_0, Y> at the inner answer Y (envelope theorem). They aim 1e-14 inside each
     # constraint, past <A_i, Y>'s round-off, so a tight one holds relative to a tiny b_i.
-    mu, hess, evals, g_best = np.zeros(len(b)), np.zeros((len(b), len(b))), 0, float(lam_c[0])
+    mu, hess, evals, g_best = np.zeros(len(b)), None, 0, float(lam_c[0])
     bs = b + 1e-14
 
     def dual(t: float):
@@ -319,8 +319,8 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
         nonlocal evals, hess, g_best
         if evals == max_iters:
             return None
-        mu[-1], evals = t, evals + 1    # the first, at mu = 0, is the read above
-        lam, v = eigh(c - np.tensordot(mu, a, axes=1)) if evals > 1 else (lam_c, vec_c)
+        mu[-1], evals = t, evals + 1
+        lam, v = eigh(c - np.tensordot(mu, a, axes=1))
         ay = a @ v[:, 0]
         grad = bs - (ay @ v[:, 0].conj()).real
         w = v[:, 1:].conj().T @ ay.T     # eigenvalue perturbation
@@ -329,10 +329,9 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
         return g, g - t * grad[-1], grad[-1], hess[-1, -1], np.outer(v[:, 0], v[:, 0].conj())
 
     def psi(t: float):
-        """The inner search at mu_0 = t, from its optimum's predicted move."""
-        start = mu[1] - (hess[0, 1] / hess[1, 1] * (t - mu[0]) if hess[1, 1] < 0.0 else 0.0)
+        """The inner search at mu_0 = t, from the last inner optimum."""
         mu[0] = t
-        y, low = _line_max(dual, min(max(start, 0.0), bound), bound, TOL / 4, TOL / 4 * rel[1])
+        y, low = _line_max(dual, mu[1], bound, TOL / 4, TOL / 4 * rel[1])
         if y is None:
             return None
         h = hess    # psi'' is the Schur complement of the Hessian where mu_1 > 0

@@ -25,6 +25,20 @@ from pimin.selfcheck import dense_kron_block
 from pimin.sysmodel import beam_products, build_effective_channels
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call appends its result to the returned list."""
+    results = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
 def assert_covariance(r: np.ndarray, budget: float) -> None:
     """``r`` is a transmit covariance of trace ``budget``: Hermitian within 1e-10
     relative (Frobenius), PSD within 1e-8 budget, trace within 1e-6 budget."""

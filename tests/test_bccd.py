@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pimin.bccd import (STALL_TOL, STALL_WINDOW, BccdConfig, _idle_rule, bccd_solve,
-                        init_rss, relative_change, seeded_start)
+from pimin.bccd import (IDLE_ROUNDOFF, STALL_TOL, STALL_WINDOW, BccdConfig, _idle_rule,
+                        bccd_solve, init_rss, relative_change, seeded_start)
 from pimin.errors import DimensionError, DomainError
 from pimin.linalg import hermitian_evd
 from pimin.metrics import power_breakdown
@@ -14,7 +14,7 @@ from pimin.rcg import (BeamformerState, RcgConfig, precompute_forms, random_stat
 from pimin.scenario import desk_bench_scenario, desk_scenario, generate_channels
 from pimin.sysmodel import beam_products, build_effective_channels
 
-from helpers import assert_covariance, reference_bccd_solve, tiny_scenario
+from helpers import assert_covariance, count_calls, reference_bccd_solve, tiny_scenario
 
 
 def desk_channels(scen, seed=3):
@@ -268,20 +268,6 @@ class TestBccdSolve:
             assert np.all(np.diff(res.history) <= 1e-12)
 
 
-def count_calls(monkeypatch, module, name):
-    """Wrap ``module.name`` so that each call appends its result to the returned list."""
-    results = []
-    fn = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        results.append(out)
-        return out
-
-    monkeypatch.setattr(module, name, wrapper)
-    return results
-
-
 def first_args(monkeypatch, module, name):
     """Wrap ``module.name`` so that each call appends its first argument to the returned list."""
     seen = []
@@ -462,6 +448,23 @@ class TestIdleRestartSkips:
                       RcgConfig(max_iters=0)).grad_norm
         assert g > 1e2 * 2.0 * math.sqrt(scen.P_B * p_pi) * np.linalg.norm(ac)
         assert g <= 0.5 * self.least_skipping_tol(p_pi, ac, ch, scen, True)
+
+    @pytest.mark.parametrize("optimize_phi", [True, False])
+    def test_roundoff_allowance_sets_the_threshold_at_zero_power(self, rng, optimize_phi):
+        # at p_pi = 0 the rule skips once grad_tol reaches 2 K allowance, with
+        # the bound K and the round-off allowance of _idle_rule's docstring
+        scen = desk_scenario(seed=2, P_B_dB=3.0)
+        ch = desk_channels(scen, 2)
+        ac = build_effective_channels(ch, random_state(scen.L * scen.M, scen.N, rng).phi).Ac_block
+        lm = scen.L * scen.M
+        ris = abs(ch.gamma_RPI) * np.linalg.norm(ch.H_cR) * np.linalg.norm(ch.G_rR)
+        k = 2.0 * math.sqrt(scen.P_B) * (np.linalg.norm(ac) + optimize_phi * ris * math.sqrt(lm))
+        a = abs(ch.gamma_DPI) * np.linalg.norm(ch.H_DPI) + ris
+        allowance = (IDLE_ROUNDOFF * (scen.L * scen.M_t + lm + scen.N) * np.finfo(float).eps
+                     * math.sqrt(scen.P_B * lm) * a)
+        for factor, idle in ((1.0 - 1e-9, False), (1.0 + 1e-9, True)):
+            rule = _idle_rule(ch, scen, optimize_phi, factor * 2.0 * k * allowance)
+            assert rule(0.0, ac) == idle
 
     def test_shared_start_is_read_only(self):
         scen = desk_scenario(seed=1)

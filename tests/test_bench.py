@@ -480,7 +480,7 @@ class TestCsv:
         rec = TrialRecord(trial_id=0, method="proposed", M_t=1, M_r=1, M=1,
                           N_x=1, N_y=1, L=1, P_PI_dB=float("-inf"),
                           P_sense_dB=-50.0, P_obs_dB=float("-inf"),
-                          P_noise_dB=-80.0, sndr_dB=1.0, comm_snr_dB=2.0,
+                          P_noise_dB=-80.0, sndr_dB=np.float64(1.5), comm_snr_dB=2.0,
                           dr_dB=float("-inf"), outer_iterations=1,
                           sdp_status_final="optimal", runtime_ms=1.0, seed=0)
         path = tmp_path / "one.csv"
@@ -490,6 +490,7 @@ class TestCsv:
         assert rows[0]["P_PI_dB"] == BELOW_NOISE_SENTINEL
         assert rows[0]["dr_dB"] == BELOW_NOISE_SENTINEL
         assert float(rows[0]["P_sense_dB"]) == -50.0
+        assert rows[0]["sndr_dB"] == "1.5"     # a numpy float is written as a number
 
     def test_error_row_reads_nan(self, tmp_path, monkeypatch):
         # a failed row is not fully suppressed interference: its dB cells are

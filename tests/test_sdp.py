@@ -9,13 +9,14 @@ from pimin import sdp
 from pimin.errors import DomainError, HermitianError
 from pimin.metrics import comm_snr
 from pimin.scenario import generate_channels
-from pimin.sdp import TOL, SdpProblem, assemble_p2, solve_sdp
+from pimin.sdp import MAX_ITERS, TOL, SdpProblem, assemble_p2, solve_sdp
 from pimin.sysmodel import beam_products, build_effective_channels
 
 from pimin.selfcheck import (cplx, dense_power_quadratic, diagonal_problem, random_hermitian,
                              random_psd, random_sdp_problem, sample_feasible_points)
 
-from helpers import assert_covariance, random_unit_modulus, sdp2_exact_oracle, tiny_scenario
+from helpers import (assert_covariance, count_calls, random_unit_modulus, sdp2_exact_oracle,
+                     tiny_scenario)
 
 
 def dependent_constraints_problem():
@@ -27,7 +28,7 @@ def dependent_constraints_problem():
 
 
 def slow_problem():
-    """A 2x2 draw whose exact solve takes 25 dual evaluations, after a 6-step
+    """A 2x2 draw whose exact solve takes 29 dual evaluations, after a 6-step
     max-margin search; after 6 its point misses a constraint by more than a
     third of the right-hand side."""
     return random_sdp_problem(np.random.default_rng(57), 2)
@@ -40,6 +41,15 @@ def tiny_rhs_problem():
                       comm_mat=np.eye(3, dtype=complex), comm_rhs=0.1,
                       sense_mat=np.diag([0.0, 1.0, -1.0]).astype(complex),
                       sense_rhs=1e-9, trace_budget=1.0)
+
+
+def parallel_objective_problem(gen):
+    """A 2x2 objective parallel to a constraint, ``comm_mat + 3I``, and right-hand
+    sides of either sign: the dual's minimum eigenvalue can repeat at the optimum."""
+    c1, c2 = random_hermitian(gen, 2), random_hermitian(gen, 2)
+    b1, b2 = gen.standard_normal(2)
+    return SdpProblem(obj=c1 + 3.0 * np.eye(2), comm_mat=c1, comm_rhs=b1, sense_mat=c2,
+                      sense_rhs=b2, trace_budget=1.0)
 
 
 def contradictory_problem():
@@ -497,16 +507,19 @@ class TestDualCertificates:
         # an objective parallel to a constraint, or a diagonal problem, gives
         # the dual a repeated minimum eigenvalue at the optimum, a kink: the
         # search mixes eigenvectors there, and each answer is exact within the
-        # default cap; an infeasible answer has no duality gap to report
+        # default cap; an infeasible answer has no duality gap to report. A
+        # diagonal problem's dual Hessian is exactly 0, so the outer search's
+        # curvature must not divide by it
         gen = np.random.default_rng(5)
-        problems = []
-        for _ in range(30):
-            c1 = random_hermitian(gen, 2)
-            c2 = random_hermitian(gen, 2)
-            b1, b2 = gen.standard_normal(2)
-            problems.append(SdpProblem(obj=c1 + 3.0 * np.eye(2), comm_mat=c1, comm_rhs=b1,
-                                       sense_mat=c2, sense_rhs=b2, trace_budget=1.0))
+        problems = [parallel_objective_problem(gen) for _ in range(30)]
         problems += [diagonal_problem([1.0, 0.0]), diagonal_problem([2.0, 1.0])]
+        for _ in range(20):
+            o, c1, c2 = gen.uniform(0.0, 1.0, 2), gen.uniform(0.0, 1.0, 2), gen.standard_normal(2)
+            witness = gen.dirichlet(np.ones(2))
+            problems.append(SdpProblem(
+                obj=np.diag(o).astype(complex), comm_mat=np.diag(c1).astype(complex),
+                comm_rhs=0.99 * float(c1 @ witness), sense_mat=np.diag(c2).astype(complex),
+                sense_rhs=float(c2 @ witness) - 0.01, trace_budget=1.0))
         start = time.perf_counter()
         for prob in problems:
             exact = sdp2_exact_oracle(prob)
@@ -526,6 +539,7 @@ class TestDualCertificates:
         # tight at the optimum still holds relative to its own right-hand
         # side, which round-off allows only from the feasible side
         gen = np.random.default_rng(4)
+        searched = missed = 0
         for _ in range(60):
             n = int(gen.integers(2, 5))
             h = cplx(gen, n, n)
@@ -535,11 +549,58 @@ class TestDualCertificates:
                               trace_budget=float(gen.uniform(0.5, 3.0)))
             sol = solve_sdp(prob)
             assert sol.status in ("optimal", "infeasible")
+            if sol.status == "optimal" and sol.iterations > 1:
+                searched += 1
+                missed += sol.constraint_violation > 0.0
             if n == 2:
                 exact = sdp2_exact_oracle(prob)
                 assert sol.status == ("infeasible" if exact is None else "optimal")
                 if exact is not None:
                     assert abs(sol.objective_value - exact) <= 1e-6 * abs(exact)
+        # the search aims 1e-14 inside each constraint, past the round-off of
+        # <A_i, Y>, so nearly every searched answer meets both exactly: 2 of 47
+        # miss by at most 6e-10 relative, against 15 to 22 without the aim
+        assert searched >= 40 and missed <= 4
+
+    def test_binding_draws_take_few_dual_evaluations(self):
+        # the outer search's curvature, the Schur complement of the dual's
+        # Hessian, keeps the nested search short: these 70 draws take 308
+        # evaluations, at most 26 each; with h[0, 0] alone 406, up to 68
+        gen = np.random.default_rng(7)
+        sols = [solve_sdp(random_sdp_problem(gen, n)) for n in range(2, 9) for _ in range(10)]
+        assert {sol.status for sol in sols} == {"optimal"}
+        iterations = [sol.iterations for sol in sols]
+        assert sum(iterations) <= 320 and max(iterations) <= 30
+
+    def test_reported_gap_bounds_the_true_gap(self):
+        # a finite kkt_residual, at any cap and whatever the status, is at
+        # least the answer's excess over the exact optimum, on its own scale
+        # of ||obj||_F times the budget
+        smooth, kinked = np.random.default_rng(7), np.random.default_rng(5)
+        problems = [random_sdp_problem(smooth, 2) for _ in range(60)]
+        problems += [parallel_objective_problem(kinked) for _ in range(60)]
+        checks = 0
+        for prob in problems:
+            exact = sdp2_exact_oracle(prob)
+            if exact is None:
+                continue
+            scale = np.linalg.norm(prob.obj) * prob.trace_budget
+            for cap in (1, 2, 3, 4, MAX_ITERS):
+                sol = solve_sdp(prob, max_iters=cap)
+                if math.isfinite(sol.kkt_residual):
+                    assert sol.kkt_residual >= (sol.objective_value - exact) / scale - 1e-12
+                    checks += 1
+        assert checks >= 400
+
+    @pytest.mark.parametrize("cap", [6, 12, 20])
+    def test_capped_nested_search_reports_its_evaluations(self, cap, monkeypatch):
+        # each reported evaluation factorized c - mu . a once: every eigh call
+        # but the read of c and those of the max-margin searches
+        factorizations = count_calls(monkeypatch, sdp, "eigh")
+        margin_reads = count_calls(monkeypatch, sdp, "_margin_line")
+        sol = solve_sdp(slow_problem(), max_iters=cap)
+        assert (sol.status, sol.iterations) == ("max_iters", cap)
+        assert len(factorizations) - 1 - len(margin_reads) == cap
 
 
 class TestSampleFeasiblePoints:

@@ -97,3 +97,10 @@ def test_mutants_of_a_two_site_checkout(monkeypatch, tmp_path):
         "2 mutants of 2 sites: 1 killed, 1 survived, 0 timeout, 0 equivalent; clean tier-1 ")
     assert {str(p.relative_to(checkout)): p.read_text()
             for p in checkout.rglob("*") if p.is_file()} == files
+
+
+def test_every_equivalent_mutant_is_a_site(monkeypatch):
+    monkeypatch.syspath_prepend(ROOT / "tools")
+    import mutants
+    sites = {m.key for m in mutants.mutants(ROOT / "src" / "pimin")}
+    assert sorted(set(mutants.EQUIVALENT) - sites) == []
