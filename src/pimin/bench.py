@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import multiprocessing
+import operator
 import time
 import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -80,7 +81,8 @@ class TrialRecord:
 
 
 TRIAL_FIELDS = [f.name for f in fields(TrialRecord)]
-_DB_FIELDS = {name for name in TRIAL_FIELDS if name.endswith("_dB")}
+# the dB columns in the sidecar's key order
+_DB_FIELDS = sorted(name for name in TRIAL_FIELDS if name.endswith("_dB"))
 
 
 @functools.lru_cache(maxsize=1)
@@ -251,28 +253,24 @@ def write_records_csv(records: list[TrialRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_FIELDS)
-        for rec in records:
-            values = (getattr(rec, name) for name in TRIAL_FIELDS)
-            writer.writerow([BELOW_NOISE_SENTINEL if v == -math.inf else v for v in values])
+        row = operator.attrgetter(*TRIAL_FIELDS)
+        writer.writerows([BELOW_NOISE_SENTINEL if v == -math.inf else v for v in row(rec)]
+                         for rec in records)
 
 
-def _aggregate(values: list[float]) -> dict:
-    """Statistics of the finite cells; minus infinity (below noise) and NaN
-    (a failed row) are counted apart."""
-    finite = [v for v in values if math.isfinite(v)]
-    counts = {"count": len(finite),
-              "below_noise": sum(v == -math.inf for v in values),
-              "failed": sum(math.isnan(v) for v in values)}
-    if not finite:
+def _aggregate(values: np.ndarray | list[float]) -> dict:
+    """Statistics of the finite cells of one column; minus infinity (below
+    noise) and NaN (a failed row) are counted apart."""
+    values = np.asarray(values, dtype=float)
+    finite = values[np.isfinite(values)]
+    counts = {"count": finite.size,
+              "below_noise": int(np.count_nonzero(values == -np.inf)),
+              "failed": int(np.count_nonzero(np.isnan(values)))}
+    if not finite.size:
         return {"mean": None, "median": None, "p10": None, "p90": None, **counts}
-    arr = np.asarray(finite)
-    return {
-        "mean": float(arr.mean()),
-        "median": float(np.median(arr)),
-        "p10": float(np.percentile(arr, 10)),
-        "p90": float(np.percentile(arr, 90)),
-        **counts,
-    }
+    p10, p90 = np.percentile(finite, [10, 90])
+    return {"mean": float(finite.mean()), "median": float(np.median(finite)),
+            "p10": float(p10), "p90": float(p90), **counts}
 
 
 def run_sweep(spec: SweepSpec, parallelism: int = 1,
@@ -327,16 +325,15 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1,
             proc.join()
     records = [rec for trial in trials for rec in trial]
 
-    aggregates = []
-    per_point = spec.trials_per_point * len(spec.methods)
-    for p_idx, value in enumerate(spec.values):
-        point = records[p_idx * per_point:(p_idx + 1) * per_point]
-        for method in spec.methods:
-            subset = [r for r in point if r.method == method.value]
-            entry = {"axis": spec.axis, "value": value, "method": method.value}
-            for name in sorted(_DB_FIELDS):
-                entry[name] = _aggregate([getattr(r, name) for r in subset])
-            aggregates.append(entry)
+    # rows come in (point, trial, method) order, so one reshape gives each
+    # (point, method) column of dB cells
+    db_cells = operator.attrgetter(*_DB_FIELDS)
+    cells = np.array([db_cells(r) for r in records], dtype=float).reshape(
+        len(spec.values), spec.trials_per_point, len(spec.methods), len(_DB_FIELDS))
+    aggregates = [{"axis": spec.axis, "value": value, "method": method.value,
+                   **{name: _aggregate(cells[p, :, k, j]) for j, name in enumerate(_DB_FIELDS)}}
+                  for p, value in enumerate(spec.values)
+                  for k, method in enumerate(spec.methods)]
 
     if out_path is not None:
         write_records_csv(records, out_path)

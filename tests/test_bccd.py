@@ -42,6 +42,14 @@ class TestInitRss:
             assert np.linalg.eigvalsh(r).min() >= -1e-12
             assert_covariance(r, 3.0)
 
+    def test_the_draw_is_the_budget_scaled_gram_matrix_of_one_stream(self):
+        # the real parts, then the imaginary parts, of one generator's draws
+        r = init_rss(3, 2.0, np.random.default_rng(4))
+        gen = np.random.default_rng(4)
+        u = gen.random((3, 3)) + 1j * gen.random((3, 3))
+        gram = u.conj().T @ u
+        np.testing.assert_allclose(r, 2.0 / np.trace(gram).real * gram, rtol=1e-12, atol=0)
+
     def test_different_seeds_differ(self):
         a = init_rss(4, 1.0, np.random.default_rng(1))
         b = init_rss(4, 1.0, np.random.default_rng(2))

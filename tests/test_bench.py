@@ -515,6 +515,45 @@ class TestCsv:
                                                                    "failed")}
         assert counts == {"count": 0, "below_noise": 0, "failed": 1}
 
+    def test_aggregates_are_the_per_method_statistics_of_each_point(self, monkeypatch):
+        # each (point, method) group found by its rows' own labels, with
+        # every statistic taken from a plain list, whatever the row order
+        import pimin.bench as bench_mod
+
+        real = bench_mod.run_trial
+
+        def flaky(scen, method, cfg, seed, trial_id=0):
+            if (scen.M, method, trial_id) == (4, Method.BENCH1_RANDOM_PHASE, 2):
+                raise RuntimeError("injected")
+            return real(scen, method, cfg, seed, trial_id)
+
+        monkeypatch.setattr(bench_mod, "run_trial", flaky)
+        spec = four_method_spec(seed=5)
+        records, aggregates = run_sweep(spec, parallelism=1)
+
+        def stats(cells):
+            finite = [v for v in cells if math.isfinite(v)]
+            counts = {"count": len(finite), "below_noise": cells.count(-math.inf),
+                      "failed": sum(math.isnan(v) for v in cells)}
+            if not finite:
+                return {"mean": None, "median": None, "p10": None, "p90": None, **counts}
+            return {"mean": float(np.mean(finite)), "median": float(np.median(finite)),
+                    "p10": float(np.percentile(finite, 10)),
+                    "p90": float(np.percentile(finite, 90)), **counts}
+
+        expected = []
+        for value in spec.values:
+            for method in spec.methods:
+                group = [r for r in records if r.M == value and r.method == method.value]
+                expected.append({"axis": "M", "value": value, "method": method.value, **{
+                    name: stats([getattr(r, name) for r in group])
+                    for name in sorted(TRIAL_FIELDS) if name.endswith("_dB")}})
+        assert aggregates == expected
+        assert [list(a) for a in aggregates] == [list(e) for e in expected]   # key order
+        assert sum(a["P_PI_dB"]["failed"] for a in aggregates) == 1
+        assert all(a["P_obs_dB"]["below_noise"] == 3 - a["P_obs_dB"]["failed"]
+                   for a in aggregates)
+
     def test_aggregate_counts_below_noise_and_failed_cells_apart(self):
         stats = _aggregate([float("-inf"), float("nan"), 1.0, 2.0, float("-inf")])
         assert (stats["count"], stats["below_noise"], stats["failed"]) == (2, 2, 1)

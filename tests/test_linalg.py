@@ -57,6 +57,10 @@ class TestHermitianEvd:
             evd = hermitian_evd(b.conj().T @ b)
             assert evd.eigenvalues.min() >= -1e-10 * max(evd.eigenvalues.max(), 1.0)
 
+    def test_a_negative_eigenvalue_clips_to_zero(self):
+        evd = hermitian_evd(np.diag([2.0, -1.0]).astype(complex))
+        assert evd.clipped_eigenvalues.tolist() == [2.0, 0.0]
+
     def test_shared_arrays_read_only_and_clipped_once(self, rng):
         b = cplx(rng, 4, 2)
         evd = hermitian_evd(b @ b.conj().T)     # rank 2: two eigenvalues clip to 0

@@ -235,6 +235,33 @@ class TestRcgCounters:
         assert out.stop_reason == "stalled"
         assert out.iterations < cfg.max_iters and out.grad_norm > 0.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_run_of_rejections_ends_stalled(self, seed, monkeypatch):
+        # every trial is worse than the start, so each one is rejected; the
+        # damping grows by 2, 4, 8, ... until the step no longer moves x, a
+        # few dozen rejections at most, so 200 evaluations mean the run of
+        # rejections never ends
+        kernels = rcg._kernels
+
+        def worse_kernels(forms):
+            evaluate, *rest = kernels(forms)
+            evaluations = []
+
+            def worse(x):
+                evaluations.append(x)
+                if len(evaluations) > 200:
+                    raise RuntimeError("the run of rejected trials does not end")
+                f, terms = evaluate(x)
+                return (f if len(evaluations) == 1 else f + 1e9), terms
+
+            return (worse, *rest)
+
+        monkeypatch.setattr(rcg, "_kernels", worse_kernels)
+        gen = np.random.default_rng(seed)
+        out = rcg_solve(random_forms(gen, 3, 3, 2), random_state(3, 2, gen), RcgConfig())
+        assert (out.stop_reason, out.iterations) == ("stalled", 0)
+        assert 0 < out.backtracks <= 20
+
     def test_every_evaluation_is_the_start_a_step_or_a_backtrack(self, rng, monkeypatch):
         # every call of the solver's objective kernel is counted where it runs
         evaluations = []

@@ -231,6 +231,19 @@ class TestGenerateChannels:
         assert abs(ch.gamma_c_r) <= abs(ch.gamma_c_d)
 
 
+PANEL = 16 * ScenarioConfig().wavelength     # the desk presets' element pitch
+
+
+@pytest.mark.parametrize("preset, fields", [
+    (desk_scenario, dict(M_t=2, M=4, N_x=2, N_y=2, d_x_m=PANEL, d_y_m=PANEL)),
+    (desk_bench_scenario, dict(M_t=4, M=8, N_x=4, N_y=4, d_x_m=PANEL, d_y_m=PANEL,
+                               d_Bt=450.0, d_tPR=420.0, d_tR=415.0, sigma_t_m2=1.0,
+                               gamma_sense_dB=10.0)),
+], ids=["desk", "desk_bench"])
+def test_preset_sets_its_fields_and_keeps_every_other_default(preset, fields):
+    assert preset() == ScenarioConfig(**fields)
+
+
 class TestConfigSerialization:
     def test_roundtrip(self, tmp_path):
         scen = desk_scenario(M_t=3, obstacles=((40.0, 50.0, 1.5),), seed=9)

@@ -13,7 +13,8 @@ Usage, from the repository root::
     python tools/untested_lines.py [pytest arguments]
 
 The pytest arguments default to the tier-1 run's. Tracing slows every test,
-so a wall-clock assertion may fail; the report is printed either way.
+so a wall-clock assertion may fail; the report is printed either way. The
+exit status is 1 when any statement never ran, else 0.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def main(argv: list[str]) -> int:
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{first}: {source[first - 1].strip()}")
     print(f"{missed} statements inside functions never ran (pytest exit status {int(status)})")
-    return 0
+    return 1 if missed else 0
 
 
 if __name__ == "__main__":
