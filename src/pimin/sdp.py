@@ -15,7 +15,7 @@ repeats (a kink of ``g``). Each inequality must hold within ``TOL``, relative
 to a positive right-hand side, and every answer carries its evidence:
 
 * a spectral certificate proves infeasibility when even the best rank-one
-  covariance cannot reach a right-hand side;
+  covariance cannot reach a right-hand side (a zero matrix reaches only 0);
 * at ``mu = 0`` any feasible point of the minimum eigenspace of ``C`` (for
   ``assemble_p2``'s rank-one objective, its null space) is optimal: the
   uniform one, or else its least mix toward the eigenspace's max-margin point;
@@ -24,8 +24,10 @@ to a positive right-hand side, and every answer carries its evidence:
 * otherwise nested line searches over the two multipliers maximize ``g``, and
   the duality gap certifies the optimum. ``_line_max`` runs every search.
 
-Problems are scaled internally to unit trace and unit-norm coefficients. The
-constructor checks an ``SdpProblem``; ``assemble_p2`` builds one unchecked.
+Problems are scaled internally to unit trace and unit-norm coefficients. A
+zero constraint matrix is an ordinary constraint, kept as it is, so the dual
+always has two multipliers. The constructor checks an ``SdpProblem``;
+``assemble_p2`` builds one unchecked.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class SdpSolution:
                                 # R_ss misses a constraint by more than TOL
     status: str                 # "optimal", "infeasible" (certified) or "max_iters"
     constraint_violation: float  # worst shortfall, relative to each rhs > 0 (infeasible: proven)
-    iterations: int             # dual evaluations; 0 for a spectral or zero-matrix certificate,
+    iterations: int             # dual evaluations; 0 for a spectral certificate,
                                 # max_iters for a whole-space max-margin search cut at that cap
 
 
@@ -196,7 +198,7 @@ def _line_max(evaluate, t: float, hi: float, tol: float, feas: float = np.inf):
 def _margin_line(mats: np.ndarray, b: np.ndarray, theta: float):
     """``_line_max``'s ``(low, p, s, curv, y)`` for ``-h`` at ``d = (theta, 1 - theta)``,
     ``h(d) = lambda_max(d . A) - d . b``, with ``y`` the top eigenvector's projector."""
-    d = np.array([theta, 1.0 - theta])[:len(b)]
+    d = np.array([theta, 1.0 - theta])
     lam, v = eigh(np.tensordot(d, mats, axes=1))
     ay = mats @ v[:, -1]
     m = (ay @ v[:, -1].conj()).real - b
@@ -223,7 +225,8 @@ def _max_margin(mats: np.ndarray, b: np.ndarray, max_iters: int):
 
 
 def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
-    """Solve the covariance subproblem through its two-multiplier dual.
+    """Solve the covariance subproblem through its two-multiplier dual; a zero
+    constraint matrix is an ordinary constraint with its own multiplier.
 
     ``optimal``: each inequality holds within ``TOL`` (relative to a positive
     right-hand side) and the duality gap is at most ``TOL`` relative to the
@@ -248,28 +251,19 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
         return finish(np.eye(n, dtype=np.complex128) / n, "infeasible", np.inf, violation,
                       iterations)
 
-    # Scale: R = s * R_tilde with trace(R_tilde) = 1; unit-norm coefficients.
-    mats, rhs = [], []
-    for mat, b in ((problem.comm_mat, problem.comm_rhs), (problem.sense_mat, problem.sense_rhs)):
-        f = _frobenius(mat)
-        if f == 0.0:
-            if b > 0.0:
-                return infeasible(1.0, 0)
-            continue    # vacuous constraint
-        mats.append(mat / f)
-        rhs.append(b / (s * f))
-    a = np.array(mats).reshape(len(mats), n, n)
-    b = np.array(rhs)
+    # Scale: R = s * R_tilde with trace(R_tilde) = 1; unit-norm coefficients, a zero one as is.
+    f = (_frobenius(problem.comm_mat) or 1.0, _frobenius(problem.sense_mat) or 1.0)
+    a = np.array([problem.comm_mat / f[0], problem.sense_mat / f[1]])
+    b = np.array([problem.comm_rhs / (s * f[0]), problem.sense_rhs / (s * f[1])])
     rel = np.where(b > 0.0, b, 1.0)
 
     def shortfall(vals: np.ndarray) -> float:
         """Worst violation of ``vals >= b``: relative where ``b_i > 0``, else absolute."""
         return float((np.maximum(b - vals, 0.0) / rel).max(initial=0.0))
 
-    f_obj = _frobenius(problem.obj)
-    c = problem.obj / f_obj if f_obj > 0.0 else np.zeros((n, n), dtype=np.complex128)
+    c = problem.obj / (_frobenius(problem.obj) or 1.0)
 
-    # Spectral certificate: every Y has <A_i, Y> <= lambda_max(A_i).
+    # Spectral certificate: every Y has <A_i, Y> <= lambda_max(A_i), 0 for a zero A_i.
     worst_gap = shortfall(eigvalsh(a)[:, -1])
     if worst_gap > TOL:
         return infeasible(worst_gap, 0)
@@ -311,7 +305,7 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
     # Nested line searches, over mu_1 at each mu_0: psi(mu_0) = max_{mu_1} g is concave with
     # slope b_0 - <A_0, Y> at the inner answer Y (envelope theorem). They aim 1e-14 inside each
     # constraint, past <A_i, Y>'s round-off, so a tight one holds relative to a tiny b_i.
-    mu, hess, evals, g_best = np.zeros(len(b)), None, 0, float(lam_c[0])
+    mu, hess, evals, g_best = np.zeros(2), None, 0, float(lam_c[0])
     bs = b + 1e-14
 
     def dual(t: float):
@@ -339,7 +333,7 @@ def solve_sdp(problem: SdpProblem, max_iters: int = MAX_ITERS) -> SdpSolution:
         grad = bs - np.einsum("mij,ji->m", a, y).real    # the line adds mu_1's exact penalty
         return low, float(np.vdot(c, y).real) + bound * max(grad[1], 0.0), grad[0], curv, y
 
-    r, _ = _line_max(psi if len(b) == 2 else dual, 0.0, bound, TOL, TOL * rel[0])
+    r, _ = _line_max(psi, 0.0, bound, TOL, TOL * rel[0])
     violation, primal = shortfall(np.einsum("mij,ji->m", a, r).real), float(np.vdot(c, r).real)
     optimal = violation <= TOL and primal - g_best <= TOL * abs(primal)
     return finish(r, "optimal" if optimal else "max_iters", primal - g_best, violation, evals)

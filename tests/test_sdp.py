@@ -198,10 +198,11 @@ class TestSolveSdp:
                        comm_mat=np.eye(3, dtype=complex), comm_rhs=0.5,
                        sense_mat=random_hermitian(rng, 3), sense_rhs=-5.0,
                        trace_budget=1.0)
-        sol = solve_sdp(p)
-        assert sol.status == "optimal"
-        assert sol.constraint_violation <= 1e-6
-        assert_covariance(sol.R_ss, 1.0)
+        for prob in (p, replace(random_sdp_problem(rng, 4), obj=np.zeros((4, 4), complex))):
+            sol = solve_sdp(prob)
+            assert sol.status == "optimal"
+            assert sol.constraint_violation <= 1e-6
+            assert_covariance(sol.R_ss, prob.trace_budget)
 
     def test_matches_exact_oracle(self, rng):
         # full-rank objectives keep the optimum away from zero, so the relative
@@ -281,6 +282,25 @@ class TestSolveSdp:
         assert np.max(np.abs(sol5.R_ss - sol1.R_ss)) \
             <= 1e-5 * prob.trace_budget
 
+    @pytest.mark.parametrize("zeroed", [("comm",), ("sense",), ("comm", "sense")],
+                             ids=["comm", "sense", "both"])
+    def test_zero_constraint_matrices_at_a_rhs_of_zero_or_below(self, zeroed, rng):
+        # a zero matrix at a right-hand side <= 0 holds everywhere; it keeps its
+        # multiplier, and every answer must still be certified optimal
+        for k in range(100):
+            n = 2 + k % 5
+            rhs = 0.0 if k % 2 else -float(rng.uniform(0.0, 1.0))
+            fields = {}
+            for name in zeroed:
+                fields.update({f"{name}_mat": np.zeros((n, n), complex), f"{name}_rhs": rhs})
+            prob = replace(random_sdp_problem(rng, n), **fields)
+            sol = solve_sdp(prob)
+            assert sol.status == "optimal" and sol.constraint_violation <= TOL
+            assert_covariance(sol.R_ss, prob.trace_budget)
+            if n == 2:
+                exact = sdp2_exact_oracle(prob)
+                assert abs(sol.objective_value - exact) <= 1e-6 * abs(exact)
+
     def test_dependent_constraints_infeasible(self):
         sol = solve_sdp(dependent_constraints_problem())
         assert sol.status == "infeasible"
@@ -352,14 +372,17 @@ class TestSolveSdp:
     def test_face_step_meets_a_constraint_the_face_centre_misses(self, rng):
         # obj vanishes on a 2-D face whose centre has half the budget on the
         # communication direction, short of 0.8; the mix with the face's
-        # max-margin point goes just far enough to meet it: the mu = 0 exit
+        # max-margin point goes just far enough to meet it: the mu = 0 exit.
+        # The sense constraint, the trace, holds everywhere with margin 1: a
+        # zero matrix at 0 would cap every margin at 0, and the max-margin
+        # point would then meet 0.8 on its own, leaving no mix to test
         q = np.linalg.qr(cplx(rng, 3, 3))[0]
 
         def rotated(diag):
             return (q * np.array(diag, dtype=complex)) @ q.conj().T
 
         p = SdpProblem(obj=rotated([0.0, 0.0, 1.0]), comm_mat=rotated([1.0, 0.0, 0.0]),
-                       comm_rhs=0.8, sense_mat=np.zeros((3, 3)), sense_rhs=0.0,
+                       comm_rhs=0.8, sense_mat=np.eye(3), sense_rhs=0.0,
                        trace_budget=1.0)
         sol = solve_sdp(p)
         assert (sol.status, sol.iterations) == ("optimal", 1)
@@ -413,6 +436,16 @@ class TestDualCertificates:
         assert sol.status == "infeasible" and sol.iterations == 0
         assert sol.constraint_violation == 1.0
         assert solve_sdp(random_sdp_problem(rng, 2)).iterations >= 1
+
+    def test_a_zero_matrix_beside_a_worse_miss_reports_the_worst_shortfall(self):
+        # the zero matrix misses 0.5 by all of it; -I misses 0.5 by 1.5, three
+        # times the right-hand side, and the spectral certificate reports that
+        p = SdpProblem(obj=np.eye(2, dtype=complex),
+                       comm_mat=np.zeros((2, 2), dtype=complex), comm_rhs=0.5,
+                       sense_mat=-np.eye(2, dtype=complex), sense_rhs=0.5, trace_budget=1.0)
+        sol = solve_sdp(p)
+        assert (sol.status, sol.iterations) == ("infeasible", 0)
+        assert sol.constraint_violation == 3.0
 
     def test_dual_value_certifies_infeasibility(self):
         # each constraint alone is reachable, both together are not: only the

@@ -1,5 +1,5 @@
-"""``tools/same_rows.py`` on two small sweeps, with this checkout as its own ``BASE``;
-``tools/mutants.py`` on a checkout of two sites."""
+"""``tools/same_rows.py`` and ``tools/bench_ab.py`` on small sweeps, with this checkout as
+its own ``BASE``; ``tools/mutants.py`` on a checkout of two sites."""
 
 import json
 from dataclasses import replace
@@ -68,6 +68,33 @@ def test_parallelism_2_rows_that_differ_from_parallelism_1_exit_1(tool, monkeypa
 def test_a_base_without_src_pimin_exits_1(tool, tmp_path, capsys):
     assert tool.main([str(tmp_path)]) == 1
     assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_bench_ab_times_equal_rows_and_writes_the_record(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(ROOT / "tools")
+    import bench_ab
+    monkeypatch.setattr(bench_ab, "families", lambda: [
+        (name, 1, SweepSpec(base=desk_scenario(seed=1), axis="M", values=(4,),
+                            trials_per_point=2, methods=tuple(Method), solver=SOLVER))
+        for name in ("nulling", "small")])
+    out = tmp_path / "bench.json"
+    assert bench_ab.main([str(ROOT), str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "nulling seed 1: 8 rows equal" and lines[2] == "small seed 1: 8 rows equal"
+    record = json.loads(out.read_text())
+    assert record["rows"] == {"nulling": {"1": "8 rows equal"}, "small": {"1": "8 rows equal"}}
+    assert (record["base"], record["passes"]) == (str(ROOT), bench_ab.PASSES)
+    assert set(record["host"]) == {"python", "numpy", "blas", "OPENBLAS_CORETYPE", "nproc"}
+    timed = record["timed"]["nulling"]["1"]     # the untimed family has only its rows
+    assert list(record["timed"]) == ["nulling"]
+    methods = [m.value for m in Method]
+    for figures in (timed, timed["null"]):
+        lo, hi = figures["interval"]
+        assert 0.0 < lo <= hi and figures["ratio"] > 0.0
+        assert list(figures["methods"]) == methods
+        assert sum(figures["wins"].values()) <= 8
+    assert sum(timed["sdp_status"].values()) == 8
+    assert list(timed["median_P_PI_dB"]) == list(timed["median_sndr_dB"]) == methods
 
 
 def test_mutants_of_a_two_site_checkout(monkeypatch, tmp_path):

@@ -29,12 +29,30 @@ def load(name: str, path: Path, package: bool = False):
     return module
 
 
+def load_tree(name: str, root: Path):
+    """``root/src/pimin`` as the package ``name``, in place of a tree loaded as ``name``
+    earlier in this process; None, after naming each module of ``pimin`` or ``name`` that
+    resolves outside its tree, if any does."""
+    for module in [m for m in sys.modules if m.split(".")[0] == name]:
+        del sys.modules[module]
+    tree = load(name, root / "src" / "pimin" / "__init__.py", package=True)
+    strays = [f"{n} resolves to {m.__file__}, outside {r}" for n, m in sys.modules.items()
+              for top, r in (("pimin", ROOT), (name, root))
+              if n.split(".")[0] == top and r not in Path(m.__file__).resolve().parents]
+    if strays:
+        print("\n".join(strays), file=sys.stderr)
+        return None
+    return tree
+
+
 def families():
     """``(family, seed, spec)``, seeds 1-5: the benchmark's workloads at its ``run_seconds``,
     then 20 trials of every method on ``desk_scenario(seed)`` with a binding sensing target
     (nested multiplier and max-margin searches), an obstacle, a zero gradient tolerance (LM
-    solves that stop ``stalled``), and the binding target at SDP caps of 1 (the capped
-    whole-space exit) and 4 (the nested search's own ``max_iters`` exit)."""
+    solves that stop ``stalled``), the binding target at SDP caps of 1 (the capped
+    whole-space exit) and 4 (the nested search's own ``max_iters`` exit), and the binding
+    target beside a 40 dB communication target (the whole-space certificate of joint
+    infeasibility)."""
     from pimin import BccdConfig, Method, RcgConfig, SweepSpec, desk_scenario
 
     workloads = load("perfbench_workloads", ROOT / "perfbench" / "workloads.py").WORKLOADS
@@ -47,7 +65,8 @@ def families():
             ("obstacle", {"obstacles": ((40.0, 60.0, 1.0),)}, nulling),
             ("stalled", {}, BccdConfig(n_iter=4, rcg=RcgConfig(max_iters=300, grad_tol=0.0))),
             ("capped", binding, replace(nulling, sdp_max_iters=1)),
-            ("sdp_cap_4", binding, replace(nulling, sdp_max_iters=4))):
+            ("sdp_cap_4", binding, replace(nulling, sdp_max_iters=4)),
+            ("joint", {**binding, "gamma_comm_dB": 40.0}, nulling)):
         for s in range(1, 6):
             base = desk_scenario(seed=s, **extra)
             yield name, s, SweepSpec(base=base, axis="M", values=(base.M,), trials_per_point=20,
@@ -79,14 +98,8 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     import pimin.bench
 
-    for name in [m for m in sys.modules if m.split(".")[0] == "pimin_base"]:
-        del sys.modules[name]   # a tree loaded earlier in this process
-    base = load("pimin_base", base_root / "src" / "pimin" / "__init__.py", package=True)
-    strays = [f"{n} resolves to {m.__file__}, outside {root}" for n, m in sys.modules.items()
-              for top, root in (("pimin", ROOT), ("pimin_base", base_root))
-              if n.split(".")[0] == top and root not in Path(m.__file__).resolve().parents]
-    if strays:
-        print("\n".join(strays), file=sys.stderr)
+    base = load_tree("pimin_base", base_root)
+    if base is None:
         return 1
     status = 0
     for family, seed, spec in families():
