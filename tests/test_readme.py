@@ -2,7 +2,8 @@
 
 Every fenced ``python`` block runs. The ``json`` blocks are the scenario
 example and the sweep example, in that order; each loads through its config's
-JSON loader, the sweep with its ``"..."`` base replaced by the scenario.
+JSON loader, the sweep with its ``"..."`` base replaced by the scenario. Every
+``python tools/<name>.py`` command names a file of ``tools/``.
 """
 
 import json
@@ -14,7 +15,8 @@ import pytest
 from pimin import ScenarioConfig
 from pimin.bench import SweepSpec
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
 JSON_BLOCKS = [json.loads(b) for b in re.findall(r"^```json\n(.*?)^```", TEXT,
@@ -35,3 +37,8 @@ def test_readme_json_examples_load():
     scen = ScenarioConfig.from_json_dict(scenario)
     spec = SweepSpec.from_json_dict({**sweep, "base": scenario})
     assert spec.base == scen
+
+
+def test_readme_tool_commands_name_existing_files():
+    tools = re.findall(r"python (tools/\S+\.py)", TEXT)
+    assert tools and [path for path in tools if not (ROOT / path).is_file()] == []

@@ -130,6 +130,9 @@ CASES = {
                       "obj must be a non-empty square matrix, got shape (0, 0)"),
     "sdp_obj_not_square": (lambda: sdp_problem(obj=np.ones((2, 3))), DimensionError,
                            "obj must be a non-empty square matrix, got shape (2, 3)"),
+    "sdp_obj_not_hermitian": (lambda: sdp_problem(obj=[[1.0, 1.5e-10], [0.0, 1.0]]),
+                              HermitianError, "obj is not Hermitian: ||A - A^H|| = 2.121e-10 "
+                                              "vs ||A|| = 1.414e+00"),
     "sdp_obj_not_finite": (lambda: sdp_problem(obj=np.diag([math.nan, 1.0])),
                            DomainError, "obj has a non-finite entry"),
     "sdp_budget": (lambda: sdp_problem(trace_budget=0.0),

@@ -331,6 +331,21 @@ class TestSolveSdp:
         assert sol.status == "max_iters"
         assert sol.iterations == 1
 
+    def test_capped_whole_space_exit_reports_its_gap(self):
+        # the null space of diag(1, 2) is e1, where diag(0, 1) reads 0 < 0.5, so
+        # the whole-space max-margin search runs; cut at one evaluation, its pick
+        # meets both constraints and the gap is <C, Y> - lambda_min(C) of the
+        # unit-norm objective, 1/sqrt(5)
+        p = SdpProblem(obj=np.diag([1.0, 2.0]).astype(complex),
+                       comm_mat=np.diag([0.0, 1.0]).astype(complex), comm_rhs=0.5,
+                       sense_mat=np.eye(2, dtype=complex), sense_rhs=0.5, trace_budget=1.0)
+        sol = solve_sdp(p, max_iters=1)
+        assert (sol.status, sol.iterations, sol.constraint_violation) == ("max_iters", 1, 0.0)
+        assert sol.kkt_residual == pytest.approx(1 / math.sqrt(5), abs=1e-12)
+        sol = solve_sdp(p)
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(1.5, rel=TOL)
+
     @pytest.mark.parametrize("problem, status, iterations",
                              [(tiny_rhs_problem, "optimal", 1), (slow_problem, "max_iters", 7)],
                              ids=["null_space", "whole_space"])
