@@ -85,6 +85,16 @@ TRIAL_FIELDS = [f.name for f in fields(TrialRecord)]
 _DB_FIELDS = sorted(name for name in TRIAL_FIELDS if name.endswith("_dB"))
 
 
+# The reflection coefficients each method keeps fixed, built from the trial's
+# start and the element count only for the method that runs.
+_FROZEN_PHI = {
+    Method.PROPOSED: lambda start, n: None,
+    Method.BENCH1_RANDOM_PHASE: lambda start, n: start.x.phi,
+    Method.BENCH2_EQUAL_PHASE: lambda start, n: np.ones(n, dtype=np.complex128),
+    Method.BENCH3_NO_RIS: lambda start, n: np.zeros(n, dtype=np.complex128),
+}
+
+
 @functools.lru_cache(maxsize=1)
 def _trial_start(scen: ScenarioConfig, seed: int) -> BccdStart:
     """The channel draw and seeded solver start of the last (scenario, seed) asked for."""
@@ -107,13 +117,7 @@ def run_trial(scen: ScenarioConfig, method: Method, cfg: BccdConfig,
     method = Method(method)
     t0 = time.perf_counter()
     start = _trial_start(scen, seed)
-    frozen_phi = {
-        Method.PROPOSED: None,
-        Method.BENCH1_RANDOM_PHASE: start.x.phi,
-        Method.BENCH2_EQUAL_PHASE: np.ones(scen.N),
-        Method.BENCH3_NO_RIS: np.zeros(scen.N),
-    }[method]
-    result = bccd_solve(cfg, scen, start, frozen_phi=frozen_phi)
+    result = bccd_solve(cfg, scen, start, frozen_phi=_FROZEN_PHI[method](start, scen.N))
 
     runtime_ms = (time.perf_counter() - t0) * 1e3
     p = result.final_powers

@@ -17,9 +17,11 @@ cost as much as the factorization: every caller passes a float64 (``solve``) or
 complex128 (``eigh``, ``eigvalsh``) array it built itself. They keep numpy's
 error contract: a singular system or an eigensolver that does not converge
 raises ``numpy.linalg.LinAlgError``, under the error state ``numpy.linalg``
-uses. There is no fallback: if a numpy release drops these names, importing
-the package fails, and ``pimin check`` compares the wrappers with
-``numpy.linalg`` bit for bit.
+uses. That state is each wrapper's decorator (``_lapack_errors``), entered on
+top of the caller's for the one call and undone on return or raise, so the
+caller's error state is as it was. There is no fallback: if a numpy release
+drops these names, importing the package fails, and ``pimin check`` compares
+the wrappers with ``numpy.linalg`` bit for bit.
 
 ``check_hermitian`` and ``hermitian_evd`` validate their arguments and then
 run the private kernel ``_hermitian_part`` on the raw arrays. The other
@@ -27,7 +29,10 @@ modules call that kernel, ``_frobenius`` and the identity-Kronecker product
 ``_kron_apply`` on arrays that they built themselves.
 
 All functions are pure and operate on immutable inputs, so they are safe to
-call concurrently.
+call concurrently, with one exception: on numpy 1.x each LAPACK wrapper's
+decorator is one ``np.errstate`` that saves the caller's error state on
+itself, so two threads inside the same wrapper at once can each restore the
+other's state. Processes, and threads on numpy 2, are unaffected.
 """
 
 from __future__ import annotations
@@ -55,33 +60,41 @@ def _raise_nonconvergence(err, flag):
 
 
 def _lapack_errors(handler):
-    """The error state ``numpy.linalg`` calls its gufuncs in: LAPACK failure
-    sets the invalid flag, which calls ``handler``."""
+    """The error state ``numpy.linalg`` calls its gufuncs in, as a decorator:
+    LAPACK failure sets the invalid flag, which calls ``handler``.
+
+    Each call of the decorated function enters the state on top of the
+    caller's: it sets all four error kinds and the callback, so of the
+    caller's state only the ufunc buffer size carries over, and it restores
+    the caller's state on return or raise. On numpy 2 the state is a context
+    variable set per call; on numpy 1.x the decorator reuses its one
+    ``np.errstate``, which saves the caller's state on itself.
+    """
     return np.errstate(call=handler, invalid="call", over="ignore", divide="ignore",
                        under="ignore")
 
 
+@_lapack_errors(_raise_singular)
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``x`` with ``a x = b``: ``a`` (m, m) and ``b`` (m,), both float64.
 
     Raises ``LinAlgError`` when ``a`` is exactly singular.
     """
-    with _lapack_errors(_raise_singular):
-        return _solve1(a, b, signature="dd->d")
+    return _solve1(a, b, signature="dd->d")
 
 
+@_lapack_errors(_raise_nonconvergence)
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors (columns) of complex128
     Hermitian ``a`` (..., n, n), read from its lower triangle."""
-    with _lapack_errors(_raise_nonconvergence):
-        return _eigh_lo(a, signature="D->dD")
+    return _eigh_lo(a, signature="D->dD")
 
 
+@_lapack_errors(_raise_nonconvergence)
 def eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of complex128 Hermitian ``a`` (..., n, n), read
     from its lower triangle."""
-    with _lapack_errors(_raise_nonconvergence):
-        return _eigvalsh_lo(a, signature="D->d")
+    return _eigvalsh_lo(a, signature="D->d")
 
 
 # Eigenvalues smaller than this fraction of the largest magnitude are treated

@@ -17,7 +17,13 @@ phase coordinates ``x = exp(j theta)`` (Absil, Mahony & Sepulchre,
   the smaller ``(A^T A + mu I) y = r`` instead and takes ``delta = A y`` (the
   push-through identity). The side depends only on that dimension and the
   number of terms;
-* the trial point ``x * exp(j delta)`` is unit-modulus by construction;
+* the trial point ``x * exp(j delta)`` is unit-modulus by construction. The
+  solver writes ``delta`` into the imaginary part of a buffer whose real part
+  stays 0 and takes ``exp`` of that, which gives the bits of
+  ``exp(1j * delta)`` without the mixed-type product ``1j * delta``. The one
+  bit that can differ, the sign of a zero imaginary part at
+  ``delta = -0.0``, leaves the product with an ``x`` whose parts are nonzero
+  unchanged (``tests/test_rcg.py`` checks both);
 * a trial is accepted only when it lowers ``f``, and the damping ``mu`` then
   shrinks by Nielsen's gain-ratio rule; otherwise it grows by a factor that
   doubles with each rejection in a row (Madsen, Nielsen & Tingleff, "Methods
@@ -31,12 +37,12 @@ radar weights.
 The loop runs on raw arrays and validates its inputs once. Every objective
 evaluation also returns the terms ``t[i] = b_i + c_i phi`` and
 ``e[i] = w^H t[i]``, and the Jacobian at an accepted trial point reuses them.
-The Jacobian, the Gauss–Newton matrix and its right-hand side live in
-buffers allocated once per solve; each trial adds ``mu`` to the saved
-diagonal in place. ``objective`` and ``euclid_grad`` validate their
-arguments and run the same private kernels at one point; the oracles in
-``pimin.selfcheck`` call them, and the tangent projection ``_project``, which
-the loop applies to every gradient it reports.
+The terms, the Jacobian, the Gauss–Newton matrix with its right-hand side,
+and the trial's rotation live in buffers allocated once per solve; each trial
+adds ``mu`` to the saved diagonal in place. ``objective`` and ``euclid_grad``
+validate their arguments and run the same private kernels at one point; the
+oracles in ``pimin.selfcheck`` call them, and the tangent projection
+``_project``, which the loop applies to every gradient it reports.
 """
 
 from __future__ import annotations
@@ -197,28 +203,41 @@ def _kernels(forms: PrecomputedForms):
     rows ``linearize`` wrote at the same unit-modulus ``x``: with
     ``z = jac[:-1] conj(e)``, it is ``2 w z`` on the radar block and
     ``-2 phi conj(z)`` on the phase block. With no phase block (folded forms)
-    the terms are ``b`` itself and the kernels skip the empty phase products.
+    the terms are ``b`` itself and the kernels build no phase arrays and skip
+    the phase products.
+
+    The terms live in buffers of the kernels, so ``evaluate`` returns the
+    same tuple each time, and the terms of a point hold until the next
+    ``evaluate``. The solver linearizes each accepted point before it
+    evaluates another.
     """
     b = np.asarray(forms.b, dtype=np.complex128)
     c = np.asarray(forms.c, dtype=np.complex128)
     n_terms, nb, n = c.shape
-    c_flat = c.reshape(n_terms * nb, n)
-    c_phase = -c.transpose(2, 0, 1).reshape(n * n_terms, nb)
-    c_phi = np.empty((n_terms, nb), dtype=np.complex128)
-    c_phi_flat = c_phi.reshape(-1)
     jac = np.empty((nb + n + 1, n_terms), dtype=np.complex128)
-    jac_w, jac_p, res = jac[:nb].T, jac[nb:-1], jac[-1]
-    jac_p_flat, jac_p_cols = jac_p.reshape(-1), jac_p.T
+    jac_w, res = jac[:nb].T, jac[-1]
+    xw = np.empty(nb, dtype=np.complex128)
+    e = np.empty(n_terms, dtype=np.complex128)
+    e_flat = e.view(np.float64)
+    t = b
+    if n:
+        c_flat = c.reshape(n_terms * nb, n)
+        c_phase = -c.transpose(2, 0, 1).reshape(n * n_terms, nb)
+        t = np.empty((n_terms, nb), dtype=np.complex128)
+        t_flat = t.reshape(-1)
+        jac_p = jac[nb:-1]
+        jac_p_flat, jac_p_cols = jac_p.reshape(-1), jac_p.T
+    terms = (t, e, xw)
 
     def evaluate(x):
-        xw = x[:nb].conj()
-        t = b
         if n:
-            c_flat.dot(x[nb:], out=c_phi_flat)
-            t = b + c_phi
-        e = t.dot(xw)
-        v = e.view(np.float64)
-        return float(v.dot(v)), (t, e, xw)
+            np.conjugate(x[:nb], out=xw)
+            c_flat.dot(x[nb:], out=t_flat)
+            np.add(b, t, out=t)
+        else:
+            np.conjugate(x, out=xw)
+        t.dot(xw, out=e)
+        return float(e_flat.dot(e_flat)), terms
 
     def linearize(x, terms):
         t, e, xw = terms
@@ -344,6 +363,9 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
         buffer = gram_rhs = np.empty((d + 1, d + 1))
         system, rhs = gram_rhs[:-1, :-1], gram_rhs[:-1, -1]
     diagonal = buffer.reshape(-1)[::buffer.shape[0] + 1][:system.shape[0]]
+    # j delta, with a real part that stays 0: exp gives exp(j delta)'s bits
+    rotation = np.zeros(d, dtype=np.complex128)
+    rotation_angle = rotation.imag
 
     f, terms = evaluate(x)
     history = [f]
@@ -373,8 +395,9 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
         delta = solve(system, r if dual else rhs)
         if dual:
             delta = a.dot(delta)
-        trial = x * np.exp(1j * delta)
-        f_new, terms_new = evaluate(trial)
+        rotation_angle[...] = delta
+        trial = x * np.exp(rotation)
+        f_new = evaluate(trial)[0]
         accepted = f_new < f
         if accepted:
             # Gain ratio: the actual decrease over the model's,
@@ -384,12 +407,12 @@ def rcg_solve(forms: PrecomputedForms, x0: BeamformerState, cfg: RcgConfig,
             rho = (f - f_new) / (mu * float(delta.dot(delta)) + float(delta.dot(rhs)))
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3)
             nu = 2.0
-            x, f, terms = trial, f_new, terms_new
+            x, f = trial, f_new
             history.append(f)
             iterations += 1
         else:
             backtracks += 1
-            if not math.isfinite(f_new) or np.array_equal(trial, x):
+            if not math.isfinite(f_new) or (trial == x).all():
                 break   # no finite trial moves x any more: stationary at round-off
             mu *= nu
             nu *= 2.0

@@ -120,3 +120,26 @@ class TestLapackWrappers:
         # numpy.linalg raises the same error
         with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
             getattr(linalg, name)(np.full((3, 3), np.nan, dtype=complex))
+
+    @pytest.mark.parametrize("name, good, bad", [
+        ("solve", (np.eye(3), np.ones(3)), (np.zeros((3, 3)), np.ones(3))),
+        ("eigh", (np.eye(3, dtype=complex),), (np.full((3, 3), np.nan, dtype=complex),)),
+        ("eigvalsh", (np.eye(3, dtype=complex),), (np.full((3, 3), np.nan, dtype=complex),)),
+    ], ids=["solve", "eigh", "eigvalsh"])
+    def test_the_callers_error_state_is_restored(self, name, good, bad):
+        # each wrapper enters numpy.linalg's error state for its own call only:
+        # after a return or a LinAlgError the caller's state, callback included,
+        # is as it was, so an overflow still raises where the caller asked it to
+        def callers_handler(err, flag):
+            pass
+
+        with np.errstate(call=callers_handler, divide="warn", over="raise", under="print",
+                         invalid="warn"):
+            state = (np.geterr(), np.geterrcall())
+            getattr(linalg, name)(*good)
+            assert (np.geterr(), np.geterrcall()) == state
+            with pytest.raises(np.linalg.LinAlgError):
+                getattr(linalg, name)(*bad)
+            assert (np.geterr(), np.geterrcall()) == state
+            with pytest.raises(FloatingPointError):
+                np.full(2, 1e300) * 1e300

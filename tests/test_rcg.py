@@ -211,6 +211,31 @@ class TestRcgSolve:
             rcg_solve(forms, random_state(3, 0, rng), RcgConfig())
 
 
+class TestTrialRotation:
+    def test_exp_of_the_rotation_buffer_is_exp_of_j_delta(self):
+        # rcg_solve writes delta into the imaginary part of a buffer whose real
+        # part stays 0, in place of forming 1j * delta, whose real part is -0.0
+        # for a negative delta; a libm whose complex exp reads the sign of that
+        # zero fails here rather than moving rows
+        gen = np.random.default_rng(46)
+        fi = np.finfo(np.float64)
+        size = 20000
+        delta = np.concatenate([
+            10.0 ** gen.uniform(-300.0, 3.0, size) * gen.choice([-1.0, 1.0], size),
+            [0.0, -0.0, fi.max, -fi.max, fi.tiny, -fi.tiny, fi.smallest_subnormal,
+             -fi.smallest_subnormal]])
+        rotation = np.zeros(delta.size, dtype=np.complex128)
+        rotation.imag[...] = delta
+        got, ref = np.exp(rotation), np.exp(1j * delta)
+        assert np.array_equal(got.view(np.float64), ref.view(np.float64))
+        # bit for bit too, but for the sign of the zero imaginary part at -0.0
+        differ = np.flatnonzero(got.view(np.uint64) != ref.view(np.uint64))
+        assert set(differ.tolist()) <= {2 * (size + 1) + 1}
+        # which leaves the trial point unchanged
+        x = np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, delta.size))
+        assert np.array_equal((x * got).view(np.uint64), (x * ref).view(np.uint64))
+
+
 class TestRcgCounters:
     @pytest.mark.parametrize("grad_tol", [None, 0.0])    # a zero gradient meets a zero tol
     def test_zero_forms_stop_at_grad_tol_without_iterating(self, rng, grad_tol):
